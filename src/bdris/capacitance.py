@@ -47,7 +47,7 @@ def coupling_matrix(q, tx_user, victim, k, iterate, channels, phi=None):
     h = channels.direct[q, victim, k]
     g = channels.ris_ue[q, victim, k]
     big_h = channels.bs_ris[q, k]
-    sel = iterate.selections[q]
+    sel = np.eye(channels.num_elements)[:, iterate.selections[q]]
     hw = big_h @ w
     cross = np.outer(np.outer(hw, np.conj(w)) @ h, np.conj(g) @ sel)
     beam_outer = np.outer(hw, np.conj(w)) @ np.conj(big_h).T
@@ -63,8 +63,7 @@ def _coupling_diagonals(q, iterate, channels, snap):
     """
     own = channels.users_of_bs(q)
     hw = np.einsum("kmn,tkn->tkm", channels.bs_ris[q], iterate.precoders[own])
-    routed = np.einsum("vki,im->vkm", np.conj(channels.ris_ue[q]),
-                       iterate.selections[q])
+    routed = np.conj(channels.ris_ue[q][..., iterate.selections[q]])
     return np.einsum("tkm,vkm,tvk->tvkm", hw, routed,
                      np.conj(snap.amplitudes[own]))
 

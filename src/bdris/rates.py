@@ -1,6 +1,6 @@
 """Per-user rates, interference powers and the network sum rate.
 
-The variable triplet (precoders, capacitances, selection matrices) is held
+The variable triplet (precoders, capacitances, switch permutations) is held
 in :class:`Iterate`.  Rates follow the treat-interference-as-noise model:
 user u's rate at subcarrier k is log2(1 + |own amplitude|^2 / MUI) averaged
 over subcarriers, where MUI collects the receiver noise plus the power of
@@ -9,7 +9,7 @@ every other stream at that user.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +29,10 @@ class Iterate:
         Per-user per-subcarrier transmit vectors at the serving BS.
     capacitances : (Q, M) float
         Tunable element capacitances of each surface, in farads.
-    selections : (Q, M, M) float
-        Binary permutation matrix of each surface's interconnect switches.
+    selections : (Q, M) int
+        Switch permutation of each surface: ``perm = selections[q]`` says element
+        m reflects the signal incoming at element ``perm[m]``, i.e. the 0/1 matrix
+        has S[perm[m], m] = 1, and routing ``conj(g) @ S`` is ``conj(g)[..., perm]``.
     """
 
     precoders: np.ndarray
@@ -40,9 +42,6 @@ class Iterate:
     def copy(self):
         return Iterate(self.precoders.copy(), self.capacitances.copy(),
                        self.selections.copy())
-
-    def with_precoders(self, w):
-        return replace(self, precoders=w)
 
     def bs_power(self, bs_of_user):
         """Transmit power spent by each BS, shape (Q,)."""
@@ -60,10 +59,9 @@ class Iterate:
         if np.any(self.capacitances < c.c_min) or np.any(self.capacitances > c.c_max):
             raise ValueError("capacitance outside the tunable range")
         s = self.selections
-        if not np.all((s == 0) | (s == 1)):
-            raise ValueError("selection matrices must be binary")
-        if (np.any(s.sum(axis=1) != 1) or np.any(s.sum(axis=2) != 1)):
-            raise ValueError("selection matrices must be permutations")
+        if (not np.issubdtype(s.dtype, np.integer) or s.shape != self.capacitances.shape
+                or np.any(np.sort(s, axis=1) != np.arange(s.shape[1]))):
+            raise ValueError("selections must be (Q, M) integer permutations")
 
 
 def effective_rows(iterate, channels, ris_enabled=True):
@@ -78,7 +76,8 @@ def effective_rows(iterate, channels, ris_enabled=True):
     if not ris_enabled:
         return rows.copy()
     phi = reflection_profile_all(iterate.capacitances, channels)
-    routed = np.einsum("juki,jim->jukm", np.conj(channels.ris_ue), iterate.selections)
+    routed = np.conj(np.take_along_axis(channels.ris_ue,
+                                        iterate.selections[:, None, None], axis=-1))
     return rows + np.einsum("jukm,jkm,jkmn->jukn", routed, phi, channels.bs_ris)
 
 

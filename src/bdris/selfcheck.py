@@ -37,9 +37,7 @@ def random_network(rng, num_bs=2, num_antennas=2, num_elements=4,
         np.repeat(np.arange(num_bs), users_per_bs), grid, circuit)
     w = shape(u_n, num_subcarriers, num_antennas) * 0.4
     caps = rng.uniform(circuit.c_min, circuit.c_max, (num_bs, num_elements))
-    sels = np.zeros((num_bs, num_elements, num_elements))
-    for q in range(num_bs):
-        sels[q][np.arange(num_elements), rng.permutation(num_elements)] = 1.0
+    sels = np.stack([rng.permutation(num_elements) for _ in range(num_bs)])
     return channels, Iterate(w, caps, sels), noise_power
 
 
@@ -88,14 +86,15 @@ def check_reflection_derivative(samples=200, seed=2):
     return "element response derivative", err <= 1e-5, f"max rel err {err:.2e}"
 
 
-def _fd_capacitance(fun, iterate, q):
-    grad = np.zeros(iterate.capacitances.shape[1])
-    for m in range(len(grad)):
-        up, down = iterate.copy(), iterate.copy()
-        up.capacitances[q, m] += CAP_STEP
-        down.capacitances[q, m] -= CAP_STEP
-        grad[m] = (fun(up) - fun(down)) / (2 * CAP_STEP)
-    return grad
+def _fd_error(analytic, rates_at, step):
+    """Worst relative error of an (own-cell, other-cell) gradient pair against
+    central differences; ``rates_at(index, shift)`` returns both cell rates
+    with the variable at ``index`` shifted."""
+    fd = np.zeros(analytic[0].shape + (2,))
+    for idx in np.ndindex(analytic[0].shape):
+        fd[idx] = np.subtract(rates_at(idx, step), rates_at(idx, -step)) / (2 * step)
+    return max(np.linalg.norm(a - fd[..., n]) / np.linalg.norm(fd[..., n])
+               for n, a in enumerate(analytic))
 
 
 def check_capacitance_gradients(seed=3):
@@ -104,42 +103,39 @@ def check_capacitance_gradients(seed=3):
     worst = 0.0
     for q in range(channels.num_bs):
         snap = snapshot(iterate, channels, noise)
-        grad = capacitance.rate_gradient(q, iterate, channels, noise, snap)
-        price = capacitance.pricing_gradient(q, iterate, channels, noise, snap)
-        fd_own = _fd_capacitance(
-            lambda it: _own_and_other_rate(it, channels, noise, q)[0], iterate, q)
-        fd_oth = _fd_capacitance(
-            lambda it: _own_and_other_rate(it, channels, noise, q)[1], iterate, q)
-        worst = max(worst,
-                    np.linalg.norm(grad - fd_own) / np.linalg.norm(fd_own),
-                    np.linalg.norm(price - fd_oth) / np.linalg.norm(fd_oth))
+        analytic = (capacitance.rate_gradient(q, iterate, channels, noise, snap),
+                    capacitance.pricing_gradient(q, iterate, channels, noise, snap))
+
+        def rates_at(idx, shift):
+            shifted = iterate.copy()
+            shifted.capacitances[q][idx] += shift
+            return _own_and_other_rate(shifted, channels, noise, q)
+
+        worst = max(worst, _fd_error(analytic, rates_at, CAP_STEP))
     return "capacitance gradient vs finite differences", worst <= 1e-4, f"max rel err {worst:.2e}"
 
 
 def check_selection_gradients(seed=4):
     rng = np.random.default_rng(seed)
     channels, iterate, noise = random_network(rng, users_per_bs=(2, 1))
-    h = 1e-6
     worst = 0.0
     for q in range(channels.num_bs):
         snap = snapshot(iterate, channels, noise)
-        grad = np.real(switches.selection_gradient(q, iterate, channels, noise, snap))
-        price = np.real(switches.selection_pricing(q, iterate, channels, noise, snap))
-        m_n = channels.num_elements
-        fd_own = np.zeros((m_n, m_n))
-        fd_oth = np.zeros((m_n, m_n))
-        for i in range(m_n):
-            for j in range(m_n):
-                up, down = iterate.copy(), iterate.copy()
-                up.selections[q, i, j] += h
-                down.selections[q, i, j] -= h
-                o_u, x_u = _own_and_other_rate(up, channels, noise, q)
-                o_d, x_d = _own_and_other_rate(down, channels, noise, q)
-                fd_own[i, j] = (o_u - o_d) / (2 * h)
-                fd_oth[i, j] = (x_u - x_d) / (2 * h)
-        worst = max(worst,
-                    np.linalg.norm(grad - fd_own) / np.linalg.norm(fd_own),
-                    np.linalg.norm(price - fd_oth) / np.linalg.norm(fd_oth))
+        analytic = (
+            np.real(switches.selection_gradient(q, iterate, channels, noise, snap)),
+            np.real(switches.selection_pricing(q, iterate, channels, noise, snap)))
+        perm = iterate.selections[q]
+
+        def rates_at(idx, shift):
+            # g enters the rates only through conj(g) @ S, so adding
+            # shift * g[i] to g[perm[j]] adds shift to the relaxed S[i, j]
+            i, j = idx
+            ris_ue = channels.ris_ue.copy()
+            ris_ue[q, ..., perm[j]] += shift * channels.ris_ue[q, ..., i]
+            return _own_and_other_rate(iterate, replace(channels, ris_ue=ris_ue),
+                                       noise, q)
+
+        worst = max(worst, _fd_error(analytic, rates_at, 1e-6))
     return "selection gradient vs finite differences", worst <= 1e-4, f"max rel err {worst:.2e}"
 
 
@@ -230,10 +226,10 @@ def check_assignment(seed=9, draws=50, size=4):
     bad = 0
     for _ in range(draws):
         reward = rng.standard_normal((size, size))
-        sel = switches.solve_selection(reward)
-        best = max(sum(reward[i, p[i]] for i in range(size))
+        perm = switches.solve_selection(reward)
+        best = max(sum(reward[p[m], m] for m in range(size))
                    for p in itertools.permutations(range(size)))
-        if abs(np.sum(reward * sel) - best) > 1e-12:
+        if abs(reward[perm, np.arange(size)].sum() - best) > 1e-12:
             bad += 1
     return "assignment vs exhaustive enumeration", bad == 0, f"{bad} mismatches"
 

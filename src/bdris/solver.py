@@ -102,8 +102,8 @@ class Candidate:
 
     precoders: np.ndarray       # (L, K, N)
     capacitances: np.ndarray    # (M,)
-    selection: np.ndarray       # (M, M)
-    reward: np.ndarray | None   # assignment reward, None if no switch update
+    selection: np.ndarray       # (M,) int permutation, as in Iterate
+    reward: np.ndarray | None   # (M, M) assignment reward, None if no switch update
     surrogate_value: float
 
 
@@ -148,7 +148,7 @@ def initial_iterate(channels, power_budgets):
                              1.0 / np.sqrt(n_n))
         w[u] = np.sqrt(share) * direction
     caps = np.full((q_n, m_n), channels.circuit.midpoint())
-    sels = np.broadcast_to(np.eye(m_n), (q_n, m_n, m_n)).copy()
+    sels = np.tile(np.arange(m_n), (q_n, 1))
     return Iterate(w, caps, sels)
 
 
@@ -186,9 +186,9 @@ def local_subproblem(q, iterate, channels, noise_power, power_budget, config,
         if config.cooperative:
             grad_s = grad_s + switches.selection_pricing(q, iterate, channels,
                                                          noise_power, snap)
-        reward = switches.selection_reward(grad_s, 0.0, s_prev, config.tau)
+        reward = switches.selection_reward(grad_s, s_prev, config.tau)
         s_hat = switches.solve_selection(reward)
-        value += float(np.sum(reward * (s_hat - s_prev)))
+        value += switches.reward_gain(reward, s_hat, s_prev)
     return Candidate(w_hat, c_hat, s_hat, reward, value)
 
 
@@ -207,8 +207,7 @@ def blend_step(iterate, candidates, alpha, channels):
         w[own] += alpha * (cand.precoders - w[own])
         caps[q] += alpha * (cand.capacitances - caps[q])
         if cand.reward is not None:
-            gain = float(np.sum(cand.reward * (cand.selection - sels[q])))
-            if gain > 0.0:
+            if switches.reward_gain(cand.reward, cand.selection, sels[q]) > 0.0:
                 sels[q] = cand.selection
     return Iterate(w, caps, sels)
 

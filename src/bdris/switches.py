@@ -1,12 +1,12 @@
 """Per-surface switch-selection subproblem.
 
-The selection matrix routes the signal impinging on element ``i`` to be
-reflected by element ``j`` and is constrained to be a permutation.  The
-surrogate restricted to this block is linear in the matrix (the proximal
-term is constant on permutations up to an inner product with the current
-matrix), so the update is a linear assignment problem over a real reward
-matrix built from two complex gradients: the own-cell term and the pricing
-term from other cells.
+The switches route the signal impinging on one element to be reflected by
+another; the routing is a permutation index vector (see :class:`Iterate`).
+Relaxed to a real matrix S, the surrogate restricted to this block is linear
+in S (the proximal term is constant on permutations up to an inner product
+with the current matrix), so the update is a linear assignment problem over
+a real (M, M) reward built from two complex gradients: the own-cell term and
+the pricing term from other cells.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ def selection_coupling(q, tx_user, victim, k, iterate, channels, phi=None):
     h = channels.direct[q, victim, k]
     g = channels.ris_ue[q, victim, k]
     big_h = channels.bs_ris[q, k]
-    sel = iterate.selections[q]
+    sel = np.eye(channels.num_elements)[:, iterate.selections[q]]
     phw = np.diag(phi[k]) @ big_h @ w
     cross = np.outer(np.outer(phw, np.conj(w)) @ h, np.conj(g))
     beam = np.outer(phw, np.conj(w)) @ np.conj(big_h).T @ np.conj(np.diag(phi[k])).T
@@ -72,7 +72,7 @@ def selection_gradient(q, iterate, channels, noise_power, snap=None):
 
 
 def selection_pricing(q, iterate, channels, noise_power, snap=None):
-    """Other-cell pricing gradient w.r.t. BS q's selection matrix, (M, M)."""
+    """Other-cell pricing gradient w.r.t. BS q's relaxed selection matrix, (M, M)."""
     if snap is None:
         snap = snapshot(iterate, channels, noise_power)
     m_n = channels.num_elements
@@ -86,44 +86,50 @@ def selection_pricing(q, iterate, channels, noise_power, snap=None):
     return inner.T
 
 
-def selection_reward(gradient, pricing, sel_prev, tau):
-    """Real reward matrix of the assignment problem."""
-    return np.real(gradient + pricing + tau * sel_prev)
+def selection_reward(gradient, perm_prev, tau):
+    """Real (M, M) assignment reward: the gradient plus ``tau`` on ``perm_prev``."""
+    reward = np.real(gradient).copy()
+    reward[perm_prev, np.arange(len(perm_prev))] += tau
+    return reward
+
+
+def reward_gain(reward, perm_new, perm_old):
+    """Assignment-reward difference between two permutations."""
+    cols = np.arange(len(perm_new))
+    return float(np.sum(reward[perm_new, cols] - reward[perm_old, cols]))
 
 
 def solve_selection(reward):
-    """Best permutation matrix for a linear reward, via linear assignment.
+    """Index vector ``perm`` maximizing ``sum_m reward[perm[m], m]``.
 
     The relaxation of the permutation set to doubly stochastic matrices is
-    tight for linear objectives, so the assignment solution is the exact
-    maximizer of ``sum_ij reward[i, j] S[i, j]``.
+    tight for linear objectives, so the linear assignment solution is the
+    exact maximizer over all permutations.
     """
     reward = np.asarray(reward, dtype=float)
     if not np.all(np.isfinite(reward)):
         raise ValueError("reward matrix must be finite")
-    rows, cols = linear_sum_assignment(reward, maximize=True)
-    out = np.zeros_like(reward)
-    out[rows, cols] = 1.0
-    return out
+    _, cols = linear_sum_assignment(reward, maximize=True)
+    return np.argsort(cols)
 
 
 def selection_gain(q, sel_new, sel_old, iterate, channels, noise_power, tau,
                    snap=None, cooperative=True):
-    """Surrogate-objective difference between two selection matrices.
+    """Surrogate-objective difference between two permutations.
 
     Evaluates the local model (linear gradients plus proximal term anchored
-    at the iterate's current matrix) at both candidates and returns
-    ``value(sel_new) - value(sel_old)``.  The solver only commits a new
-    permutation when this is positive, which keeps the discrete block from
-    undoing surrogate progress.
+    at the iterate's current permutation) on the 0/1 matrices of both
+    candidates and returns ``value(sel_new) - value(sel_old)``.  The solver
+    only commits a new permutation when this is positive, which keeps the
+    discrete block from undoing surrogate progress.
     """
     grad = selection_gradient(q, iterate, channels, noise_power, snap)
     if cooperative:
         grad = grad + selection_pricing(q, iterate, channels, noise_power, snap)
-    anchor = iterate.selections[q]
+    dense = np.eye(channels.num_elements)
 
     def value(sel):
-        diff = sel - anchor
+        diff = dense[:, sel] - dense[:, iterate.selections[q]]
         return (float(np.sum(np.real(grad) * diff))
                 - 0.5 * tau * float(np.sum(diff ** 2)))
 

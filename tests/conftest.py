@@ -24,9 +24,7 @@ def make_network(rng, num_bs=2, num_antennas=2, num_elements=4, num_subcarriers=
         np.repeat(np.arange(num_bs), users_per_bs), grid, circuit)
     w = complex_normal(rng, u_n, num_subcarriers, num_antennas) * precoder_scale
     caps = rng.uniform(circuit.c_min, circuit.c_max, (num_bs, num_elements))
-    sels = np.zeros((num_bs, num_elements, num_elements))
-    for q in range(num_bs):
-        sels[q][np.arange(num_elements), rng.permutation(num_elements)] = 1.0
+    sels = np.stack([rng.permutation(num_elements) for _ in range(num_bs)])
     return channels, Iterate(w, caps, sels), noise_power
 
 

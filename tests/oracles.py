@@ -5,6 +5,7 @@ Python loops and plain formulas, deliberately avoiding the vectorized
 library paths it is used to check.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -21,6 +22,15 @@ def reflection_matrix(cap_vector, grid, circuit, k):
     return out
 
 
+def selection_matrix(perm):
+    """0/1 matrix S of a permutation index vector, S[perm[m], m] = 1."""
+    m = len(perm)
+    out = np.zeros((m, m))
+    for col in range(m):
+        out[perm[col], col] = 1.0
+    return out
+
+
 def composite_row(j, u, k, iterate, channels, ris_enabled=True):
     """Row vector f^H of the BS j -> user u composite channel."""
     h = channels.direct[j, u, k]
@@ -29,7 +39,8 @@ def composite_row(j, u, k, iterate, channels, ris_enabled=True):
         phi = reflection_matrix(iterate.capacitances[j], channels.grid,
                                 channels.circuit, k)
         g = channels.ris_ue[j, u, k]
-        row = row + np.conj(g) @ iterate.selections[j] @ phi @ channels.bs_ris[j, k]
+        sel = selection_matrix(iterate.selections[j])
+        row = row + np.conj(g) @ sel @ phi @ channels.bs_ris[j, k]
     return row
 
 
@@ -88,15 +99,24 @@ def fd_capacitance_gradient(fun, iterate, q, step=1e-17):
     return grad
 
 
-def fd_selection_gradient(fun, iterate, q, step=1e-6):
-    m_n = iterate.selections.shape[1]
+def fd_selection_gradient(fun, channels, perm, q, step=1e-6):
+    """Central finite differences of ``fun(channels)`` w.r.t. the relaxed
+    selection matrix S of surface q, whose permutation is ``perm``.
+
+    The surface channel g enters the rates only through ``conj(g) @ S``, so
+    adding ``step`` to ``S[i, j]`` is the same as adding ``step * g[i]`` to
+    ``g[perm[j]]``, the one entry routed to column j.
+    """
+    m_n = len(perm)
     grad = np.zeros((m_n, m_n))
     for i in range(m_n):
         for j in range(m_n):
-            up, down = iterate.copy(), iterate.copy()
-            up.selections[q, i, j] += step
-            down.selections[q, i, j] -= step
-            grad[i, j] = (fun(up) - fun(down)) / (2 * step)
+            shifted = []
+            for h in (step, -step):
+                ris_ue = channels.ris_ue.copy()
+                ris_ue[q, ..., perm[j]] += h * channels.ris_ue[q, ..., i]
+                shifted.append(dataclasses.replace(channels, ris_ue=ris_ue))
+            grad[i, j] = (fun(shifted[0]) - fun(shifted[1])) / (2 * step)
     return grad
 
 
@@ -115,17 +135,10 @@ def fd_precoder_gradient(fun, iterate, user, step=1e-7):
 
 
 def best_assignment(reward):
-    """Exhaustive search over permutations; returns (best score, matrix)."""
+    """Best ``sum_m reward[perm[m], m]`` over all permutations, by exhaustive search."""
     m = reward.shape[0]
-    best_score, best_perm = -np.inf, None
-    for perm in itertools.permutations(range(m)):
-        score = sum(reward[i, perm[i]] for i in range(m))
-        if score > best_score:
-            best_score, best_perm = score, perm
-    out = np.zeros_like(reward)
-    for i, j in enumerate(best_perm):
-        out[i, j] = 1.0
-    return best_score, out
+    return max(sum(reward[perm[col], col] for col in range(m))
+               for perm in itertools.permutations(range(m)))
 
 
 def waterfilling_rate(gains, total_power, noise_power):

@@ -4,6 +4,7 @@ import pytest
 import oracles
 from bdris.rates import (Iterate, effective_rows, link_amplitudes, mui,
                          snapshot, sum_rate, user_rate)
+from bdris.scenario import ScenarioConfig, channels_for_trial
 
 from conftest import make_network
 
@@ -28,9 +29,17 @@ class TestIterate:
 
     def test_validate_rejects_non_permutation(self, small_network):
         channels, iterate, _ = small_network
-        iterate.selections[0, 0, :] = 1.0
-        with pytest.raises(ValueError):
-            iterate.validate(channels, 1e9)
+        m_n = channels.num_elements
+        repeated = iterate.selections.copy()
+        repeated[0, 0] = repeated[0, 1]
+        out_of_range = iterate.selections.copy()
+        out_of_range[0, np.argmax(out_of_range[0])] = m_n
+        bad = [repeated, out_of_range, iterate.selections.astype(float),
+               iterate.selections[:, :-1], np.eye(m_n, dtype=int)[None]]
+        for sels in bad:
+            with pytest.raises(ValueError):
+                Iterate(iterate.precoders, iterate.capacitances,
+                        sels).validate(channels, 1e9)
 
 
 class TestEffectiveRows:
@@ -42,6 +51,32 @@ class TestEffectiveRows:
                 for k in range(channels.num_subcarriers):
                     ref = oracles.composite_row(j, u, k, iterate, channels)
                     np.testing.assert_allclose(rows[j, u, k], ref, atol=1e-12)
+
+    def test_matches_literal_at_default_scale(self):
+        # scenario defaults (M=100, K=64, one trial) with a random
+        # non-identity permutation and spread capacitances per surface
+        config = ScenarioConfig()
+        channels = channels_for_trial(config, 0)
+        q_n, m_n = channels.num_bs, channels.num_elements
+        rng = np.random.default_rng(7)
+        sels = np.stack([rng.permutation(m_n) for _ in range(q_n)])
+        assert not np.any(np.all(sels == np.arange(m_n), axis=1))
+        caps = rng.uniform(config.circuit.c_min, config.circuit.c_max, (q_n, m_n))
+        precoders = np.zeros((channels.num_users, channels.num_subcarriers,
+                              channels.num_antennas), dtype=complex)
+        rows = effective_rows(Iterate(precoders, caps, sels), channels)
+        for _ in range(12):
+            j = rng.integers(q_n)
+            u = rng.integers(channels.num_users)
+            k = rng.integers(channels.num_subcarriers)
+            phi = oracles.reflection_matrix(caps[j], channels.grid,
+                                            channels.circuit, k)
+            literal = (np.conj(channels.direct[j, u, k])
+                       + np.conj(channels.ris_ue[j, u, k])
+                       @ oracles.selection_matrix(sels[j]) @ phi
+                       @ channels.bs_ris[j, k])
+            np.testing.assert_allclose(rows[j, u, k], literal, rtol=1e-12,
+                                       atol=1e-12 * np.abs(literal).max())
 
     def test_disabled_surface_leaves_direct(self, small_network):
         channels, iterate, _ = small_network
