@@ -2,15 +2,15 @@
 
 The own-cell rate gradient and the cross-cell pricing gradient with respect
 to one surface's capacitance vector are assembled analytically from the
-element response slopes and per-link coupling matrices; the subproblem
-itself (linear model plus proximal term over a box) then has a closed-form
-clamped solution.
+element response slopes and the diagonals of the per-link coupling matrices,
+``diag(M)[m] = (H w)_m (g^H S)_m (w^H f)``; the subproblem itself (linear
+model plus proximal term over a box) then has a closed-form clamped solution.
 
-Only the main diagonals of the coupling matrices enter the gradients.  The
-hot path evaluates those diagonals directly through the algebraic identity
-``diag(M)[m] = (H w)_m (g^H S)_m (w^H f)`` which is exact; the full written
-matrix products remain available via :func:`coupling_matrix` for inspection
-and are pinned to the fast path by tests.
+Weighted and summed over all links, the diagonals are never formed:
+:func:`assemble_gradient` contracts the shared assembly
+:func:`bdris.rates.weighted_beams` with the routed victim channels and the
+slopes.  :func:`coupling_matrix` and :func:`_coupling_diagonals` are the
+reference forms that tests pin it to.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import reflection_derivative, reflection_profile
-from .rates import LN2, snapshot
+from .rates import snapshot, weighted_beams
 
 
 def element_slopes(cap_vector, grid, circuit):
@@ -68,6 +68,18 @@ def _coupling_diagonals(q, iterate, channels, snap):
                      np.conj(snap.amplitudes[own]))
 
 
+def assemble_gradient(q, iterate, channels, beams):
+    """Capacitance gradient of BS q from its :func:`~bdris.rates.weighted_beams`, (M,).
+
+    Routed victim channels times beams, summed over victims, is the weighted
+    sum of all coupling diagonals; the slopes turn it into the derivative.
+    """
+    slopes = element_slopes(iterate.capacitances[q], channels.grid,
+                            channels.circuit)
+    routed = np.conj(channels.ris_ue[q][..., iterate.selections[q]])
+    return np.real(slopes * np.einsum("vkm,vkm->km", routed, beams)).sum(axis=0)
+
+
 def rate_gradient(q, iterate, channels, noise_power, snap=None):
     """Gradient of BS q's own-cell rate sum w.r.t. its capacitances, (M,).
 
@@ -76,34 +88,16 @@ def rate_gradient(q, iterate, channels, noise_power, snap=None):
     """
     if snap is None:
         snap = snapshot(iterate, channels, noise_power)
-    own = channels.users_of_bs(q)
-    slopes = element_slopes(iterate.capacitances[q], channels.grid,
-                            channels.circuit)
-    diag = _coupling_diagonals(q, iterate, channels, snap)
-    sensitivity = np.real(slopes[None, None] * diag[:, own])  # (L, L, K, M)
-    idx = np.arange(len(own))
-    own_part = sensitivity[idx, idx]                       # (L, K, M)
-    intracell = sensitivity.sum(axis=0) - own_part          # (L, K, M)
-    c1 = (2.0 / LN2) / ((1.0 + snap.snr[own]) * snap.mui[own] ** 2)
-    grad = np.einsum("vk,vkm->m", c1 * snap.mui[own], own_part)
-    grad -= np.einsum("vk,vkm->m", c1 * snap.signal[own], intracell)
-    return grad
+    return assemble_gradient(q, iterate, channels,
+                             weighted_beams(q, iterate, channels, snap, pricing=0.0))
 
 
 def pricing_gradient(q, iterate, channels, noise_power, snap=None):
     """Gradient of all other cells' rate sums w.r.t. BS q's capacitances, (M,)."""
     if snap is None:
         snap = snapshot(iterate, channels, noise_power)
-    m_n = channels.num_elements
-    others = np.flatnonzero(channels.bs_of_user != q)
-    if others.size == 0:
-        return np.zeros(m_n)
-    slopes = element_slopes(iterate.capacitances[q], channels.grid,
-                            channels.circuit)
-    diag = _coupling_diagonals(q, iterate, channels, snap)
-    sensitivity = np.real(slopes[None, None] * diag[:, others])  # (L, Uo, K, M)
-    c2 = -(2.0 / LN2) * snap.snr[others] / ((1.0 + snap.snr[others]) * snap.mui[others])
-    return np.einsum("vk,vkm->m", c2, sensitivity.sum(axis=0))
+    return assemble_gradient(q, iterate, channels,
+                             weighted_beams(q, iterate, channels, snap, cell=0.0))
 
 
 def update_capacitances(cap_prev, gradient, pricing, tau, circuit):

@@ -121,13 +121,14 @@ def taps_to_frequency(taps, num_subcarriers):
     return np.moveaxis(freq, -1, 0)
 
 
-def composite_channel(h, g, selection, phase_matrix, bs_ris):
+def composite_channel(h, g, perm, phase_matrix, bs_ris):
     """Effective downlink channel f with f^H = h^H + g^H S Phi H.
 
+    ``perm`` is the switch permutation index vector, so g^H S is ``conj(g)[perm]``.
     Reference single-link implementation used by tests and inspection; the
     solver evaluates all links at once via :func:`bdris.rates.effective_rows`.
     """
-    reflected = np.conj(g) @ selection @ phase_matrix @ bs_ris
+    reflected = np.conj(g)[np.asarray(perm)] @ phase_matrix @ bs_ris
     return h + np.conj(reflected)
 
 

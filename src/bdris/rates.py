@@ -72,13 +72,20 @@ def effective_rows(iterate, channels, ris_enabled=True):
     reflection of the BS -> surface channel; with ``ris_enabled=False`` only
     the direct path remains.
     """
+    return _rows_and_profile(iterate, channels, ris_enabled)[0]
+
+
+def _rows_and_profile(iterate, channels, ris_enabled):
+    """(effective rows, reflection profile (Q, K, M) or None without surfaces)."""
     rows = np.conj(channels.direct)
     if not ris_enabled:
-        return rows.copy()
+        return rows, None
     phi = reflection_profile_all(iterate.capacitances, channels)
-    routed = np.conj(np.take_along_axis(channels.ris_ue,
-                                        iterate.selections[:, None, None], axis=-1))
-    return rows + np.einsum("jukm,jkm,jkmn->jukn", routed, phi, channels.bs_ris)
+    # per surface: routed, phased rows (K, U, M) @ BS -> surface matrices (K, M, N)
+    reflected = np.stack([(np.conj(g[..., perm]).swapaxes(0, 1) * p[:, None]) @ h
+                          for g, perm, p, h in zip(channels.ris_ue, iterate.selections,
+                                                   phi, channels.bs_ris)])
+    return rows + reflected.swapaxes(1, 2), phi
 
 
 def reflection_profile_all(capacitances, channels):
@@ -109,6 +116,7 @@ class RateSnapshot:
     mui: np.ndarray           # (U, K) noise plus interference power
     snr: np.ndarray           # (U, K)
     user_rates: np.ndarray    # (U,) bits/s/Hz
+    phi: np.ndarray | None    # (Q, K, M) reflection profiles, None without surfaces
 
     @property
     def sum_rate(self):
@@ -117,7 +125,7 @@ class RateSnapshot:
 
 def snapshot(iterate, channels, noise_power, ris_enabled=True):
     """Evaluate rates and interference terms once for the current iterate."""
-    rows = effective_rows(iterate, channels, ris_enabled)
+    rows, phi = _rows_and_profile(iterate, channels, ris_enabled)
     amp = link_amplitudes(iterate, channels, ris_enabled, rows=rows)
     powers = np.abs(amp) ** 2
     u_n = powers.shape[0]
@@ -126,7 +134,26 @@ def snapshot(iterate, channels, noise_power, ris_enabled=True):
     snr = own / mui
     k_n = snr.shape[1]
     rates = np.log1p(snr).sum(axis=1) / (LN2 * k_n)
-    return RateSnapshot(rows, amp, own, mui, snr, rates)
+    return RateSnapshot(rows, amp, own, mui, snr, rates, phi)
+
+
+def weighted_beams(q, iterate, channels, snap, cell=1.0, pricing=1.0):
+    """Rate-weighted sum of BS q's surface-side beams per victim, (U, K, M).
+
+    Entry ``[v, k]`` is ``sum_t c[t, v, k] conj(a[t, v, k]) H_q[k] w_t[k]`` over
+    BS q's own users t, where a is the amplitude of t's stream at victim v
+    and c weighs ``Re(conj(a) da)`` in the derivative of the rate sum (times
+    K): ``d = (2 / ln 2) / ((1 + snr) mui)`` of the victim for its own stream
+    and ``-snr d`` for an interfering one, scaled by ``cell`` on BS q's own
+    victims and by ``pricing`` on all others.  Both surface gradients use it.
+    """
+    own = channels.users_of_bs(q)
+    d = (2.0 / LN2) / ((1.0 + snap.snr) * snap.mui)
+    weights = np.tile(-snap.snr * d, (len(own), 1, 1))
+    weights[np.arange(len(own)), own] = d[own]
+    weights *= np.where(channels.bs_of_user == q, cell, pricing)[:, None]
+    beams = np.einsum("kmn,tkn->tkm", channels.bs_ris[q], iterate.precoders[own])
+    return np.einsum("tvk,tkm->vkm", weights * np.conj(snap.amplitudes[own]), beams)
 
 
 def mui(user, k, iterate, channels, noise_power, ris_enabled=True):

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import capacitance, precoding, switches
+from . import capacitance, precoding, rates, switches
 from .errors import NumericalFailureError
 from .rates import Iterate, snapshot
 
@@ -185,26 +185,20 @@ def local_subproblem(q, iterate, channels, noise_power, power_budget, config,
     s_prev = iterate.selections[q]
     c_hat, s_hat, reward = c_prev, s_prev, None
     if config.ris_enabled:
-        grad_c = capacitance.rate_gradient(q, iterate, channels, noise_power, snap)
-        if config.cooperative:
-            price_c = capacitance.pricing_gradient(q, iterate, channels,
-                                                   noise_power, snap)
-        else:
-            price_c = np.zeros_like(grad_c)
+        beams = rates.weighted_beams(q, iterate, channels, snap,
+                                     pricing=float(config.cooperative))
+        grad_c = capacitance.assemble_gradient(q, iterate, channels, beams)
         tau_c = capacitance_tau(config.tau, channels.circuit)
-        c_hat = capacitance.update_capacitances(c_prev, grad_c, price_c,
+        c_hat = capacitance.update_capacitances(c_prev, grad_c, 0.0,
                                                 tau_c, channels.circuit)
         dc = c_hat - c_prev
-        value += float((grad_c + price_c) @ dc) - 0.5 * tau_c * float(dc @ dc)
+        value += float(grad_c @ dc) - 0.5 * tau_c * float(dc @ dc)
 
-    if config.ris_mode == "bd" and iteration >= config.switch_hold_iters:
-        grad_s = switches.selection_gradient(q, iterate, channels, noise_power, snap)
-        if config.cooperative:
-            grad_s = grad_s + switches.selection_pricing(q, iterate, channels,
-                                                         noise_power, snap)
-        reward = switches.selection_reward(grad_s, s_prev, config.tau)
-        s_hat = switches.solve_selection(reward)
-        value += switches.reward_gain(reward, s_hat, s_prev)
+        if config.ris_mode == "bd" and iteration >= config.switch_hold_iters:
+            grad_s = switches.assemble_gradient(q, channels, snap, beams)
+            reward = switches.selection_reward(grad_s, s_prev, config.tau)
+            s_hat = switches.solve_selection(reward)
+            value += switches.reward_gain(reward, s_hat, s_prev)
     return Candidate(w_hat, c_hat, s_hat, reward, value)
 
 

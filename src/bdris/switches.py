@@ -5,8 +5,10 @@ another; the routing is a permutation index vector (see :class:`Iterate`).
 Relaxed to a real matrix S, the surrogate restricted to this block is linear
 in S (the proximal term is constant on permutations up to an inner product
 with the current matrix), so the update is a linear assignment problem over
-a real (M, M) reward built from two complex gradients: the own-cell term and
-the pricing term from other cells.
+a real (M, M) reward built from the rate gradient, own-cell plus pricing.
+That gradient is one matrix product of the victims' surface channels with
+the shared assembly :func:`bdris.rates.weighted_beams`;
+:func:`selection_coupling` is its literal per-link reference form.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .circuit import reflection_profile
-from .rates import LN2, snapshot
+from .rates import snapshot, weighted_beams
 
 
 def selection_coupling(q, tx_user, victim, k, iterate, channels, phi=None):
@@ -38,15 +40,14 @@ def selection_coupling(q, tx_user, victim, k, iterate, channels, phi=None):
     return cross + beam @ sel.T @ np.outer(g, np.conj(g))
 
 
-def _assembly_terms(q, iterate, channels, snap):
-    own = channels.users_of_bs(q)
-    phi = reflection_profile(iterate.capacitances[q], channels.grid,
-                             channels.circuit)
-    hw = np.einsum("kmn,tkn->tkm", channels.bs_ris[q], iterate.precoders[own])
-    phased = phi[None] * hw                       # (L, K, M)
-    g_conj = np.conj(channels.ris_ue[q])          # (U, K, M)
-    scal = np.conj(snap.amplitudes[own])          # (L, U, K)
-    return own, phased, g_conj, scal
+def assemble_gradient(q, channels, snap, beams):
+    """Selection gradient of BS q from its :func:`~bdris.rates.weighted_beams`, (M, M).
+
+    Entry ``[i, j]`` sums ``conj(g_v)[i] phi[j] beams[v, k, j]`` over every
+    victim and subcarrier: one (M x UK) by (UK x M) matrix product.
+    """
+    g_conj = np.conj(channels.ris_ue[q]).reshape(-1, channels.num_elements)
+    return g_conj.T @ (snap.phi[q] * beams).reshape(g_conj.shape)
 
 
 def selection_gradient(q, iterate, channels, noise_power, snap=None):
@@ -57,33 +58,16 @@ def selection_gradient(q, iterate, channels, noise_power, snap=None):
     """
     if snap is None:
         snap = snapshot(iterate, channels, noise_power)
-    own, phased, g_conj, scal = _assembly_terms(q, iterate, channels, snap)
-    l_n = len(own)
-    c1 = (2.0 / LN2) / ((1.0 + snap.snr[own]) * snap.mui[own] ** 2)
-    idx = np.arange(l_n)
-    w_own = c1 * snap.mui[own] * scal[idx, own]   # (L, K) complex
-    term1 = np.einsum("vk,vki,vkj->ij", w_own, phased, g_conj[own])
-    w_intr = c1 * snap.signal[own]                # (L, K) weights per victim
-    scal_own = scal[:, own]                       # (L, L, K) transmitter x victim
-    mask = 1.0 - np.eye(l_n)
-    w2 = mask[:, :, None] * scal_own * w_intr[None]
-    term2 = np.einsum("tvk,tki,vkj->ij", w2, phased, g_conj[own])
-    return (term1 - term2).T
+    return assemble_gradient(q, channels, snap,
+                             weighted_beams(q, iterate, channels, snap, pricing=0.0))
 
 
 def selection_pricing(q, iterate, channels, noise_power, snap=None):
     """Other-cell pricing gradient w.r.t. BS q's relaxed selection matrix, (M, M)."""
     if snap is None:
         snap = snapshot(iterate, channels, noise_power)
-    m_n = channels.num_elements
-    others = np.flatnonzero(channels.bs_of_user != q)
-    if others.size == 0:
-        return np.zeros((m_n, m_n), dtype=complex)
-    own, phased, g_conj, scal = _assembly_terms(q, iterate, channels, snap)
-    c2 = -(2.0 / LN2) * snap.snr[others] / ((1.0 + snap.snr[others]) * snap.mui[others])
-    w3 = c2[None] * scal[:, others]               # (L, Uo, K)
-    inner = np.einsum("tvk,tki,vkj->ij", w3, phased, g_conj[others])
-    return inner.T
+    return assemble_gradient(q, channels, snap,
+                             weighted_beams(q, iterate, channels, snap, cell=0.0))
 
 
 def selection_reward(gradient, perm_prev, tau):

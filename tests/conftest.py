@@ -4,6 +4,8 @@ import pytest
 from bdris.channels import NetworkChannels
 from bdris.circuit import ElementCircuit, SubcarrierGrid
 from bdris.rates import Iterate
+from bdris.scenario import ScenarioConfig, channels_for_trial, dbm_to_watt
+from bdris.solver import initial_iterate
 
 
 def complex_normal(rng, *shape):
@@ -51,3 +53,22 @@ def small_network(rng):
 @pytest.fixture
 def multiuser_network(rng):
     return make_network(rng, users_per_bs=(2, 1))
+
+
+@pytest.fixture(scope="session")
+def default_scale_network():
+    """Scenario defaults (M=100, K=64, trial 0) at 30 dBm, read-only.
+
+    Precoders are the solver's initial point; capacitances are spread over
+    the tunable range and every surface has a random non-identity permutation.
+    """
+    config = ScenarioConfig()
+    channels = channels_for_trial(config, 0)
+    iterate = initial_iterate(channels, dbm_to_watt(30.0))
+    rng = np.random.default_rng(11)
+    q_n, m_n = iterate.selections.shape
+    iterate.selections = np.stack([rng.permutation(m_n) for _ in range(q_n)])
+    assert not np.any(np.all(iterate.selections == np.arange(m_n), axis=1))
+    iterate.capacitances = rng.uniform(config.circuit.c_min, config.circuit.c_max,
+                                       (q_n, m_n))
+    return channels, iterate, config.noise_power

@@ -106,6 +106,36 @@ class TestFullGradient:
             assert np.linalg.norm(total - fd) <= 1e-4 * np.linalg.norm(fd)
 
 
+class TestDefaultScale:
+    def test_matches_einsum_forms(self, default_scale_network):
+        # the per-(transmitter, victim) einsum forms the shared weighted
+        # assembly replaced, at the physical scale of the scenario defaults
+        channels, iterate, noise = default_scale_network
+        snap = snapshot(iterate, channels, noise)
+        ln2 = np.log(2.0)
+        for q in range(channels.num_bs):
+            own = channels.users_of_bs(q)
+            others = np.flatnonzero(channels.bs_of_user != q)
+            slopes = element_slopes(iterate.capacitances[q], channels.grid,
+                                    channels.circuit)
+            diag = _coupling_diagonals(q, iterate, channels, snap)
+            sensitivity = np.real(slopes[None, None] * diag[:, own])
+            idx = np.arange(len(own))
+            own_part = sensitivity[idx, idx]
+            intracell = sensitivity.sum(axis=0) - own_part
+            c1 = (2.0 / ln2) / ((1.0 + snap.snr[own]) * snap.mui[own] ** 2)
+            own_grad = np.einsum("vk,vkm->m", c1 * snap.mui[own], own_part) \
+                - np.einsum("vk,vkm->m", c1 * snap.signal[own], intracell)
+            c2 = -(2.0 / ln2) * snap.snr[others] / (
+                (1.0 + snap.snr[others]) * snap.mui[others])
+            price = np.einsum("vk,vkm->m", c2,
+                              np.real(slopes[None, None] * diag[:, others]).sum(axis=0))
+            np.testing.assert_allclose(
+                rate_gradient(q, iterate, channels, noise, snap), own_grad, rtol=1e-10)
+            np.testing.assert_allclose(
+                pricing_gradient(q, iterate, channels, noise, snap), price, rtol=1e-10)
+
+
 class TestUpdate:
     def test_zero_gradient_is_fixed_point(self, circuit):
         c = np.array([0.9e-12, 1.7e-12])

@@ -119,7 +119,7 @@ class TestCompositeChannel:
         h = complex_normal(rng, 4)
         g = complex_normal(rng, 3)
         big_h = complex_normal(rng, 3, 4)
-        f = composite_channel(h, g, np.eye(3), np.zeros((3, 3)), big_h)
+        f = composite_channel(h, g, np.arange(3), np.zeros((3, 3)), big_h)
         np.testing.assert_allclose(f, h)
 
     def test_identity_selection_is_plain_diagonal_surface(self, rng):
@@ -127,7 +127,7 @@ class TestCompositeChannel:
         g = complex_normal(rng, 3)
         phi = np.diag(complex_normal(rng, 3))
         big_h = complex_normal(rng, 3, 4)
-        f = composite_channel(h, g, np.eye(3), phi, big_h)
+        f = composite_channel(h, g, np.arange(3), phi, big_h)
         expected = h + np.conj(np.conj(g) @ phi @ big_h)
         np.testing.assert_allclose(f, expected)
 
@@ -137,9 +137,9 @@ class TestCompositeChannel:
         g = complex_normal(rng, 2)
         phi = np.diag(complex_normal(rng, 2))
         big_h = complex_normal(rng, 2, 2)
-        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        swap = np.array([1, 0])
         f = composite_channel(h, g, swap, phi, big_h)
-        expected = composite_channel(h, g[::-1], np.eye(2), phi, big_h)
+        expected = composite_channel(h, g[::-1], np.arange(2), phi, big_h)
         np.testing.assert_allclose(f, expected)
 
     def test_linear_in_direct_channel(self, rng):
@@ -147,11 +147,11 @@ class TestCompositeChannel:
         phi = np.diag(complex_normal(rng, 3))
         big_h = complex_normal(rng, 3, 4)
         h1, h2 = complex_normal(rng, 4), complex_normal(rng, 4)
-        f1 = composite_channel(h1, g, np.eye(3), phi, big_h)
-        f2 = composite_channel(h2, g, np.eye(3), phi, big_h)
-        f12 = composite_channel(h1 + h2, g, np.eye(3), phi, big_h)
+        f1 = composite_channel(h1, g, np.arange(3), phi, big_h)
+        f2 = composite_channel(h2, g, np.arange(3), phi, big_h)
+        f12 = composite_channel(h1 + h2, g, np.arange(3), phi, big_h)
         np.testing.assert_allclose(f12, f1 + f2 - composite_channel(
-            np.zeros(4, dtype=complex), g, np.eye(3), phi, big_h))
+            np.zeros(4, dtype=complex), g, np.arange(3), phi, big_h))
 
 
 class TestGenerateChannels:

@@ -1,0 +1,85 @@
+"""Smoke tests of every ``bdris`` subcommand on a tiny scenario."""
+
+import csv
+
+import numpy as np
+import pytest
+
+from bdris.channels import load_channels
+from bdris.cli import main
+from bdris.scenario import channels_for_trial, load_config
+
+TINY_INI = """\
+[network]
+M = 8
+
+[ofdm]
+K = 8
+delay_taps = 4
+
+[solver]
+max_iters = 20
+
+[simulation]
+trials = 2
+"""
+
+
+@pytest.fixture
+def tiny_ini(tmp_path):
+    path = tmp_path / "tiny.ini"
+    path.write_text(TINY_INI)
+    return path
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_run_writes_results_and_summary(tiny_ini, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["run", "--config", str(tiny_ini), "--out", str(out),
+                 "--power", "20,30", "--variants", "bd,none-pi0"]) == 0
+    assert "results.csv" in capsys.readouterr().out
+    rows = read_csv(out / "results.csv")
+    assert len(rows) == 2 * 2 * 2  # trials x powers x variants
+    assert all(1 <= int(r["iters"]) <= 20 for r in rows)
+    assert all(np.isfinite(float(r["sum_rate_bps_hz"])) for r in rows)
+    summary = read_csv(out / "summary.csv")
+    assert len(summary) == 2 * 2
+    assert all(int(s["n_trials"]) == 2 and int(s["n_failed"]) == 0 for s in summary)
+
+
+def test_single_writes_trace(tiny_ini, tmp_path, capsys):
+    out = tmp_path / "single"
+    assert main(["single", "--config", str(tiny_ini), "--out", str(out),
+                 "--power", "30"]) == 0
+    assert "variant=bd P=30 dBm trial=0" in capsys.readouterr().out
+    trace = read_csv(out / "trace.csv")
+    assert 2 <= len(trace) <= 21  # initial point plus at most max_iters
+    rates = [float(r["sum_rate"]) for r in trace]
+    assert rates == sorted(rates)
+
+
+def test_single_rejects_unknown_variant(tiny_ini, tmp_path):
+    assert main(["single", "--config", str(tiny_ini), "--out", str(tmp_path),
+                 "--variants", "nope"]) == 2
+
+
+def test_validate_passes_every_check(capsys):
+    assert main(["validate"]) == 0
+    assert "10/10 checks passed" in capsys.readouterr().out
+
+
+def test_dump_and_load_channels_round_trip(tiny_ini, tmp_path, capsys):
+    out = tmp_path / "dump"
+    out.mkdir()
+    assert main(["dump-channels", "--config", str(tiny_ini), "--out", str(out)]) == 0
+    path = out / "channels.csv"
+    assert main(["load-channels", "--file", str(path)]) == 0
+    assert "Q=4 U=4 K=8 N=4 M=8" in capsys.readouterr().out
+    loaded = load_channels(path)
+    drawn = channels_for_trial(load_config(tiny_ini), 0)
+    for name in ("direct", "bs_ris", "ris_ue", "bs_of_user"):
+        np.testing.assert_array_equal(getattr(loaded, name), getattr(drawn, name))

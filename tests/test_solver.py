@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from bdris import capacitance, precoding, switches
 from bdris.errors import NumericalFailureError
 from bdris.rates import Iterate, snapshot, sum_rate
 from bdris.solver import (Candidate, SolverConfig, blend_step, capacitance_tau,
@@ -116,6 +117,42 @@ class TestLocalSubproblem:
         assert early.reward is None
         late = local_subproblem(0, iterate, channels, noise, 1.0, cfg, iteration=5)
         assert late.reward is not None
+
+
+    @pytest.mark.parametrize("cooperative", [True, False])
+    def test_matches_per_block_functions(self, multiuser_network, cooperative):
+        # the merged surface assembly must give the candidate that the four
+        # public per-block gradients give; BS 0 has two users, so the
+        # intracell (t != v) weights are exercised
+        channels, iterate, noise = multiuser_network
+        cfg = SolverConfig(cooperative=cooperative)
+        snap = snapshot(iterate, channels, noise)
+        tau_c = capacitance_tau(cfg.tau, channels.circuit)
+        for q in range(channels.num_bs):
+            cand = local_subproblem(q, iterate, channels, noise, 1.0, cfg, snap)
+            surrogates = precoding.build_surrogates(
+                q, iterate, channels, noise, snap, cooperative=cooperative)
+            _, w_hat = precoding.bisect_power_multiplier(surrogates, cfg.tau, 1.0)
+            value = precoding.subproblem_objective(surrogates, w_hat, cfg.tau)
+            grad_c = capacitance.rate_gradient(q, iterate, channels, noise, snap)
+            grad_s = switches.selection_gradient(q, iterate, channels, noise, snap)
+            price_c = np.zeros_like(grad_c)
+            if cooperative:
+                price_c = capacitance.pricing_gradient(q, iterate, channels,
+                                                       noise, snap)
+                grad_s = grad_s + switches.selection_pricing(q, iterate, channels,
+                                                             noise, snap)
+            c_prev, s_prev = iterate.capacitances[q], iterate.selections[q]
+            c_hat = capacitance.update_capacitances(c_prev, grad_c, price_c, tau_c,
+                                                    channels.circuit)
+            dc = c_hat - c_prev
+            value += (grad_c + price_c) @ dc - 0.5 * tau_c * dc @ dc
+            reward = switches.selection_reward(grad_s, s_prev, cfg.tau)
+            s_hat = switches.solve_selection(reward)
+            value += switches.reward_gain(reward, s_hat, s_prev)
+            np.testing.assert_array_equal(cand.selection, s_hat)
+            np.testing.assert_allclose(cand.capacitances, c_hat, rtol=1e-12)
+            np.testing.assert_allclose(cand.surrogate_value, value, rtol=1e-12)
 
 
 class TestBlendStep:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from bdris.circuit import reflection_profile
 from bdris.rates import snapshot
 from bdris.switches import (reward_gain, selection_coupling, selection_gain,
                             selection_gradient, selection_pricing,
@@ -79,6 +80,42 @@ class TestSelectionPricing:
         channels.direct[0, 1] *= 2.0
         boosted = np.linalg.norm(selection_pricing(0, iterate, channels, noise))
         assert boosted != pytest.approx(base)
+
+
+class TestDefaultScale:
+    def test_matches_einsum_forms(self, default_scale_network):
+        # the three-operand einsum forms the single matrix product replaced,
+        # at the physical scale of the scenario defaults
+        channels, iterate, noise = default_scale_network
+        snap = snapshot(iterate, channels, noise)
+        ln2 = np.log(2.0)
+        for q in range(channels.num_bs):
+            own = channels.users_of_bs(q)
+            others = np.flatnonzero(channels.bs_of_user != q)
+            phi = reflection_profile(iterate.capacitances[q], channels.grid,
+                                     channels.circuit)
+            hw = np.einsum("kmn,tkn->tkm", channels.bs_ris[q],
+                           iterate.precoders[own])
+            phased = phi[None] * hw
+            g_conj = np.conj(channels.ris_ue[q])
+            scal = np.conj(snap.amplitudes[own])
+            idx = np.arange(len(own))
+            c1 = (2.0 / ln2) / ((1.0 + snap.snr[own]) * snap.mui[own] ** 2)
+            w_own = c1 * snap.mui[own] * scal[idx, own]
+            term1 = np.einsum("vk,vki,vkj->ij", w_own, phased, g_conj[own])
+            mask = 1.0 - np.eye(len(own))
+            w2 = mask[:, :, None] * scal[:, own] * (c1 * snap.signal[own])[None]
+            term2 = np.einsum("tvk,tki,vkj->ij", w2, phased, g_conj[own])
+            c2 = -(2.0 / ln2) * snap.snr[others] / (
+                (1.0 + snap.snr[others]) * snap.mui[others])
+            w3 = c2[None] * scal[:, others]
+            price = np.einsum("tvk,tki,vkj->ij", w3, phased, g_conj[others])
+            np.testing.assert_allclose(
+                selection_gradient(q, iterate, channels, noise, snap),
+                (term1 - term2).T, rtol=1e-10)
+            np.testing.assert_allclose(
+                selection_pricing(q, iterate, channels, noise, snap),
+                price.T, rtol=1e-10)
 
 
 class TestSolveSelection:
