@@ -100,14 +100,14 @@ def pricing_gradient(q, iterate, channels, noise_power, snap=None):
                              weighted_beams(q, iterate, channels, snap, cell=0.0))
 
 
-def update_capacitances(cap_prev, gradient, pricing, tau, circuit):
+def update_capacitances(cap_prev, gradient, tau, circuit):
     """Closed-form solution of the proximal box-constrained linear model.
 
-    Maximizing ``Re{(gradient + pricing)^T (c - c_prev)} - tau/2 |c - c_prev|^2``
-    over the box decouples per element; the unconstrained optimum
-    ``(tau c_prev + gradient + pricing) / tau`` is clamped to the range.
+    Maximizing ``gradient^T (c - c_prev) - tau/2 |c - c_prev|^2``, with the own-cell
+    rate and pricing terms summed in ``gradient``, over the box decouples per
+    element; the unconstrained optimum ``c_prev + gradient / tau`` is clamped.
     """
     if tau <= 0:
         raise ValueError("proximal weight must be > 0")
-    beta = tau * np.asarray(cap_prev, float) + gradient + pricing
+    beta = tau * np.asarray(cap_prev, float) + gradient
     return np.clip(beta / tau, circuit.c_min, circuit.c_max)

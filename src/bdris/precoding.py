@@ -6,8 +6,8 @@ terms are lower-bounded by a tight quadratic (see
 :func:`surrogate_coefficients`), other cells' rates enter through a linear
 pricing term, and a proximal penalty keeps the update near the current
 point.  The maximizer for a fixed power multiplier is a per-subcarrier
-rank-one-plus-identity solve; the multiplier itself comes from a bisection
-on the power constraint.
+rank-one-plus-identity solve; the multiplier is bisected on the closed-form
+power (:func:`power_curve`), with a measured-power fallback for feasibility.
 """
 
 from __future__ import annotations
@@ -91,15 +91,10 @@ def surrogate_coefficients(user, k, iterate, channels, noise_power, snap=None,
     ``a = |f^H w|^2 / (ln2 (mui + |f^H w|^2) mui)`` and
     ``b = f (f^H w) / (ln2 mui)`` evaluated at the current iterate.
     """
-    if snap is None:
-        snap = snapshot(iterate, channels, noise_power, ris_enabled)
-    q = channels.bs_of_user[user]
-    sig = snap.signal[user, k]
-    mui = snap.mui[user, k]
-    a = sig / (LN2 * (mui + sig) * mui)
-    own = np.conj(snap.rows[q, user, k])
-    b = own * snap.amplitudes[user, user, k] / (LN2 * mui)
-    return float(a), b
+    s = next(s for s in build_surrogates(channels.bs_of_user[user], iterate, channels,
+                                         noise_power, snap, False, ris_enabled)
+             if s.user == user)
+    return float(s.quad_weight[k]), s.linear[k]
 
 
 def build_surrogates(q, iterate, channels, noise_power, snap=None,
@@ -140,15 +135,35 @@ def solve_precoder(surrogate, tau, lam):
     return r / beta - coeff[:, None] * f
 
 
+def power_curve(surrogates, tau):
+    """Transmit power of :func:`solve_precoder` as a function of ``lam``.
+
+    The solve divides each right-hand side r's part along the own channel f by
+    ``beta + a |f|^2`` and its part across f by ``beta = tau/2 + lam``, so the
+    power is a sum of two nonnegative terms; unlike ``|r|^2 - ...`` none cancels.
+    """
+    r = np.stack([s.rhs(tau) for s in surrogates])            # (L, K, N)
+    f = np.stack([s.own_channel for s in surrogates])
+    f_norm2 = np.sum(np.abs(f) ** 2, axis=2)
+    along = np.divide(np.einsum("lki,lki->lk", np.conj(f), r), f_norm2,
+                      out=np.zeros(f_norm2.shape, complex), where=f_norm2 > 0)
+    perp2 = np.sum(np.abs(r - along[..., None] * f) ** 2)
+    par2 = np.abs(along) ** 2 * f_norm2
+    shift = np.stack([s.quad_weight for s in surrogates]) * f_norm2
+    return lambda lam: float(perp2 / (tau / 2.0 + lam) ** 2
+                             + np.sum(par2 / (tau / 2.0 + lam + shift) ** 2))
+
+
 def bisect_power_multiplier(surrogates, tau, power_budget, rel_tol=1e-8,
                             max_doublings=200):
     """Find the power multiplier and the resulting precoders of one BS.
 
-    Returns ``(lam, precoders)`` with ``precoders`` of shape (L, K, N).  If
-    the unconstrained solution already fits the budget the multiplier is 0;
-    otherwise the multiplier is bisected until the transmit power lands
-    within ``rel_tol * power_budget`` below the budget, so the result is
-    always feasible.
+    Returns ``(lam, precoders)`` with ``precoders`` of shape (L, K, N).  The
+    multiplier is 0 if the unconstrained solution fits the budget, else it is
+    bisected on :func:`power_curve` until the power lands within ``rel_tol *
+    power_budget`` below the budget, and precoders are solved at it only.  If
+    their measured power rounds above the budget, bisection goes on from there
+    on measured powers, so the result is always feasible.
     """
     if power_budget <= 0:
         raise ValueError("power budget must be > 0")
@@ -156,38 +171,34 @@ def bisect_power_multiplier(surrogates, tau, power_budget, rel_tol=1e-8,
     def solve_all(lam):
         return np.stack([solve_precoder(s, tau, lam) for s in surrogates])
 
-    def power_of(ws):
-        return float(np.sum(np.abs(ws) ** 2))
-
-    ws = solve_all(0.0)
-    if power_of(ws) <= power_budget:
-        return 0.0, ws
-
-    lo, hi = 0.0, 1.0
-    ws = solve_all(hi)
-    doublings = 0
-    while power_of(ws) > power_budget:
-        lo, hi = hi, 2.0 * hi
-        doublings += 1
-        if doublings > max_doublings:
-            raise NumericalFailureError("power bisection failed to bracket the multiplier")
-        ws = solve_all(hi)
-
-    p_hi = power_of(ws)
-    for _ in range(500):
-        if power_budget - p_hi <= rel_tol * power_budget:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # interval exhausted in float precision
-            break
-        ws_mid = solve_all(mid)
-        if power_of(ws_mid) > power_budget:
-            lo = mid
-        else:
-            hi, ws, p_hi = mid, ws_mid, power_of(ws_mid)
-    else:
+    def bisect(power_at, lo):
+        if power_at(lo) <= power_budget:
+            return lo
+        hi = 2.0 * lo if lo > 0 else 1.0
+        doublings = 0
+        while (p_hi := power_at(hi)) > power_budget:
+            lo, hi = hi, 2.0 * hi
+            doublings += 1
+            if doublings > max_doublings:
+                raise NumericalFailureError("power bisection failed to bracket the multiplier")
+        for _ in range(500):
+            if power_budget - p_hi <= rel_tol * power_budget:
+                return hi
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:  # interval exhausted in float precision
+                return hi
+            if (p_mid := power_at(mid)) > power_budget:
+                lo = mid
+            else:
+                hi, p_hi = mid, p_mid
         raise NumericalFailureError("power bisection did not converge")
-    return hi, ws
+
+    lam = bisect(power_curve(surrogates, tau), 0.0)
+    ws = solve_all(lam)
+    if np.sum(np.abs(ws) ** 2) > power_budget:
+        lam = bisect(lambda x: float(np.sum(np.abs(solve_all(x)) ** 2)), lam)
+        ws = solve_all(lam)
+    return lam, ws
 
 
 def subproblem_objective(surrogates, ws, tau):

@@ -46,8 +46,7 @@ class Iterate:
     def bs_power(self, bs_of_user):
         """Transmit power spent by each BS, shape (Q,)."""
         per_user = np.sum(np.abs(self.precoders) ** 2, axis=(1, 2))
-        q_n = self.capacitances.shape[0]
-        return np.array([per_user[bs_of_user == q].sum() for q in range(q_n)])
+        return np.bincount(bs_of_user, weights=per_user, minlength=len(self.capacitances))
 
     def validate(self, channels, power_budgets):
         """Raise if any constraint (power, box, permutation) is violated."""

@@ -211,7 +211,7 @@ def check_capacitance_clamp(seed=8, draws=200):
     for _ in range(draws):
         c_prev = rng.uniform(circ.c_min, circ.c_max, 6)
         grad = rng.standard_normal(6) * tau * (circ.c_max - circ.c_min)
-        out = capacitance.update_capacitances(c_prev, grad, np.zeros(6), tau, circ)
+        out = capacitance.update_capacitances(c_prev, grad, tau, circ)
         # per-coordinate concave model maximized on a fine grid as oracle
         for m in range(6):
             grid_pts = np.linspace(circ.c_min, circ.c_max, 20001)

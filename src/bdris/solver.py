@@ -189,8 +189,8 @@ def local_subproblem(q, iterate, channels, noise_power, power_budget, config,
                                      pricing=float(config.cooperative))
         grad_c = capacitance.assemble_gradient(q, iterate, channels, beams)
         tau_c = capacitance_tau(config.tau, channels.circuit)
-        c_hat = capacitance.update_capacitances(c_prev, grad_c, 0.0,
-                                                tau_c, channels.circuit)
+        c_hat = capacitance.update_capacitances(c_prev, grad_c, tau_c,
+                                                channels.circuit)
         dc = c_hat - c_prev
         value += float(grad_c @ dc) - 0.5 * tau_c * float(dc @ dc)
 

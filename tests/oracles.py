@@ -11,6 +11,8 @@ import itertools
 import numpy as np
 
 from bdris.circuit import reflection_reformulated
+from bdris.errors import NumericalFailureError
+from bdris.precoding import solve_precoder
 
 
 def reflection_matrix(cap_vector, grid, circuit, k):
@@ -132,6 +134,49 @@ def fd_precoder_gradient(fun, iterate, user, step=1e-7):
                 down.precoders[user, k, n] -= step * part
                 grad[k, n] += 0.5 * part * (fun(up) - fun(down)) / (2 * step)
     return grad
+
+
+def bisect_measured_power(surrogates, tau, power_budget, rel_tol=1e-8,
+                          max_doublings=200):
+    """Power multiplier bisection that solves every precoder at every trial.
+
+    Reference for ``precoding.bisect_power_multiplier``: the same bracket,
+    bisection and stopping test, with the power measured on the stacked
+    precoders of each trial multiplier.  Returns (lam, precoders).
+    """
+    def solve_all(lam):
+        return np.stack([solve_precoder(s, tau, lam) for s in surrogates])
+
+    def power_of(ws):
+        return float(np.sum(np.abs(ws) ** 2))
+
+    ws = solve_all(0.0)
+    if power_of(ws) <= power_budget:
+        return 0.0, ws
+    lo, hi = 0.0, 1.0
+    ws = solve_all(hi)
+    doublings = 0
+    while power_of(ws) > power_budget:
+        lo, hi = hi, 2.0 * hi
+        doublings += 1
+        if doublings > max_doublings:
+            raise NumericalFailureError("power bisection failed to bracket the multiplier")
+        ws = solve_all(hi)
+    p_hi = power_of(ws)
+    for _ in range(500):
+        if power_budget - p_hi <= rel_tol * power_budget:
+            break
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        ws_mid = solve_all(mid)
+        if power_of(ws_mid) > power_budget:
+            lo = mid
+        else:
+            hi, ws, p_hi = mid, ws_mid, power_of(ws_mid)
+    else:
+        raise NumericalFailureError("power bisection did not converge")
+    return hi, ws
 
 
 def best_assignment(reward):

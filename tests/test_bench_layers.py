@@ -3,6 +3,8 @@
 import importlib
 from pathlib import Path
 
+from bdris import precoding
+
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 
@@ -13,3 +15,26 @@ def test_every_traced_layer_resolves(monkeypatch):
     for owner, attr, name in measure.LAYERS:
         assert callable(getattr(owner, attr, None)), \
             f"layer {name}: {owner.__name__}.{attr} no longer exists"
+
+
+def test_counted_solve_precoder_runs_once_per_user(monkeypatch, multiuser_network):
+    # the benchmark counts precoding.solve_precoder outside LAYERS and reports
+    # it per bisection; a bisection solves each user's precoder once
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    measure = importlib.import_module("measure")
+    assert measure.precoding is precoding
+    assert callable(getattr(precoding, "solve_precoder", None))
+    channels, iterate, noise = multiuser_network
+    calls = []
+    solve = precoding.solve_precoder
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+    monkeypatch.setattr(precoding, "solve_precoder", counted)
+    for q in range(channels.num_bs):
+        surrogates = precoding.build_surrogates(q, iterate, channels, noise)
+        for budget in (1e-3, 1e9):
+            calls.clear()
+            precoding.bisect_power_multiplier(surrogates, 0.8, budget)
+            assert len(calls) == len(channels.users_of_bs(q))

@@ -2,15 +2,37 @@ import numpy as np
 import pytest
 
 import oracles
+from bdris import precoding
 from bdris.errors import NumericalFailureError
 from bdris.precoding import (bisect_power_multiplier, build_surrogates,
-                             pricing_vector, solve_precoder,
+                             power_curve, pricing_vector, solve_precoder,
                              subproblem_objective, surrogate_coefficients)
 from bdris.rates import LN2, snapshot
 
 from conftest import complex_normal, make_network
 
 TAU = 0.8
+MULTIPLIERS = (0.0, 1e-6, 1e-3, 1.0, 1e3, 1e6)
+
+
+def measured_power(surrogates, lam):
+    ws = np.stack([solve_precoder(s, TAU, lam) for s in surrogates])
+    return float(np.sum(np.abs(ws) ** 2))
+
+
+def default_scale_surrogates(network, case):
+    """Every BS's surrogates at the default scale for one solver variant.
+
+    ``mf``: non-cooperative, no surfaces, at the matched-filter initial
+    precoders, so each right-hand side lies along the own channel.
+    ``none``: cooperative, no surfaces.  ``bd``: cooperative, with surfaces.
+    """
+    channels, iterate, noise = network
+    ris = case == "bd"
+    snap = snapshot(iterate, channels, noise, ris)
+    return [build_surrogates(q, iterate, channels, noise, snap,
+                             cooperative=case != "mf", ris_enabled=ris)
+            for q in range(channels.num_bs)]
 
 
 class TestPricingVector:
@@ -127,6 +149,38 @@ class TestSolvePrecoder:
         assert np.all(np.diff(norms) <= 1e-12)
 
 
+class TestPowerCurve:
+    @pytest.mark.parametrize("case", ["mf", "none", "bd"])
+    def test_matches_measured_power(self, default_scale_network, case):
+        for surr in default_scale_surrogates(default_scale_network, case):
+            if case == "mf":  # the parallel case the expanded form loses digits on
+                for s in surr:
+                    r, f = s.rhs(TAU), s.own_channel
+                    np.testing.assert_allclose(
+                        np.abs(np.einsum("ki,ki->k", np.conj(f), r)) ** 2,
+                        np.sum(np.abs(f) ** 2, 1) * np.sum(np.abs(r) ** 2, 1),
+                        rtol=1e-12)
+            power = power_curve(surr, TAU)
+            for lam in MULTIPLIERS:
+                assert power(lam) == pytest.approx(measured_power(surr, lam),
+                                                   rel=1e-13, abs=0)
+
+    def test_zero_own_channel(self, multiuser_network):
+        channels, iterate, noise = multiuser_network
+        channels.direct[0, 0] = 0
+        channels.ris_ue[0, 0] = 0
+        surr = build_surrogates(0, iterate, channels, noise)
+        assert len(surr) == 2
+        np.testing.assert_array_equal(surr[0].own_channel, 0)
+        with np.errstate(all="raise"):
+            power = power_curve(surr, TAU)
+            for lam in MULTIPLIERS:
+                assert power(lam) == pytest.approx(measured_power(surr, lam),
+                                                   rel=1e-13, abs=0)
+                assert power_curve(surr[:1], TAU)(lam) == pytest.approx(
+                    measured_power(surr[:1], lam), rel=1e-13, abs=0)
+
+
 class TestBisection:
     def test_loose_budget_gives_zero_multiplier(self, small_network):
         channels, iterate, noise = small_network
@@ -169,6 +223,46 @@ class TestBisection:
         surr = build_surrogates(0, iterate, channels, noise)
         with pytest.raises(NumericalFailureError):
             bisect_power_multiplier(surr, TAU, 1e-300, max_doublings=5)
+
+    @pytest.mark.parametrize("network", ["small_network", "multiuser_network",
+                                         "default_scale_network"])
+    @pytest.mark.parametrize("budget_scale", [10.0, 0.5, 1e-4])
+    def test_same_result_as_measured_loop(self, request, network, budget_scale):
+        # loose (multiplier 0), mid and tight budgets, relative to the
+        # power of the unconstrained solve
+        channels, iterate, noise = request.getfixturevalue(network)
+        for q in range(channels.num_bs):
+            surr = build_surrogates(q, iterate, channels, noise)
+            budget = budget_scale * measured_power(surr, 0.0)
+            lam, ws = bisect_power_multiplier(surr, TAU, budget)
+            lam_ref, ws_ref = oracles.bisect_measured_power(surr, TAU, budget)
+            assert lam == lam_ref
+            assert (lam == 0.0) == (budget_scale > 1.0)
+            np.testing.assert_array_equal(ws, ws_ref)
+
+    def test_rounding_above_budget_falls_back_to_measured_powers(self, monkeypatch):
+        # a budget equal to the closed-form power at lam = 0, where the
+        # measured power of the solved precoders rounds above it
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            channels, iterate, noise = make_network(rng)
+            surr = build_surrogates(0, iterate, channels, noise)
+            budget = power_curve(surr, TAU)(0.0)
+            if measured_power(surr, 0.0) > budget:
+                break
+        else:
+            pytest.fail("no draw rounds above its closed-form power")
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return solve_precoder(*args)
+        monkeypatch.setattr(precoding, "solve_precoder", counted)
+        lam, ws = bisect_power_multiplier(surr, TAU, budget)
+        assert len(calls) > len(surr)  # precoders were solved past the first try
+        assert lam > 0.0
+        power = float(np.sum(np.abs(ws) ** 2))
+        assert budget - 1e-8 * budget <= power <= budget
 
 
 class TestSubproblemImprovement:

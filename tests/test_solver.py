@@ -143,7 +143,7 @@ class TestLocalSubproblem:
                 grad_s = grad_s + switches.selection_pricing(q, iterate, channels,
                                                              noise, snap)
             c_prev, s_prev = iterate.capacitances[q], iterate.selections[q]
-            c_hat = capacitance.update_capacitances(c_prev, grad_c, price_c, tau_c,
+            c_hat = capacitance.update_capacitances(c_prev, grad_c + price_c, tau_c,
                                                     channels.circuit)
             dc = c_hat - c_prev
             value += (grad_c + price_c) @ dc - 0.5 * tau_c * dc @ dc
