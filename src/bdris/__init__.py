@@ -7,17 +7,16 @@ jointly tunes precoders, element capacitances and switch permutations to
 maximize the network sum rate.
 """
 
-from .channels import (NetworkChannels, NetworkTopology, composite_channel,
-                       generate_channels, generate_link_taps, load_channels,
-                       pathloss, save_channels, taps_to_frequency)
-from .circuit import (ElementCircuit, SubcarrierGrid, build_phase_matrices,
-                      characteristic_impedance, reflection_derivative,
-                      reflection_direct, reflection_profile,
-                      reflection_reformulated)
+from .channels import (NetworkChannels, NetworkTopology, generate_channels,
+                       generate_link_taps, load_channels, pathloss,
+                       save_channels, taps_to_frequency)
+from .circuit import (ElementCircuit, SubcarrierGrid, characteristic_impedance,
+                      reflection_derivative, reflection_direct,
+                      reflection_profile, reflection_reformulated)
 from .errors import ConfigError, DegenerateInputError, NumericalFailureError
-from .rates import Iterate, mui, snapshot, sum_rate, user_rate
+from .rates import Iterate, snapshot, sum_rate
 from .scenario import (ScenarioConfig, build_scenario, channels_for_trial,
-                       dbm_to_watt, load_config, watt_to_dbm)
+                       dbm_to_watt, load_config)
 from .solver import SolverConfig, Trace, run
 from .montecarlo import VARIANTS, run_sweep
 

@@ -9,15 +9,15 @@ model plus proximal term over a box) then has a closed-form clamped solution.
 Weighted and summed over all links, the diagonals are never formed:
 :func:`assemble_gradient` contracts the shared assembly
 :func:`bdris.rates.weighted_beams` with the routed victim channels and the
-slopes.  :func:`coupling_matrix` and :func:`_coupling_diagonals` are the
-reference forms that tests pin it to.
+slopes.  The literal per-link coupling matrices and their diagonals are
+test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .circuit import reflection_derivative, reflection_profile
+from .circuit import reflection_derivative
 from .rates import snapshot, weighted_beams
 
 
@@ -31,41 +31,6 @@ def element_slopes(cap_vector, grid, circuit):
     cap_vector = np.asarray(cap_vector, dtype=float)
     return np.conj(reflection_derivative(grid.frequencies[:, None],
                                          cap_vector[None, :], circuit))
-
-
-def coupling_matrix(q, tx_user, victim, k, iterate, channels, phi=None):
-    """Literal coupling matrix of one (transmitter, victim, subcarrier) triple.
-
-    Builds ``H w w^H h g^H S + H w w^H H^H Phi^H S^T g g^H S`` in the stated
-    order, where w is the transmitter's precoder and (h, g) are the victim's
-    direct and surface-side channels toward BS/surface q.
-    """
-    if phi is None:
-        phi = reflection_profile(iterate.capacitances[q], channels.grid,
-                                 channels.circuit)
-    w = iterate.precoders[tx_user, k]
-    h = channels.direct[q, victim, k]
-    g = channels.ris_ue[q, victim, k]
-    big_h = channels.bs_ris[q, k]
-    sel = np.eye(channels.num_elements)[:, iterate.selections[q]]
-    hw = big_h @ w
-    cross = np.outer(np.outer(hw, np.conj(w)) @ h, np.conj(g) @ sel)
-    beam_outer = np.outer(hw, np.conj(w)) @ np.conj(big_h).T
-    routed_outer = sel.T @ np.outer(g, np.conj(g)) @ sel
-    return cross + beam_outer @ np.diag(np.conj(phi[k])) @ routed_outer
-
-
-def _coupling_diagonals(q, iterate, channels, snap):
-    """diag of the coupling matrices for all (own transmitter, victim, k).
-
-    Returns (L_q, U, K, M): transmitter runs over BS q's own users, victim
-    over every user in the network.
-    """
-    own = channels.users_of_bs(q)
-    hw = np.einsum("kmn,tkn->tkm", channels.bs_ris[q], iterate.precoders[own])
-    routed = np.conj(channels.ris_ue[q][..., iterate.selections[q]])
-    return np.einsum("tkm,vkm,tvk->tvkm", hw, routed,
-                     np.conj(snap.amplitudes[own]))
 
 
 def assemble_gradient(q, iterate, channels, beams):

@@ -1,4 +1,4 @@
-"""Wideband channel generation and composite-channel assembly.
+"""Wideband channel generation, the channel container and its CSV dump.
 
 Channels are drawn as independent circularly-symmetric complex Gaussian
 delay taps with an exponentially decaying power-delay profile, scaled by a
@@ -11,7 +11,9 @@ responses with a K-point DFT along delay.  Three link families exist:
 
 Every link draws from its own random substream derived from the root seed
 and a (kind, endpoint, endpoint) key, so adding users or surfaces never
-perturbs previously generated links.
+perturbs previously generated links.  The composite channel of every link,
+direct plus routed reflected path, is assembled by
+:func:`bdris.rates.effective_rows`.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import numpy as np
 from scipy.constants import speed_of_light
 
 from .circuit import ElementCircuit, SubcarrierGrid
+
+_LINKS = ("direct", "bs_ris", "ris_ue")  # link families, in dump order
 
 # substream kinds for per-link seeding
 _KIND_DIRECT = 0
@@ -48,9 +52,8 @@ class NetworkTopology:
     users_per_bs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "bs_positions", np.atleast_2d(np.asarray(self.bs_positions, float)))
-        object.__setattr__(self, "ue_positions", np.atleast_2d(np.asarray(self.ue_positions, float)))
-        object.__setattr__(self, "ris_positions", np.atleast_2d(np.asarray(self.ris_positions, float)))
+        for name in ("bs_positions", "ue_positions", "ris_positions"):
+            object.__setattr__(self, name, np.atleast_2d(np.asarray(getattr(self, name), float)))
         q = self.bs_positions.shape[0]
         if q < 1 or self.num_antennas < 1 or self.num_elements < 1:
             raise ValueError("need at least one BS, one antenna and one element")
@@ -121,17 +124,6 @@ def taps_to_frequency(taps, num_subcarriers):
     return np.moveaxis(freq, -1, 0)
 
 
-def composite_channel(h, g, perm, phase_matrix, bs_ris):
-    """Effective downlink channel f with f^H = h^H + g^H S Phi H.
-
-    ``perm`` is the switch permutation index vector, so g^H S is ``conj(g)[perm]``.
-    Reference single-link implementation used by tests and inspection; the
-    solver evaluates all links at once via :func:`bdris.rates.effective_rows`.
-    """
-    reflected = np.conj(g)[np.asarray(perm)] @ phase_matrix @ bs_ris
-    return h + np.conj(reflected)
-
-
 @dataclass
 class NetworkChannels:
     """Frequency-domain channels of all links plus the grid they live on.
@@ -167,6 +159,11 @@ class NetworkChannels:
             raise ValueError("ris_ue shape inconsistent with the other links")
         if len(self.bs_of_user) != u:
             raise ValueError("bs_of_user must cover every user")
+        bs = np.asarray(self.bs_of_user)
+        if np.any(bs < 0) or np.any(bs >= q):
+            raise ValueError("bs_of_user entries must lie in [0, Q)")
+        if np.any(np.bincount(bs, minlength=q) == 0):
+            raise ValueError("every BS must serve at least one user")
         if k != self.grid.num_subcarriers:
             raise ValueError("subcarrier count does not match the grid")
 
@@ -220,31 +217,24 @@ def generate_channels(topology, grid, exponents, root_seed, num_taps=16,
     q_n, u_n = topology.num_bs, topology.num_users
     k_n, n_n, m_n = grid.num_subcarriers, topology.num_antennas, topology.num_elements
 
+    def link(kind, a, b, distance, exponent, rows, cols):
+        """(K, rows, cols) frequency response of one link."""
+        taps = generate_link_taps(_link_rng(root_seed, kind, a, b), rows, cols,
+                                  num_taps, pathloss(distance, exponent, wavelength),
+                                  tap_decay)
+        return taps_to_frequency(taps, k_n)
+
     direct = np.zeros((q_n, u_n, k_n, n_n), dtype=complex)
     bs_ris = np.zeros((q_n, k_n, m_n, n_n), dtype=complex)
     ris_ue = np.zeros((q_n, u_n, k_n, m_n), dtype=complex)
-
     for j in range(q_n):
-        for u in range(u_n):
-            d = np.linalg.norm(topology.bs_positions[j] - topology.ue_positions[u])
-            gain = pathloss(d, a_bu, wavelength)
-            taps = generate_link_taps(_link_rng(root_seed, _KIND_DIRECT, j, u),
-                                      1, n_n, num_taps, gain, tap_decay)
-            direct[j, u] = taps_to_frequency(taps, k_n)[:, 0, :]
-
-        d = np.linalg.norm(topology.bs_positions[j] - topology.ris_positions[j])
-        gain = pathloss(d, a_br, wavelength)
-        taps = generate_link_taps(_link_rng(root_seed, _KIND_BS_RIS, j, j),
-                                  m_n, n_n, num_taps, gain, tap_decay)
-        bs_ris[j] = taps_to_frequency(taps, k_n)
-
-        for u in range(u_n):
-            d = np.linalg.norm(topology.ris_positions[j] - topology.ue_positions[u])
-            gain = pathloss(d, a_ru, wavelength)
-            taps = generate_link_taps(_link_rng(root_seed, _KIND_RIS_UE, j, u),
-                                      1, m_n, num_taps, gain, tap_decay)
-            ris_ue[j, u] = taps_to_frequency(taps, k_n)[:, 0, :]
-
+        bs, ris = topology.bs_positions[j], topology.ris_positions[j]
+        bs_ris[j] = link(_KIND_BS_RIS, j, j, np.linalg.norm(bs - ris), a_br, m_n, n_n)
+        for u, ue in enumerate(topology.ue_positions):
+            direct[j, u] = link(_KIND_DIRECT, j, u, np.linalg.norm(bs - ue),
+                                a_bu, 1, n_n)[:, 0]
+            ris_ue[j, u] = link(_KIND_RIS_UE, j, u, np.linalg.norm(ris - ue),
+                                a_ru, 1, m_n)[:, 0]
     return NetworkChannels(direct, bs_ris, ris_ue, topology.bs_of_user, grid, circuit)
 
 
@@ -272,26 +262,19 @@ def save_channels(channels, path):
         wr.writerow(["circuit", repr(c.resistance), repr(c.inductance_l1),
                      repr(c.inductance_l2), repr(c.z0), repr(c.c_min), repr(c.c_max)])
         wr.writerow(["users"] + [int(b) for b in channels.bs_of_user])
-        for j in range(channels.num_bs):
-            for u in range(channels.num_users):
-                for k in range(channels.num_subcarriers):
-                    wr.writerow(["direct", j, u, k] + _flat(channels.direct[j, u, k]))
-        for j in range(channels.num_bs):
-            for k in range(channels.num_subcarriers):
-                wr.writerow(["bs_ris", j, j, k] + _flat(channels.bs_ris[j, k]))
-        for j in range(channels.num_bs):
-            for u in range(channels.num_users):
-                for k in range(channels.num_subcarriers):
-                    wr.writerow(["ris_ue", j, u, k] + _flat(channels.ris_ue[j, u, k]))
+        for link in _LINKS:
+            arr = _per_user(link, getattr(channels, link))
+            for j, u, k in np.ndindex(arr.shape[:3]):
+                wr.writerow([link, j, j if link == "bs_ris" else u, k] + _flat(arr[j, u, k]))
+
+
+def _per_user(link, arr):
+    """``arr`` with a user axis second; bs_ris gets a length-1 one."""
+    return arr[:, None] if link == "bs_ris" else arr
 
 
 def _flat(arr):
-    flat = np.asarray(arr).ravel()
-    out = []
-    for v in flat:
-        out.append(repr(float(v.real)))
-        out.append(repr(float(v.imag)))
-    return out
+    return [repr(float(x)) for v in np.asarray(arr).ravel() for x in (v.real, v.imag)]
 
 
 def _unflat(cells, shape):
@@ -314,18 +297,13 @@ def load_channels(path):
                                  float(z0), float(cmin), float(cmax))
         tag, *bs_of = next(rd)
         bs_of_user = np.array([int(x) for x in bs_of])
-        direct = np.zeros((q, u, k, n), dtype=complex)
-        bs_ris = np.zeros((q, k, m, n), dtype=complex)
-        ris_ue = np.zeros((q, u, k, m), dtype=complex)
-        for row in rd:
-            link, j, uu, kk = row[0], int(row[1]), int(row[2]), int(row[3])
-            cells = row[4:]
-            if link == "direct":
-                direct[j, uu, kk] = _unflat(cells, (n,))
-            elif link == "bs_ris":
-                bs_ris[j, kk] = _unflat(cells, (m, n))
-            elif link == "ris_ue":
-                ris_ue[j, uu, kk] = _unflat(cells, (m,))
-            else:
+        arrays = {"direct": np.zeros((q, u, k, n), dtype=complex),
+                  "bs_ris": np.zeros((q, k, m, n), dtype=complex),
+                  "ris_ue": np.zeros((q, u, k, m), dtype=complex)}
+        for link, j, uu, kk, *cells in rd:
+            if link not in arrays:
                 raise ValueError(f"unknown link kind {link!r}")
-    return NetworkChannels(direct, bs_ris, ris_ue, bs_of_user, grid, circuit)
+            target = _per_user(link, arrays[link])
+            index = (int(j), 0 if link == "bs_ris" else int(uu), int(kk))
+            target[index] = _unflat(cells, target.shape[3:])
+    return NetworkChannels(**arrays, bs_of_user=bs_of_user, grid=grid, circuit=circuit)

@@ -205,13 +205,3 @@ def reflection_profile(cap_vector, grid, circuit):
     """
     cap_vector = np.asarray(cap_vector, dtype=float)
     return reflection_reformulated(grid.frequencies[:, None], cap_vector[None, :], circuit)
-
-
-def build_phase_matrices(cap_vector, grid, circuit):
-    """Stack of per-subcarrier diagonal reflection matrices, shape (K, M, M)."""
-    prof = reflection_profile(cap_vector, grid, circuit)
-    k, m = prof.shape
-    out = np.zeros((k, m, m), dtype=complex)
-    idx = np.arange(m)
-    out[:, idx, idx] = prof
-    return out

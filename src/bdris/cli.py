@@ -22,8 +22,8 @@ import numpy as np
 from .channels import load_channels, save_channels
 from .errors import ConfigError, NumericalFailureError
 from .montecarlo import VARIANTS, run_sweep, solver_config_for
-from .scenario import (ScenarioConfig, build_scenario, channels_for_trial,
-                       dbm_to_watt, load_config)
+from .scenario import (ScenarioConfig, channels_for_trial, dbm_to_watt,
+                       load_config, parse_floats, parse_names)
 from .selfcheck import run_all
 from .solver import run as run_solver
 
@@ -41,6 +41,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="run the configured power sweep")
+    p.set_defaults(handler=cmd_run)
     _add_common(p)
     p.add_argument("--variants", help="comma list, e.g. bd,diag,none-pi0")
     p.add_argument("--power", help="comma list of transmit powers in dBm")
@@ -48,19 +49,23 @@ def _build_parser():
     p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("single", help="one realization with a trace dump")
+    p.set_defaults(handler=cmd_single)
     _add_common(p)
     p.add_argument("--variants", help="single variant name (default bd)")
     p.add_argument("--power", help="single transmit power in dBm")
     p.add_argument("--trial", type=int, default=0)
 
     p = sub.add_parser("validate", help="run the self-check suite")
+    p.set_defaults(handler=cmd_validate)
     p.add_argument("--config", help=argparse.SUPPRESS)
 
     p = sub.add_parser("dump-channels", help="write one channel realization to CSV")
+    p.set_defaults(handler=cmd_dump_channels)
     _add_common(p)
     p.add_argument("--trial", type=int, default=0)
 
     p = sub.add_parser("load-channels", help="read back a channel dump")
+    p.set_defaults(handler=cmd_load_channels)
     p.add_argument("--file", required=True)
     return parser
 
@@ -72,18 +77,12 @@ def _load_scenario(args):
     return cfg
 
 
-def _parse_list(text, cast):
-    return tuple(cast(x.strip()) for x in text.split(",") if x.strip())
-
-
 def cmd_run(args):
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING,
                         format="%(levelname)s %(message)s")
     cfg = _load_scenario(args)
-    variants = _parse_list(args.variants, str) if args.variants else None
-    powers = _parse_list(args.power, float) if args.power else None
-    run_sweep(cfg, out_dir=args.out, variants=variants, powers_dbm=powers,
-              trials=args.trials)
+    run_sweep(cfg, out_dir=args.out, variants=parse_names(args.variants or ""),
+              powers_dbm=parse_floats(args.power or ""), trials=args.trials)
     print(f"wrote {os.path.join(args.out, 'results.csv')} and summary.csv")
     return 0
 
@@ -144,19 +143,10 @@ def cmd_load_channels(args):
     return 0
 
 
-_COMMANDS = {
-    "run": cmd_run,
-    "single": cmd_single,
-    "validate": cmd_validate,
-    "dump-channels": cmd_dump_channels,
-    "load-channels": cmd_load_channels,
-}
-
-
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

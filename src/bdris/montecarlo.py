@@ -35,6 +35,10 @@ VARIANTS = {
     "diag-pi0": ("diagonal", False),
     "none-pi0": ("none", False),
 }
+RESULT_COLUMNS = ("variant", "P_dBm", "trial", "sum_rate_bps_hz", "iters")
+SUMMARY_COLUMNS = ("variant", "P_dBm", "mean_sum_rate_bps_hz", "stderr_bps_hz",
+                   "n_trials", "n_failed")
+_FLOAT_COLUMNS = {"P_dBm", "sum_rate_bps_hz", "mean_sum_rate_bps_hz", "stderr_bps_hz"}
 
 
 def solver_config_for(base, variant):
@@ -101,27 +105,15 @@ def run_sweep(config, out_dir=None, variants=None, powers_dbm=None, trials=None)
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        write_results(rows, os.path.join(out_dir, "results.csv"))
-        write_summary(summary, os.path.join(out_dir, "summary.csv"))
+        write_csv(rows, RESULT_COLUMNS, os.path.join(out_dir, "results.csv"))
+        write_csv(summary, SUMMARY_COLUMNS, os.path.join(out_dir, "summary.csv"))
     return rows, summary
 
 
-def write_results(rows, path):
+def write_csv(rows, columns, path):
+    """One line per row dict; float columns as ``repr``, so files are byte-reproducible."""
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["variant", "P_dBm", "trial", "sum_rate_bps_hz", "iters"])
+        wr.writerow(columns)
         for r in rows:
-            wr.writerow([r["variant"], repr(float(r["P_dBm"])), r["trial"],
-                         repr(float(r["sum_rate_bps_hz"])), r["iters"]])
-
-
-def write_summary(summary, path):
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["variant", "P_dBm", "mean_sum_rate_bps_hz",
-                     "stderr_bps_hz", "n_trials", "n_failed"])
-        for r in summary:
-            wr.writerow([r["variant"], repr(float(r["P_dBm"])),
-                         repr(float(r["mean_sum_rate_bps_hz"])),
-                         repr(float(r["stderr_bps_hz"])),
-                         r["n_trials"], r["n_failed"]])
+            wr.writerow([repr(float(r[c])) if c in _FLOAT_COLUMNS else r[c] for c in columns])

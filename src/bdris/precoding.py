@@ -3,7 +3,7 @@
 Each base station refreshes the precoders of all of its users jointly by
 maximizing a concave surrogate of the network objective: the own-cell log
 terms are lower-bounded by a tight quadratic (see
-:func:`surrogate_coefficients`), other cells' rates enter through a linear
+:class:`PrecoderSurrogate`), other cells' rates enter through a linear
 pricing term, and a proximal penalty keeps the update near the current
 point.  The maximizer for a fixed power multiplier is a per-subcarrier
 rank-one-plus-identity solve; the multiplier is bisected on the closed-form
@@ -31,9 +31,9 @@ class PrecoderSurrogate:
     """
 
     user: int
-    quad_weight: np.ndarray   # (K,) nonnegative
+    quad_weight: np.ndarray   # (K,) |f^H w|^2 / (ln2 (mui + |f^H w|^2) mui) >= 0
     own_channel: np.ndarray   # (K, N) complex
-    linear: np.ndarray        # (K, N) complex
+    linear: np.ndarray        # (K, N) f (f^H w) / (ln2 mui)
     pricing: np.ndarray       # (K, N) complex
     anchor: np.ndarray        # (K, N) complex, current precoder
     mui_anchor: np.ndarray    # (K,) interference-plus-noise at the anchor
@@ -82,19 +82,6 @@ def pricing_vector(user, iterate, channels, noise_power, snap=None, ris_enabled=
     rows_to_others = snap.rows[q, others]          # (Uo, K, N)
     amp_to_others = snap.amplitudes[user, others]  # (Uo, K)
     return np.einsum("nk,nki,nk->ki", coef, np.conj(rows_to_others), amp_to_others)
-
-
-def surrogate_coefficients(user, k, iterate, channels, noise_power, snap=None,
-                           ris_enabled=True):
-    """Quadratic weight a and linear vector b of one user's log-term bound.
-
-    ``a = |f^H w|^2 / (ln2 (mui + |f^H w|^2) mui)`` and
-    ``b = f (f^H w) / (ln2 mui)`` evaluated at the current iterate.
-    """
-    s = next(s for s in build_surrogates(channels.bs_of_user[user], iterate, channels,
-                                         noise_power, snap, False, ris_enabled)
-             if s.user == user)
-    return float(s.quad_weight[k]), s.linear[k]
 
 
 def build_surrogates(q, iterate, channels, noise_power, snap=None,

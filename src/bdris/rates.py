@@ -64,12 +64,12 @@ class Iterate:
 
 
 def effective_rows(iterate, channels, ris_enabled=True):
-    """Conjugate-transposed composite channels, shape (Q, U, K, N).
+    """Conjugate-transposed composite channels ``f^H = h^H + g^H S diag(phi) H``, (Q, U, K, N).
 
     ``rows[j, u, k] @ w`` is the complex receive amplitude at user u of a
-    vector w sent by BS j.  The surface path adds the routed, phase-shifted
-    reflection of the BS -> surface channel; with ``ris_enabled=False`` only
-    the direct path remains.
+    vector w sent by BS j: the direct path plus surface j's routed,
+    phase-shifted reflection.  With ``ris_enabled=False`` only the direct
+    path remains.  This is the library's one form of the composite channel.
     """
     return _rows_and_profile(iterate, channels, ris_enabled)[0]
 
@@ -79,18 +79,13 @@ def _rows_and_profile(iterate, channels, ris_enabled):
     rows = np.conj(channels.direct)
     if not ris_enabled:
         return rows, None
-    phi = reflection_profile_all(iterate.capacitances, channels)
+    phi = np.stack([reflection_profile(c_q, channels.grid, channels.circuit)
+                    for c_q in iterate.capacitances])
     # per surface: routed, phased rows (K, U, M) @ BS -> surface matrices (K, M, N)
     reflected = np.stack([(np.conj(g[..., perm]).swapaxes(0, 1) * p[:, None]) @ h
                           for g, perm, p, h in zip(channels.ris_ue, iterate.selections,
                                                    phi, channels.bs_ris)])
     return rows + reflected.swapaxes(1, 2), phi
-
-
-def reflection_profile_all(capacitances, channels):
-    """Reflection coefficients of every surface, shape (Q, K, M)."""
-    return np.stack([reflection_profile(c_q, channels.grid, channels.circuit)
-                     for c_q in capacitances])
 
 
 def link_amplitudes(iterate, channels, ris_enabled=True, rows=None):
@@ -153,18 +148,6 @@ def weighted_beams(q, iterate, channels, snap, cell=1.0, pricing=1.0):
     weights *= np.where(channels.bs_of_user == q, cell, pricing)[:, None]
     beams = np.einsum("kmn,tkn->tkm", channels.bs_ris[q], iterate.precoders[own])
     return np.einsum("tvk,tkm->vkm", weights * np.conj(snap.amplitudes[own]), beams)
-
-
-def mui(user, k, iterate, channels, noise_power, ris_enabled=True):
-    """Noise-plus-interference power of one user at one subcarrier."""
-    amp = link_amplitudes(iterate, channels, ris_enabled)
-    powers = np.abs(amp[:, user, k]) ** 2
-    return float(noise_power + powers.sum() - powers[user])
-
-
-def user_rate(user, iterate, channels, noise_power, ris_enabled=True):
-    """Achievable rate of one user in bits/s/Hz, averaged over subcarriers."""
-    return float(snapshot(iterate, channels, noise_power, ris_enabled).user_rates[user])
 
 
 def sum_rate(iterate, channels, noise_power, ris_enabled=True):

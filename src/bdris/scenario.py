@@ -29,10 +29,6 @@ def dbm_to_watt(p_dbm):
     return 10.0 ** ((np.asarray(p_dbm, dtype=float) - 30.0) / 10.0)
 
 
-def watt_to_dbm(p_watt):
-    return 10.0 * np.log10(np.asarray(p_watt, dtype=float)) + 30.0
-
-
 @dataclass
 class ScenarioConfig:
     """Complete description of one simulated deployment."""
@@ -88,10 +84,6 @@ class ScenarioConfig:
     def noise_power(self):
         return float(dbm_to_watt(self.noise_dbm))
 
-    @property
-    def power_watts(self):
-        return tuple(float(dbm_to_watt(p)) for p in self.power_dbm)
-
     def grid(self):
         return SubcarrierGrid(self.carrier_frequency, self.bandwidth,
                               self.num_subcarriers)
@@ -102,10 +94,8 @@ class ScenarioConfig:
 
 def _corner_grid(count, width, origin=(0.0, 0.0)):
     """Corners of a square walked row by row: (0,0), (w,0), (0,w), (w,w), ..."""
-    pts = []
-    for i in range(count):
-        pts.append((origin[0] + width * (i % 2), origin[1] + width * (i // 2)))
-    return np.array(pts)
+    return np.array([(origin[0] + width * (i % 2), origin[1] + width * (i // 2))
+                     for i in range(count)])
 
 
 def build_scenario(config):
@@ -149,105 +139,89 @@ def channels_for_trial(config, trial, topology=None):
 # INI config files
 # ---------------------------------------------------------------------------
 
-def _floats(text):
-    return tuple(float(x) for x in text.replace(";", ",").split(",") if x.strip())
+def parse_floats(text):
+    """Comma- or semicolon-separated numbers; None if there are none."""
+    return tuple(float(x) for x in text.replace(";", ",").split(",") if x.strip()) or None
 
 
 def _pairs(text):
-    out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        x, y = chunk.split(",")
-        out.append((float(x), float(y)))
-    return tuple(out)
+    chunks = [c.split(",") for c in text.split(";") if c.strip()]
+    return tuple((float(x), float(y)) for x, y in chunks) or None
+
+
+def parse_names(text):
+    """Comma-separated names; None if there are none."""
+    return tuple(v.strip() for v in text.split(",") if v.strip()) or None
+
+
+def _counts(text):
+    """Users per BS; a single count applies to every BS."""
+    vals = tuple(int(x) for x in text.split(","))
+    return vals[0] if len(vals) == 1 else vals
+
+
+# (section, INI key, config field, parser); a dotted field names a field of
+# the nested circuit or solver config, and a list parser returns None for an
+# empty value, which keeps the default
+_INI_KEYS = (
+    ("network", "Q", "num_bs", int),
+    ("network", "N", "num_antennas", int),
+    ("network", "M", "num_elements", int),
+    ("network", "L_q", "users_per_bs", _counts),
+    ("geometry", "bs_square_width", "bs_square_width", float),
+    ("geometry", "bs_height", "bs_height", float),
+    ("geometry", "ue_square_origin", "ue_square_origin", parse_floats),
+    ("geometry", "ue_square_width", "ue_square_width", float),
+    ("geometry", "ue_height", "ue_height", float),
+    ("geometry", "ris_height", "ris_height", float),
+    ("geometry", "ris_positions", "ris_xy", _pairs),
+    ("ofdm", "f_c", "carrier_frequency", float),
+    ("ofdm", "BW", "bandwidth", float),
+    ("ofdm", "K", "num_subcarriers", int),
+    ("ofdm", "delay_taps", "num_taps", int),
+    ("pathloss", "bs_ue", "alpha_bs_ue", float),
+    ("pathloss", "bs_ris", "alpha_bs_ris", float),
+    ("pathloss", "ris_ue", "alpha_ris_ue", float),
+    ("power", "noise_dbm", "noise_dbm", float),
+    ("power", "power_dbm", "power_dbm", parse_floats),
+    ("circuit", "resistance", "circuit.resistance", float),
+    ("circuit", "L1", "circuit.inductance_l1", float),
+    ("circuit", "L2", "circuit.inductance_l2", float),
+    ("circuit", "Z0", "circuit.z0", float),
+    ("circuit", "c_min", "circuit.c_min", float),
+    ("circuit", "c_max", "circuit.c_max", float),
+    ("solver", "tau", "solver.tau", float),
+    ("solver", "alpha0", "solver.alpha0", float),
+    ("solver", "epsilon", "solver.epsilon", float),
+    ("solver", "max_iters", "solver.max_iters", int),
+    ("solver", "tol", "solver.tol", float),
+    ("solver", "switch_hold_iters", "solver.switch_hold_iters", int),
+    ("simulation", "trials", "trials", int),
+    ("simulation", "seed", "seed", int),
+    ("simulation", "variants", "variants", parse_names),
+)
 
 
 def load_config(path):
-    """Read a scenario from an INI file; unset keys keep their defaults."""
+    """Read a scenario from an INI file; unset keys keep their defaults.
+
+    Without ``L_q``, a configured ``Q`` gets one user per BS.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"config file not found: {path}")
     cfg = ScenarioConfig()
+    fields = {"": {}, "circuit": {}, "solver": {}}
     try:
-        if parser.has_section("network"):
-            sec = parser["network"]
-            num_bs = sec.getint("Q", cfg.num_bs)
-            users = sec.get("L_q", None)
-            if users is None:
-                per_bs = cfg.users_per_bs if num_bs == cfg.num_bs else (1,) * num_bs
-            else:
-                vals = tuple(int(x) for x in users.split(","))
-                per_bs = vals * num_bs if len(vals) == 1 else vals
-            cfg = replace(cfg, num_bs=num_bs,
-                          num_antennas=sec.getint("N", cfg.num_antennas),
-                          num_elements=sec.getint("M", cfg.num_elements),
-                          users_per_bs=per_bs)
-        if parser.has_section("geometry"):
-            sec = parser["geometry"]
-            ris_xy = cfg.ris_xy
-            if sec.get("ris_positions", None):
-                ris_xy = _pairs(sec["ris_positions"])
-            origin = cfg.ue_square_origin
-            if sec.get("ue_square_origin", None):
-                origin = _floats(sec["ue_square_origin"])
-            cfg = replace(cfg,
-                          bs_square_width=sec.getfloat("bs_square_width", cfg.bs_square_width),
-                          bs_height=sec.getfloat("bs_height", cfg.bs_height),
-                          ue_square_origin=origin,
-                          ue_square_width=sec.getfloat("ue_square_width", cfg.ue_square_width),
-                          ue_height=sec.getfloat("ue_height", cfg.ue_height),
-                          ris_height=sec.getfloat("ris_height", cfg.ris_height),
-                          ris_xy=ris_xy)
-        if parser.has_section("ofdm"):
-            sec = parser["ofdm"]
-            cfg = replace(cfg,
-                          carrier_frequency=sec.getfloat("f_c", cfg.carrier_frequency),
-                          bandwidth=sec.getfloat("BW", cfg.bandwidth),
-                          num_subcarriers=sec.getint("K", cfg.num_subcarriers),
-                          num_taps=sec.getint("delay_taps", cfg.num_taps))
-        if parser.has_section("pathloss"):
-            sec = parser["pathloss"]
-            cfg = replace(cfg,
-                          alpha_bs_ue=sec.getfloat("bs_ue", cfg.alpha_bs_ue),
-                          alpha_bs_ris=sec.getfloat("bs_ris", cfg.alpha_bs_ris),
-                          alpha_ris_ue=sec.getfloat("ris_ue", cfg.alpha_ris_ue))
-        if parser.has_section("power"):
-            sec = parser["power"]
-            sweep = cfg.power_dbm
-            if sec.get("power_dbm", None):
-                sweep = _floats(sec["power_dbm"])
-            cfg = replace(cfg, noise_dbm=sec.getfloat("noise_dbm", cfg.noise_dbm),
-                          power_dbm=sweep)
-        if parser.has_section("circuit"):
-            sec = parser["circuit"]
-            base = cfg.circuit
-            cfg = replace(cfg, circuit=ElementCircuit(
-                sec.getfloat("resistance", base.resistance),
-                sec.getfloat("L1", base.inductance_l1),
-                sec.getfloat("L2", base.inductance_l2),
-                sec.getfloat("Z0", base.z0),
-                sec.getfloat("c_min", base.c_min),
-                sec.getfloat("c_max", base.c_max)))
-        if parser.has_section("solver"):
-            sec = parser["solver"]
-            base = cfg.solver
-            cfg = replace(cfg, solver=SolverConfig(
-                tau=sec.getfloat("tau", base.tau),
-                alpha0=sec.getfloat("alpha0", base.alpha0),
-                epsilon=sec.getfloat("epsilon", base.epsilon),
-                max_iters=sec.getint("max_iters", base.max_iters),
-                tol=sec.getfloat("tol", base.tol),
-                switch_hold_iters=sec.getint("switch_hold_iters", base.switch_hold_iters)))
-        if parser.has_section("simulation"):
-            sec = parser["simulation"]
-            variants = cfg.variants
-            if sec.get("variants", None):
-                variants = tuple(v.strip() for v in sec["variants"].split(",") if v.strip())
-            cfg = replace(cfg, trials=sec.getint("trials", cfg.trials),
-                          seed=sec.getint("seed", cfg.seed), variants=variants)
-    except (ValueError, KeyError) as exc:
+        for section, key, name, parse in _INI_KEYS:
+            text = parser.get(section, key, fallback=None)
+            if text is not None and (value := parse(text)) is not None:
+                owner, _, attr = name.rpartition(".")
+                fields[owner][attr] = value
+        top = fields[""]
+        if "num_bs" in top:
+            top.setdefault("users_per_bs", 1)
+        return replace(cfg, circuit=replace(cfg.circuit, **fields["circuit"]),
+                       solver=replace(cfg.solver, **fields["solver"]), **top)
+    except ValueError as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
-    return cfg

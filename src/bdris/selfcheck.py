@@ -4,6 +4,10 @@ Each check re-derives a quantity with a slow, obviously-correct method
 (finite differences, dense solves, exhaustive enumeration) and compares it
 to the analytic fast path.  The ``validate`` CLI subcommand runs them all
 and reports one line per check.
+
+This module is also the one home of the finite-difference oracles (one
+``fd_*`` helper per block) and of the synthetic network they run on, since
+``validate`` ships with the library; the test suite imports them from here.
 """
 
 from __future__ import annotations
@@ -17,44 +21,116 @@ from . import capacitance, precoding, switches
 from .channels import NetworkChannels
 from .circuit import (ElementCircuit, SubcarrierGrid, reflection_derivative,
                       reflection_direct, reflection_reformulated)
-from .rates import Iterate, snapshot, sum_rate
+from .rates import Iterate, snapshot
 
 CAP_STEP = 1e-17  # finite-difference step for capacitances, farads
 
 
+def complex_normal(rng, *shape):
+    """Circularly-symmetric complex Gaussian draws of unit variance."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
 def random_network(rng, num_bs=2, num_antennas=2, num_elements=4,
                    num_subcarriers=4, users_per_bs=(1, 1), noise_power=1e-2,
-                   circuit=None):
-    """Synthetic random channels plus a feasible iterate, for checks."""
+                   precoder_scale=0.4, circuit=None):
+    """(channels, feasible iterate, noise power) of a random O(1)-scale network."""
     circuit = circuit or ElementCircuit()
     grid = SubcarrierGrid(3.5e9, 0.1e9, num_subcarriers)
     u_n = sum(users_per_bs)
-    shape = lambda *s: (rng.standard_normal(s) + 1j * rng.standard_normal(s)) / np.sqrt(2)
     channels = NetworkChannels(
-        shape(num_bs, u_n, num_subcarriers, num_antennas),
-        shape(num_bs, num_subcarriers, num_elements, num_antennas),
-        shape(num_bs, u_n, num_subcarriers, num_elements),
+        complex_normal(rng, num_bs, u_n, num_subcarriers, num_antennas),
+        complex_normal(rng, num_bs, num_subcarriers, num_elements, num_antennas),
+        complex_normal(rng, num_bs, u_n, num_subcarriers, num_elements),
         np.repeat(np.arange(num_bs), users_per_bs), grid, circuit)
-    w = shape(u_n, num_subcarriers, num_antennas) * 0.4
+    w = complex_normal(rng, u_n, num_subcarriers, num_antennas) * precoder_scale
     caps = rng.uniform(circuit.c_min, circuit.c_max, (num_bs, num_elements))
     sels = np.stack([rng.permutation(num_elements) for _ in range(num_bs)])
     return channels, Iterate(w, caps, sels), noise_power
 
 
+def fd_reflection_derivative(f, cap, circuit, step=CAP_STEP):
+    """Central differences of ``conj(phi)`` in the capacitance."""
+    return (np.conj(reflection_reformulated(f, cap + step, circuit))
+            - np.conj(reflection_reformulated(f, cap - step, circuit))) / (2 * step)
+
+
+def fd_capacitance_gradient(fun, iterate, q, step=CAP_STEP):
+    """Central differences of ``fun(iterate)`` w.r.t. surface q's caps, (M, ...).
+
+    ``fun`` may return a scalar or an array; its shape trails the result's.
+    """
+    def shifted(m, h):
+        it = iterate.copy()
+        it.capacitances[q, m] += h
+        return np.asarray(fun(it))
+    return np.stack([(shifted(m, step) - shifted(m, -step)) / (2 * step)
+                     for m in range(iterate.capacitances.shape[1])])
+
+
+def fd_selection_gradient(fun, channels, perm, q, step=1e-6):
+    """Central differences of ``fun(channels)`` w.r.t. the relaxed selection
+    matrix S of surface q, whose permutation is ``perm``, (M, M, ...).
+
+    The surface channel g enters the rates only through ``conj(g) @ S``, so
+    adding ``step`` to ``S[i, j]`` is the same as adding ``step * g[i]`` to
+    ``g[perm[j]]``, the one entry routed to column j.
+    """
+    def shifted(i, j, h):
+        ris_ue = channels.ris_ue.copy()
+        ris_ue[q, ..., perm[j]] += h * channels.ris_ue[q, ..., i]
+        return np.asarray(fun(replace(channels, ris_ue=ris_ue)))
+    m_n = len(perm)
+    return np.stack([np.stack([(shifted(i, j, step) - shifted(i, j, -step)) / (2 * step)
+                               for j in range(m_n)]) for i in range(m_n)])
+
+
+def fd_precoder_gradient(fun, iterate, user, step=1e-7):
+    """Conjugate-coordinate gradient d fun / d w* of one user's precoder, (K, N, ...).
+
+    Built from central differences along the real and the imaginary part.
+    """
+    def partial(k, n, part):
+        up, down = iterate.copy(), iterate.copy()
+        up.precoders[user, k, n] += step * part
+        down.precoders[user, k, n] -= step * part
+        return 0.5 * part * (np.asarray(fun(up)) - np.asarray(fun(down))) / (2 * step)
+    k_n, n_n = iterate.precoders.shape[1:]
+    return np.stack([np.stack([partial(k, n, 1.0) + partial(k, n, 1j)
+                               for n in range(n_n)]) for k in range(k_n)])
+
+
+def dense_precoder(surrogate, tau, lam):
+    """Precoder of one surrogate by a dense solve per subcarrier, (K, N)."""
+    mats = [a * np.outer(f, np.conj(f)) + (tau / 2 + lam) * np.eye(len(f))
+            for a, f in zip(surrogate.quad_weight, surrogate.own_channel)]
+    return np.stack([np.linalg.solve(m, r) for m, r in zip(mats, surrogate.rhs(tau))])
+
+
+def best_assignment(reward):
+    """Best ``sum_m reward[perm[m], m]`` over all permutations, by exhaustive search."""
+    m = reward.shape[0]
+    return max(sum(reward[perm[col], col] for col in range(m))
+               for perm in itertools.permutations(range(m)))
+
+
 def _own_and_other_rate(iterate, channels, noise_power, q):
+    """(own-cell, other-cell) rate sums of BS q, times the subcarrier count."""
     rates = snapshot(iterate, channels, noise_power).user_rates
-    own = channels.users_of_bs(q)
-    mask = np.zeros(len(rates), dtype=bool)
-    mask[own] = True
-    k_n = channels.num_subcarriers
-    return k_n * rates[mask].sum(), k_n * rates[~mask].sum()
+    own, k_n = channels.bs_of_user == q, channels.num_subcarriers
+    return np.array([k_n * rates[own].sum(), k_n * rates[~own].sum()])
+
+
+def _element_draws(seed, samples, margin=0.0):
+    """Default element, in-band frequencies and in-range capacitances."""
+    rng = np.random.default_rng(seed)
+    circ = ElementCircuit()
+    return (circ, rng.uniform(3.45e9, 3.55e9, samples),
+            rng.uniform(circ.c_min + margin, circ.c_max - margin, samples))
 
 
 def check_circuit_equivalence(samples=2000, seed=0):
-    rng = np.random.default_rng(seed)
-    circ = ElementCircuit()
-    f = rng.uniform(3.45e9, 3.55e9, samples)
-    c = rng.uniform(circ.c_min, circ.c_max, samples)
+    circ, f, c = _element_draws(seed, samples)
     direct = reflection_direct(f, c, circ)
     reform = reflection_reformulated(f, c, circ)
     err = np.max(np.abs(direct - reform) / np.maximum(np.abs(direct), 1.0))
@@ -62,102 +138,60 @@ def check_circuit_equivalence(samples=2000, seed=0):
 
 
 def check_passivity(samples=2000, seed=1):
-    rng = np.random.default_rng(seed)
-    circ = ElementCircuit()
-    f = rng.uniform(3.45e9, 3.55e9, samples)
-    c = rng.uniform(circ.c_min, circ.c_max, samples)
+    circ, f, c = _element_draws(seed, samples)
     lossy = np.max(np.abs(reflection_reformulated(f, c, circ)))
-    lossless = ElementCircuit(resistance=0.0)
-    mag = np.abs(reflection_reformulated(f, c, lossless))
+    mag = np.abs(reflection_reformulated(f, c, ElementCircuit(resistance=0.0)))
     unit = np.max(np.abs(mag - 1.0))
     ok = lossy < 1.0 and unit <= 1e-12
     return "element passivity", ok, f"lossy max |phi| {lossy:.6f}, lossless dev {unit:.1e}"
 
 
 def check_reflection_derivative(samples=200, seed=2):
-    rng = np.random.default_rng(seed)
-    circ = ElementCircuit()
-    f = rng.uniform(3.45e9, 3.55e9, samples)
-    c = rng.uniform(circ.c_min + 2 * CAP_STEP, circ.c_max - 2 * CAP_STEP, samples)
+    circ, f, c = _element_draws(seed, samples, margin=2 * CAP_STEP)
     analytic = reflection_derivative(f, c, circ)
-    fd = (np.conj(reflection_reformulated(f, c + CAP_STEP, circ))
-          - np.conj(reflection_reformulated(f, c - CAP_STEP, circ))) / (2 * CAP_STEP)
+    fd = fd_reflection_derivative(f, c, circ)
     err = np.max(np.abs(analytic - fd) / np.abs(analytic))
     return "element response derivative", err <= 1e-5, f"max rel err {err:.2e}"
 
 
-def _fd_error(analytic, rates_at, step):
-    """Worst relative error of an (own-cell, other-cell) gradient pair against
-    central differences; ``rates_at(index, shift)`` returns both cell rates
-    with the variable at ``index`` shifted."""
-    fd = np.zeros(analytic[0].shape + (2,))
-    for idx in np.ndindex(analytic[0].shape):
-        fd[idx] = np.subtract(rates_at(idx, step), rates_at(idx, -step)) / (2 * step)
-    return max(np.linalg.norm(a - fd[..., n]) / np.linalg.norm(fd[..., n])
-               for n, a in enumerate(analytic))
-
-
 def check_capacitance_gradients(seed=3):
-    rng = np.random.default_rng(seed)
-    channels, iterate, noise = random_network(rng, users_per_bs=(2, 1))
+    channels, iterate, noise = random_network(np.random.default_rng(seed), users_per_bs=(2, 1))
     worst = 0.0
     for q in range(channels.num_bs):
         snap = snapshot(iterate, channels, noise)
         analytic = (capacitance.rate_gradient(q, iterate, channels, noise, snap),
                     capacitance.pricing_gradient(q, iterate, channels, noise, snap))
-
-        def rates_at(idx, shift):
-            shifted = iterate.copy()
-            shifted.capacitances[q][idx] += shift
-            return _own_and_other_rate(shifted, channels, noise, q)
-
-        worst = max(worst, _fd_error(analytic, rates_at, CAP_STEP))
+        fd = fd_capacitance_gradient(
+            lambda it: _own_and_other_rate(it, channels, noise, q), iterate, q)
+        worst = max(worst, max(np.linalg.norm(a - fd[..., n]) / np.linalg.norm(fd[..., n])
+                               for n, a in enumerate(analytic)))
     return "capacitance gradient vs finite differences", worst <= 1e-4, f"max rel err {worst:.2e}"
 
 
 def check_selection_gradients(seed=4):
-    rng = np.random.default_rng(seed)
-    channels, iterate, noise = random_network(rng, users_per_bs=(2, 1))
+    channels, iterate, noise = random_network(np.random.default_rng(seed), users_per_bs=(2, 1))
     worst = 0.0
     for q in range(channels.num_bs):
         snap = snapshot(iterate, channels, noise)
         analytic = (
             np.real(switches.selection_gradient(q, iterate, channels, noise, snap)),
             np.real(switches.selection_pricing(q, iterate, channels, noise, snap)))
-        perm = iterate.selections[q]
-
-        def rates_at(idx, shift):
-            # g enters the rates only through conj(g) @ S, so adding
-            # shift * g[i] to g[perm[j]] adds shift to the relaxed S[i, j]
-            i, j = idx
-            ris_ue = channels.ris_ue.copy()
-            ris_ue[q, ..., perm[j]] += shift * channels.ris_ue[q, ..., i]
-            return _own_and_other_rate(iterate, replace(channels, ris_ue=ris_ue),
-                                       noise, q)
-
-        worst = max(worst, _fd_error(analytic, rates_at, 1e-6))
+        fd = fd_selection_gradient(
+            lambda ch: _own_and_other_rate(iterate, ch, noise, q), channels,
+            iterate.selections[q], q)
+        worst = max(worst, max(np.linalg.norm(a - fd[..., n]) / np.linalg.norm(fd[..., n])
+                               for n, a in enumerate(analytic)))
     return "selection gradient vs finite differences", worst <= 1e-4, f"max rel err {worst:.2e}"
 
 
 def check_precoder_pricing(seed=5):
-    rng = np.random.default_rng(seed)
-    channels, iterate, noise = random_network(rng)
-    h = 1e-7
+    channels, iterate, noise = random_network(np.random.default_rng(seed))
     worst = 0.0
     for user in range(channels.num_users):
         q = channels.bs_of_user[user]
         analytic = precoding.pricing_vector(user, iterate, channels, noise)
-        k_n, n_n = iterate.precoders.shape[1:]
-        fd = np.zeros((k_n, n_n), dtype=complex)
-        for k in range(k_n):
-            for n in range(n_n):
-                for part, direction in ((1.0, 1.0), (1j, 1j)):
-                    up, down = iterate.copy(), iterate.copy()
-                    up.precoders[user, k, n] += h * part
-                    down.precoders[user, k, n] -= h * part
-                    diff = (_own_and_other_rate(up, channels, noise, q)[1]
-                            - _own_and_other_rate(down, channels, noise, q)[1]) / (2 * h)
-                    fd[k, n] += 0.5 * direction * diff
+        fd = fd_precoder_gradient(
+            lambda it: _own_and_other_rate(it, channels, noise, q)[1], iterate, user)
         worst = max(worst, np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-30))
     return "precoder pricing vs finite differences", worst <= 1e-4, f"max rel err {worst:.2e}"
 
@@ -185,39 +219,31 @@ def check_surrogate_bound(seed=6, draws=100):
 
 
 def check_precoder_solve(seed=7):
-    rng = np.random.default_rng(seed)
-    channels, iterate, noise = random_network(rng)
+    channels, iterate, noise = random_network(np.random.default_rng(seed))
     tau, worst = 0.8, 0.0
     for q in range(channels.num_bs):
         for s in precoding.build_surrogates(q, iterate, channels, noise):
             for lam in (0.0, 0.3, 2.0):
-                fast = precoding.solve_precoder(s, tau, lam)
-                rhs = s.rhs(tau)
-                for k in range(fast.shape[0]):
-                    f = s.own_channel[k]
-                    mat = s.quad_weight[k] * np.outer(f, np.conj(f)) \
-                        + (tau / 2 + lam) * np.eye(len(f))
-                    dense = np.linalg.solve(mat, rhs[k])
-                    worst = max(worst, np.linalg.norm(fast[k] - dense)
-                                / max(np.linalg.norm(dense), 1e-30))
+                dense = dense_precoder(s, tau, lam)
+                err = np.linalg.norm(precoding.solve_precoder(s, tau, lam) - dense, axis=1) \
+                    / np.maximum(np.linalg.norm(dense, axis=1), 1e-30)
+                worst = max(worst, err.max())
     return "precoder closed form vs dense solve", worst <= 1e-10, f"max rel err {worst:.2e}"
 
 
 def check_capacitance_clamp(seed=8, draws=200):
     rng = np.random.default_rng(seed)
     circ = ElementCircuit()
-    tau = 0.8
-    worst = 0.0
+    tau, worst = 0.8, 0.0
+    grid_pts = np.linspace(circ.c_min, circ.c_max, 20001)[:, None]
     for _ in range(draws):
         c_prev = rng.uniform(circ.c_min, circ.c_max, 6)
         grad = rng.standard_normal(6) * tau * (circ.c_max - circ.c_min)
         out = capacitance.update_capacitances(c_prev, grad, tau, circ)
         # per-coordinate concave model maximized on a fine grid as oracle
-        for m in range(6):
-            grid_pts = np.linspace(circ.c_min, circ.c_max, 20001)
-            model = grad[m] * (grid_pts - c_prev[m]) - tau / 2 * (grid_pts - c_prev[m]) ** 2
-            best = grid_pts[np.argmax(model)]
-            worst = max(worst, abs(out[m] - best) / (circ.c_max - circ.c_min))
+        model = grad * (grid_pts - c_prev) - tau / 2 * (grid_pts - c_prev) ** 2
+        best = grid_pts[np.argmax(model, axis=0), 0]
+        worst = max(worst, np.max(np.abs(out - best)) / (circ.c_max - circ.c_min))
     return "capacitance clamp vs grid oracle", worst <= 1e-4, f"max dev {worst:.1e}"
 
 
@@ -227,9 +253,7 @@ def check_assignment(seed=9, draws=50, size=4):
     for _ in range(draws):
         reward = rng.standard_normal((size, size))
         perm = switches.solve_selection(reward)
-        best = max(sum(reward[p[m], m] for m in range(size))
-                   for p in itertools.permutations(range(size)))
-        if abs(reward[perm, np.arange(size)].sum() - best) > 1e-12:
+        if abs(reward[perm, np.arange(size)].sum() - best_assignment(reward)) > 1e-12:
             bad += 1
     return "assignment vs exhaustive enumeration", bad == 0, f"{bad} mismatches"
 

@@ -46,8 +46,6 @@ class SolverConfig:
     ris_mode: str = "bd"
     cooperative: bool = True
     switch_hold_iters: int = 0
-    power_rel_tol: float = 1e-8
-    power_max_doublings: int = 200
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -176,9 +174,7 @@ def local_subproblem(q, iterate, channels, noise_power, power_budget, config,
     surrogates = precoding.build_surrogates(
         q, iterate, channels, noise_power, snap,
         cooperative=config.cooperative, ris_enabled=config.ris_enabled)
-    _, w_hat = precoding.bisect_power_multiplier(
-        surrogates, config.tau, power_budget,
-        rel_tol=config.power_rel_tol, max_doublings=config.power_max_doublings)
+    _, w_hat = precoding.bisect_power_multiplier(surrogates, config.tau, power_budget)
     value = precoding.subproblem_objective(surrogates, w_hat, config.tau)
 
     c_prev = iterate.capacitances[q]

@@ -7,8 +7,8 @@ in S (the proximal term is constant on permutations up to an inner product
 with the current matrix), so the update is a linear assignment problem over
 a real (M, M) reward built from the rate gradient, own-cell plus pricing.
 That gradient is one matrix product of the victims' surface channels with
-the shared assembly :func:`bdris.rates.weighted_beams`;
-:func:`selection_coupling` is its literal per-link reference form.
+the shared assembly :func:`bdris.rates.weighted_beams`; its literal
+per-link form is a test oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -16,28 +16,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .circuit import reflection_profile
 from .rates import snapshot, weighted_beams
-
-
-def selection_coupling(q, tx_user, victim, k, iterate, channels, phi=None):
-    """Literal per-(transmitter, victim, subcarrier) selection coupling matrix.
-
-    Builds ``Phi H w w^H h g^H + Phi H w w^H H^H Phi^H S^T g g^H`` in the
-    stated order; its transpose, weighted and summed, forms the gradients.
-    """
-    if phi is None:
-        phi = reflection_profile(iterate.capacitances[q], channels.grid,
-                                 channels.circuit)
-    w = iterate.precoders[tx_user, k]
-    h = channels.direct[q, victim, k]
-    g = channels.ris_ue[q, victim, k]
-    big_h = channels.bs_ris[q, k]
-    sel = np.eye(channels.num_elements)[:, iterate.selections[q]]
-    phw = np.diag(phi[k]) @ big_h @ w
-    cross = np.outer(np.outer(phw, np.conj(w)) @ h, np.conj(g))
-    beam = np.outer(phw, np.conj(w)) @ np.conj(big_h).T @ np.conj(np.diag(phi[k])).T
-    return cross + beam @ sel.T @ np.outer(g, np.conj(g))
 
 
 def assemble_gradient(q, channels, snap, beams):
@@ -95,27 +74,3 @@ def solve_selection(reward):
         raise ValueError("reward matrix must be finite")
     _, cols = linear_sum_assignment(reward, maximize=True)
     return np.argsort(cols)
-
-
-def selection_gain(q, sel_new, sel_old, iterate, channels, noise_power, tau,
-                   snap=None, cooperative=True):
-    """Surrogate-objective difference between two permutations.
-
-    Evaluates the local model (linear gradients plus proximal term anchored
-    at the iterate's current permutation) on the 0/1 matrices of both
-    candidates and returns ``value(sel_new) - value(sel_old)``.  This is the
-    literal reference form of the guard: the solver itself commits a new
-    permutation via :func:`reward_gain` in ``blend_step``, and then only if
-    the merged point's true sum rate does not drop.
-    """
-    grad = selection_gradient(q, iterate, channels, noise_power, snap)
-    if cooperative:
-        grad = grad + selection_pricing(q, iterate, channels, noise_power, snap)
-    dense = np.eye(channels.num_elements)
-
-    def value(sel):
-        diff = dense[:, sel] - dense[:, iterate.selections[q]]
-        return (float(np.sum(np.real(grad) * diff))
-                - 0.5 * tau * float(np.sum(diff ** 2)))
-
-    return value(sel_new) - value(sel_old)

@@ -1,33 +1,10 @@
 import numpy as np
 import pytest
 
-from bdris.channels import NetworkChannels
 from bdris.circuit import ElementCircuit, SubcarrierGrid
-from bdris.rates import Iterate
 from bdris.scenario import ScenarioConfig, channels_for_trial, dbm_to_watt
+from bdris.selfcheck import complex_normal, random_network as make_network  # noqa: F401
 from bdris.solver import initial_iterate
-
-
-def complex_normal(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-
-
-def make_network(rng, num_bs=2, num_antennas=2, num_elements=4, num_subcarriers=4,
-                 users_per_bs=(1, 1), noise_power=1e-2, precoder_scale=0.4,
-                 circuit=None):
-    """Synthetic random channels plus a feasible iterate at O(1) scale."""
-    circuit = circuit or ElementCircuit()
-    grid = SubcarrierGrid(3.5e9, 0.1e9, num_subcarriers)
-    u_n = sum(users_per_bs)
-    channels = NetworkChannels(
-        complex_normal(rng, num_bs, u_n, num_subcarriers, num_antennas),
-        complex_normal(rng, num_bs, num_subcarriers, num_elements, num_antennas),
-        complex_normal(rng, num_bs, u_n, num_subcarriers, num_elements),
-        np.repeat(np.arange(num_bs), users_per_bs), grid, circuit)
-    w = complex_normal(rng, u_n, num_subcarriers, num_antennas) * precoder_scale
-    caps = rng.uniform(circuit.c_min, circuit.c_max, (num_bs, num_elements))
-    sels = np.stack([rng.permutation(num_elements) for _ in range(num_bs)])
-    return channels, Iterate(w, caps, sels), noise_power
 
 
 @pytest.fixture

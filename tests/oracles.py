@@ -2,17 +2,23 @@
 
 Everything here recomputes quantities from first principles with explicit
 Python loops and plain formulas, deliberately avoiding the vectorized
-library paths it is used to check.
+library paths it is used to check.  The literal per-link forms that only
+tests use live here.  The finite-difference oracles (``fd_*``), the dense
+precoder solve, the exhaustive assignment search and the synthetic network
+(``conftest.make_network``) live in :mod:`bdris.selfcheck`, because
+``bdris validate`` ships with the library and runs them; they are
+re-exported here.
 """
-
-import dataclasses
-import itertools
 
 import numpy as np
 
-from bdris.circuit import reflection_reformulated
+from bdris.circuit import reflection_profile, reflection_reformulated
 from bdris.errors import NumericalFailureError
 from bdris.precoding import solve_precoder
+from bdris.selfcheck import (best_assignment, dense_precoder,  # noqa: F401
+                             fd_capacitance_gradient, fd_precoder_gradient,
+                             fd_reflection_derivative, fd_selection_gradient)
+from bdris.switches import selection_gradient, selection_pricing
 
 
 def reflection_matrix(cap_vector, grid, circuit, k):
@@ -89,51 +95,83 @@ def cell_rates(iterate, channels, noise_power, q, ris_enabled=True):
     return k_n * own, k_n * other
 
 
-def fd_capacitance_gradient(fun, iterate, q, step=1e-17):
-    """Central finite differences of ``fun(iterate)`` w.r.t. surface q's caps."""
-    m_n = iterate.capacitances.shape[1]
-    grad = np.zeros(m_n)
-    for m in range(m_n):
-        up, down = iterate.copy(), iterate.copy()
-        up.capacitances[q, m] += step
-        down.capacitances[q, m] -= step
-        grad[m] = (fun(up) - fun(down)) / (2 * step)
-    return grad
+def coupling_matrix(q, tx_user, victim, k, iterate, channels, phi=None):
+    """Literal coupling matrix of one (transmitter, victim, subcarrier) triple.
 
-
-def fd_selection_gradient(fun, channels, perm, q, step=1e-6):
-    """Central finite differences of ``fun(channels)`` w.r.t. the relaxed
-    selection matrix S of surface q, whose permutation is ``perm``.
-
-    The surface channel g enters the rates only through ``conj(g) @ S``, so
-    adding ``step`` to ``S[i, j]`` is the same as adding ``step * g[i]`` to
-    ``g[perm[j]]``, the one entry routed to column j.
+    Builds ``H w w^H h g^H S + H w w^H H^H Phi^H S^T g g^H S`` in the stated
+    order, where w is the transmitter's precoder and (h, g) are the victim's
+    direct and surface-side channels toward BS/surface q.
     """
-    m_n = len(perm)
-    grad = np.zeros((m_n, m_n))
-    for i in range(m_n):
-        for j in range(m_n):
-            shifted = []
-            for h in (step, -step):
-                ris_ue = channels.ris_ue.copy()
-                ris_ue[q, ..., perm[j]] += h * channels.ris_ue[q, ..., i]
-                shifted.append(dataclasses.replace(channels, ris_ue=ris_ue))
-            grad[i, j] = (fun(shifted[0]) - fun(shifted[1])) / (2 * step)
-    return grad
+    if phi is None:
+        phi = reflection_profile(iterate.capacitances[q], channels.grid,
+                                 channels.circuit)
+    w = iterate.precoders[tx_user, k]
+    h = channels.direct[q, victim, k]
+    g = channels.ris_ue[q, victim, k]
+    big_h = channels.bs_ris[q, k]
+    sel = np.eye(channels.num_elements)[:, iterate.selections[q]]
+    hw = big_h @ w
+    cross = np.outer(np.outer(hw, np.conj(w)) @ h, np.conj(g) @ sel)
+    beam_outer = np.outer(hw, np.conj(w)) @ np.conj(big_h).T
+    routed_outer = sel.T @ np.outer(g, np.conj(g)) @ sel
+    return cross + beam_outer @ np.diag(np.conj(phi[k])) @ routed_outer
 
 
-def fd_precoder_gradient(fun, iterate, user, step=1e-7):
-    """Conjugate-coordinate gradient d fun / d w* via real/imag differences."""
-    k_n, n_n = iterate.precoders.shape[1:]
-    grad = np.zeros((k_n, n_n), dtype=complex)
-    for k in range(k_n):
-        for n in range(n_n):
-            for part in (1.0, 1j):
-                up, down = iterate.copy(), iterate.copy()
-                up.precoders[user, k, n] += step * part
-                down.precoders[user, k, n] -= step * part
-                grad[k, n] += 0.5 * part * (fun(up) - fun(down)) / (2 * step)
-    return grad
+def coupling_diagonals(q, iterate, channels, snap):
+    """diag of the coupling matrices for all (own transmitter, victim, k).
+
+    Returns (L_q, U, K, M): transmitter runs over BS q's own users, victim
+    over every user in the network.
+    """
+    own = channels.users_of_bs(q)
+    hw = np.einsum("kmn,tkn->tkm", channels.bs_ris[q], iterate.precoders[own])
+    routed = np.conj(channels.ris_ue[q][..., iterate.selections[q]])
+    return np.einsum("tkm,vkm,tvk->tvkm", hw, routed,
+                     np.conj(snap.amplitudes[own]))
+
+
+def selection_coupling(q, tx_user, victim, k, iterate, channels, phi=None):
+    """Literal per-(transmitter, victim, subcarrier) selection coupling matrix.
+
+    Builds ``Phi H w w^H h g^H + Phi H w w^H H^H Phi^H S^T g g^H`` in the
+    stated order; its transpose, weighted and summed, forms the gradients.
+    """
+    if phi is None:
+        phi = reflection_profile(iterate.capacitances[q], channels.grid,
+                                 channels.circuit)
+    w = iterate.precoders[tx_user, k]
+    h = channels.direct[q, victim, k]
+    g = channels.ris_ue[q, victim, k]
+    big_h = channels.bs_ris[q, k]
+    sel = np.eye(channels.num_elements)[:, iterate.selections[q]]
+    phw = np.diag(phi[k]) @ big_h @ w
+    cross = np.outer(np.outer(phw, np.conj(w)) @ h, np.conj(g))
+    beam = np.outer(phw, np.conj(w)) @ np.conj(big_h).T @ np.conj(np.diag(phi[k])).T
+    return cross + beam @ sel.T @ np.outer(g, np.conj(g))
+
+
+def selection_gain(q, sel_new, sel_old, iterate, channels, noise_power, tau,
+                   snap=None, cooperative=True):
+    """Surrogate-objective difference between two permutations.
+
+    Evaluates the local model (linear gradients plus proximal term anchored
+    at the iterate's current permutation) on the 0/1 matrices of both
+    candidates and returns ``value(sel_new) - value(sel_old)``.  This is the
+    literal reference form of the guard: the solver itself commits a new
+    permutation via ``switches.reward_gain`` in ``blend_step``, and then only
+    if the merged point's true sum rate does not drop.
+    """
+    grad = selection_gradient(q, iterate, channels, noise_power, snap)
+    if cooperative:
+        grad = grad + selection_pricing(q, iterate, channels, noise_power, snap)
+    dense = np.eye(channels.num_elements)
+
+    def value(sel):
+        diff = dense[:, sel] - dense[:, iterate.selections[q]]
+        return (float(np.sum(np.real(grad) * diff))
+                - 0.5 * tau * float(np.sum(diff ** 2)))
+
+    return value(sel_new) - value(sel_old)
 
 
 def bisect_measured_power(surrogates, tau, power_budget, rel_tol=1e-8,
@@ -177,13 +215,6 @@ def bisect_measured_power(surrogates, tau, power_budget, rel_tol=1e-8,
     else:
         raise NumericalFailureError("power bisection did not converge")
     return hi, ws
-
-
-def best_assignment(reward):
-    """Best ``sum_m reward[perm[m], m]`` over all permutations, by exhaustive search."""
-    m = reward.shape[0]
-    return max(sum(reward[perm[col], col] for col in range(m))
-               for perm in itertools.permutations(range(m)))
 
 
 def waterfilling_rate(gains, total_power, noise_power):

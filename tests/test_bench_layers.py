@@ -3,6 +3,8 @@
 import importlib
 from pathlib import Path
 
+import pytest
+
 from bdris import precoding
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
@@ -38,3 +40,14 @@ def test_counted_solve_precoder_runs_once_per_user(monkeypatch, multiuser_networ
             calls.clear()
             precoding.bisect_power_multiplier(surrogates, 0.8, budget)
             assert len(calls) == len(channels.users_of_bs(q))
+
+
+@pytest.mark.parametrize("name", ["bd-fixed", "sweep-direct"])
+def test_traced_tiny_run_has_no_problems(monkeypatch, name):
+    # every library name the workloads call must still resolve and give
+    # checked, repeatable results with all layers wrapped
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    measure = importlib.import_module("measure")
+    workloads = importlib.import_module("workloads")
+    problems = measure.traced_run(workloads.tiny(workloads.WORKLOADS[name]), 3, 0.0)[-1]
+    assert problems == []

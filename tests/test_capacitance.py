@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import oracles
-from bdris.capacitance import (coupling_matrix, element_slopes,
-                               pricing_gradient, rate_gradient,
-                               update_capacitances, _coupling_diagonals)
-from bdris.circuit import ElementCircuit, reflection_derivative
+from oracles import coupling_diagonals, coupling_matrix
+from bdris.capacitance import (element_slopes, pricing_gradient,
+                               rate_gradient, update_capacitances)
+from bdris.circuit import reflection_derivative
 from bdris.rates import snapshot
 
 from conftest import make_network
@@ -30,7 +30,7 @@ class TestCouplingDiagonals:
         snap = snapshot(iterate, channels, noise)
         for q in range(channels.num_bs):
             own = channels.users_of_bs(q)
-            diag = _coupling_diagonals(q, iterate, channels, snap)
+            diag = coupling_diagonals(q, iterate, channels, snap)
             for t_pos, t in enumerate(own):
                 for v in range(channels.num_users):
                     for k in range(channels.num_subcarriers):
@@ -63,7 +63,7 @@ class TestRateGradient:
         own = channels.users_of_bs(q)
         slopes = element_slopes(iterate.capacitances[q], channels.grid,
                                 channels.circuit)
-        diag = _coupling_diagonals(q, iterate, channels, snap)
+        diag = coupling_diagonals(q, iterate, channels, snap)
         sens = np.real(slopes * diag[0, own[0]])
         c1 = (2.0 / np.log(2.0)) / ((1.0 + snap.snr[own[0]]) * snap.mui[own[0]] ** 2)
         expected = np.einsum("k,km->m", c1 * snap.mui[own[0]], sens)
@@ -118,7 +118,7 @@ class TestDefaultScale:
             others = np.flatnonzero(channels.bs_of_user != q)
             slopes = element_slopes(iterate.capacitances[q], channels.grid,
                                     channels.circuit)
-            diag = _coupling_diagonals(q, iterate, channels, snap)
+            diag = coupling_diagonals(q, iterate, channels, snap)
             sensitivity = np.real(slopes[None, None] * diag[:, own])
             idx = np.arange(len(own))
             own_part = sensitivity[idx, idx]

@@ -1,12 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.constants import speed_of_light
 
-from bdris.channels import (NetworkTopology, composite_channel,
-                            generate_channels, generate_link_taps,
-                            load_channels, pathloss, save_channels,
-                            taps_to_frequency)
-from bdris.circuit import SubcarrierGrid
+from bdris.channels import (NetworkTopology, generate_channels,
+                            generate_link_taps, load_channels, pathloss,
+                            save_channels, taps_to_frequency)
+from bdris.circuit import SubcarrierGrid, reflection_profile
+from bdris.rates import effective_rows
 
 from conftest import complex_normal, make_network
 
@@ -114,44 +116,54 @@ class TestTapsToFrequency:
             taps_to_frequency(np.zeros((1, 1, 16)), 8)
 
 
+def composite(channels, iterate):
+    """Composite channel f of every (BS, user, subcarrier), as the solver forms it."""
+    return np.conj(effective_rows(iterate, channels))
+
+
 class TestCompositeChannel:
     def test_zero_reflection_leaves_direct(self, rng):
-        h = complex_normal(rng, 4)
-        g = complex_normal(rng, 3)
-        big_h = complex_normal(rng, 3, 4)
-        f = composite_channel(h, g, np.arange(3), np.zeros((3, 3)), big_h)
-        np.testing.assert_allclose(f, h)
+        channels, iterate, _ = make_network(rng, num_antennas=4, num_elements=3)
+        channels.bs_ris[:] = 0
+        np.testing.assert_allclose(composite(channels, iterate), channels.direct)
 
     def test_identity_selection_is_plain_diagonal_surface(self, rng):
-        h = complex_normal(rng, 4)
-        g = complex_normal(rng, 3)
-        phi = np.diag(complex_normal(rng, 3))
-        big_h = complex_normal(rng, 3, 4)
-        f = composite_channel(h, g, np.arange(3), phi, big_h)
-        expected = h + np.conj(np.conj(g) @ phi @ big_h)
-        np.testing.assert_allclose(f, expected)
+        channels, iterate, _ = make_network(rng, num_antennas=4, num_elements=3)
+        iterate.selections[:] = np.arange(3)
+        f = composite(channels, iterate)
+        phi = [reflection_profile(c, channels.grid, channels.circuit)
+               for c in iterate.capacitances]
+        for j, u, k in np.ndindex(f.shape[:3]):
+            h, g = channels.direct[j, u, k], channels.ris_ue[j, u, k]
+            expected = h + np.conj(np.conj(g) @ np.diag(phi[j][k]) @ channels.bs_ris[j, k])
+            np.testing.assert_allclose(f[j, u, k], expected)
 
     def test_swap_permutation_reroutes_gains(self, rng):
         # with M = 2 and the swap, routing g through S equals permuting g
-        h = complex_normal(rng, 2)
-        g = complex_normal(rng, 2)
-        phi = np.diag(complex_normal(rng, 2))
-        big_h = complex_normal(rng, 2, 2)
-        swap = np.array([1, 0])
-        f = composite_channel(h, g, swap, phi, big_h)
-        expected = composite_channel(h, g[::-1], np.arange(2), phi, big_h)
+        channels, iterate, _ = make_network(rng, num_elements=2)
+        iterate.selections[:] = [1, 0]
+        f = composite(channels, iterate)
+        iterate.selections[:] = [0, 1]
+        expected = composite(replace(channels, ris_ue=channels.ris_ue[..., ::-1]), iterate)
         np.testing.assert_allclose(f, expected)
 
     def test_linear_in_direct_channel(self, rng):
-        g = complex_normal(rng, 3)
-        phi = np.diag(complex_normal(rng, 3))
-        big_h = complex_normal(rng, 3, 4)
-        h1, h2 = complex_normal(rng, 4), complex_normal(rng, 4)
-        f1 = composite_channel(h1, g, np.arange(3), phi, big_h)
-        f2 = composite_channel(h2, g, np.arange(3), phi, big_h)
-        f12 = composite_channel(h1 + h2, g, np.arange(3), phi, big_h)
-        np.testing.assert_allclose(f12, f1 + f2 - composite_channel(
-            np.zeros(4, dtype=complex), g, np.arange(3), phi, big_h))
+        channels, iterate, _ = make_network(rng, num_antennas=4, num_elements=3)
+        h1 = complex_normal(rng, *channels.direct.shape)
+        h2 = complex_normal(rng, *channels.direct.shape)
+
+        def f(direct):
+            return composite(replace(channels, direct=direct), iterate)
+        np.testing.assert_allclose(f(h1 + h2), f(h1) + f(h2) - f(np.zeros_like(h1)))
+
+
+class TestNetworkChannels:
+    @pytest.mark.parametrize("bs_of_user", [[0, 5], [0, 0], [-1, 1]])
+    def test_rejects_bad_serving_bs(self, rng, bs_of_user):
+        # Q = 2: a user served by no BS, and a BS that serves no user
+        channels, _, _ = make_network(rng)
+        with pytest.raises(ValueError):
+            replace(channels, bs_of_user=np.array(bs_of_user))
 
 
 class TestGenerateChannels:

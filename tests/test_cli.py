@@ -83,3 +83,14 @@ def test_dump_and_load_channels_round_trip(tiny_ini, tmp_path, capsys):
     drawn = channels_for_trial(load_config(tiny_ini), 0)
     for name in ("direct", "bs_ris", "ris_ue", "bs_of_user"):
         np.testing.assert_array_equal(getattr(loaded, name), getattr(drawn, name))
+
+
+def test_load_channels_rejects_unknown_serving_bs(tiny_ini, tmp_path, capsys):
+    path = tmp_path / "channels.csv"
+    assert main(["dump-channels", "--config", str(tiny_ini), "--out", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    assert lines[3] == "users,0,1,2,3"
+    lines[3] = "users,0,1,2,7"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["load-channels", "--file", str(path)]) == 1
+    assert "[0, Q)" in capsys.readouterr().err

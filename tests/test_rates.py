@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import oracles
-from bdris.rates import (Iterate, effective_rows, link_amplitudes, mui,
-                         snapshot, sum_rate, user_rate)
+from bdris.rates import (Iterate, effective_rows, link_amplitudes, snapshot,
+                         sum_rate)
 from bdris.scenario import ScenarioConfig, channels_for_trial
 
 from conftest import make_network
@@ -64,17 +64,13 @@ class TestEffectiveRows:
         caps = rng.uniform(config.circuit.c_min, config.circuit.c_max, (q_n, m_n))
         precoders = np.zeros((channels.num_users, channels.num_subcarriers,
                               channels.num_antennas), dtype=complex)
-        rows = effective_rows(Iterate(precoders, caps, sels), channels)
+        iterate = Iterate(precoders, caps, sels)
+        rows = effective_rows(iterate, channels)
         for _ in range(12):
-            j = rng.integers(q_n)
-            u = rng.integers(channels.num_users)
-            k = rng.integers(channels.num_subcarriers)
-            phi = oracles.reflection_matrix(caps[j], channels.grid,
-                                            channels.circuit, k)
-            literal = (np.conj(channels.direct[j, u, k])
-                       + np.conj(channels.ris_ue[j, u, k])
-                       @ oracles.selection_matrix(sels[j]) @ phi
-                       @ channels.bs_ris[j, k])
+            j, u, k = (rng.integers(n) for n in (q_n, channels.num_users,
+                                                 channels.num_subcarriers))
+            # conj(h) + conj(g) S diag(phi) H, from the entrywise S and diag(phi)
+            literal = oracles.composite_row(j, u, k, iterate, channels)
             np.testing.assert_allclose(rows[j, u, k], literal, rtol=1e-12,
                                        atol=1e-12 * np.abs(literal).max())
 
@@ -87,13 +83,13 @@ class TestEffectiveRows:
 class TestMui:
     def test_single_user_network_sees_only_noise(self, rng):
         channels, iterate, noise = make_network(rng, num_bs=1, users_per_bs=(1,))
-        assert mui(0, 0, iterate, channels, noise) == pytest.approx(noise)
+        assert snapshot(iterate, channels, noise).mui[0, 0] == pytest.approx(noise)
 
     def test_zero_precoders_see_only_noise(self, small_network):
         channels, iterate, noise = small_network
         iterate.precoders[:] = 0
         for u in range(channels.num_users):
-            assert mui(u, 1, iterate, channels, noise) == pytest.approx(noise)
+            assert snapshot(iterate, channels, noise).mui[u, 1] == pytest.approx(noise)
 
     def test_scalar_two_cell_hand_expansion(self, rng):
         channels, iterate, noise = make_network(
@@ -101,13 +97,13 @@ class TestMui:
         rows = effective_rows(iterate, channels)
         # interference at user 0 comes only from user 1's stream through BS 1
         expected = noise + abs(rows[1, 0, 0, 0] * iterate.precoders[1, 0, 0]) ** 2
-        assert mui(0, 0, iterate, channels, noise) == pytest.approx(expected)
+        assert snapshot(iterate, channels, noise).mui[0, 0] == pytest.approx(expected)
 
     def test_matches_reference(self, multiuser_network):
         channels, iterate, noise = multiuser_network
         for u in range(channels.num_users):
             for k in range(channels.num_subcarriers):
-                assert mui(u, k, iterate, channels, noise) == pytest.approx(
+                assert snapshot(iterate, channels, noise).mui[u, k] == pytest.approx(
                     oracles.mui(u, k, iterate, channels, noise), rel=1e-12)
 
 
@@ -115,7 +111,7 @@ class TestUserRate:
     def test_zero_own_precoder_gives_zero(self, small_network):
         channels, iterate, noise = small_network
         iterate.precoders[0] = 0
-        assert user_rate(0, iterate, channels, noise) == 0.0
+        assert snapshot(iterate, channels, noise).user_rates[0] == 0.0
 
     def test_unit_snr_gives_one_bit(self, rng):
         channels, iterate, noise = make_network(
@@ -125,12 +121,12 @@ class TestUserRate:
         # scale the precoder so |f^H w|^2 equals the noise power
         gain = abs(rows[0, 0, 0, 0])
         iterate.precoders[0, 0, 0] = np.sqrt(noise) / gain
-        assert user_rate(0, iterate, channels, noise) == pytest.approx(1.0)
+        assert snapshot(iterate, channels, noise).user_rates[0] == pytest.approx(1.0)
 
     def test_matches_independent_reference(self, multiuser_network):
         channels, iterate, noise = multiuser_network
         for u in range(channels.num_users):
-            assert user_rate(u, iterate, channels, noise) == pytest.approx(
+            assert snapshot(iterate, channels, noise).user_rates[u] == pytest.approx(
                 oracles.user_rate(u, iterate, channels, noise), abs=1e-12)
 
 
@@ -143,7 +139,7 @@ class TestSumRate:
     def test_single_user_equals_user_rate(self, rng):
         channels, iterate, noise = make_network(rng, num_bs=1, users_per_bs=(1,))
         assert sum_rate(iterate, channels, noise) == pytest.approx(
-            user_rate(0, iterate, channels, noise))
+            snapshot(iterate, channels, noise).user_rates[0])
 
     def test_decomposes_into_own_plus_other_cells(self, multiuser_network):
         channels, iterate, noise = multiuser_network
@@ -176,14 +172,16 @@ class TestSumRate:
 
 class TestSnapshot:
     def test_consistent_with_scalar_ops(self, multiuser_network):
+        # per-entry sums over the link amplitudes, one user and subcarrier at a time
         channels, iterate, noise = multiuser_network
         snap = snapshot(iterate, channels, noise)
+        powers = np.abs(link_amplitudes(iterate, channels)) ** 2
         for u in range(channels.num_users):
+            muis = [float(noise + powers[:, u, k].sum() - powers[u, u, k])
+                    for k in range(channels.num_subcarriers)]
+            np.testing.assert_allclose(snap.mui[u], muis)
             np.testing.assert_allclose(snap.user_rates[u],
-                                       user_rate(u, iterate, channels, noise))
-            for k in range(channels.num_subcarriers):
-                np.testing.assert_allclose(snap.mui[u, k],
-                                           mui(u, k, iterate, channels, noise))
+                                       np.mean(np.log2(1.0 + powers[u, u] / muis)))
 
     def test_amplitudes_match_row_products(self, small_network):
         channels, iterate, noise = small_network

@@ -1,0 +1,130 @@
+"""INI config files: every key of every section, and the special cases."""
+
+import dataclasses
+
+import pytest
+
+from bdris.circuit import ElementCircuit
+from bdris.errors import ConfigError
+from bdris.scenario import ScenarioConfig, load_config
+from bdris.solver import SolverConfig
+
+FULL_INI = """\
+[network]
+Q = 2
+N = 3
+M = 16
+L_q = 2, 1
+[geometry]
+bs_square_width = 50
+bs_height = 6
+ue_square_origin = 20, 40
+ue_square_width = 3.5
+ue_height = 1.2
+ris_height = 2.5
+ris_positions = -1,2;3,4.5
+[ofdm]
+f_c = 2.4e9
+BW = 2e7
+K = 32
+delay_taps = 8
+[pathloss]
+bs_ue = 3.5
+bs_ris = 2.0
+ris_ue = 2.8
+[power]
+noise_dbm = -95
+power_dbm = 5, 12.5
+[circuit]
+resistance = 2.0
+L1 = 3e-9
+L2 = 0.8e-9
+Z0 = 376
+c_min = 0.5e-12
+c_max = 2.0e-12
+[solver]
+tau = 0.5
+alpha0 = 0.2
+epsilon = 0.05
+max_iters = 50
+tol = 1e-5
+switch_hold_iters = 3
+[simulation]
+trials = 7
+seed = 42
+variants = bd, none-pi0
+"""
+
+EXPECTED = ScenarioConfig(
+    num_bs=2, num_antennas=3, num_elements=16, users_per_bs=(2, 1),
+    bs_square_width=50.0, bs_height=6.0, ue_square_origin=(20.0, 40.0),
+    ue_square_width=3.5, ue_height=1.2, ris_height=2.5,
+    ris_xy=((-1.0, 2.0), (3.0, 4.5)),
+    carrier_frequency=2.4e9, bandwidth=2e7, num_subcarriers=32, num_taps=8,
+    alpha_bs_ue=3.5, alpha_bs_ris=2.0, alpha_ris_ue=2.8,
+    noise_dbm=-95.0, power_dbm=(5.0, 12.5),
+    trials=7, seed=42, variants=("bd", "none-pi0"),
+    circuit=ElementCircuit(2.0, 3e-9, 0.8e-9, 376.0, 0.5e-12, 2.0e-12),
+    solver=SolverConfig(tau=0.5, alpha0=0.2, epsilon=0.05, max_iters=50,
+                        tol=1e-5, switch_hold_iters=3))
+
+# solver fields that the variant names set, not the INI file
+NOT_IN_INI = {"ris_mode", "cooperative"}
+SOLVER_KEYS = {"tau", "alpha0", "epsilon", "max_iters", "tol", "switch_hold_iters"}
+
+
+def load(tmp_path, text):
+    path = tmp_path / "scenario.ini"
+    path.write_text(text)
+    return load_config(path)
+
+
+def test_every_key_of_every_section(tmp_path):
+    # field by field, nested configs first; every INI value is a non-default
+    cfg, default = load(tmp_path, FULL_INI), ScenarioConfig()
+    for got, want, base in ((cfg.circuit, EXPECTED.circuit, default.circuit),
+                            (cfg.solver, EXPECTED.solver, default.solver),
+                            (cfg, EXPECTED, default)):
+        for f in dataclasses.fields(want):
+            g, w = getattr(got, f.name), getattr(want, f.name)
+            assert type(g) is type(w) and g == w, f.name
+            set_by_ini = base is not default.solver or f.name in SOLVER_KEYS
+            assert w != getattr(base, f.name) or not set_by_ini, f.name
+
+
+def test_every_solver_setting_is_an_ini_key_or_a_variant():
+    assert {f.name for f in dataclasses.fields(SolverConfig)} == SOLVER_KEYS | NOT_IN_INI
+
+
+def test_missing_sections_keep_defaults(tmp_path):
+    assert load(tmp_path, "[network]\n") == ScenarioConfig()
+
+
+@pytest.mark.parametrize("text, users", [
+    ("Q = 3", (1, 1, 1)),            # the default follows Q
+    ("Q = 3\nL_q = 2", (2, 2, 2)),   # a single count applies to every BS
+])
+def test_users_per_bs(tmp_path, text, users):
+    assert load(tmp_path, f"[network]\n{text}\n").users_per_bs == users
+
+
+def test_empty_list_keys_keep_defaults(tmp_path):
+    assert load(tmp_path, "[geometry]\nris_positions =\nue_square_origin =\n"
+                          "[power]\npower_dbm =\n[simulation]\nvariants =\n") == ScenarioConfig()
+
+
+@pytest.mark.parametrize("text", [
+    "[network]\nM = many\n",
+    "[ofdm]\nf_c = 3.5 GHz\n",
+    "[geometry]\nris_positions = 1,2,3\n",
+    "[power]\npower_dbm = 10, high\n",
+    "[solver]\nmax_iters = 2.5\n",
+])
+def test_malformed_value_raises_config_error(tmp_path, text):
+    with pytest.raises(ConfigError):
+        load(tmp_path, text)
+
+
+def test_missing_file_raises_config_error(tmp_path):
+    with pytest.raises(ConfigError):
+        load_config(tmp_path / "absent.ini")

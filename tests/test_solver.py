@@ -3,8 +3,9 @@ import pytest
 
 import oracles
 from bdris import capacitance, precoding, switches
+from bdris import solver as solver_mod
 from bdris.errors import NumericalFailureError
-from bdris.rates import Iterate, snapshot, sum_rate
+from bdris.rates import snapshot, sum_rate
 from bdris.solver import (Candidate, SolverConfig, blend_step, capacitance_tau,
                           initial_iterate, local_subproblem, run,
                           step_size_schedule)
@@ -287,7 +288,6 @@ class TestRun:
         # permutation, with a reward favoring the swap, at every iteration;
         # swapping back and forth must not lower the true sum rate
         channels, _, noise = make_network(rng)
-        import bdris.solver as solver_mod
         solve = solver_mod.local_subproblem
 
         def swapping_subproblem(q, iterate, *args, **kwargs):
@@ -321,7 +321,6 @@ class TestRun:
 
     def test_infeasible_update_raises(self, rng, monkeypatch):
         channels, _, noise = make_network(rng)
-        import bdris.solver as solver_mod
 
         def broken_blend(iterate, candidates, alpha, ch):
             out = iterate.copy()

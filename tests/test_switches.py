@@ -4,15 +4,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import selection_coupling, selection_gain
 from bdris.circuit import reflection_profile
 from bdris.rates import snapshot
-from bdris.switches import (reward_gain, selection_coupling, selection_gain,
-                            selection_gradient, selection_pricing,
-                            selection_reward, solve_selection)
+from bdris.switches import (reward_gain, selection_gradient,
+                            selection_pricing, selection_reward,
+                            solve_selection)
 
 from conftest import make_network
 
 TAU = 0.8
+
+
+def cooperative_reward(q, iterate, channels, noise):
+    """Assignment reward of BS q from its own-cell plus pricing gradients."""
+    snap = snapshot(iterate, channels, noise)
+    grad = selection_gradient(q, iterate, channels, noise, snap) \
+        + selection_pricing(q, iterate, channels, noise, snap)
+    return selection_reward(grad, iterate.selections[q], TAU)
 
 
 class TestSelectionCoupling:
@@ -160,11 +169,7 @@ class TestSelectionGain:
     def test_assignment_optimum_never_loses(self, multiuser_network):
         channels, iterate, noise = multiuser_network
         for q in range(channels.num_bs):
-            snap = snapshot(iterate, channels, noise)
-            grad = selection_gradient(q, iterate, channels, noise, snap) \
-                + selection_pricing(q, iterate, channels, noise, snap)
-            reward = selection_reward(grad, iterate.selections[q], TAU)
-            s_new = solve_selection(reward)
+            s_new = solve_selection(cooperative_reward(q, iterate, channels, noise))
             gain = selection_gain(q, s_new, iterate.selections[q], iterate,
                                   channels, noise, TAU)
             assert gain >= -1e-12
@@ -173,11 +178,7 @@ class TestSelectionGain:
         channels, iterate, noise = small_network
         q = 0
         m_n = channels.num_elements
-        snap = snapshot(iterate, channels, noise)
-        grad = selection_gradient(q, iterate, channels, noise, snap) \
-            + selection_pricing(q, iterate, channels, noise, snap)
-        reward = selection_reward(grad, iterate.selections[q], TAU)
-        s_best = solve_selection(reward)
+        s_best = solve_selection(cooperative_reward(q, iterate, channels, noise))
         best_gain = selection_gain(q, s_best, iterate.selections[q], iterate,
                                    channels, noise, TAU)
         for _ in range(20):
@@ -193,10 +194,7 @@ class TestSelectionGain:
         channels, iterate, noise = small_network
         q = 0
         m_n = channels.num_elements
-        snap = snapshot(iterate, channels, noise)
-        grad = selection_gradient(q, iterate, channels, noise, snap) \
-            + selection_pricing(q, iterate, channels, noise, snap)
-        reward = selection_reward(grad, iterate.selections[q], TAU)
+        reward = cooperative_reward(q, iterate, channels, noise)
         rng = np.random.default_rng(0)
         for _ in range(10):
             s_new = rng.permutation(m_n)
