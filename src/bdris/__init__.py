@@ -12,7 +12,7 @@ from .channels import (NetworkChannels, NetworkTopology, generate_channels,
                        save_channels, taps_to_frequency)
 from .circuit import (ElementCircuit, SubcarrierGrid, characteristic_impedance,
                       reflection_derivative, reflection_direct,
-                      reflection_profile, reflection_reformulated)
+                      reflection_reformulated)
 from .errors import ConfigError, DegenerateInputError, NumericalFailureError
 from .rates import Iterate, snapshot, sum_rate
 from .scenario import (ScenarioConfig, build_scenario, channels_for_trial,

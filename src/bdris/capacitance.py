@@ -6,43 +6,32 @@ element response slopes and the diagonals of the per-link coupling matrices,
 ``diag(M)[m] = (H w)_m (g^H S)_m (w^H f)``; the subproblem itself (linear
 model plus proximal term over a box) then has a closed-form clamped solution.
 
-Weighted and summed over all links, the diagonals are never formed:
-:func:`assemble_gradient` contracts the shared assembly
-:func:`bdris.rates.weighted_beams` with the routed victim channels and the
-slopes.  The literal per-link coupling matrices and their diagonals are
-test oracles (``tests/oracles.py``).
+Weighted and summed over all links, the diagonals are never formed: the
+Jacobi sweep reads the gradients of all surfaces off the victim-combined
+channels of :func:`bdris.rates.surface_assembly` (:func:`assemble_gradients`);
+:func:`rate_gradient` and :func:`pricing_gradient` are its own-cell and
+pricing parts for one BS.  The literal per-link coupling matrices and their
+diagonals are test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .circuit import reflection_derivative
-from .rates import snapshot, weighted_beams
+from .rates import snapshot, surface_assembly
 
 
-def element_slopes(cap_vector, grid, circuit):
-    """d(phi)/dC for every subcarrier and element, shape (K, M).
+def assemble_gradients(iterate, channels, snap, y, beams):
+    """Capacitance gradient of every BS from :func:`~bdris.rates.surface_assembly`, (Q, M).
 
-    This is the conjugate of :func:`bdris.circuit.reflection_derivative`;
-    the unconjugated slope is what reproduces finite differences of the
-    rates (see the module tests).
+    ``sum_k Re(slope[q, k, m] sum_t y[t, k, perm_q[m]] beams[t, k, m])`` over
+    BS q's own users t is the weighted sum of all its coupling diagonals
+    times the element slopes.
     """
-    cap_vector = np.asarray(cap_vector, dtype=float)
-    return np.conj(reflection_derivative(grid.frequencies[:, None],
-                                         cap_vector[None, :], circuit))
-
-
-def assemble_gradient(q, iterate, channels, beams):
-    """Capacitance gradient of BS q from its :func:`~bdris.rates.weighted_beams`, (M,).
-
-    Routed victim channels times beams, summed over victims, is the weighted
-    sum of all coupling diagonals; the slopes turn it into the derivative.
-    """
-    slopes = element_slopes(iterate.capacitances[q], channels.grid,
-                            channels.circuit)
-    routed = np.conj(channels.ris_ue[q][..., iterate.selections[q]])
-    return np.real(slopes * np.einsum("vkm,vkm->km", routed, beams)).sum(axis=0)
+    per_bs = np.zeros_like(snap.slope)
+    for t, q in enumerate(channels.bs_of_user):
+        per_bs[q] += np.take(y[t], iterate.selections[q], axis=-1) * beams[t]
+    return np.real(snap.slope * per_bs).sum(axis=1)
 
 
 def rate_gradient(q, iterate, channels, noise_power, snap=None):
@@ -51,18 +40,19 @@ def rate_gradient(q, iterate, channels, noise_power, snap=None):
     Scaled by the subcarrier count like the precoder pricing (the common
     1/K average is dropped from all subproblems).
     """
-    if snap is None:
-        snap = snapshot(iterate, channels, noise_power)
-    return assemble_gradient(q, iterate, channels,
-                             weighted_beams(q, iterate, channels, snap, pricing=0.0))
+    return _slice(q, iterate, channels, noise_power, snap, pricing=0.0)
 
 
 def pricing_gradient(q, iterate, channels, noise_power, snap=None):
     """Gradient of all other cells' rate sums w.r.t. BS q's capacitances, (M,)."""
+    return _slice(q, iterate, channels, noise_power, snap, cell=0.0)
+
+
+def _slice(q, iterate, channels, noise_power, snap, **weights):
     if snap is None:
         snap = snapshot(iterate, channels, noise_power)
-    return assemble_gradient(q, iterate, channels,
-                             weighted_beams(q, iterate, channels, snap, cell=0.0))
+    return assemble_gradients(iterate, channels, snap,
+                              *surface_assembly(iterate, channels, snap, **weights))[q]
 
 
 def update_capacitances(cap_prev, gradient, tau, circuit):

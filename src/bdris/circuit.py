@@ -8,9 +8,11 @@ mismatch ratio against the free-space impedance ``Z0``.
 
 Two algebraically equivalent evaluations of the coefficient are provided:
 ``reflection_direct`` forms the circuit impedance explicitly, while
-``reflection_reformulated`` evaluates a rational form in the capacitance
-that is cheaper to differentiate.  The analytic derivative used by the
-capacitance optimizer is exposed as ``reflection_derivative``.
+``reflection_reformulated`` evaluates a rational form in the capacitance,
+``num = 1 + C A_k`` over ``den = D_k (1 + C B_k)`` with per-frequency
+coefficients, that is cheaper to differentiate.  The analytic derivative is
+exposed as ``reflection_derivative``.  The solver evaluates the coefficient
+and its slope of all surfaces at once (:func:`reflection_and_slope`).
 
 All functions broadcast over numpy arrays of frequencies and capacitances.
 """
@@ -136,13 +138,45 @@ def reflection_direct(f, cap, circuit):
     return (z - circuit.z0) / denom
 
 
-def _rational_parts(f, cap, circuit):
-    """Numerator/denominator pair of the rational reflection form."""
+def rational_coefficients(f, circuit):
+    """Coefficients ``(A, B, D)`` of the rational form at frequencies ``f``.
+
+    The numerator is ``1 + C A`` and the denominator ``D (1 + C B)``, so they
+    depend on the capacitance C only through these per-frequency constants.
+    """
     kf = ANGULAR * np.asarray(f, dtype=float)
     l1, l2, r = circuit.inductance_l1, circuit.inductance_l2, circuit.resistance
-    num = 1.0 - kf**2 * (l1 + l2) * cap + 1j * kf * r * cap
-    den = 1j * kf * (l1 / circuit.z0) * (1.0 - kf**2 * l2 * cap + 1j * kf * r * cap)
-    return num, den
+    return (-kf**2 * (l1 + l2) + 1j * kf * r, -kf**2 * l2 + 1j * kf * r,
+            1j * kf * (l1 / circuit.z0))
+
+
+def _rational_parts(cap, coefficients):
+    """Numerator/denominator pair ``1 + C A`` and ``D (1 + C B)`` of the rational form."""
+    a, b, d = coefficients
+    return 1.0 + cap * a, d * (1.0 + cap * b)
+
+
+def _phi_and_slope(cap, coefficients, circuit):
+    """``phi = (den - num) / (den + num)`` and ``d(phi)/dC``, broadcast elementwise.
+
+    With ``num = (den + num)(1 - phi) / 2`` and ``den = (den + num)(1 + phi) / 2``
+    the slope ``2 (D B num - A den) / (den + num)**2`` is
+    ``(D B (1 - phi) - A (1 + phi)) / (den + num)``; it is evaluated in place.
+    """
+    _check_in_range(cap, circuit)
+    a, b, d = coefficients
+    total, phi = _rational_parts(cap, coefficients)  # num and den, overwritten below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        total += phi              # num + den
+        phi *= 2.0
+        phi -= total              # den - num
+        phi /= total
+        slope = phi * -(d * b + a)
+        slope += d * b - a
+        slope /= total
+    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(slope))):
+        raise DegenerateInputError("reflection coefficient or its slope is not finite")
+    return phi, slope
 
 
 def reflection_reformulated(f, cap, circuit):
@@ -153,55 +187,29 @@ def reflection_reformulated(f, cap, circuit):
     analytic derivatives.
     """
     _check_positive_freq(f)
-    _check_in_range(cap, circuit)
-    num, den = _rational_parts(f, cap, circuit)
-    if np.any(num == 0):
-        raise DegenerateInputError("rational reflection form is singular (zero numerator part)")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi = 1.0 - 2.0 / (1.0 + den / num)
-    if not np.all(np.isfinite(phi)):
-        raise DegenerateInputError("reflection coefficient is not finite")
-    return phi
+    return _phi_and_slope(np.asarray(cap, dtype=float), rational_coefficients(f, circuit),
+                          circuit)[0]
 
 
 def reflection_derivative(f, cap, circuit):
     """Derivative of the conjugate coefficient, d(conj(phi))/dC.
 
-    Note the conjugation: this is the slope of ``conj(phi)``, which is the
-    quantity the gradient assembly of the capacitance subproblem is stated
-    in.  Callers that need d(phi)/dC must conjugate the result.
+    Note the conjugation: this is the slope of ``conj(phi)``.  Callers that
+    need d(phi)/dC must conjugate the result.
     """
     _check_positive_freq(f)
-    _check_in_range(cap, circuit)
-    kf = ANGULAR * np.asarray(f, dtype=float)
-    l1, l2, r = circuit.inductance_l1, circuit.inductance_l2, circuit.resistance
-    num, den = _rational_parts(f, cap, circuit)
-    num_c, den_c = np.conj(num), np.conj(den)
-    dnum_c = -kf**2 * (l1 + l2) - 1j * kf * r
-    dden_c = -1j * kf * (l1 / circuit.z0) * (-kf**2 * l2 - 1j * kf * r)
-    total = num_c + den_c
-    if np.any(total == 0):
-        raise DegenerateInputError("reflection derivative is singular")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (-2.0 / total**2) * (dnum_c * den_c - num_c * dden_c)
-    if not np.all(np.isfinite(out)):
-        raise DegenerateInputError("reflection derivative is not finite")
-    return out
+    return np.conj(_phi_and_slope(np.asarray(cap, dtype=float),
+                                  rational_coefficients(f, circuit), circuit)[1])
 
 
-def reflection_profile(cap_vector, grid, circuit):
-    """Per-subcarrier reflection coefficients of one surface.
+def reflection_and_slope(caps, coefficients, circuit):
+    """Reflection coefficient and its slope d(phi)/dC of every element, each (..., K, M).
 
-    Parameters
-    ----------
-    cap_vector : (M,) array
-        Capacitance of each element, all within the tunable range.
-    grid : SubcarrierGrid
-    circuit : ElementCircuit
-
-    Returns
-    -------
-    (K, M) complex array with entry ``[k, m] = phi(f_k, cap_vector[m])``.
+    ``caps`` is a (..., M) array of capacitances within the tunable range and
+    ``coefficients`` is :func:`rational_coefficients` of the K subcarrier
+    frequencies.  One evaluation of the rational form gives both; the slope
+    is ``conj(reflection_derivative)``.  Raises :class:`DegenerateInputError`
+    if either is not finite.
     """
-    cap_vector = np.asarray(cap_vector, dtype=float)
-    return reflection_reformulated(grid.frequencies[:, None], cap_vector[None, :], circuit)
+    return _phi_and_slope(np.asarray(caps, dtype=float)[..., None, :],
+                          tuple(np.asarray(x)[:, None] for x in coefficients), circuit)

@@ -7,12 +7,17 @@ terms are lower-bounded by a tight quadratic (see
 pricing term, and a proximal penalty keeps the update near the current
 point.  The maximizer for a fixed power multiplier is a per-subcarrier
 rank-one-plus-identity solve; the multiplier is bisected on the closed-form
-power (:func:`power_curve`), with a measured-power fallback for feasibility.
+power (:func:`power_curves`), with a measured-power fallback for feasibility.
+
+The Jacobi sweep builds all users' surrogates in one contraction
+(:func:`stacked_surrogates`) and bisects all BSs' multipliers in lock step
+(:func:`solve_precoders`); :func:`build_surrogates`, :func:`pricing_vector`
+and :func:`bisect_power_multiplier` are their per-BS and per-user slices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,7 +32,9 @@ class PrecoderSurrogate:
     The per-subcarrier quadratic is
     ``-quad_weight[k] |f_k^H w_k|^2 + 2 Re{linear[k]^H w_k}`` and the overall
     subproblem objective adds ``Re{pricing^H (w - anchor)}`` and the proximal
-    term.  ``own_channel`` holds the composite channel vectors f_k.
+    term.  ``own_channel`` holds the composite channel vectors f_k.  A
+    surrogate may also stack several users along a leading axis (``user`` is
+    then an index array); every method then works per user.
     """
 
     user: int
@@ -55,33 +62,59 @@ class PrecoderSurrogate:
         Includes the additive constant that makes the bound coincide with
         ``log2(1 + |f^H w|^2 / mui)`` at the anchor point.
         """
-        sig = np.abs(np.einsum("ki,ki->k", np.conj(self.own_channel), w)) ** 2
-        sig_t = np.abs(np.einsum("ki,ki->k", np.conj(self.own_channel), self.anchor)) ** 2
-        lin = 2.0 * np.real(np.einsum("ki,ki->k", np.conj(self.linear), w))
-        lin_t = 2.0 * np.real(np.einsum("ki,ki->k", np.conj(self.linear), self.anchor))
+        f_conj, lin_conj = np.conj(self.own_channel), np.conj(self.linear)
+        sig = np.abs(np.einsum("...ki,...ki->...k", f_conj, w)) ** 2
+        sig_t = np.abs(np.einsum("...ki,...ki->...k", f_conj, self.anchor)) ** 2
+        lin = 2.0 * np.real(np.einsum("...ki,...ki->...k", lin_conj, w))
+        lin_t = 2.0 * np.real(np.einsum("...ki,...ki->...k", lin_conj, self.anchor))
         const = np.log1p(sig_t / self.mui_anchor) / LN2 + self.quad_weight * sig_t - lin_t
         return -self.quad_weight * sig + lin + const
 
+    def select(self, i):
+        """The surrogate of the i-th user of a stack."""
+        return PrecoderSurrogate(int(self.user[i]), *(getattr(self, f.name)[i]
+                                                      for f in fields(self)[1:]))
+
+
+def _stack(surrogates):
+    return PrecoderSurrogate(np.array([s.user for s in surrogates]),
+                             *(np.stack([getattr(s, f.name) for s in surrogates])
+                               for f in fields(PrecoderSurrogate)[1:]))
+
+
+def pricing_vectors(channels, snap):
+    """Gradient of other cells' rates with respect to every user's precoder, (U, K, N).
+
+    Entry ``[u]`` is the (K, N) array of per-subcarrier conjugate-coordinate
+    gradients (d/dw*) of the sum of all user rates outside u's cell, scaled
+    by the number of subcarriers (the subcarrier average is left out of the
+    subproblems, as it rescales every term equally).
+    """
+    bs = channels.bs_of_user
+    coef = -(snap.snr / LN2) / ((1.0 + snap.snr) * snap.mui)  # (U, K) per victim
+    weights = np.where((bs[:, None] != bs)[..., None], coef * snap.amplitudes, 0.0)
+    return np.einsum("unk,unki->uki", weights, np.conj(snap.rows[bs]))
+
 
 def pricing_vector(user, iterate, channels, noise_power, snap=None, ris_enabled=True):
-    """Gradient of other cells' rates with respect to this user's precoder.
+    """Gradient of other cells' rates w.r.t. one user's precoder, (K, N).
 
-    Returns the (K, N) array of per-subcarrier conjugate-coordinate
-    gradients (d/dw*) of the sum of all other-cell user rates, scaled by the
-    number of subcarriers (the subcarrier average is left out of the
-    subproblems, as it rescales every term equally).
+    One row of :func:`pricing_vectors`.
     """
     if snap is None:
         snap = snapshot(iterate, channels, noise_power, ris_enabled)
-    q = channels.bs_of_user[user]
-    others = np.flatnonzero(channels.bs_of_user != q)
-    k_n, n_n = iterate.precoders.shape[1:]
-    if others.size == 0:
-        return np.zeros((k_n, n_n), dtype=complex)
-    coef = -(snap.snr[others] / LN2) / ((1.0 + snap.snr[others]) * snap.mui[others])
-    rows_to_others = snap.rows[q, others]          # (Uo, K, N)
-    amp_to_others = snap.amplitudes[user, others]  # (Uo, K)
-    return np.einsum("nk,nki,nk->ki", coef, np.conj(rows_to_others), amp_to_others)
+    return pricing_vectors(channels, snap)[user]
+
+
+def stacked_surrogates(iterate, channels, snap, cooperative=True):
+    """Surrogates of every user, stacked along a leading user axis."""
+    users = np.arange(channels.num_users)
+    sig, mui = snap.signal, snap.mui
+    own = np.conj(snap.rows[channels.bs_of_user, users])          # (U, K, N)
+    linear = own * (snap.amplitudes[users, users] / (LN2 * mui))[..., None]
+    pricing = pricing_vectors(channels, snap) if cooperative else np.zeros_like(linear)
+    return PrecoderSurrogate(users, sig / (LN2 * (mui + sig) * mui), own, linear,
+                             pricing, iterate.precoders.copy(), mui.copy())
 
 
 def build_surrogates(q, iterate, channels, noise_power, snap=None,
@@ -89,21 +122,8 @@ def build_surrogates(q, iterate, channels, noise_power, snap=None,
     """Assemble the surrogate of every user served by BS q."""
     if snap is None:
         snap = snapshot(iterate, channels, noise_power, ris_enabled)
-    out = []
-    for user in channels.users_of_bs(q):
-        sig = snap.signal[user]
-        mui = snap.mui[user]
-        a = sig / (LN2 * (mui + sig) * mui)
-        own = np.conj(snap.rows[q, user])           # (K, N)
-        b = own * (snap.amplitudes[user, user] / (LN2 * mui))[:, None]
-        if cooperative:
-            pricing = pricing_vector(user, iterate, channels, noise_power,
-                                     snap, ris_enabled)
-        else:
-            pricing = np.zeros_like(b)
-        out.append(PrecoderSurrogate(int(user), a, own, b, pricing,
-                                     iterate.precoders[user].copy(), mui.copy()))
-    return out
+    stacked = stacked_surrogates(iterate, channels, snap, cooperative)
+    return [stacked.select(u) for u in channels.users_of_bs(q)]
 
 
 def solve_precoder(surrogate, tau, lam):
@@ -122,83 +142,134 @@ def solve_precoder(surrogate, tau, lam):
     return r / beta - coeff[:, None] * f
 
 
-def power_curve(surrogates, tau):
-    """Transmit power of :func:`solve_precoder` as a function of ``lam``.
+def power_curves(surrogate, owner, tau):
+    """Transmit power of every BS's :func:`solve_precoder` as a function of its ``lam``.
 
-    The solve divides each right-hand side r's part along the own channel f by
+    ``surrogate`` stacks users and ``owner[u]`` is the BS of user u; the
+    returned function maps one multiplier per BS to one power per BS.  The
+    solve divides each right-hand side r's part along the own channel f by
     ``beta + a |f|^2`` and its part across f by ``beta = tau/2 + lam``, so the
     power is a sum of two nonnegative terms; unlike ``|r|^2 - ...`` none cancels.
     """
-    r = np.stack([s.rhs(tau) for s in surrogates])            # (L, K, N)
-    f = np.stack([s.own_channel for s in surrogates])
-    f_norm2 = np.sum(np.abs(f) ** 2, axis=2)
-    along = np.divide(np.einsum("lki,lki->lk", np.conj(f), r), f_norm2,
+    r = surrogate.rhs(tau)
+    f = surrogate.own_channel
+    f_norm2 = np.sum(np.abs(f) ** 2, axis=-1)
+    along = np.divide(np.einsum("...ki,...ki->...k", np.conj(f), r), f_norm2,
                       out=np.zeros(f_norm2.shape, complex), where=f_norm2 > 0)
-    perp2 = np.sum(np.abs(r - along[..., None] * f) ** 2)
+    perp2 = np.sum(np.abs(r - along[..., None] * f) ** 2, axis=(-2, -1))
     par2 = np.abs(along) ** 2 * f_norm2
-    shift = np.stack([s.quad_weight for s in surrogates]) * f_norm2
-    return lambda lam: float(perp2 / (tau / 2.0 + lam) ** 2
-                             + np.sum(par2 / (tau / 2.0 + lam + shift) ** 2))
+    shift = surrogate.quad_weight * f_norm2
+
+    def power(lam):
+        beta = tau / 2.0 + lam[owner]
+        per_user = perp2 / beta**2 + np.sum(par2 / (beta[:, None] + shift) ** 2, axis=1)
+        return np.bincount(owner, weights=per_user, minlength=len(lam))
+    return power
+
+
+def power_curve(surrogates, tau):
+    """Transmit power of one BS's users as a function of a scalar ``lam``."""
+    power = power_curves(_stack(surrogates), np.zeros(len(surrogates), int), tau)
+    return lambda lam: float(power(np.array([lam]))[0])
+
+
+def _bisection(budget, lo, rel_tol, max_doublings):
+    """The bisection rule of one multiplier, as a generator.
+
+    It yields each multiplier whose power it needs, is sent that power, and
+    returns the multiplier: ``lo`` if its power fits the budget, else one
+    bracketed by doubling and bisected until its power lands within
+    ``rel_tol * budget`` below the budget.
+    """
+    if (yield lo) <= budget:
+        return lo
+    hi = 2.0 * lo if lo > 0 else 1.0
+    doublings = 0
+    while (p_hi := (yield hi)) > budget:
+        lo, hi = hi, 2.0 * hi
+        doublings += 1
+        if doublings > max_doublings:
+            raise NumericalFailureError("power bisection failed to bracket the multiplier")
+    for _ in range(500):
+        if budget - p_hi <= rel_tol * budget:
+            return hi
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # interval exhausted in float precision
+            return hi
+        if (p_mid := (yield mid)) > budget:
+            lo = mid
+        else:
+            hi, p_hi = mid, p_mid
+    raise NumericalFailureError("power bisection did not converge")
+
+
+def _lock_step(power_at, budgets, lo, rel_tol, max_doublings):
+    """Run :func:`_bisection` for every budget, with one ``power_at`` call per step.
+
+    ``power_at`` maps one multiplier per budget to one power per budget.
+    """
+    runs = [_bisection(b, x, rel_tol, max_doublings)
+            for b, x in zip(budgets.tolist(), lo.tolist())]
+    lam = np.array([next(run) for run in runs])
+    pending = list(range(len(runs)))
+    while pending:
+        powers = power_at(lam).tolist()
+        for q in list(pending):
+            try:
+                lam[q] = runs[q].send(powers[q])
+            except StopIteration as done:
+                lam[q] = done.value
+                pending.remove(q)
+    return lam
+
+
+def solve_precoders(surrogate, owner, tau, budgets, rel_tol=1e-8, max_doublings=200):
+    """Power multipliers and precoders of every BS, bisected in lock step.
+
+    ``surrogate`` stacks the users, ``owner[u]`` is the BS of user u and
+    ``budgets`` holds one budget per BS.  Returns ``(lams, precoders)`` of
+    shapes (Q,) and (U, K, N).  Each multiplier is 0 if the unconstrained
+    solution fits the budget, else it is bisected on :func:`power_curves`,
+    and precoders are solved at it only, one :func:`solve_precoder` per user.
+    If a BS's measured power rounds above its budget, its bisection goes on
+    from there on measured powers, so the result is always feasible.
+    """
+    budgets = np.asarray(budgets, dtype=float)
+    if np.any(budgets <= 0):
+        raise ValueError("power budget must be > 0")
+    users = [surrogate.select(u) for u in range(len(owner))]
+    groups = [np.flatnonzero(owner == q) for q in range(len(budgets))]
+
+    def solve(lam):
+        return np.stack([solve_precoder(s, tau, lam[q]) for s, q in zip(users, owner)])
+
+    def power_of(ws):
+        return np.array([np.sum(np.abs(ws[g]) ** 2) for g in groups])
+
+    lam = _lock_step(power_curves(surrogate, owner, tau), budgets,
+                     np.zeros(len(budgets)), rel_tol, max_doublings)
+    ws = solve(lam)
+    if np.any(power_of(ws) > budgets):
+        lam = _lock_step(lambda x: power_of(solve(x)), budgets, lam, rel_tol, max_doublings)
+        ws = solve(lam)
+    return lam, ws
 
 
 def bisect_power_multiplier(surrogates, tau, power_budget, rel_tol=1e-8,
                             max_doublings=200):
-    """Find the power multiplier and the resulting precoders of one BS.
-
-    Returns ``(lam, precoders)`` with ``precoders`` of shape (L, K, N).  The
-    multiplier is 0 if the unconstrained solution fits the budget, else it is
-    bisected on :func:`power_curve` until the power lands within ``rel_tol *
-    power_budget`` below the budget, and precoders are solved at it only.  If
-    their measured power rounds above the budget, bisection goes on from there
-    on measured powers, so the result is always feasible.
-    """
-    if power_budget <= 0:
-        raise ValueError("power budget must be > 0")
-
-    def solve_all(lam):
-        return np.stack([solve_precoder(s, tau, lam) for s in surrogates])
-
-    def bisect(power_at, lo):
-        if power_at(lo) <= power_budget:
-            return lo
-        hi = 2.0 * lo if lo > 0 else 1.0
-        doublings = 0
-        while (p_hi := power_at(hi)) > power_budget:
-            lo, hi = hi, 2.0 * hi
-            doublings += 1
-            if doublings > max_doublings:
-                raise NumericalFailureError("power bisection failed to bracket the multiplier")
-        for _ in range(500):
-            if power_budget - p_hi <= rel_tol * power_budget:
-                return hi
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:  # interval exhausted in float precision
-                return hi
-            if (p_mid := power_at(mid)) > power_budget:
-                lo = mid
-            else:
-                hi, p_hi = mid, p_mid
-        raise NumericalFailureError("power bisection did not converge")
-
-    lam = bisect(power_curve(surrogates, tau), 0.0)
-    ws = solve_all(lam)
-    if np.sum(np.abs(ws) ** 2) > power_budget:
-        lam = bisect(lambda x: float(np.sum(np.abs(solve_all(x)) ** 2)), lam)
-        ws = solve_all(lam)
-    return lam, ws
+    """Power multiplier and precoders (L, K, N) of one BS: :func:`solve_precoders`."""
+    lam, ws = solve_precoders(_stack(surrogates), np.zeros(len(surrogates), int), tau,
+                              [power_budget], rel_tol, max_doublings)
+    return float(lam[0]), ws
 
 
-def subproblem_objective(surrogates, ws, tau):
-    """Value of the per-BS surrogate objective at candidate precoders.
+def objective_values(surrogate, ws, tau):
+    """Per-user value of the surrogate objective at precoders ``ws``.
 
     Used by the solver trace and by the improvement checks; constants are
-    included so the value is comparable across candidates of the same
-    iteration.
+    included so the value is comparable across candidates of one iteration.
     """
-    total = 0.0
-    for s, w in zip(surrogates, ws):
-        total += float(np.sum(s.log_term_value(w)))
-        diff = w - s.anchor
-        total -= 0.5 * tau * float(np.sum(np.abs(diff) ** 2))
-        total += 2.0 * float(np.real(np.sum(np.conj(s.pricing) * diff)))
-    return total
+    diff = ws - surrogate.anchor
+    return (np.sum(surrogate.log_term_value(ws), axis=-1)
+            - 0.5 * tau * np.sum(np.abs(diff) ** 2, axis=(-2, -1))
+            + 2.0 * np.real(np.sum(np.conj(surrogate.pricing) * diff, axis=(-2, -1))))

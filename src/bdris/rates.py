@@ -5,6 +5,11 @@ in :class:`Iterate`.  Rates follow the treat-interference-as-noise model:
 user u's rate at subcarrier k is log2(1 + |own amplitude|^2 / MUI) averaged
 over subcarriers, where MUI collects the receiver noise plus the power of
 every other stream at that user.
+
+:func:`snapshot` evaluates what one Jacobi sweep reads for all surfaces at
+once, the reflection profiles and their capacitance slopes included; the
+sweep reads both surface gradients of every BS off the victim-combined
+channels of :func:`surface_assembly`.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import reflection_profile
+from .circuit import rational_coefficients, reflection_and_slope
 
 LN2 = np.log(2.0)
 POWER_SLACK = 1e-9  # absolute slack on the per-BS power constraint
@@ -74,18 +79,25 @@ def effective_rows(iterate, channels, ris_enabled=True):
     return _rows_and_profile(iterate, channels, ris_enabled)[0]
 
 
-def _rows_and_profile(iterate, channels, ris_enabled):
-    """(effective rows, reflection profile (Q, K, M) or None without surfaces)."""
+def _rows_and_profile(iterate, channels, ris_enabled, coefficients=None):
+    """(effective rows, phi, d(phi)/dC); the last two are None without surfaces.
+
+    ``coefficients`` are the circuit's :func:`~bdris.circuit.rational_coefficients`
+    of the subcarriers, computed here if not given.
+    """
     rows = np.conj(channels.direct)
     if not ris_enabled:
-        return rows, None
-    phi = np.stack([reflection_profile(c_q, channels.grid, channels.circuit)
-                    for c_q in iterate.capacitances])
-    # per surface: routed, phased rows (K, U, M) @ BS -> surface matrices (K, M, N)
-    reflected = np.stack([(np.conj(g[..., perm]).swapaxes(0, 1) * p[:, None]) @ h
-                          for g, perm, p, h in zip(channels.ris_ue, iterate.selections,
-                                                   phi, channels.bs_ris)])
-    return rows + reflected.swapaxes(1, 2), phi
+        return rows, None, None
+    if coefficients is None:
+        coefficients = rational_coefficients(channels.grid.frequencies, channels.circuit)
+    phi, slope = reflection_and_slope(iterate.capacitances, coefficients, channels.circuit)
+    reflected = []
+    for g, perm, p, h in zip(channels.ris_ue, iterate.selections, phi, channels.bs_ris):
+        routed = np.take(g, perm, axis=-1)  # (U, K, M)
+        np.conjugate(routed, out=routed)
+        routed *= p
+        reflected.append(routed.swapaxes(0, 1) @ h)  # @ BS -> surface matrices (K, M, N)
+    return rows + np.stack(reflected).swapaxes(1, 2), phi, slope
 
 
 def link_amplitudes(iterate, channels, ris_enabled=True, rows=None):
@@ -111,15 +123,19 @@ class RateSnapshot:
     snr: np.ndarray           # (U, K)
     user_rates: np.ndarray    # (U,) bits/s/Hz
     phi: np.ndarray | None    # (Q, K, M) reflection profiles, None without surfaces
+    slope: np.ndarray | None  # (Q, K, M) d(phi)/dC, None without surfaces
 
     @property
     def sum_rate(self):
         return float(self.user_rates.sum())
 
 
-def snapshot(iterate, channels, noise_power, ris_enabled=True):
-    """Evaluate rates and interference terms once for the current iterate."""
-    rows, phi = _rows_and_profile(iterate, channels, ris_enabled)
+def snapshot(iterate, channels, noise_power, ris_enabled=True, coefficients=None):
+    """Evaluate rates and interference terms once for the current iterate.
+
+    A solver run passes the circuit ``coefficients`` it computed once.
+    """
+    rows, phi, slope = _rows_and_profile(iterate, channels, ris_enabled, coefficients)
     amp = link_amplitudes(iterate, channels, ris_enabled, rows=rows)
     powers = np.abs(amp) ** 2
     u_n = powers.shape[0]
@@ -128,26 +144,34 @@ def snapshot(iterate, channels, noise_power, ris_enabled=True):
     snr = own / mui
     k_n = snr.shape[1]
     rates = np.log1p(snr).sum(axis=1) / (LN2 * k_n)
-    return RateSnapshot(rows, amp, own, mui, snr, rates, phi)
+    return RateSnapshot(rows, amp, own, mui, snr, rates, phi, slope)
 
 
-def weighted_beams(q, iterate, channels, snap, cell=1.0, pricing=1.0):
-    """Rate-weighted sum of BS q's surface-side beams per victim, (U, K, M).
+def surface_assembly(iterate, channels, snap, cell=1.0, pricing=1.0):
+    """Victim-combined channels and surface-side beams of every user, each (U, K, M).
 
-    Entry ``[v, k]`` is ``sum_t c[t, v, k] conj(a[t, v, k]) H_q[k] w_t[k]`` over
-    BS q's own users t, where a is the amplitude of t's stream at victim v
-    and c weighs ``Re(conj(a) da)`` in the derivative of the rate sum (times
-    K): ``d = (2 / ln 2) / ((1 + snr) mui)`` of the victim for its own stream
-    and ``-snr d`` for an interfering one, scaled by ``cell`` on BS q's own
-    victims and by ``pricing`` on all others.  Both surface gradients use it.
+    ``y[t, k] = sum_v c[t, v, k] conj(a[t, v, k]) conj(g_{q(t), v}[k])``, where
+    a is the amplitude of user t's stream at victim v and c weighs
+    ``Re(conj(a) da)`` in the derivative of the rate sum (times K):
+    ``d = (2 / ln 2) / ((1 + snr) mui)`` of the victim for its own stream
+    and ``-snr d`` for an interfering one, scaled by ``cell`` on victims in
+    t's own cell and by ``pricing`` on all others.  ``beams[t, k] =
+    H_{q(t)}[k] w_t[k]``.
     """
-    own = channels.users_of_bs(q)
+    bs = channels.bs_of_user
+    users = np.arange(len(bs))
     d = (2.0 / LN2) / ((1.0 + snap.snr) * snap.mui)
-    weights = np.tile(-snap.snr * d, (len(own), 1, 1))
-    weights[np.arange(len(own)), own] = d[own]
-    weights *= np.where(channels.bs_of_user == q, cell, pricing)[:, None]
-    beams = np.einsum("kmn,tkn->tkm", channels.bs_ris[q], iterate.precoders[own])
-    return np.einsum("tvk,tkm->vkm", weights * np.conj(snap.amplitudes[own]), beams)
+    weights = np.where(bs[:, None] == bs, cell, pricing)[..., None] * (-snap.snr * d)
+    weights[users, users] = cell * d
+    # conj(y) = (weights a) @ g: (T, K, 1, U) @ (K, U, M) per BS
+    conj_combined = (weights * snap.amplitudes).transpose(0, 2, 1)[:, :, None]
+    y = np.empty(iterate.precoders.shape[:2] + snap.phi.shape[-1:], complex)
+    beams = np.empty_like(y)
+    for q, (g, h) in enumerate(zip(channels.ris_ue, channels.bs_ris)):
+        own = channels.users_of_bs(q)
+        y[own] = np.conjugate(conj_combined[own] @ g.swapaxes(0, 1))[:, :, 0]
+        beams[own] = (h @ iterate.precoders[own, ..., None])[..., 0]  # (K, M, N) @ (T, K, N, 1)
+    return y, beams
 
 
 def sum_rate(iterate, channels, noise_power, ris_enabled=True):

@@ -75,6 +75,10 @@ class ScenarioConfig:
             raise ConfigError("simulation.trials must be >= 1")
         if self.num_bs < 1 or self.num_antennas < 1 or self.num_elements < 1:
             raise ConfigError("network sizes must be >= 1")
+        origin = np.atleast_1d(np.asarray(self.ue_square_origin, dtype=float))
+        if origin.shape != (2,) or not np.all(np.isfinite(origin)):
+            raise ConfigError("geometry.ue_square_origin must be two finite numbers x, y")
+        self.ue_square_origin = tuple(origin.tolist())
 
     @property
     def num_users(self):

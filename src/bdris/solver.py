@@ -8,6 +8,12 @@ continuous blocks are blended convexly, which preserves feasibility; the
 discrete selection block is accepted outright only when it improves the
 local surrogate and kept otherwise.
 
+The per-BS updates are independent given the snapshot, so one batched
+call, :func:`local_subproblems`, computes all of them: the precoder blocks
+in one contraction and one lock-step bisection, both surface gradients from
+the victim-combined channels of :func:`bdris.rates.surface_assembly`, and
+one assignment per BS.  :func:`local_subproblem` is its slice for one BS.
+
 A merged point is kept only if the true sum rate does not drop.  The
 linearized pricing guarantees ascent only for small enough steps of the
 continuous blocks, and the switch model is linear in a rate that is not, so
@@ -29,6 +35,7 @@ import numpy as np
 
 from . import capacitance, precoding, rates, switches
 from .errors import NumericalFailureError
+from .circuit import rational_coefficients
 from .rates import Iterate, snapshot
 
 RIS_MODES = ("bd", "diagonal", "none")
@@ -68,39 +75,44 @@ class SolverConfig:
 class Trace:
     """Per-iteration history of one solver run.
 
-    The first recorded entries describe the initial point (step size 0);
-    each executed iteration appends one entry.  ``alphas`` holds the step
-    actually taken: the scheduled one, a halved one after backtracking, or
-    0.0 when every trial lowered the sum rate and the point was kept.
+    The first recorded entries describe the initial point (step size 0,
+    power multipliers 0); each executed iteration appends one entry.
+    ``alphas`` holds the step actually taken: the scheduled one, a halved
+    one after backtracking, or 0.0 when every trial lowered the sum rate and
+    the point was kept.
     """
 
     sum_rates: list = field(default_factory=list)
     alphas: list = field(default_factory=list)
-    surrogate_values: list = field(default_factory=list)  # per-BS lists
-    power_slacks: list = field(default_factory=list)      # per-BS arrays
+    surrogate_values: list = field(default_factory=list)   # per-BS lists
+    power_slacks: list = field(default_factory=list)       # per-BS arrays
+    power_multipliers: list = field(default_factory=list)  # per-BS arrays
     wall_times: list = field(default_factory=list)
 
     @property
     def num_iterations(self):
         return max(len(self.sum_rates) - 1, 0)
 
-    def append(self, sum_rate, alpha, surrogates, slack, wall):
+    def append(self, sum_rate, alpha, surrogates, slack, multipliers, wall):
         self.sum_rates.append(float(sum_rate))
         self.alphas.append(float(alpha))
         self.surrogate_values.append(list(surrogates))
         self.power_slacks.append(np.asarray(slack, dtype=float))
+        self.power_multipliers.append(np.asarray(multipliers, dtype=float))
         self.wall_times.append(float(wall))
 
     def to_csv(self, path):
-        """Write (iteration, sum_rate, alpha, per-BS power slack) rows."""
+        """Write (iteration, sum_rate, alpha, per-BS power slack and multiplier) rows."""
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
             q_n = len(self.power_slacks[0]) if self.power_slacks else 0
             wr.writerow(["iteration", "sum_rate", "alpha"]
-                        + [f"power_slack_bs{q}" for q in range(q_n)])
-            for t, (sr, al, sl) in enumerate(zip(self.sum_rates, self.alphas,
-                                                 self.power_slacks)):
-                wr.writerow([t, repr(sr), repr(al)] + [repr(float(s)) for s in sl])
+                        + [f"power_slack_bs{q}" for q in range(q_n)]
+                        + [f"power_multiplier_bs{q}" for q in range(q_n)])
+            for t, (sr, al, sl, mu) in enumerate(zip(self.sum_rates, self.alphas,
+                                                     self.power_slacks,
+                                                     self.power_multipliers)):
+                wr.writerow([t, repr(sr), repr(al)] + [repr(float(x)) for x in (*sl, *mu)])
 
 
 @dataclass
@@ -112,6 +124,7 @@ class Candidate:
     selection: np.ndarray       # (M,) int permutation, as in Iterate
     reward: np.ndarray | None   # (M, M) assignment reward, None if no switch update
     surrogate_value: float
+    power_multiplier: float = 0.0
 
 
 MAX_HALVINGS = 10  # step halvings an iteration tries before it takes step 0
@@ -166,36 +179,50 @@ def initial_iterate(channels, power_budgets):
     return Iterate(w, caps, sels)
 
 
-def local_subproblem(q, iterate, channels, noise_power, power_budget, config,
-                     snap=None, iteration=0):
-    """Solve BS q's three block subproblems against the shared snapshot."""
+def local_subproblems(iterate, channels, noise_power, power_budgets, config,
+                      snap=None, iteration=0):
+    """One Jacobi sweep: every BS's three block subproblems against the shared snapshot.
+
+    Returns one :class:`Candidate` per BS.
+    """
     if snap is None:
         snap = snapshot(iterate, channels, noise_power, config.ris_enabled)
-    surrogates = precoding.build_surrogates(
-        q, iterate, channels, noise_power, snap,
-        cooperative=config.cooperative, ris_enabled=config.ris_enabled)
-    _, w_hat = precoding.bisect_power_multiplier(surrogates, config.tau, power_budget)
-    value = precoding.subproblem_objective(surrogates, w_hat, config.tau)
+    q_n = channels.num_bs
+    bs = channels.bs_of_user
+    budgets = np.broadcast_to(np.asarray(power_budgets, float), (q_n,))
+    surrogate = precoding.stacked_surrogates(iterate, channels, snap, config.cooperative)
+    lams, w_hat = precoding.solve_precoders(surrogate, bs, config.tau, budgets)
+    values = np.bincount(bs, precoding.objective_values(surrogate, w_hat, config.tau),
+                         minlength=q_n)
 
-    c_prev = iterate.capacitances[q]
-    s_prev = iterate.selections[q]
-    c_hat, s_hat, reward = c_prev, s_prev, None
+    c_prev, s_prev = iterate.capacitances, iterate.selections
+    c_hat, s_hat, rewards = c_prev, s_prev, [None] * q_n
     if config.ris_enabled:
-        beams = rates.weighted_beams(q, iterate, channels, snap,
-                                     pricing=float(config.cooperative))
-        grad_c = capacitance.assemble_gradient(q, iterate, channels, beams)
+        y, beams = rates.surface_assembly(iterate, channels, snap,
+                                          pricing=float(config.cooperative))
+        grad_c = capacitance.assemble_gradients(iterate, channels, snap, y, beams)
         tau_c = capacitance_tau(config.tau, channels.circuit)
-        c_hat = capacitance.update_capacitances(c_prev, grad_c, tau_c,
-                                                channels.circuit)
+        c_hat = capacitance.update_capacitances(c_prev, grad_c, tau_c, channels.circuit)
         dc = c_hat - c_prev
-        value += float(grad_c @ dc) - 0.5 * tau_c * float(dc @ dc)
+        values += np.sum(grad_c * dc, axis=1) - 0.5 * tau_c * np.sum(dc * dc, axis=1)
 
         if config.ris_mode == "bd" and iteration >= config.switch_hold_iters:
-            grad_s = switches.assemble_gradient(q, channels, snap, beams)
-            reward = switches.selection_reward(grad_s, s_prev, config.tau)
-            s_hat = switches.solve_selection(reward)
-            value += switches.reward_gain(reward, s_hat, s_prev)
-    return Candidate(w_hat, c_hat, s_hat, reward, value)
+            s_hat = s_prev.copy()
+            for q in range(q_n):
+                grad_s = switches.assemble_gradient(q, channels, snap, y, beams)
+                rewards[q] = switches.selection_reward(grad_s, s_prev[q], config.tau)
+                s_hat[q] = switches.solve_selection(rewards[q])
+                values[q] += switches.reward_gain(rewards[q], s_hat[q], s_prev[q])
+    return [Candidate(w_hat[channels.users_of_bs(q)], c_hat[q], s_hat[q], rewards[q],
+                      float(values[q]), float(lams[q]))
+            for q in range(q_n)]
+
+
+def local_subproblem(q, iterate, channels, noise_power, power_budget, config,
+                     snap=None, iteration=0):
+    """BS q's candidate: slice q of :func:`local_subproblems`, every BS at ``power_budget``."""
+    return local_subproblems(iterate, channels, noise_power, power_budget, config,
+                             snap, iteration)[q]
 
 
 def blend_step(iterate, candidates, alpha, channels):
@@ -235,26 +262,27 @@ def run(channels, power_budgets, noise_power, config):
     q_n = channels.num_bs
     budgets = np.broadcast_to(np.asarray(power_budgets, float), (q_n,))
     iterate = initial_iterate(channels, budgets)
-    snap = snapshot(iterate, channels, noise_power, config.ris_enabled)
+    coefficients = rational_coefficients(channels.grid.frequencies, channels.circuit)
+    snap = snapshot(iterate, channels, noise_power, config.ris_enabled, coefficients)
     trace = Trace()
     trace.append(snap.sum_rate, 0.0, [0.0] * q_n,
-                 budgets - iterate.bs_power(channels.bs_of_user), 0.0)
+                 budgets - iterate.bs_power(channels.bs_of_user), np.zeros(q_n), 0.0)
 
     alpha = config.alpha0
     for t in range(config.max_iters):
         start = time.perf_counter()
         alpha = step_size_schedule(t, alpha, config)
-        candidates = [local_subproblem(q, iterate, channels, noise_power,
-                                       budgets[q], config, snap, iteration=t)
-                      for q in range(q_n)]
+        candidates = local_subproblems(iterate, channels, noise_power, budgets,
+                                       config, snap, iteration=t)
         prev_rate = snap.sum_rate
-        step, iterate, snap = _ascent_step(iterate, snap, candidates, alpha,
-                                           channels, budgets, noise_power, config)
+        step, iterate, snap = _ascent_step(iterate, snap, candidates, alpha, channels,
+                                           budgets, noise_power, config, coefficients)
         if step > 0.0:
             alpha = step
         trace.append(snap.sum_rate, step,
                      [c.surrogate_value for c in candidates],
                      budgets - iterate.bs_power(channels.bs_of_user),
+                     [c.power_multiplier for c in candidates],
                      time.perf_counter() - start)
         if abs(snap.sum_rate - prev_rate) <= config.tol:
             break
@@ -262,7 +290,7 @@ def run(channels, power_budgets, noise_power, config):
 
 
 def _ascent_step(iterate, snap, candidates, alpha, channels, budgets,
-                 noise_power, config):
+                 noise_power, config, coefficients):
     """First trial merge whose sum rate does not drop below ``snap``'s.
 
     Returns (step, iterate, snapshot) of the accepted point, or the given
@@ -276,7 +304,8 @@ def _ascent_step(iterate, snap, candidates, alpha, channels, budgets,
         except ValueError as exc:
             raise NumericalFailureError(
                 f"iterate infeasible after update: {exc}") from exc
-        trial_snap = snapshot(trial, channels, noise_power, config.ris_enabled)
+        trial_snap = snapshot(trial, channels, noise_power, config.ris_enabled,
+                              coefficients)
         if trial_snap.sum_rate >= snap.sum_rate:
             return step, trial, trial_snap
         if cands is candidates and np.any(trial.selections != iterate.selections):

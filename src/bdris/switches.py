@@ -6,9 +6,11 @@ Relaxed to a real matrix S, the surrogate restricted to this block is linear
 in S (the proximal term is constant on permutations up to an inner product
 with the current matrix), so the update is a linear assignment problem over
 a real (M, M) reward built from the rate gradient, own-cell plus pricing.
-That gradient is one matrix product of the victims' surface channels with
-the shared assembly :func:`bdris.rates.weighted_beams`; its literal
-per-link form is a test oracle (``tests/oracles.py``).
+The Jacobi sweep reads the real part of that gradient off the
+victim-combined channels of :func:`bdris.rates.surface_assembly`, one real
+matrix product per BS (:func:`assemble_gradient`); :func:`selection_gradient`
+and :func:`selection_pricing` are its complex own-cell and pricing parts for
+one BS.  The literal per-link form is a test oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -16,17 +18,22 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .rates import snapshot, weighted_beams
+from .rates import snapshot, surface_assembly
 
 
-def assemble_gradient(q, channels, snap, beams):
-    """Selection gradient of BS q from its :func:`~bdris.rates.weighted_beams`, (M, M).
+def assemble_gradient(q, channels, snap, y, beams):
+    """Real selection gradient of BS q from :func:`~bdris.rates.surface_assembly`, (M, M).
 
-    Entry ``[i, j]`` sums ``conj(g_v)[i] phi[j] beams[v, k, j]`` over every
-    victim and subcarrier: one (M x UK) by (UK x M) matrix product.
+    Entry ``[i, j]`` is ``Re sum_{t, k} y[t, k, i] phi_q[k, j] beams[t, k, j]``
+    over BS q's own users t: one real (M x 2TK) by (2TK x M) product of the
+    stacked real and imaginary parts.
     """
-    g_conj = np.conj(channels.ris_ue[q]).reshape(-1, channels.num_elements)
-    return g_conj.T @ (snap.phi[q] * beams).reshape(g_conj.shape)
+    own = channels.users_of_bs(q)
+    m_n = y.shape[-1]
+    phased = snap.phi[q] * beams[own]
+    lhs = np.concatenate([y[own].real, y[own].imag]).reshape(-1, m_n)
+    rhs = np.concatenate([phased.real, -phased.imag]).reshape(-1, m_n)
+    return lhs.T @ rhs
 
 
 def selection_gradient(q, iterate, channels, noise_power, snap=None):
@@ -35,18 +42,21 @@ def selection_gradient(q, iterate, channels, noise_power, snap=None):
     The real part is the gradient of the own-cell rate sum (times K) when
     the selection matrix is relaxed to a real matrix variable.
     """
-    if snap is None:
-        snap = snapshot(iterate, channels, noise_power)
-    return assemble_gradient(q, channels, snap,
-                             weighted_beams(q, iterate, channels, snap, pricing=0.0))
+    return _complex_gradient(q, iterate, channels, noise_power, snap, pricing=0.0)
 
 
 def selection_pricing(q, iterate, channels, noise_power, snap=None):
     """Other-cell pricing gradient w.r.t. BS q's relaxed selection matrix, (M, M)."""
+    return _complex_gradient(q, iterate, channels, noise_power, snap, cell=0.0)
+
+
+def _complex_gradient(q, iterate, channels, noise_power, snap, **weights):
     if snap is None:
         snap = snapshot(iterate, channels, noise_power)
-    return assemble_gradient(q, channels, snap,
-                             weighted_beams(q, iterate, channels, snap, cell=0.0))
+    y, beams = surface_assembly(iterate, channels, snap, **weights)
+    # Im(sum y phi b) = Re(sum y phi (-1j b))
+    return (assemble_gradient(q, channels, snap, y, beams)
+            + 1j * assemble_gradient(q, channels, snap, y, -1j * beams))
 
 
 def selection_reward(gradient, perm_prev, tau):

@@ -12,13 +12,26 @@ re-exported here.
 
 import numpy as np
 
-from bdris.circuit import reflection_profile, reflection_reformulated
+from bdris.circuit import reflection_derivative, reflection_reformulated
 from bdris.errors import NumericalFailureError
 from bdris.precoding import solve_precoder
 from bdris.selfcheck import (best_assignment, dense_precoder,  # noqa: F401
                              fd_capacitance_gradient, fd_precoder_gradient,
                              fd_reflection_derivative, fd_selection_gradient)
 from bdris.switches import selection_gradient, selection_pricing
+
+
+def reflection_profile(cap_vector, grid, circuit):
+    """(K, M) reflection coefficients ``phi(f_k, cap_vector[m])`` of one surface."""
+    cap_vector = np.asarray(cap_vector, dtype=float)
+    return reflection_reformulated(grid.frequencies[:, None], cap_vector[None, :], circuit)
+
+
+def element_slopes(cap_vector, grid, circuit):
+    """(K, M) slopes d(phi)/dC of one surface: the conjugate of ``reflection_derivative``."""
+    cap_vector = np.asarray(cap_vector, dtype=float)
+    return np.conj(reflection_derivative(grid.frequencies[:, None],
+                                         cap_vector[None, :], circuit))
 
 
 def reflection_matrix(cap_vector, grid, circuit, k):

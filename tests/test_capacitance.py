@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import coupling_diagonals, coupling_matrix
-from bdris.capacitance import (element_slopes, pricing_gradient,
-                               rate_gradient, update_capacitances)
-from bdris.circuit import reflection_derivative
+from oracles import coupling_diagonals, coupling_matrix, element_slopes
+from bdris.capacitance import (pricing_gradient, rate_gradient,
+                               update_capacitances)
+from bdris.circuit import (rational_coefficients, reflection_and_slope,
+                           reflection_derivative)
 from bdris.rates import snapshot
 
 from conftest import make_network
@@ -16,10 +17,12 @@ TAU = 0.8
 class TestElementSlopes:
     def test_conjugate_of_analytic_derivative(self, circuit, grid):
         caps = np.linspace(circuit.c_min, circuit.c_max, 4)
-        slopes = element_slopes(caps, grid, circuit)
+        _, slopes = reflection_and_slope(
+            caps, rational_coefficients(grid.frequencies, circuit), circuit)
         direct = reflection_derivative(grid.frequencies[:, None], caps[None, :],
                                        circuit)
         np.testing.assert_allclose(slopes, np.conj(direct))
+        np.testing.assert_allclose(element_slopes(caps, grid, circuit), slopes)
 
 
 class TestCouplingDiagonals:

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.constants import speed_of_light
 
+import oracles
 from bdris.channels import (NetworkTopology, generate_channels,
                             generate_link_taps, load_channels, pathloss,
                             save_channels, taps_to_frequency)
-from bdris.circuit import SubcarrierGrid, reflection_profile
+from bdris.circuit import SubcarrierGrid
 from bdris.rates import effective_rows
 
 from conftest import complex_normal, make_network
@@ -131,7 +132,7 @@ class TestCompositeChannel:
         channels, iterate, _ = make_network(rng, num_antennas=4, num_elements=3)
         iterate.selections[:] = np.arange(3)
         f = composite(channels, iterate)
-        phi = [reflection_profile(c, channels.grid, channels.circuit)
+        phi = [oracles.reflection_profile(c, channels.grid, channels.circuit)
                for c in iterate.capacitances]
         for j, u, k in np.ndindex(f.shape[:3]):
             h, g = channels.direct[j, u, k], channels.ris_ue[j, u, k]

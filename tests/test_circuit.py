@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 import oracles
 from bdris.circuit import (ElementCircuit, SubcarrierGrid, characteristic_impedance,
+                           rational_coefficients, reflection_and_slope,
                            reflection_derivative, reflection_direct,
-                           reflection_profile, reflection_reformulated,
-                           _rational_parts)
+                           reflection_reformulated, _rational_parts)
 from bdris.errors import DegenerateInputError
 
 KAPPA = 2 * np.pi
@@ -163,8 +163,8 @@ class TestReflectionDerivative:
         # the conjugated numerator is linear in C with a known slope
         f = 3.5e9
         c1, c2 = 0.8e-12, 1.9e-12
-        n1, _ = _rational_parts(f, c1, circuit)
-        n2, _ = _rational_parts(f, c2, circuit)
+        n1, _ = _rational_parts(c1, rational_coefficients(f, circuit))
+        n2, _ = _rational_parts(c2, rational_coefficients(f, circuit))
         slope = (np.conj(n2) - np.conj(n1)) / (c2 - c1)
         kf = KAPPA * f
         expected = -(kf**2) * (circuit.inductance_l1 + circuit.inductance_l2) \
@@ -175,6 +175,50 @@ class TestReflectionDerivative:
         cap = np.linspace(circuit.c_min, circuit.c_max, 50)
         d = reflection_derivative(3.5e9, cap, circuit)
         assert np.ptp(np.abs(d)) > 0
+
+
+class TestReflectionAndSlope:
+    def test_matches_reformulated_and_derivative(self, circuit, grid, rng):
+        # a (Q, M) capacitance array with both ends of the range and
+        # uniform draws between them
+        caps = rng.uniform(circuit.c_min, circuit.c_max, (3, 7))
+        caps[0, :2] = circuit.c_min, circuit.c_max
+        caps[1] = np.linspace(circuit.c_min, circuit.c_max, 7)
+        phi, slope = reflection_and_slope(
+            caps, rational_coefficients(grid.frequencies, circuit), circuit)
+        assert phi.shape == slope.shape == (3, grid.num_subcarriers, 7)
+        f, c = grid.frequencies[None, :, None], caps[:, None, :]
+        np.testing.assert_allclose(phi, reflection_reformulated(f, c, circuit),
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(slope, np.conj(reflection_derivative(f, c, circuit)),
+                                   rtol=1e-12, atol=0)
+        # and against the explicit impedance form, which shares no code with it
+        np.testing.assert_allclose(phi, reflection_direct(f, c, circuit), rtol=0, atol=1e-10)
+        h = 1e-17
+        inner = np.clip(c, circuit.c_min + 2 * h, circuit.c_max - 2 * h)
+        fd = (reflection_direct(f, inner + h, circuit)
+              - reflection_direct(f, inner - h, circuit)) / (2 * h)
+        _, slope_inner = reflection_and_slope(
+            inner[:, 0], rational_coefficients(grid.frequencies, circuit), circuit)
+        assert np.max(np.abs(slope_inner - fd) / np.abs(slope_inner)) <= 1e-5
+
+    def test_out_of_range_rejected(self, circuit, grid):
+        coefficients = rational_coefficients(grid.frequencies, circuit)
+        for bad in (circuit.c_min * 0.99, circuit.c_max * 1.01):
+            with pytest.raises(ValueError):
+                reflection_and_slope(np.array([[1e-12, bad]]), coefficients, circuit)
+
+    def test_non_finite_raises(self, circuit):
+        with np.errstate(invalid="ignore"):
+            coefficients = rational_coefficients(np.array([3.5e9, np.inf]), circuit)
+        with pytest.raises(DegenerateInputError):
+            reflection_and_slope(np.array([[1e-12]]), coefficients, circuit)
+
+
+def reflection_profile(caps, grid, circuit):
+    """(K, M) profile of one surface from the joint evaluation."""
+    return reflection_and_slope(caps, rational_coefficients(grid.frequencies, circuit),
+                                circuit)[0]
 
 
 class TestPhaseMatrices:

@@ -94,3 +94,14 @@ def test_load_channels_rejects_unknown_serving_bs(tiny_ini, tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n")
     assert main(["load-channels", "--file", str(path)]) == 1
     assert "[0, Q)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("origin", ["5", "1, 2, 3"])
+def test_dump_channels_rejects_bad_ue_square_origin(tiny_ini, tmp_path, capsys, origin):
+    path = tmp_path / "bad.ini"
+    path.write_text(tiny_ini.read_text() + f"[geometry]\nue_square_origin = {origin}\n")
+    assert main(["dump-channels", "--config", str(path),
+                 "--out", str(tmp_path / "channels.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "ue_square_origin" in err and "Traceback" not in err
+    assert not (tmp_path / "channels.csv").exists()

@@ -5,8 +5,8 @@ import oracles
 from bdris import precoding
 from bdris.errors import NumericalFailureError
 from bdris.precoding import (bisect_power_multiplier, build_surrogates,
-                             power_curve, pricing_vector, solve_precoder,
-                             subproblem_objective)
+                             objective_values, power_curve, pricing_vector,
+                             solve_precoder)
 from bdris.rates import LN2, snapshot
 
 from conftest import complex_normal, make_network
@@ -260,6 +260,73 @@ class TestBisection:
         assert budget - 1e-8 * budget <= power <= budget
 
 
+class TestLockStepBisection:
+    def solve_all(self, channels, iterate, noise, budgets):
+        snap = snapshot(iterate, channels, noise)
+        stacked = precoding.stacked_surrogates(iterate, channels, snap)
+        return precoding.solve_precoders(stacked, channels.bs_of_user, TAU,
+                                         np.asarray(budgets, float))
+
+    def assert_matches_scalar(self, channels, iterate, noise, budgets):
+        lams, ws = self.solve_all(channels, iterate, noise, budgets)
+        for q in range(channels.num_bs):
+            surr = build_surrogates(q, iterate, channels, noise)
+            lam, ws_q = bisect_power_multiplier(surr, TAU, budgets[q])
+            assert lams[q] == lam
+            np.testing.assert_array_equal(ws[channels.users_of_bs(q)], ws_q)
+        return lams
+
+    def test_zero_multiplier_beside_a_bracketed_one(self, multiuser_network):
+        # BS 0 fits a loose budget at lam = 0; BS 1 needs bracketing
+        channels, iterate, noise = multiuser_network
+        lams = self.assert_matches_scalar(channels, iterate, noise, [1e9, 1e-3])
+        assert lams[0] == 0.0 and lams[1] > 1.0
+
+    @pytest.mark.parametrize("budget_scale", [10.0, 0.5, 1e-4])
+    def test_matches_scalar_at_default_scale(self, default_scale_network,
+                                             budget_scale):
+        channels, iterate, noise = default_scale_network
+        budgets = [budget_scale * measured_power(
+            build_surrogates(q, iterate, channels, noise), 0.0)
+            for q in range(channels.num_bs)]
+        self.assert_matches_scalar(channels, iterate, noise, budgets)
+
+    def test_measured_power_fallback_per_bs(self, monkeypatch):
+        # the rounding case of TestBisection: BS 0's budget is its closed-form
+        # power at lam = 0, which its measured power rounds above; BS 1 is loose
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            channels, iterate, noise = make_network(rng)
+            surr = build_surrogates(0, iterate, channels, noise)
+            budget = power_curve(surr, TAU)(0.0)
+            if measured_power(surr, 0.0) > budget:
+                break
+        else:
+            pytest.fail("no draw rounds above its closed-form power")
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return solve_precoder(*args)
+        monkeypatch.setattr(precoding, "solve_precoder", counted)
+        lams, ws = self.solve_all(channels, iterate, noise, [budget, 1e9])
+        assert len(calls) > 1  # precoders were solved past the first try
+        assert lams[0] > 0.0 and lams[1] == 0.0
+        monkeypatch.undo()
+        self.assert_matches_scalar(channels, iterate, noise, [budget, 1e9])
+
+    def test_unbracketable_budget_raises(self, small_network):
+        channels, iterate, noise = small_network
+        snap = snapshot(iterate, channels, noise)
+        stacked = precoding.stacked_surrogates(iterate, channels, snap)
+        with pytest.raises(NumericalFailureError):
+            precoding.solve_precoders(stacked, channels.bs_of_user, TAU,
+                                      np.array([1.0, 1e-300]), max_doublings=5)
+        with pytest.raises(ValueError):
+            precoding.solve_precoders(stacked, channels.bs_of_user, TAU,
+                                      np.array([1.0, 0.0]))
+
+
 class TestSubproblemImprovement:
     def test_candidate_improves_surrogate_objective(self, rng):
         for trial in range(20):
@@ -270,7 +337,6 @@ class TestSubproblemImprovement:
                 own = channels.users_of_bs(q)
                 budget = float(np.sum(np.abs(iterate.precoders[own]) ** 2))
                 _, ws = bisect_power_multiplier(surr, TAU, budget)
-                before = subproblem_objective(
-                    surr, [s.anchor for s in surr], TAU)
-                after = subproblem_objective(surr, ws, TAU)
+                before = sum(objective_values(s, s.anchor, TAU) for s in surr)
+                after = sum(objective_values(s, w, TAU) for s, w in zip(surr, ws))
                 assert after >= before - 1e-10

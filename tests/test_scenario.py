@@ -125,6 +125,14 @@ def test_malformed_value_raises_config_error(tmp_path, text):
         load(tmp_path, text)
 
 
+@pytest.mark.parametrize("origin", ["5", "1, 2, 3", "1, inf"])
+def test_ue_square_origin_must_be_two_finite_numbers(tmp_path, origin):
+    with pytest.raises(ConfigError, match="ue_square_origin"):
+        load(tmp_path, f"[geometry]\nue_square_origin = {origin}\n")
+    with pytest.raises(ConfigError):
+        ScenarioConfig(ue_square_origin=(1.0, 2.0, 3.0))
+
+
 def test_missing_file_raises_config_error(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.ini")

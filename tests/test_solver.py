@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from bdris import solver as solver_mod
 from bdris.errors import NumericalFailureError
 from bdris.rates import snapshot, sum_rate
 from bdris.solver import (Candidate, SolverConfig, blend_step, capacitance_tau,
-                          initial_iterate, local_subproblem, run,
-                          step_size_schedule)
+                          initial_iterate, local_subproblem, local_subproblems,
+                          run, step_size_schedule)
 
 from conftest import make_network
 
@@ -121,39 +123,63 @@ class TestLocalSubproblem:
 
 
     @pytest.mark.parametrize("cooperative", [True, False])
-    def test_matches_per_block_functions(self, multiuser_network, cooperative):
-        # the merged surface assembly must give the candidate that the four
-        # public per-block gradients give; BS 0 has two users, so the
-        # intracell (t != v) weights are exercised
-        channels, iterate, noise = multiuser_network
-        cfg = SolverConfig(cooperative=cooperative)
-        snap = snapshot(iterate, channels, noise)
+    def test_matches_per_block_functions(self, multiuser_network, default_scale_network,
+                                         cooperative):
+        # slice q of the batched sweep must give the candidate that the
+        # per-BS precoder functions and the four public per-block gradients
+        # give; BS 0 of multiuser_network has two users, so the intracell
+        # (t != v) weights are exercised, and hold > iteration skips the switches
+        for network in (multiuser_network, default_scale_network):
+            for ris_mode, hold in (("bd", 0), ("diagonal", 0), ("none", 0), ("bd", 5)):
+                cfg = SolverConfig(ris_mode=ris_mode, cooperative=cooperative,
+                                   switch_hold_iters=hold)
+                self.assert_sweep_matches_blocks(*network, cfg, iteration=2)
+
+    @staticmethod
+    def assert_sweep_matches_blocks(channels, iterate, noise, cfg, iteration):
+        ris, coop = cfg.ris_enabled, cfg.cooperative
+        snap = snapshot(iterate, channels, noise, ris)
         tau_c = capacitance_tau(cfg.tau, channels.circuit)
-        for q in range(channels.num_bs):
-            cand = local_subproblem(q, iterate, channels, noise, 1.0, cfg, snap)
+        cands = local_subproblems(iterate, channels, noise, 1.0, cfg, snap, iteration)
+        assert len(cands) == channels.num_bs
+        for q, cand in enumerate(cands):
             surrogates = precoding.build_surrogates(
-                q, iterate, channels, noise, snap, cooperative=cooperative)
-            _, w_hat = precoding.bisect_power_multiplier(surrogates, cfg.tau, 1.0)
-            value = precoding.subproblem_objective(surrogates, w_hat, cfg.tau)
-            grad_c = capacitance.rate_gradient(q, iterate, channels, noise, snap)
-            grad_s = switches.selection_gradient(q, iterate, channels, noise, snap)
-            price_c = np.zeros_like(grad_c)
-            if cooperative:
-                price_c = capacitance.pricing_gradient(q, iterate, channels,
-                                                       noise, snap)
-                grad_s = grad_s + switches.selection_pricing(q, iterate, channels,
-                                                             noise, snap)
-            c_prev, s_prev = iterate.capacitances[q], iterate.selections[q]
-            c_hat = capacitance.update_capacitances(c_prev, grad_c + price_c, tau_c,
-                                                    channels.circuit)
-            dc = c_hat - c_prev
-            value += (grad_c + price_c) @ dc - 0.5 * tau_c * dc @ dc
-            reward = switches.selection_reward(grad_s, s_prev, cfg.tau)
-            s_hat = switches.solve_selection(reward)
-            value += switches.reward_gain(reward, s_hat, s_prev)
+                q, iterate, channels, noise, snap, cooperative=coop, ris_enabled=ris)
+            lam, w_hat = precoding.bisect_power_multiplier(surrogates, cfg.tau, 1.0)
+            value = sum(precoding.objective_values(s, w, cfg.tau)
+                        for s, w in zip(surrogates, w_hat))
+            c_hat, s_hat = iterate.capacitances[q], iterate.selections[q]
+            if ris:
+                grad_c = capacitance.rate_gradient(q, iterate, channels, noise, snap)
+                if coop:
+                    grad_c = grad_c + capacitance.pricing_gradient(
+                        q, iterate, channels, noise, snap)
+                c_prev = c_hat
+                c_hat = capacitance.update_capacitances(c_prev, grad_c, tau_c,
+                                                        channels.circuit)
+                dc = c_hat - c_prev
+                value += grad_c @ dc - 0.5 * tau_c * dc @ dc
+            if cfg.ris_mode == "bd" and iteration >= cfg.switch_hold_iters:
+                grad_s = switches.selection_gradient(q, iterate, channels, noise, snap)
+                if coop:
+                    grad_s = grad_s + switches.selection_pricing(q, iterate, channels,
+                                                                 noise, snap)
+                reward = switches.selection_reward(grad_s, s_hat, cfg.tau)
+                s_prev, s_hat = s_hat, switches.solve_selection(reward)
+                value += switches.reward_gain(reward, s_hat, s_prev)
+                np.testing.assert_allclose(cand.reward, reward, rtol=0,
+                                           atol=1e-12 * np.max(np.abs(reward)))
+            else:
+                assert cand.reward is None
+            assert cand.power_multiplier == lam
             np.testing.assert_array_equal(cand.selection, s_hat)
-            np.testing.assert_allclose(cand.capacitances, c_hat, rtol=1e-12)
+            np.testing.assert_allclose(cand.precoders, w_hat, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(cand.capacitances, c_hat, rtol=1e-12, atol=0)
             np.testing.assert_allclose(cand.surrogate_value, value, rtol=1e-12)
+            single = local_subproblem(q, iterate, channels, noise, 1.0, cfg, snap,
+                                      iteration)
+            np.testing.assert_array_equal(single.precoders, cand.precoders)
+            np.testing.assert_array_equal(single.capacitances, cand.capacitances)
 
 
 class TestBlendStep:
@@ -288,20 +314,55 @@ class TestRun:
         # permutation, with a reward favoring the swap, at every iteration;
         # swapping back and forth must not lower the true sum rate
         channels, _, noise = make_network(rng)
-        solve = solver_mod.local_subproblem
+        solve = solver_mod.local_subproblems
+        sweeps = []
 
-        def swapping_subproblem(q, iterate, *args, **kwargs):
-            cand = solve(q, iterate, *args, **kwargs)
-            swap = iterate.selections[q].copy()
-            swap[[0, 1]] = swap[[1, 0]]
-            reward = np.zeros((channels.num_elements,) * 2)
-            reward[swap, np.arange(channels.num_elements)] = 1.0
-            return Candidate(cand.precoders, cand.capacitances, swap, reward,
-                             cand.surrogate_value)
+        def swapping_subproblems(iterate, *args, **kwargs):
+            sweeps.append(len(sweeps))
+            cands = solve(iterate, *args, **kwargs)
+            for q, cand in enumerate(cands):
+                swap = iterate.selections[q].copy()
+                swap[[0, 1]] = swap[[1, 0]]
+                reward = np.zeros((channels.num_elements,) * 2)
+                reward[swap, np.arange(channels.num_elements)] = 1.0
+                cands[q] = Candidate(cand.precoders, cand.capacitances, swap, reward,
+                                     cand.surrogate_value)
+            return cands
 
-        monkeypatch.setattr(solver_mod, "local_subproblem", swapping_subproblem)
+        monkeypatch.setattr(solver_mod, "local_subproblems", swapping_subproblems)
         _, trace = run(channels, 1.0, noise, SolverConfig(max_iters=40, tol=0.0))
+        assert len(sweeps) == trace.num_iterations == 40
         assert np.all(np.diff(trace.sum_rates) >= -1e-6)
+
+    def test_runs_share_no_state(self, rng):
+        # run(A), run(B), run(A) and a run after changing A in place must
+        # each reproduce a run on a fresh copy of its channels, bit for bit
+        cfg = SolverConfig(max_iters=6, tol=0.0)
+        net_a, net_b = make_network(rng), make_network(rng)
+
+        def solve(channels, noise):
+            return run(channels, 1.0, noise, cfg)
+
+        def fresh(channels, noise):
+            return solve(copy.deepcopy(channels), noise)
+
+        def assert_same(got, want):
+            (it_g, tr_g), (it_w, tr_w) = got, want
+            assert tr_g.sum_rates == tr_w.sum_rates
+            np.testing.assert_array_equal(it_g.precoders, it_w.precoders)
+            np.testing.assert_array_equal(it_g.capacitances, it_w.capacitances)
+            np.testing.assert_array_equal(it_g.selections, it_w.selections)
+
+        (ch_a, _, noise_a), (ch_b, _, noise_b) = net_a, net_b
+        want_a, want_b = fresh(ch_a, noise_a), fresh(ch_b, noise_b)
+        assert_same(solve(ch_a, noise_a), want_a)
+        assert_same(solve(ch_b, noise_b), want_b)
+        assert_same(solve(ch_a, noise_a), want_a)
+        ch_a.ris_ue *= 1.5
+        ch_a.bs_ris[:, :, 0] = 0.0
+        changed = fresh(ch_a, noise_a)
+        assert changed[1].sum_rates != want_a[1].sum_rates
+        assert_same(solve(ch_a, noise_a), changed)
 
     def test_single_user_matches_waterfilling(self, rng):
         # one cell, one user, no surface: the optimum is the matched filter
@@ -333,6 +394,16 @@ class TestRun:
 
 
 class TestTraceCsv:
+    def test_power_multipliers_recorded(self, rng):
+        # the initial point records 0s; every sweep records each BS's
+        # multiplier, which is positive when the full-power budget binds
+        channels, _, noise = make_network(rng)
+        _, trace = run(channels, 1.0, noise, SolverConfig(max_iters=5, tol=0.0))
+        mults = np.asarray(trace.power_multipliers)
+        assert mults.shape == (6, channels.num_bs)
+        np.testing.assert_array_equal(mults[0], 0.0)
+        assert np.all(mults >= 0.0) and np.any(mults[1:] > 0.0)
+
     def test_columns_and_determinism(self, rng, tmp_path):
         channels, _, noise = make_network(rng)
         cfg = SolverConfig(max_iters=5, tol=0.0)
@@ -342,4 +413,5 @@ class TestTraceCsv:
         trace.to_csv(p2)
         assert p1.read_bytes() == p2.read_bytes()
         header = p1.read_text().splitlines()[0]
-        assert header == "iteration,sum_rate,alpha,power_slack_bs0,power_slack_bs1"
+        assert header == ("iteration,sum_rate,alpha,power_slack_bs0,power_slack_bs1,"
+                          "power_multiplier_bs0,power_multiplier_bs1")

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import selection_coupling, selection_gain
-from bdris.circuit import reflection_profile
 from bdris.rates import snapshot
 from bdris.switches import (reward_gain, selection_gradient,
                             selection_pricing, selection_reward,
@@ -101,7 +100,7 @@ class TestDefaultScale:
         for q in range(channels.num_bs):
             own = channels.users_of_bs(q)
             others = np.flatnonzero(channels.bs_of_user != q)
-            phi = reflection_profile(iterate.capacitances[q], channels.grid,
+            phi = oracles.reflection_profile(iterate.capacitances[q], channels.grid,
                                      channels.circuit)
             hw = np.einsum("kmn,tkn->tkm", channels.bs_ris[q],
                            iterate.precoders[own])
