@@ -13,7 +13,7 @@ Every link draws from its own random substream derived from the root seed
 and a (kind, endpoint, endpoint) key, so adding users or surfaces never
 perturbs previously generated links.  The composite channel of every link,
 direct plus routed reflected path, is assembled by
-:func:`bdris.rates.effective_rows`.
+:func:`bdris.rates.snapshot` (its ``rows``).
 """
 
 from __future__ import annotations

@@ -68,56 +68,12 @@ class Iterate:
             raise ValueError("selections must be (Q, M) integer permutations")
 
 
-def effective_rows(iterate, channels, ris_enabled=True):
-    """Conjugate-transposed composite channels ``f^H = h^H + g^H S diag(phi) H``, (Q, U, K, N).
-
-    ``rows[j, u, k] @ w`` is the complex receive amplitude at user u of a
-    vector w sent by BS j: the direct path plus surface j's routed,
-    phase-shifted reflection.  With ``ris_enabled=False`` only the direct
-    path remains.  This is the library's one form of the composite channel.
-    """
-    return _rows_and_profile(iterate, channels, ris_enabled)[0]
-
-
-def _rows_and_profile(iterate, channels, ris_enabled, coefficients=None):
-    """(effective rows, phi, d(phi)/dC); the last two are None without surfaces.
-
-    ``coefficients`` are the circuit's :func:`~bdris.circuit.rational_coefficients`
-    of the subcarriers, computed here if not given.
-    """
-    rows = np.conj(channels.direct)
-    if not ris_enabled:
-        return rows, None, None
-    if coefficients is None:
-        coefficients = rational_coefficients(channels.grid.frequencies, channels.circuit)
-    phi, slope = reflection_and_slope(iterate.capacitances, coefficients, channels.circuit)
-    reflected = []
-    for g, perm, p, h in zip(channels.ris_ue, iterate.selections, phi, channels.bs_ris):
-        routed = np.take(g, perm, axis=-1)  # (U, K, M)
-        np.conjugate(routed, out=routed)
-        routed *= p
-        reflected.append(routed.swapaxes(0, 1) @ h)  # @ BS -> surface matrices (K, M, N)
-    return rows + np.stack(reflected).swapaxes(1, 2), phi, slope
-
-
-def link_amplitudes(iterate, channels, ris_enabled=True, rows=None):
-    """Receive amplitude of every stream at every user, shape (U, U, K).
-
-    Entry ``[n, u, k]`` is the amplitude of user n's stream observed by
-    user u at subcarrier k.
-    """
-    if rows is None:
-        rows = effective_rows(iterate, channels, ris_enabled)
-    tx_rows = rows[channels.bs_of_user]  # (U, U, K, N): serving-BS row of each stream
-    return np.einsum("nuki,nki->nuk", tx_rows, iterate.precoders)
-
-
 @dataclass
 class RateSnapshot:
     """Cached per-iterate quantities shared by the subproblem solvers."""
 
-    rows: np.ndarray          # (Q, U, K, N)
-    amplitudes: np.ndarray    # (U, U, K)
+    rows: np.ndarray          # (Q, U, K, N) conjugated composite channels
+    amplitudes: np.ndarray    # (U, U, K): [n, u, k] is stream n's amplitude at user u
     signal: np.ndarray        # (U, K) own-stream power
     mui: np.ndarray           # (U, K) noise plus interference power
     snr: np.ndarray           # (U, K)
@@ -133,10 +89,27 @@ class RateSnapshot:
 def snapshot(iterate, channels, noise_power, ris_enabled=True, coefficients=None):
     """Evaluate rates and interference terms once for the current iterate.
 
-    A solver run passes the circuit ``coefficients`` it computed once.
+    The rows ``f^H = h^H + g^H S diag(phi) H``, (Q, U, K, N), are the
+    library's one form of the composite channel: ``rows[j, u, k] @ w`` is
+    the receive amplitude at user u of a vector w sent by BS j, direct path
+    plus surface j's routed reflection (direct path only without surfaces).
+    ``coefficients`` are the circuit's :func:`~bdris.circuit.rational_coefficients`
+    of the subcarriers; a solver run passes the ones it computed once.
     """
-    rows, phi, slope = _rows_and_profile(iterate, channels, ris_enabled, coefficients)
-    amp = link_amplitudes(iterate, channels, ris_enabled, rows=rows)
+    rows, phi, slope = np.conj(channels.direct), None, None
+    if ris_enabled:
+        if coefficients is None:
+            coefficients = rational_coefficients(channels.grid.frequencies, channels.circuit)
+        phi, slope = reflection_and_slope(iterate.capacitances, coefficients, channels.circuit)
+        reflected = []
+        for g, perm, p, h in zip(channels.ris_ue, iterate.selections, phi, channels.bs_ris):
+            routed = np.take(g, perm, axis=-1)  # (U, K, M)
+            np.conjugate(routed, out=routed)
+            routed *= p
+            reflected.append(routed.swapaxes(0, 1) @ h)  # @ BS -> surface matrices (K, M, N)
+        rows = rows + np.stack(reflected).swapaxes(1, 2)
+    tx_rows = rows[channels.bs_of_user]  # (U, U, K, N): serving-BS row of each stream
+    amp = np.einsum("nuki,nki->nuk", tx_rows, iterate.precoders)
     powers = np.abs(amp) ** 2
     u_n = powers.shape[0]
     own = powers[np.arange(u_n), np.arange(u_n)]  # (U, K)

@@ -199,7 +199,6 @@ _INI_KEYS = (
     ("solver", "epsilon", "solver.epsilon", float),
     ("solver", "max_iters", "solver.max_iters", int),
     ("solver", "tol", "solver.tol", float),
-    ("solver", "switch_hold_iters", "solver.switch_hold_iters", int),
     ("simulation", "trials", "trials", int),
     ("simulation", "seed", "seed", int),
     ("simulation", "variants", "variants", parse_names),
@@ -209,11 +208,22 @@ _INI_KEYS = (
 def load_config(path):
     """Read a scenario from an INI file; unset keys keep their defaults.
 
-    Without ``L_q``, a configured ``Q`` gets one user per BS.
+    Without ``L_q``, a configured ``Q`` gets one user per BS.  A section or
+    key outside ``_INI_KEYS`` raises :class:`ConfigError`.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    if not parser.read(path):
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"config file not found: {path}")
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config {path}: {exc}") from exc
+    known = {(section, parser.optionxform(key)) for section, key, _, _ in _INI_KEYS}
+    sections = {section for section, _ in known}
+    unknown = [f"[{s}]" for s in parser.sections() if s not in sections]
+    unknown += [f"[{s}] {k}" for s in parser for k in parser[s]
+                if (s in sections or s == parser.default_section) and (s, k) not in known]
+    if unknown:
+        raise ConfigError(f"unknown config entries in {path}: {', '.join(unknown)}")
     cfg = ScenarioConfig()
     fields = {"": {}, "circuit": {}, "solver": {}}
     try:

@@ -12,7 +12,9 @@ The per-BS updates are independent given the snapshot, so one batched
 call, :func:`local_subproblems`, computes all of them: the precoder blocks
 in one contraction and one lock-step bisection, both surface gradients from
 the victim-combined channels of :func:`bdris.rates.surface_assembly`, and
-one assignment per BS.  :func:`local_subproblem` is its slice for one BS.
+one assignment per BS.  It returns one :class:`Candidate` of per-BS arrays,
+which :func:`blend_step` merges with array expressions;
+:func:`local_subproblem` is its one-BS slice.
 
 A merged point is kept only if the true sum rate does not drop.  The
 linearized pricing guarantees ascent only for small enough steps of the
@@ -52,7 +54,6 @@ class SolverConfig:
     tol: float = 1e-4
     ris_mode: str = "bd"
     cooperative: bool = True
-    switch_hold_iters: int = 0
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -76,7 +77,8 @@ class Trace:
     """Per-iteration history of one solver run.
 
     The first recorded entries describe the initial point (step size 0,
-    power multipliers 0); each executed iteration appends one entry.
+    surrogate values and power multipliers 0); each executed iteration
+    appends one entry, with the per-BS fields as (Q,) arrays.
     ``alphas`` holds the step actually taken: the scheduled one, a halved
     one after backtracking, or 0.0 when every trial lowered the sum rate and
     the point was kept.
@@ -84,9 +86,9 @@ class Trace:
 
     sum_rates: list = field(default_factory=list)
     alphas: list = field(default_factory=list)
-    surrogate_values: list = field(default_factory=list)   # per-BS lists
-    power_slacks: list = field(default_factory=list)       # per-BS arrays
-    power_multipliers: list = field(default_factory=list)  # per-BS arrays
+    surrogate_values: list = field(default_factory=list)
+    power_slacks: list = field(default_factory=list)
+    power_multipliers: list = field(default_factory=list)
     wall_times: list = field(default_factory=list)
 
     @property
@@ -96,7 +98,7 @@ class Trace:
     def append(self, sum_rate, alpha, surrogates, slack, multipliers, wall):
         self.sum_rates.append(float(sum_rate))
         self.alphas.append(float(alpha))
-        self.surrogate_values.append(list(surrogates))
+        self.surrogate_values.append(np.asarray(surrogates, dtype=float))
         self.power_slacks.append(np.asarray(slack, dtype=float))
         self.power_multipliers.append(np.asarray(multipliers, dtype=float))
         self.wall_times.append(float(wall))
@@ -117,14 +119,16 @@ class Trace:
 
 @dataclass
 class Candidate:
-    """Per-BS subproblem solution for one iteration."""
+    """One Jacobi sweep's subproblem solutions, every BS at once.
 
-    precoders: np.ndarray       # (L, K, N)
-    capacitances: np.ndarray    # (M,)
-    selection: np.ndarray       # (M,) int permutation, as in Iterate
-    reward: np.ndarray | None   # (M, M) assignment reward, None if no switch update
-    surrogate_value: float
-    power_multiplier: float = 0.0
+    ``switch_gains[q]`` is the assignment reward gain of BS q's proposed
+    permutation over its current one, 0.0 where no assignment was solved.
+    """
+
+    target: Iterate                # proposed precoders, capacitances, selections
+    switch_gains: np.ndarray       # (Q,)
+    surrogate_values: np.ndarray   # (Q,)
+    power_multipliers: np.ndarray  # (Q,)
 
 
 MAX_HALVINGS = 10  # step halvings an iteration tries before it takes step 0
@@ -164,26 +168,23 @@ def initial_iterate(channels, power_budgets):
     """
     q_n, u_n, k_n, n_n = channels.direct.shape
     m_n = channels.num_elements
+    bs = channels.bs_of_user
     budgets = np.broadcast_to(np.asarray(power_budgets, float), (q_n,))
-    w = np.zeros((u_n, k_n, n_n), dtype=complex)
-    for u in range(u_n):
-        q = channels.bs_of_user[u]
-        share = budgets[q] / (len(channels.users_of_bs(q)) * k_n)
-        h = channels.direct[q, u]
-        norms = np.linalg.norm(h, axis=1, keepdims=True)
-        direction = np.where(norms > 0, h / np.where(norms > 0, norms, 1.0),
-                             1.0 / np.sqrt(n_n))
-        w[u] = np.sqrt(share) * direction
+    shares = budgets[bs] / (np.bincount(bs, minlength=q_n)[bs] * k_n)
+    h = channels.direct[bs, np.arange(u_n)]  # (U, K, N): each user's serving link
+    norms = np.linalg.norm(h, axis=2, keepdims=True)
+    direction = np.where(norms > 0, h / np.where(norms > 0, norms, 1.0),
+                         1.0 / np.sqrt(n_n))
+    w = np.sqrt(shares)[:, None, None] * direction
     caps = np.full((q_n, m_n), channels.circuit.midpoint())
     sels = np.tile(np.arange(m_n), (q_n, 1))
     return Iterate(w, caps, sels)
 
 
-def local_subproblems(iterate, channels, noise_power, power_budgets, config,
-                      snap=None, iteration=0):
+def local_subproblems(iterate, channels, noise_power, power_budgets, config, snap=None):
     """One Jacobi sweep: every BS's three block subproblems against the shared snapshot.
 
-    Returns one :class:`Candidate` per BS.
+    Returns one :class:`Candidate` for all BSs.
     """
     if snap is None:
         snap = snapshot(iterate, channels, noise_power, config.ris_enabled)
@@ -196,7 +197,7 @@ def local_subproblems(iterate, channels, noise_power, power_budgets, config,
                          minlength=q_n)
 
     c_prev, s_prev = iterate.capacitances, iterate.selections
-    c_hat, s_hat, rewards = c_prev, s_prev, [None] * q_n
+    c_hat, s_hat, gains = c_prev, s_prev, np.zeros(q_n)
     if config.ris_enabled:
         y, beams = rates.surface_assembly(iterate, channels, snap,
                                           pricing=float(config.cooperative))
@@ -206,45 +207,38 @@ def local_subproblems(iterate, channels, noise_power, power_budgets, config,
         dc = c_hat - c_prev
         values += np.sum(grad_c * dc, axis=1) - 0.5 * tau_c * np.sum(dc * dc, axis=1)
 
-        if config.ris_mode == "bd" and iteration >= config.switch_hold_iters:
+        if config.ris_mode == "bd":
             s_hat = s_prev.copy()
             for q in range(q_n):
                 grad_s = switches.assemble_gradient(q, channels, snap, y, beams)
-                rewards[q] = switches.selection_reward(grad_s, s_prev[q], config.tau)
-                s_hat[q] = switches.solve_selection(rewards[q])
-                values[q] += switches.reward_gain(rewards[q], s_hat[q], s_prev[q])
-    return [Candidate(w_hat[channels.users_of_bs(q)], c_hat[q], s_hat[q], rewards[q],
-                      float(values[q]), float(lams[q]))
-            for q in range(q_n)]
+                reward = switches.selection_reward(grad_s, s_prev[q], config.tau)
+                s_hat[q] = switches.solve_selection(reward)
+                gains[q] = switches.reward_gain(reward, s_hat[q], s_prev[q])
+            values += gains
+    return Candidate(Iterate(w_hat, c_hat, s_hat), gains, values, lams)
 
 
-def local_subproblem(q, iterate, channels, noise_power, power_budget, config,
-                     snap=None, iteration=0):
-    """BS q's candidate: slice q of :func:`local_subproblems`, every BS at ``power_budget``."""
-    return local_subproblems(iterate, channels, noise_power, power_budget, config,
-                             snap, iteration)[q]
+def local_subproblem(q, iterate, channels, noise_power, power_budget, config, snap=None):
+    """BS q's one-BS slice of :func:`local_subproblems`, every BS at ``power_budget``."""
+    c = local_subproblems(iterate, channels, noise_power, power_budget, config, snap)
+    t = c.target
+    return Candidate(Iterate(t.precoders[channels.users_of_bs(q)], t.capacitances[[q]],
+                             t.selections[[q]]),
+                     c.switch_gains[[q]], c.surrogate_values[[q]], c.power_multipliers[[q]])
 
 
-def blend_step(iterate, candidates, alpha, channels):
-    """Merge per-BS candidates into the next point.
+def blend_step(iterate, candidate, alpha):
+    """Merge a sweep's candidate into the next point.
 
-    Precoders and capacitances move a fraction ``alpha`` toward their
-    candidates; a candidate permutation replaces the current one only when
-    its assignment reward strictly improves on it (``reward_gain > 0``).
-    Candidates with ``reward=None`` keep their permutation.  Whether the
-    merged point is kept at all is decided by ``run`` on the true sum rate.
+    Precoders and capacitances move a fraction ``alpha`` toward the
+    candidate; a BS's proposed permutation replaces its current one only
+    where its switch gain is strictly positive.  Whether the merged point is
+    kept at all is decided by ``run`` on the true sum rate.
     """
-    w = iterate.precoders.copy()
-    caps = iterate.capacitances.copy()
-    sels = iterate.selections.copy()
-    for q, cand in enumerate(candidates):
-        own = channels.users_of_bs(q)
-        w[own] += alpha * (cand.precoders - w[own])
-        caps[q] += alpha * (cand.capacitances - caps[q])
-        if cand.reward is not None:
-            if switches.reward_gain(cand.reward, cand.selection, sels[q]) > 0.0:
-                sels[q] = cand.selection
-    return Iterate(w, caps, sels)
+    t, w, caps = candidate.target, iterate.precoders, iterate.capacitances
+    return Iterate(w + alpha * (t.precoders - w), caps + alpha * (t.capacitances - caps),
+                   np.where((candidate.switch_gains > 0.0)[:, None], t.selections,
+                            iterate.selections))
 
 
 def run(channels, power_budgets, noise_power, config):
@@ -265,40 +259,38 @@ def run(channels, power_budgets, noise_power, config):
     coefficients = rational_coefficients(channels.grid.frequencies, channels.circuit)
     snap = snapshot(iterate, channels, noise_power, config.ris_enabled, coefficients)
     trace = Trace()
-    trace.append(snap.sum_rate, 0.0, [0.0] * q_n,
+    trace.append(snap.sum_rate, 0.0, np.zeros(q_n),
                  budgets - iterate.bs_power(channels.bs_of_user), np.zeros(q_n), 0.0)
 
     alpha = config.alpha0
     for t in range(config.max_iters):
         start = time.perf_counter()
         alpha = step_size_schedule(t, alpha, config)
-        candidates = local_subproblems(iterate, channels, noise_power, budgets,
-                                       config, snap, iteration=t)
+        candidate = local_subproblems(iterate, channels, noise_power, budgets,
+                                      config, snap)
         prev_rate = snap.sum_rate
-        step, iterate, snap = _ascent_step(iterate, snap, candidates, alpha, channels,
+        step, iterate, snap = _ascent_step(iterate, snap, candidate, alpha, channels,
                                            budgets, noise_power, config, coefficients)
         if step > 0.0:
             alpha = step
-        trace.append(snap.sum_rate, step,
-                     [c.surrogate_value for c in candidates],
+        trace.append(snap.sum_rate, step, candidate.surrogate_values,
                      budgets - iterate.bs_power(channels.bs_of_user),
-                     [c.power_multiplier for c in candidates],
-                     time.perf_counter() - start)
+                     candidate.power_multipliers, time.perf_counter() - start)
         if abs(snap.sum_rate - prev_rate) <= config.tol:
             break
     return iterate, trace
 
 
-def _ascent_step(iterate, snap, candidates, alpha, channels, budgets,
+def _ascent_step(iterate, snap, candidate, alpha, channels, budgets,
                  noise_power, config, coefficients):
     """First trial merge whose sum rate does not drop below ``snap``'s.
 
     Returns (step, iterate, snapshot) of the accepted point, or the given
     point with step 0.0 if every trial drops.
     """
-    cands, step = candidates, alpha
+    cand, step = candidate, alpha
     while step >= alpha * 0.5**MAX_HALVINGS:
-        trial = blend_step(iterate, cands, step, channels)
+        trial = blend_step(iterate, cand, step)
         try:
             trial.validate(channels, budgets)
         except ValueError as exc:
@@ -308,8 +300,8 @@ def _ascent_step(iterate, snap, candidates, alpha, channels, budgets,
                               coefficients)
         if trial_snap.sum_rate >= snap.sum_rate:
             return step, trial, trial_snap
-        if cands is candidates and np.any(trial.selections != iterate.selections):
-            cands = [replace(c, reward=None) for c in candidates]
+        if cand is candidate and np.any(trial.selections != iterate.selections):
+            cand = replace(candidate, switch_gains=np.zeros_like(candidate.switch_gains))
         else:
             step *= 0.5
     return 0.0, iterate, snap

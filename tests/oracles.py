@@ -170,9 +170,10 @@ def selection_gain(q, sel_new, sel_old, iterate, channels, noise_power, tau,
     Evaluates the local model (linear gradients plus proximal term anchored
     at the iterate's current permutation) on the 0/1 matrices of both
     candidates and returns ``value(sel_new) - value(sel_old)``.  This is the
-    literal reference form of the guard: the solver itself commits a new
-    permutation via ``switches.reward_gain`` in ``blend_step``, and then only
-    if the merged point's true sum rate does not drop.
+    literal reference form of the guard: the sweep computes each BS's switch
+    gain with ``switches.reward_gain``, ``blend_step`` commits a new
+    permutation only where that gain is positive, and then only if the
+    merged point's true sum rate does not drop.
     """
     grad = selection_gradient(q, iterate, channels, noise_power, snap)
     if cooperative:

@@ -9,7 +9,7 @@ from bdris.channels import (NetworkTopology, generate_channels,
                             generate_link_taps, load_channels, pathloss,
                             save_channels, taps_to_frequency)
 from bdris.circuit import SubcarrierGrid
-from bdris.rates import effective_rows
+from bdris.rates import snapshot
 
 from conftest import complex_normal, make_network
 
@@ -118,8 +118,11 @@ class TestTapsToFrequency:
 
 
 def composite(channels, iterate):
-    """Composite channel f of every (BS, user, subcarrier), as the solver forms it."""
-    return np.conj(effective_rows(iterate, channels))
+    """Composite channel f of every (BS, user, subcarrier), as the solver forms it.
+
+    The noise power does not enter the snapshot's rows.
+    """
+    return np.conj(snapshot(iterate, channels, 1.0).rows)
 
 
 class TestCompositeChannel:

@@ -67,6 +67,21 @@ def test_single_rejects_unknown_variant(tiny_ini, tmp_path):
                  "--variants", "nope"]) == 2
 
 
+@pytest.mark.parametrize("old, new, entry", [
+    ("max_iters", "mx_iters", "[solver] mx_iters"),
+    ("[network]", "[netwrk]", "[netwrk]"),
+    ("max_iters = 20", "max_iters = 20\nswitch_hold_iters = 3", "[solver] switch_hold_iters"),
+])
+def test_single_rejects_unknown_config_entry(tiny_ini, tmp_path, capsys, old, new, entry):
+    path = tmp_path / "typo.ini"
+    path.write_text(TINY_INI.replace(old, new))
+    out = tmp_path / "single"
+    assert main(["single", "--config", str(path), "--out", str(out), "--power", "30"]) == 2
+    err = capsys.readouterr().err
+    assert entry in err and "Traceback" not in err
+    assert not (out / "trace.csv").exists()
+
+
 def test_validate_passes_every_check(capsys):
     assert main(["validate"]) == 0
     assert "10/10 checks passed" in capsys.readouterr().out

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from bdris.rates import (Iterate, effective_rows, link_amplitudes, snapshot,
-                         sum_rate)
+from bdris.rates import Iterate, snapshot, sum_rate
 from bdris.scenario import ScenarioConfig, channels_for_trial
 
 from conftest import make_network
@@ -44,8 +43,8 @@ class TestIterate:
 
 class TestEffectiveRows:
     def test_matches_reference_row(self, small_network):
-        channels, iterate, _ = small_network
-        rows = effective_rows(iterate, channels)
+        channels, iterate, noise = small_network
+        rows = snapshot(iterate, channels, noise).rows
         for j in range(channels.num_bs):
             for u in range(channels.num_users):
                 for k in range(channels.num_subcarriers):
@@ -65,7 +64,7 @@ class TestEffectiveRows:
         precoders = np.zeros((channels.num_users, channels.num_subcarriers,
                               channels.num_antennas), dtype=complex)
         iterate = Iterate(precoders, caps, sels)
-        rows = effective_rows(iterate, channels)
+        rows = snapshot(iterate, channels, config.noise_power).rows
         for _ in range(12):
             j, u, k = (rng.integers(n) for n in (q_n, channels.num_users,
                                                  channels.num_subcarriers))
@@ -75,8 +74,8 @@ class TestEffectiveRows:
                                        atol=1e-12 * np.abs(literal).max())
 
     def test_disabled_surface_leaves_direct(self, small_network):
-        channels, iterate, _ = small_network
-        rows = effective_rows(iterate, channels, ris_enabled=False)
+        channels, iterate, noise = small_network
+        rows = snapshot(iterate, channels, noise, ris_enabled=False).rows
         np.testing.assert_array_equal(rows, np.conj(channels.direct))
 
 
@@ -94,7 +93,7 @@ class TestMui:
     def test_scalar_two_cell_hand_expansion(self, rng):
         channels, iterate, noise = make_network(
             rng, num_bs=2, num_antennas=1, num_elements=1, num_subcarriers=1)
-        rows = effective_rows(iterate, channels)
+        rows = snapshot(iterate, channels, noise).rows
         # interference at user 0 comes only from user 1's stream through BS 1
         expected = noise + abs(rows[1, 0, 0, 0] * iterate.precoders[1, 0, 0]) ** 2
         assert snapshot(iterate, channels, noise).mui[0, 0] == pytest.approx(expected)
@@ -117,7 +116,7 @@ class TestUserRate:
         channels, iterate, noise = make_network(
             rng, num_bs=1, num_antennas=1, num_elements=1, num_subcarriers=1,
             users_per_bs=(1,))
-        rows = effective_rows(iterate, channels)
+        rows = snapshot(iterate, channels, noise).rows
         # scale the precoder so |f^H w|^2 equals the noise power
         gain = abs(rows[0, 0, 0, 0])
         iterate.precoders[0, 0, 0] = np.sqrt(noise) / gain
@@ -175,7 +174,7 @@ class TestSnapshot:
         # per-entry sums over the link amplitudes, one user and subcarrier at a time
         channels, iterate, noise = multiuser_network
         snap = snapshot(iterate, channels, noise)
-        powers = np.abs(link_amplitudes(iterate, channels)) ** 2
+        powers = np.abs(snap.amplitudes) ** 2
         for u in range(channels.num_users):
             muis = [float(noise + powers[:, u, k].sum() - powers[u, u, k])
                     for k in range(channels.num_subcarriers)]
@@ -185,8 +184,8 @@ class TestSnapshot:
 
     def test_amplitudes_match_row_products(self, small_network):
         channels, iterate, noise = small_network
-        rows = effective_rows(iterate, channels)
-        amp = link_amplitudes(iterate, channels)
+        snap = snapshot(iterate, channels, noise)
+        rows, amp = snap.rows, snap.amplitudes
         for n in range(channels.num_users):
             j = channels.bs_of_user[n]
             for u in range(channels.num_users):

@@ -1,6 +1,7 @@
 """INI config files: every key of every section, and the special cases."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -48,7 +49,6 @@ alpha0 = 0.2
 epsilon = 0.05
 max_iters = 50
 tol = 1e-5
-switch_hold_iters = 3
 [simulation]
 trials = 7
 seed = 42
@@ -66,11 +66,11 @@ EXPECTED = ScenarioConfig(
     trials=7, seed=42, variants=("bd", "none-pi0"),
     circuit=ElementCircuit(2.0, 3e-9, 0.8e-9, 376.0, 0.5e-12, 2.0e-12),
     solver=SolverConfig(tau=0.5, alpha0=0.2, epsilon=0.05, max_iters=50,
-                        tol=1e-5, switch_hold_iters=3))
+                        tol=1e-5))
 
 # solver fields that the variant names set, not the INI file
 NOT_IN_INI = {"ris_mode", "cooperative"}
-SOLVER_KEYS = {"tau", "alpha0", "epsilon", "max_iters", "tol", "switch_hold_iters"}
+SOLVER_KEYS = {"tau", "alpha0", "epsilon", "max_iters", "tol"}
 
 
 def load(tmp_path, text):
@@ -119,6 +119,8 @@ def test_empty_list_keys_keep_defaults(tmp_path):
     "[geometry]\nris_positions = 1,2,3\n",
     "[power]\npower_dbm = 10, high\n",
     "[solver]\nmax_iters = 2.5\n",
+    "[solver]\ntau = 0.5\n[solver]\ntol = 1e-5\n",  # a section twice
+    "tau = 0.5\n",                                    # no section header
 ])
 def test_malformed_value_raises_config_error(tmp_path, text):
     with pytest.raises(ConfigError):
@@ -131,6 +133,16 @@ def test_ue_square_origin_must_be_two_finite_numbers(tmp_path, origin):
         load(tmp_path, f"[geometry]\nue_square_origin = {origin}\n")
     with pytest.raises(ConfigError):
         ScenarioConfig(ue_square_origin=(1.0, 2.0, 3.0))
+
+
+@pytest.mark.parametrize("text, entry", [
+    ("[solver]\nmx_iters = 5\n", "[solver] mx_iters"),           # misspelled key
+    ("[netwrk]\nQ = 2\n", "[netwrk]"),                           # misspelled section
+    ("[solver]\nswitch_hold_iters = 3\n", "[solver] switch_hold_iters"),  # removed key
+])
+def test_unknown_entry_raises_config_error(tmp_path, text, entry):
+    with pytest.raises(ConfigError, match=re.escape(entry)):
+        load(tmp_path, text)
 
 
 def test_missing_file_raises_config_error(tmp_path):

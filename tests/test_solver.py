@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -7,12 +8,22 @@ import oracles
 from bdris import capacitance, precoding, switches
 from bdris import solver as solver_mod
 from bdris.errors import NumericalFailureError
-from bdris.rates import snapshot, sum_rate
-from bdris.solver import (Candidate, SolverConfig, blend_step, capacitance_tau,
-                          initial_iterate, local_subproblem, local_subproblems,
-                          run, step_size_schedule)
+from bdris.rates import Iterate, snapshot, sum_rate
+from bdris.solver import (MAX_HALVINGS, Candidate, SolverConfig, blend_step,
+                          capacitance_tau, initial_iterate, local_subproblem,
+                          local_subproblems, run, step_size_schedule)
 
 from conftest import make_network
+
+
+def swap_first_elements(iterate, candidate):
+    """``candidate`` with every BS proposing its current permutation with
+    elements 0 and 1 swapped, at a positive switch gain."""
+    swap = iterate.selections.copy()
+    swap[:, [0, 1]] = swap[:, [1, 0]]
+    return dataclasses.replace(candidate,
+                               target=dataclasses.replace(candidate.target, selections=swap),
+                               switch_gains=np.ones(len(swap)))
 
 
 class TestConfig:
@@ -84,9 +95,9 @@ class TestLocalSubproblem:
         iterate.precoders[:] = 0
         cfg = SolverConfig(ris_mode="bd")
         cand = local_subproblem(0, iterate, channels, noise, 1.0, cfg)
-        np.testing.assert_allclose(cand.precoders, 0, atol=1e-14)
-        np.testing.assert_allclose(cand.capacitances, iterate.capacitances[0])
-        np.testing.assert_array_equal(cand.selection, iterate.selections[0])
+        np.testing.assert_allclose(cand.target.precoders, 0, atol=1e-14)
+        np.testing.assert_allclose(cand.target.capacitances[0], iterate.capacitances[0])
+        np.testing.assert_array_equal(cand.target.selections[0], iterate.selections[0])
 
     def test_non_cooperative_ignores_other_cells(self, small_network):
         channels, iterate, noise = small_network
@@ -96,31 +107,23 @@ class TestLocalSubproblem:
         channels.direct[0, 1] = 0
         channels.ris_ue[0, 1] = 0
         cand2 = local_subproblem(0, iterate, channels, noise, 1.0, cfg)
-        np.testing.assert_allclose(cand.precoders, cand2.precoders)
-        np.testing.assert_allclose(cand.capacitances, cand2.capacitances)
+        np.testing.assert_allclose(cand.target.precoders, cand2.target.precoders)
+        np.testing.assert_allclose(cand.target.capacitances[0],
+                                   cand2.target.capacitances[0])
 
     def test_diagonal_mode_pins_selection(self, small_network):
         channels, iterate, noise = small_network
         cfg = SolverConfig(ris_mode="diagonal")
         cand = local_subproblem(0, iterate, channels, noise, 1.0, cfg)
-        np.testing.assert_array_equal(cand.selection, iterate.selections[0])
-        assert cand.reward is None
+        np.testing.assert_array_equal(cand.target.selections[0], iterate.selections[0])
+        np.testing.assert_array_equal(cand.switch_gains, 0.0)
 
     def test_none_mode_freezes_surface(self, small_network):
         channels, iterate, noise = small_network
         cfg = SolverConfig(ris_mode="none")
         cand = local_subproblem(0, iterate, channels, noise, 1.0, cfg)
-        np.testing.assert_array_equal(cand.capacitances, iterate.capacitances[0])
-        np.testing.assert_array_equal(cand.selection, iterate.selections[0])
-
-    def test_switch_hold_delays_selection_update(self, small_network):
-        channels, iterate, noise = small_network
-        cfg = SolverConfig(ris_mode="bd", switch_hold_iters=5)
-        early = local_subproblem(0, iterate, channels, noise, 1.0, cfg, iteration=3)
-        assert early.reward is None
-        late = local_subproblem(0, iterate, channels, noise, 1.0, cfg, iteration=5)
-        assert late.reward is not None
-
+        np.testing.assert_array_equal(cand.target.capacitances[0], iterate.capacitances[0])
+        np.testing.assert_array_equal(cand.target.selections[0], iterate.selections[0])
 
     @pytest.mark.parametrize("cooperative", [True, False])
     def test_matches_per_block_functions(self, multiuser_network, default_scale_network,
@@ -128,21 +131,23 @@ class TestLocalSubproblem:
         # slice q of the batched sweep must give the candidate that the
         # per-BS precoder functions and the four public per-block gradients
         # give; BS 0 of multiuser_network has two users, so the intracell
-        # (t != v) weights are exercised, and hold > iteration skips the switches
+        # (t != v) weights are exercised
         for network in (multiuser_network, default_scale_network):
-            for ris_mode, hold in (("bd", 0), ("diagonal", 0), ("none", 0), ("bd", 5)):
-                cfg = SolverConfig(ris_mode=ris_mode, cooperative=cooperative,
-                                   switch_hold_iters=hold)
-                self.assert_sweep_matches_blocks(*network, cfg, iteration=2)
+            for ris_mode in ("bd", "diagonal", "none"):
+                cfg = SolverConfig(ris_mode=ris_mode, cooperative=cooperative)
+                self.assert_sweep_matches_blocks(*network, cfg)
 
     @staticmethod
-    def assert_sweep_matches_blocks(channels, iterate, noise, cfg, iteration):
+    def assert_sweep_matches_blocks(channels, iterate, noise, cfg):
         ris, coop = cfg.ris_enabled, cfg.cooperative
         snap = snapshot(iterate, channels, noise, ris)
         tau_c = capacitance_tau(cfg.tau, channels.circuit)
-        cands = local_subproblems(iterate, channels, noise, 1.0, cfg, snap, iteration)
-        assert len(cands) == channels.num_bs
-        for q, cand in enumerate(cands):
+        cand = local_subproblems(iterate, channels, noise, 1.0, cfg, snap)
+        q_n = channels.num_bs
+        for arr in (cand.switch_gains, cand.surrogate_values, cand.power_multipliers):
+            assert arr.shape == (q_n,)
+        for q in range(q_n):
+            own = channels.users_of_bs(q)
             surrogates = precoding.build_surrogates(
                 q, iterate, channels, noise, snap, cooperative=coop, ris_enabled=ris)
             lam, w_hat = precoding.bisect_power_multiplier(surrogates, cfg.tau, 1.0)
@@ -159,84 +164,89 @@ class TestLocalSubproblem:
                                                         channels.circuit)
                 dc = c_hat - c_prev
                 value += grad_c @ dc - 0.5 * tau_c * dc @ dc
-            if cfg.ris_mode == "bd" and iteration >= cfg.switch_hold_iters:
+            if cfg.ris_mode == "bd":
                 grad_s = switches.selection_gradient(q, iterate, channels, noise, snap)
                 if coop:
                     grad_s = grad_s + switches.selection_pricing(q, iterate, channels,
                                                                  noise, snap)
                 reward = switches.selection_reward(grad_s, s_hat, cfg.tau)
                 s_prev, s_hat = s_hat, switches.solve_selection(reward)
-                value += switches.reward_gain(reward, s_hat, s_prev)
-                np.testing.assert_allclose(cand.reward, reward, rtol=0,
-                                           atol=1e-12 * np.max(np.abs(reward)))
+                gain = switches.reward_gain(reward, s_hat, s_prev)
+                value += gain
+                np.testing.assert_allclose(cand.switch_gains[q], gain, rtol=1e-12)
             else:
-                assert cand.reward is None
-            assert cand.power_multiplier == lam
-            np.testing.assert_array_equal(cand.selection, s_hat)
-            np.testing.assert_allclose(cand.precoders, w_hat, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(cand.capacitances, c_hat, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(cand.surrogate_value, value, rtol=1e-12)
-            single = local_subproblem(q, iterate, channels, noise, 1.0, cfg, snap,
-                                      iteration)
-            np.testing.assert_array_equal(single.precoders, cand.precoders)
-            np.testing.assert_array_equal(single.capacitances, cand.capacitances)
+                assert cand.switch_gains[q] == 0.0
+            assert cand.power_multipliers[q] == lam
+            np.testing.assert_array_equal(cand.target.selections[q], s_hat)
+            np.testing.assert_allclose(cand.target.precoders[own], w_hat,
+                                       rtol=1e-12, atol=0)
+            np.testing.assert_allclose(cand.target.capacitances[q], c_hat,
+                                       rtol=1e-12, atol=0)
+            np.testing.assert_allclose(cand.surrogate_values[q], value, rtol=1e-12)
+            single = local_subproblem(q, iterate, channels, noise, 1.0, cfg, snap)
+            np.testing.assert_array_equal(single.target.precoders, cand.target.precoders[own])
+            np.testing.assert_array_equal(single.target.capacitances,
+                                          cand.target.capacitances[[q]])
+            np.testing.assert_array_equal(single.target.selections,
+                                          cand.target.selections[[q]])
+            for name in ("switch_gains", "surrogate_values", "power_multipliers"):
+                np.testing.assert_array_equal(getattr(single, name),
+                                              getattr(cand, name)[[q]])
+
+
+def batched_candidate(precoders, capacitances, selections, gains=None):
+    """A sweep result proposing the given point, with zero surrogate values."""
+    q_n = len(capacitances)
+    gains = np.zeros(q_n) if gains is None else np.asarray(gains, dtype=float)
+    return Candidate(Iterate(precoders, capacitances, selections), gains,
+                     np.zeros(q_n), np.zeros(q_n))
 
 
 class TestBlendStep:
-    def _candidates(self, channels, iterate, w_scale=0.5):
-        cands = []
-        for q in range(channels.num_bs):
-            own = channels.users_of_bs(q)
-            cands.append(Candidate(w_scale * iterate.precoders[own],
-                                   np.full(channels.num_elements, 1.0e-12),
-                                   iterate.selections[q], None, 0.0))
-        return cands
+    def _candidate(self, iterate, w_scale=0.5):
+        return batched_candidate(w_scale * iterate.precoders,
+                                 np.full(iterate.capacitances.shape, 1.0e-12),
+                                 iterate.selections)
 
     def test_full_step_reaches_candidate(self, small_network):
         channels, iterate, _ = small_network
-        cands = self._candidates(channels, iterate)
-        out = blend_step(iterate, cands, 1.0, channels)
+        out = blend_step(iterate, self._candidate(iterate), 1.0)
         np.testing.assert_allclose(out.precoders, 0.5 * iterate.precoders)
         np.testing.assert_allclose(out.capacitances, 1.0e-12)
 
     def test_zero_step_keeps_iterate(self, small_network):
         channels, iterate, _ = small_network
-        cands = self._candidates(channels, iterate)
-        out = blend_step(iterate, cands, 0.0, channels)
+        out = blend_step(iterate, self._candidate(iterate), 0.0)
         np.testing.assert_allclose(out.precoders, iterate.precoders)
         np.testing.assert_allclose(out.capacitances, iterate.capacitances)
 
     def test_blend_stays_feasible_for_any_step(self, rng):
         channels, iterate, noise = make_network(rng)
         budgets = iterate.bs_power(channels.bs_of_user)
-        cands = []
+        # a different feasible candidate: each BS's precoders rescaled and
+        # reversed over its users, corner caps
+        w = iterate.precoders.copy()
         for q in range(channels.num_bs):
             own = channels.users_of_bs(q)
-            # a different feasible candidate: rescaled precoders, corner caps
-            cands.append(Candidate(0.9 * iterate.precoders[own][::-1],
-                                   np.full(channels.num_elements,
-                                           channels.circuit.c_max),
-                                   iterate.selections[q], None, 0.0))
+            w[own] = 0.9 * iterate.precoders[own][::-1]
+        cand = batched_candidate(w, np.full(iterate.capacitances.shape,
+                                            channels.circuit.c_max),
+                                 iterate.selections)
         for alpha in rng.uniform(0.0, 1.0, 25):
-            out = blend_step(iterate, cands, float(alpha), channels)
+            out = blend_step(iterate, cand, float(alpha))
             out.validate(channels, budgets)
 
     def test_selection_guard_accepts_only_improvements(self, small_network):
         channels, iterate, _ = small_network
         m_n = channels.num_elements
-        # anchor BS 0 at the identity so the swap is a strict improvement
+        # anchor BS 0 at the identity; both BSs propose the same swap, with a
+        # positive gain on BS 0 and a negative one on BS 1
         iterate.selections[0] = np.arange(m_n)
         swap = np.arange(m_n)
         swap[[0, 1]] = swap[[1, 0]]
-        good = np.zeros((m_n, m_n))
-        good[0, 1] = good[1, 0] = 5.0  # reward favors the swap
-        np.fill_diagonal(good, 0.0)
-        bad = -good
-        cands = [Candidate(iterate.precoders[channels.users_of_bs(q)],
-                           iterate.capacitances[q], swap,
-                           good if q == 0 else bad, 0.0)
-                 for q in range(channels.num_bs)]
-        out = blend_step(iterate, cands, 0.5, channels)
+        cand = batched_candidate(iterate.precoders, iterate.capacitances,
+                                 np.tile(swap, (channels.num_bs, 1)), gains=[5.0, -5.0])
+        out = blend_step(iterate, cand, 0.5)
         np.testing.assert_array_equal(out.selections[0], swap)
         np.testing.assert_array_equal(out.selections[1], iterate.selections[1])
 
@@ -309,6 +319,44 @@ class TestRun:
             _, trace = run(channels, 1.0, noise, cfg)
             assert np.all(np.diff(trace.sum_rates) >= -1e-6)
 
+    @pytest.mark.parametrize("drops", [0, 1, 2, 5, MAX_HALVINGS + 1, MAX_HALVINGS + 2])
+    def test_ascent_trial_order(self, rng, monkeypatch, drops):
+        # the first `drops` trial points read a lower sum rate and the next
+        # one a higher rate; the trials must run: the scheduled step with the
+        # switch moves, the same step with them withheld, then MAX_HALVINGS
+        # halvings, and then the iteration takes step 0
+        channels, _, noise = make_network(rng)
+        solve, snap_of, blend = (solver_mod.local_subproblems, solver_mod.snapshot,
+                                 solver_mod.blend_step)
+        trials, snaps = [], []
+
+        def recorded_blend(iterate, candidate, alpha):
+            out = blend(iterate, candidate, alpha)
+            trials.append((alpha, bool(np.any(out.selections != iterate.selections))))
+            return out
+
+        def forced_snapshot(*args, **kwargs):
+            snap = snap_of(*args, **kwargs)
+            if snaps:  # the first call evaluates the initial point
+                snap.user_rates = snap.user_rates + (-100.0 if len(snaps) <= drops else 100.0)
+            snaps.append(snap)
+            return snap
+
+        monkeypatch.setattr(solver_mod, "local_subproblems",
+                            lambda it, *a, **k: swap_first_elements(it, solve(it, *a, **k)))
+        monkeypatch.setattr(solver_mod, "blend_step", recorded_blend)
+        monkeypatch.setattr(solver_mod, "snapshot", forced_snapshot)
+        cfg = SolverConfig(max_iters=1, tol=0.0)
+        _, trace = run(channels, 1.0, noise, cfg)
+        alpha = cfg.alpha0
+        order = [(alpha, True), (alpha, False)]
+        order += [(alpha * 0.5**i, False) for i in range(1, MAX_HALVINGS + 1)]
+        assert trials == order[:drops + 1]
+        accepted = drops < len(order)
+        assert trace.alphas == [0.0, trials[-1][0] if accepted else 0.0]
+        assert trace.sum_rates[1] == (snaps[-1].sum_rate if accepted
+                                      else trace.sum_rates[0])
+
     def test_switch_flip_flop_never_drops(self, rng, monkeypatch):
         # every BS proposes swapping elements 0 and 1 of its current
         # permutation, with a reward favoring the swap, at every iteration;
@@ -319,15 +367,7 @@ class TestRun:
 
         def swapping_subproblems(iterate, *args, **kwargs):
             sweeps.append(len(sweeps))
-            cands = solve(iterate, *args, **kwargs)
-            for q, cand in enumerate(cands):
-                swap = iterate.selections[q].copy()
-                swap[[0, 1]] = swap[[1, 0]]
-                reward = np.zeros((channels.num_elements,) * 2)
-                reward[swap, np.arange(channels.num_elements)] = 1.0
-                cands[q] = Candidate(cand.precoders, cand.capacitances, swap, reward,
-                                     cand.surrogate_value)
-            return cands
+            return swap_first_elements(iterate, solve(iterate, *args, **kwargs))
 
         monkeypatch.setattr(solver_mod, "local_subproblems", swapping_subproblems)
         _, trace = run(channels, 1.0, noise, SolverConfig(max_iters=40, tol=0.0))
@@ -383,7 +423,7 @@ class TestRun:
     def test_infeasible_update_raises(self, rng, monkeypatch):
         channels, _, noise = make_network(rng)
 
-        def broken_blend(iterate, candidates, alpha, ch):
+        def broken_blend(iterate, candidate, alpha):
             out = iterate.copy()
             out.precoders *= 10.0
             return out
