@@ -282,28 +282,44 @@ def _unflat(cells, shape):
     return (vals[0::2] + 1j * vals[1::2]).reshape(shape)
 
 
+def _header(rd, tag, width=None):
+    """Cells of the next row, which must carry ``tag`` (and ``width`` cells)."""
+    row = next(rd, None)
+    if not row or row[0] != tag or (width is not None and len(row) != width + 1):
+        raise ValueError(f"not a channel dump file: expected a {tag!r} row")
+    return row[1:]
+
+
 def load_channels(path):
-    """Read a realization written by :func:`save_channels`."""
+    """Read a realization written by :func:`save_channels`.
+
+    Raises ``ValueError`` unless the file holds every header row and exactly
+    one row per (link, j, u, k) entry.
+    """
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
-        tag, *dims = next(rd)
-        if tag != "dims":
-            raise ValueError("not a channel dump file")
-        q, u, k, n, m = (int(x) for x in dims)
-        tag, fc, bw, ksc = next(rd)
+        q, u, k, n, m = (int(x) for x in _header(rd, "dims", 5))
+        fc, bw, ksc = _header(rd, "grid", 3)
         grid = SubcarrierGrid(float(fc), float(bw), int(ksc))
-        tag, r, l1, l2, z0, cmin, cmax = next(rd)
-        circuit = ElementCircuit(float(r), float(l1), float(l2),
-                                 float(z0), float(cmin), float(cmax))
-        tag, *bs_of = next(rd)
-        bs_of_user = np.array([int(x) for x in bs_of])
+        circuit = ElementCircuit(*(float(x) for x in _header(rd, "circuit", 6)))
+        bs_of_user = np.array([int(x) for x in _header(rd, "users")])
         arrays = {"direct": np.zeros((q, u, k, n), dtype=complex),
                   "bs_ris": np.zeros((q, k, m, n), dtype=complex),
                   "ris_ue": np.zeros((q, u, k, m), dtype=complex)}
+        seen = {link: np.zeros(_per_user(link, arr).shape[:3], bool)
+                for link, arr in arrays.items()}
         for link, j, uu, kk, *cells in rd:
             if link not in arrays:
                 raise ValueError(f"unknown link kind {link!r}")
             target = _per_user(link, arrays[link])
             index = (int(j), 0 if link == "bs_ris" else int(uu), int(kk))
+            if not all(0 <= i < d for i, d in zip(index, target.shape)):
+                raise ValueError(f"{link} row {j},{uu},{kk} lies outside the dimensions")
+            if seen[link][index]:
+                raise ValueError(f"repeated {link} row {j},{uu},{kk}")
+            seen[link][index] = True
             target[index] = _unflat(cells, target.shape[3:])
+    for link, rows in seen.items():
+        if not rows.all():
+            raise ValueError(f"{np.count_nonzero(~rows)} {link} rows are missing")
     return NetworkChannels(**arrays, bs_of_user=bs_of_user, grid=grid, circuit=circuit)

@@ -6,13 +6,17 @@ terms are lower-bounded by a tight quadratic (see
 :class:`PrecoderSurrogate`), other cells' rates enter through a linear
 pricing term, and a proximal penalty keeps the update near the current
 point.  The maximizer for a fixed power multiplier is a per-subcarrier
-rank-one-plus-identity solve; the multiplier is bisected on the closed-form
-power (:func:`power_curves`), with a measured-power fallback for feasibility.
+rank-one-plus-identity solve.  The power budget ``||w(lam)||^2 = P`` is the
+secular equation of a trust-region step; the multiplier solves it by Newton's
+method on ``||w(lam)||^(-1)`` with the closed-form power and slope of
+:func:`power_curves` (Moré & Sorensen, "Computing a trust region step", SIAM
+J. Sci. Stat. Comput. 1983), with a measured-power fallback for feasibility.
 
 The Jacobi sweep builds all users' surrogates in one contraction
-(:func:`stacked_surrogates`) and bisects all BSs' multipliers in lock step
-(:func:`solve_precoders`); :func:`build_surrogates`, :func:`pricing_vector`
-and :func:`bisect_power_multiplier` are their per-BS and per-user slices.
+(:func:`stacked_surrogates`) and runs all BSs' multiplier searches in lock
+step (:func:`solve_precoders`); :func:`build_surrogates`,
+:func:`pricing_vector` and :func:`bisect_power_multiplier` are their per-BS
+and per-user slices.
 """
 
 from __future__ import annotations
@@ -143,13 +147,15 @@ def solve_precoder(surrogate, tau, lam):
 
 
 def power_curves(surrogate, owner, tau):
-    """Transmit power of every BS's :func:`solve_precoder` as a function of its ``lam``.
+    """Transmit power of every BS's :func:`solve_precoder`, and its slope, in its ``lam``.
 
     ``surrogate`` stacks users and ``owner[u]`` is the BS of user u; the
-    returned function maps one multiplier per BS to one power per BS.  The
-    solve divides each right-hand side r's part along the own channel f by
-    ``beta + a |f|^2`` and its part across f by ``beta = tau/2 + lam``, so the
-    power is a sum of two nonnegative terms; unlike ``|r|^2 - ...`` none cancels.
+    returned function maps one multiplier per BS to ``(power, slope)``, one
+    power and one derivative dP/dlam per BS.  The solve divides each
+    right-hand side r's part along the own channel f by ``beta + a |f|^2``
+    and its part across f by ``beta = tau/2 + lam``, so the power is a sum of
+    nonnegative terms ``c / (beta + s)^2``; unlike ``|r|^2 - ...`` none
+    cancels, and the slope is ``-2 sum c / (beta + s)^3``.
     """
     r = surrogate.rhs(tau)
     f = surrogate.own_channel
@@ -162,83 +168,64 @@ def power_curves(surrogate, owner, tau):
 
     def power(lam):
         beta = tau / 2.0 + lam[owner]
-        per_user = perp2 / beta**2 + np.sum(par2 / (beta[:, None] + shift) ** 2, axis=1)
-        return np.bincount(owner, weights=per_user, minlength=len(lam))
+        par_terms = par2 / (beta[:, None] + shift) ** 2
+        per_user = perp2 / beta**2 + np.sum(par_terms, axis=1)
+        slope = -2.0 * (perp2 / beta**3
+                        + np.sum(par_terms / (beta[:, None] + shift), axis=1))
+        return (np.bincount(owner, weights=per_user, minlength=len(lam)),
+                np.bincount(owner, weights=slope, minlength=len(lam)))
     return power
 
 
 def power_curve(surrogates, tau):
     """Transmit power of one BS's users as a function of a scalar ``lam``."""
     power = power_curves(_stack(surrogates), np.zeros(len(surrogates), int), tau)
-    return lambda lam: float(power(np.array([lam]))[0])
+    return lambda lam: float(power(np.array([lam]))[0][0])
 
 
-def _bisection(budget, lo, rel_tol, max_doublings):
-    """The bisection rule of one multiplier, as a generator.
+def _newton_search(power_at, budgets, lam, rel_tol, max_doublings):
+    """Every multiplier at which its power first fits its budget, in lock step.
 
-    It yields each multiplier whose power it needs, is sent that power, and
-    returns the multiplier: ``lo`` if its power fits the budget, else one
-    bracketed by doubling and bisected until its power lands within
-    ``rel_tol * budget`` below the budget.
+    ``power_at`` maps one multiplier per budget to ``(power, slope)`` arrays.
+    A multiplier whose power exceeds its budget takes Newton steps on
+    ``phi = power^(-1/2)`` toward ``budget (1 - rel_tol/2)``.  ``phi`` is a
+    power mean with exponent -2 of terms affine in ``lam``, so it is concave
+    and increasing: each step stays on the infeasible side and none
+    overshoots.  The search stops within ``rel_tol * budget`` below the budget.
     """
-    if (yield lo) <= budget:
-        return lo
-    hi = 2.0 * lo if lo > 0 else 1.0
-    doublings = 0
-    while (p_hi := (yield hi)) > budget:
-        lo, hi = hi, 2.0 * hi
-        doublings += 1
-        if doublings > max_doublings:
-            raise NumericalFailureError("power bisection failed to bracket the multiplier")
-    for _ in range(500):
-        if budget - p_hi <= rel_tol * budget:
-            return hi
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # interval exhausted in float precision
-            return hi
-        if (p_mid := (yield mid)) > budget:
-            lo = mid
-        else:
-            hi, p_hi = mid, p_mid
-    raise NumericalFailureError("power bisection did not converge")
-
-
-def _lock_step(power_at, budgets, lo, rel_tol, max_doublings):
-    """Run :func:`_bisection` for every budget, with one ``power_at`` call per step.
-
-    ``power_at`` maps one multiplier per budget to one power per budget.
-    """
-    runs = [_bisection(b, x, rel_tol, max_doublings)
-            for b, x in zip(budgets.tolist(), lo.tolist())]
-    lam = np.array([next(run) for run in runs])
-    pending = list(range(len(runs)))
-    while pending:
-        powers = power_at(lam).tolist()
-        for q in list(pending):
-            try:
-                lam[q] = runs[q].send(powers[q])
-            except StopIteration as done:
-                lam[q] = done.value
-                pending.remove(q)
-    return lam
+    target = budgets * (1.0 - 0.5 * rel_tol)
+    for _ in range(100):
+        power, slope = power_at(lam)
+        over = power > budgets
+        if not over.any():
+            return lam
+        lam = lam + np.divide(2.0 * power * (np.sqrt(power / target) - 1.0), -slope,
+                              out=np.zeros_like(lam), where=over)
+        if np.any(lam > 2.0 ** max_doublings):
+            raise NumericalFailureError("power multiplier exceeds its bound")
+    raise NumericalFailureError("power multiplier search did not converge")
 
 
 def solve_precoders(surrogate, owner, tau, budgets, rel_tol=1e-8, max_doublings=200):
-    """Power multipliers and precoders of every BS, bisected in lock step.
+    """Power multipliers and precoders of every BS, found by Newton in lock step.
 
     ``surrogate`` stacks the users, ``owner[u]`` is the BS of user u and
     ``budgets`` holds one budget per BS.  Returns ``(lams, precoders)`` of
     shapes (Q,) and (U, K, N).  Each multiplier is 0 if the unconstrained
-    solution fits the budget, else it is bisected on :func:`power_curves`,
-    and precoders are solved at it only, one :func:`solve_precoder` per user.
-    If a BS's measured power rounds above its budget, its bisection goes on
-    from there on measured powers, so the result is always feasible.
+    solution fits the budget, else Newton's method on :func:`power_curves`
+    raises it until its power fits, within ``rel_tol * budget`` below the
+    budget; precoders are solved at it only, one :func:`solve_precoder` per
+    user.  If a BS's measured power rounds above its budget, its search goes
+    on from there on measured powers with the closed-form slope, so the
+    result is always feasible.  A multiplier that would pass
+    ``2**max_doublings`` raises :class:`NumericalFailureError`.
     """
     budgets = np.asarray(budgets, dtype=float)
     if np.any(budgets <= 0):
         raise ValueError("power budget must be > 0")
     users = [surrogate.select(u) for u in range(len(owner))]
     groups = [np.flatnonzero(owner == q) for q in range(len(budgets))]
+    curve = power_curves(surrogate, owner, tau)
 
     def solve(lam):
         return np.stack([solve_precoder(s, tau, lam[q]) for s, q in zip(users, owner)])
@@ -246,18 +233,22 @@ def solve_precoders(surrogate, owner, tau, budgets, rel_tol=1e-8, max_doublings=
     def power_of(ws):
         return np.array([np.sum(np.abs(ws[g]) ** 2) for g in groups])
 
-    lam = _lock_step(power_curves(surrogate, owner, tau), budgets,
-                     np.zeros(len(budgets)), rel_tol, max_doublings)
+    lam = _newton_search(curve, budgets, np.zeros(len(budgets)), rel_tol, max_doublings)
     ws = solve(lam)
     if np.any(power_of(ws) > budgets):
-        lam = _lock_step(lambda x: power_of(solve(x)), budgets, lam, rel_tol, max_doublings)
+        lam = _newton_search(lambda x: (power_of(solve(x)), curve(x)[1]), budgets, lam,
+                             rel_tol, max_doublings)
         ws = solve(lam)
     return lam, ws
 
 
 def bisect_power_multiplier(surrogates, tau, power_budget, rel_tol=1e-8,
                             max_doublings=200):
-    """Power multiplier and precoders (L, K, N) of one BS: :func:`solve_precoders`."""
+    """Power multiplier and precoders (L, K, N) of one BS.
+
+    The one-BS call of :func:`solve_precoders`: the same lock-step Newton
+    search of the multiplier, run on one budget.
+    """
     lam, ws = solve_precoders(_stack(surrogates), np.zeros(len(surrogates), int), tau,
                               [power_budget], rel_tol, max_doublings)
     return float(lam[0]), ws

@@ -231,6 +231,27 @@ def check_precoder_solve(seed=7):
     return "precoder closed form vs dense solve", worst <= 1e-10, f"max rel err {worst:.2e}"
 
 
+def check_power_multiplier(seed=10, rel_tol=1e-8):
+    channels, iterate, noise = random_network(np.random.default_rng(seed), users_per_bs=(2, 1))
+    tau, worst, violations = 0.8, 0.0, 0
+    for q in range(channels.num_bs):
+        surr = precoding.build_surrogates(q, iterate, channels, noise)
+        free = sum(np.sum(np.abs(dense_precoder(s, tau, 0.0)) ** 2) for s in surr)
+        for budget in (10.0 * free, 0.5 * free, 1e-4 * free):
+            lam, ws = precoding.bisect_power_multiplier(surr, tau, budget, rel_tol)
+            power = np.sum(np.abs(ws) ** 2)
+            violations += (lam == 0.0) != (free <= budget)
+            violations += lam > 0.0 and not budget * (1.0 - rel_tol) <= power <= budget
+            for s, w in zip(surr, ws):
+                dense = dense_precoder(s, tau, lam)
+                err = np.linalg.norm(w - dense, axis=1) \
+                    / np.maximum(np.linalg.norm(dense, axis=1), 1e-30)
+                worst = max(worst, err.max())
+    ok = violations == 0 and worst <= 1e-10
+    return "power multiplier KKT conditions", ok, \
+        f"{violations} violations, max rel err {worst:.2e}"
+
+
 def check_capacitance_clamp(seed=8, draws=200):
     rng = np.random.default_rng(seed)
     circ = ElementCircuit()
@@ -267,6 +288,7 @@ ALL_CHECKS = (
     check_precoder_pricing,
     check_surrogate_bound,
     check_precoder_solve,
+    check_power_multiplier,
     check_capacitance_clamp,
     check_assignment,
 )

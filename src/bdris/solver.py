@@ -10,11 +10,11 @@ local surrogate and kept otherwise.
 
 The per-BS updates are independent given the snapshot, so one batched
 call, :func:`local_subproblems`, computes all of them: the precoder blocks
-in one contraction and one lock-step bisection, both surface gradients from
-the victim-combined channels of :func:`bdris.rates.surface_assembly`, and
-one assignment per BS.  It returns one :class:`Candidate` of per-BS arrays,
-which :func:`blend_step` merges with array expressions;
-:func:`local_subproblem` is its one-BS slice.
+in one contraction and one lock-step Newton search of the power
+multipliers, both surface gradients from the victim-combined channels of
+:func:`bdris.rates.surface_assembly`, and one assignment per BS.  It
+returns one :class:`Candidate` of per-BS arrays, which :func:`blend_step`
+merges with array expressions; :func:`local_subproblem` is its one-BS slice.
 
 A merged point is kept only if the true sum rate does not drop.  The
 linearized pricing guarantees ascent only for small enough steps of the

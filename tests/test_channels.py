@@ -225,3 +225,45 @@ class TestDumpLoad:
         path.write_text("hello,world\n")
         with pytest.raises(ValueError):
             load_channels(path)
+
+    def test_rejects_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="'dims'"):
+            load_channels(path)
+
+    @pytest.fixture
+    def dump_lines(self, rng, tmp_path):
+        channels, _, _ = make_network(rng, num_bs=2, num_antennas=2,
+                                      num_elements=3, num_subcarriers=4)
+        path = tmp_path / "channels.csv"
+        save_channels(channels, path)
+        return path, path.read_text().splitlines()
+
+    def test_rejects_wrong_header_tag(self, dump_lines):
+        path, lines = dump_lines
+        assert lines[1].startswith("grid,")
+        lines[1] = "grids," + lines[1][len("grid,"):]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="'grid'"):
+            load_channels(path)
+
+    def test_rejects_repeated_row(self, dump_lines):
+        path, lines = dump_lines
+        path.write_text("\n".join(lines + [lines[-1]]) + "\n")
+        with pytest.raises(ValueError, match="repeated ris_ue row"):
+            load_channels(path)
+
+    def test_rejects_missing_rows(self, dump_lines):
+        path, lines = dump_lines
+        path.write_text("\n".join(lines[:-5]) + "\n")
+        with pytest.raises(ValueError, match="5 ris_ue rows are missing"):
+            load_channels(path)
+
+    def test_rejects_row_outside_the_dimensions(self, dump_lines):
+        path, lines = dump_lines
+        link, j, u, k, *cells = lines[-1].split(",")
+        assert link == "ris_ue"
+        path.write_text("\n".join(lines + [",".join([link, j, u, "-1", *cells])]) + "\n")
+        with pytest.raises(ValueError, match="outside the dimensions"):
+            load_channels(path)

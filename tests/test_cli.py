@@ -1,6 +1,10 @@
 """Smoke tests of every ``bdris`` subcommand on a tiny scenario."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,7 +88,16 @@ def test_single_rejects_unknown_config_entry(tiny_ini, tmp_path, capsys, old, ne
 
 def test_validate_passes_every_check(capsys):
     assert main(["validate"]) == 0
-    assert "10/10 checks passed" in capsys.readouterr().out
+    assert "11/11 checks passed" in capsys.readouterr().out
+
+
+def test_module_entry_point_runs_validate():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-m", "bdris", "validate"], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "11/11 checks passed" in done.stdout
 
 
 def test_dump_and_load_channels_round_trip(tiny_ini, tmp_path, capsys):
