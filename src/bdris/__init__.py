@@ -11,8 +11,7 @@ from .channels import (NetworkChannels, NetworkTopology, generate_channels,
                        generate_link_taps, load_channels, pathloss,
                        save_channels, taps_to_frequency)
 from .circuit import (ElementCircuit, SubcarrierGrid, characteristic_impedance,
-                      reflection_derivative, reflection_direct,
-                      reflection_reformulated)
+                      rational_coefficients, reflection, reflection_direct)
 from .errors import ConfigError, DegenerateInputError, NumericalFailureError
 from .rates import Iterate, snapshot, sum_rate
 from .scenario import (ScenarioConfig, build_scenario, channels_for_trial,

@@ -8,30 +8,17 @@ model plus proximal term over a box) then has a closed-form clamped solution.
 
 Weighted and summed over all links, the diagonals are never formed: the
 Jacobi sweep reads the gradients of all surfaces off the victim-combined
-channels of :func:`bdris.rates.surface_assembly` (:func:`assemble_gradients`);
-:func:`rate_gradient` and :func:`pricing_gradient` are its own-cell and
-pricing parts for one BS.  The literal per-link coupling matrices and their
-diagonals are test oracles (``tests/oracles.py``).
+channels of :func:`bdris.rates.surface_gradients`; :func:`rate_gradient`
+and :func:`pricing_gradient` are its own-cell and pricing parts for one BS.
+The literal per-link coupling matrices and their diagonals are test oracles
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .rates import snapshot, surface_assembly
-
-
-def assemble_gradients(iterate, channels, snap, y, beams):
-    """Capacitance gradient of every BS from :func:`~bdris.rates.surface_assembly`, (Q, M).
-
-    ``sum_k Re(slope[q, k, m] sum_t y[t, k, perm_q[m]] beams[t, k, m])`` over
-    BS q's own users t is the weighted sum of all its coupling diagonals
-    times the element slopes.
-    """
-    per_bs = np.zeros_like(snap.slope)
-    for t, q in enumerate(channels.bs_of_user):
-        per_bs[q] += np.take(y[t], iterate.selections[q], axis=-1) * beams[t]
-    return np.real(snap.slope * per_bs).sum(axis=1)
+from .rates import snapshot, surface_gradients
 
 
 def rate_gradient(q, iterate, channels, noise_power, snap=None):
@@ -51,8 +38,7 @@ def pricing_gradient(q, iterate, channels, noise_power, snap=None):
 def _slice(q, iterate, channels, noise_power, snap, **weights):
     if snap is None:
         snap = snapshot(iterate, channels, noise_power)
-    return assemble_gradients(iterate, channels, snap,
-                              *surface_assembly(iterate, channels, snap, **weights))[q]
+    return surface_gradients(iterate, channels, snap, selection=False, **weights)[0][q]
 
 
 def update_capacitances(cap_prev, gradient, tau, circuit):

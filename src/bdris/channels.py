@@ -95,17 +95,17 @@ def pathloss(distance, exponent, wavelength):
     return (wavelength / (4.0 * np.pi)) ** 2 * distance ** (-exponent)
 
 
-def generate_link_taps(rng, rows, cols, num_taps, total_gain, decay=DEFAULT_TAP_DECAY):
+def generate_link_taps(rng, rows, cols, num_taps, total_gain):
     """Draw one link's delay taps, shape (rows, cols, num_taps).
 
     Taps are i.i.d. circularly-symmetric complex Gaussian across the spatial
-    dimensions with an exponential power-delay profile exp(-tau/decay),
-    normalized so the expected total tap power per spatial entry equals
-    ``total_gain``.
+    dimensions with an exponential power-delay profile
+    ``exp(-tau / DEFAULT_TAP_DECAY)``, normalized so the expected total tap
+    power per spatial entry equals ``total_gain``.
     """
     if num_taps < 1:
         raise ValueError("need at least one tap")
-    profile = np.exp(-np.arange(num_taps) / decay)
+    profile = np.exp(-np.arange(num_taps) / DEFAULT_TAP_DECAY)
     profile *= total_gain / profile.sum()
     scale = np.sqrt(profile / 2.0)
     shape = (rows, cols, num_taps)
@@ -195,8 +195,7 @@ def _link_rng(root_seed, kind, a, b):
     return np.random.default_rng(np.random.SeedSequence(root_seed, spawn_key=(kind, a, b)))
 
 
-def generate_channels(topology, grid, exponents, root_seed, num_taps=16,
-                      circuit=None, tap_decay=DEFAULT_TAP_DECAY):
+def generate_channels(topology, grid, exponents, root_seed, num_taps=16, circuit=None):
     """Draw one network realization.
 
     Parameters
@@ -220,8 +219,7 @@ def generate_channels(topology, grid, exponents, root_seed, num_taps=16,
     def link(kind, a, b, distance, exponent, rows, cols):
         """(K, rows, cols) frequency response of one link."""
         taps = generate_link_taps(_link_rng(root_seed, kind, a, b), rows, cols,
-                                  num_taps, pathloss(distance, exponent, wavelength),
-                                  tap_decay)
+                                  num_taps, pathloss(distance, exponent, wavelength))
         return taps_to_frequency(taps, k_n)
 
     direct = np.zeros((q_n, u_n, k_n, n_n), dtype=complex)

@@ -7,12 +7,11 @@ reflection coefficient seen by an impinging wave is the usual impedance
 mismatch ratio against the free-space impedance ``Z0``.
 
 Two algebraically equivalent evaluations of the coefficient are provided:
-``reflection_direct`` forms the circuit impedance explicitly, while
-``reflection_reformulated`` evaluates a rational form in the capacitance,
-``num = 1 + C A_k`` over ``den = D_k (1 + C B_k)`` with per-frequency
-coefficients, that is cheaper to differentiate.  The analytic derivative is
-exposed as ``reflection_derivative``.  The solver evaluates the coefficient
-and its slope of all surfaces at once (:func:`reflection_and_slope`).
+``reflection_direct`` forms the circuit impedance explicitly and is kept as
+the oracle, while :func:`reflection` evaluates a rational form in the
+capacitance, ``num = 1 + C A_k`` over ``den = D_k (1 + C B_k)`` with the
+per-frequency coefficients of :func:`rational_coefficients`, and returns the
+coefficient together with its slope d(phi)/dC.
 
 All functions broadcast over numpy arrays of frequencies and capacitances.
 """
@@ -128,7 +127,7 @@ def characteristic_impedance(f, cap, circuit):
 def reflection_direct(f, cap, circuit):
     """Reflection coefficient (Z - Z0) / (Z + Z0) from the explicit impedance.
 
-    Kept as the plain-form oracle for :func:`reflection_reformulated`.
+    Kept as the plain-form oracle for :func:`reflection`.
     """
     _check_in_range(cap, circuit)
     z = characteristic_impedance(f, cap, circuit)
@@ -144,28 +143,28 @@ def rational_coefficients(f, circuit):
     The numerator is ``1 + C A`` and the denominator ``D (1 + C B)``, so they
     depend on the capacitance C only through these per-frequency constants.
     """
+    _check_positive_freq(f)
     kf = ANGULAR * np.asarray(f, dtype=float)
     l1, l2, r = circuit.inductance_l1, circuit.inductance_l2, circuit.resistance
     return (-kf**2 * (l1 + l2) + 1j * kf * r, -kf**2 * l2 + 1j * kf * r,
             1j * kf * (l1 / circuit.z0))
 
 
-def _rational_parts(cap, coefficients):
-    """Numerator/denominator pair ``1 + C A`` and ``D (1 + C B)`` of the rational form."""
-    a, b, d = coefficients
-    return 1.0 + cap * a, d * (1.0 + cap * b)
+def reflection(cap, coefficients, circuit):
+    """Reflection coefficient ``phi`` and its slope d(phi)/dC, broadcast elementwise.
 
-
-def _phi_and_slope(cap, coefficients, circuit):
-    """``phi = (den - num) / (den + num)`` and ``d(phi)/dC``, broadcast elementwise.
-
-    With ``num = (den + num)(1 - phi) / 2`` and ``den = (den + num)(1 + phi) / 2``
+    ``coefficients`` are :func:`rational_coefficients` of the frequencies; a
+    (..., M) capacitance array with ``[:, None]`` coefficients gives the
+    (..., K, M) profiles.  ``phi = (den - num) / (den + num)``, and with
+    ``num = (den + num)(1 - phi) / 2`` and ``den = (den + num)(1 + phi) / 2``
     the slope ``2 (D B num - A den) / (den + num)**2`` is
     ``(D B (1 - phi) - A (1 + phi)) / (den + num)``; it is evaluated in place.
+    Raises :class:`DegenerateInputError` if either is not finite.
     """
+    cap = np.asarray(cap, dtype=float)
     _check_in_range(cap, circuit)
     a, b, d = coefficients
-    total, phi = _rational_parts(cap, coefficients)  # num and den, overwritten below
+    total, phi = 1.0 + cap * a, d * (1.0 + cap * b)  # num and den, overwritten below
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         total += phi              # num + den
         phi *= 2.0
@@ -177,39 +176,3 @@ def _phi_and_slope(cap, coefficients, circuit):
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(slope))):
         raise DegenerateInputError("reflection coefficient or its slope is not finite")
     return phi, slope
-
-
-def reflection_reformulated(f, cap, circuit):
-    """Reflection coefficient via the rational-in-capacitance form.
-
-    Equals :func:`reflection_direct` wherever both are finite; preferred in
-    hot paths because it avoids the intermediate impedance and has simple
-    analytic derivatives.
-    """
-    _check_positive_freq(f)
-    return _phi_and_slope(np.asarray(cap, dtype=float), rational_coefficients(f, circuit),
-                          circuit)[0]
-
-
-def reflection_derivative(f, cap, circuit):
-    """Derivative of the conjugate coefficient, d(conj(phi))/dC.
-
-    Note the conjugation: this is the slope of ``conj(phi)``.  Callers that
-    need d(phi)/dC must conjugate the result.
-    """
-    _check_positive_freq(f)
-    return np.conj(_phi_and_slope(np.asarray(cap, dtype=float),
-                                  rational_coefficients(f, circuit), circuit)[1])
-
-
-def reflection_and_slope(caps, coefficients, circuit):
-    """Reflection coefficient and its slope d(phi)/dC of every element, each (..., K, M).
-
-    ``caps`` is a (..., M) array of capacitances within the tunable range and
-    ``coefficients`` is :func:`rational_coefficients` of the K subcarrier
-    frequencies.  One evaluation of the rational form gives both; the slope
-    is ``conj(reflection_derivative)``.  Raises :class:`DegenerateInputError`
-    if either is not finite.
-    """
-    return _phi_and_slope(np.asarray(caps, dtype=float)[..., None, :],
-                          tuple(np.asarray(x)[:, None] for x in coefficients), circuit)

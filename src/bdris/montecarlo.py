@@ -21,7 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import NumericalFailureError
+from .errors import ConfigError, NumericalFailureError
 from .scenario import build_scenario, channels_for_trial, dbm_to_watt
 from .solver import run as run_solver
 
@@ -42,26 +42,26 @@ _FLOAT_COLUMNS = {"P_dBm", "sum_rate_bps_hz", "mean_sum_rate_bps_hz", "stderr_bp
 
 
 def solver_config_for(base, variant):
-    """Solver configuration of a named variant."""
+    """Solver configuration of a named variant; :class:`ConfigError` for an unknown name."""
     try:
         ris_mode, cooperative = VARIANTS[variant]
     except KeyError:
-        raise ValueError(f"unknown variant {variant!r}; known: {sorted(VARIANTS)}")
+        raise ConfigError(f"unknown variant {variant!r}; known: {sorted(VARIANTS)}")
     return replace(base, ris_mode=ris_mode, cooperative=cooperative)
 
 
 def run_sweep(config, out_dir=None, variants=None, powers_dbm=None, trials=None):
     """Run the full sweep; returns (result rows, summary rows).
 
-    A solver failure inside one (variant, power, trial) cell is logged and
-    skipped; the summary keeps a count of skipped trials per cell.
+    Every variant name is resolved before the first trial, so an unknown one
+    raises :class:`ConfigError` before any work.  A solver failure inside
+    one (variant, power, trial) cell is logged and skipped; the summary keeps
+    a count of skipped trials per cell.
     """
     variants = tuple(variants if variants is not None else config.variants)
     powers_dbm = tuple(powers_dbm if powers_dbm is not None else config.power_dbm)
     trials = int(trials if trials is not None else config.trials)
-    for v in variants:
-        if v not in VARIANTS:
-            raise ValueError(f"unknown variant {v!r}; known: {sorted(VARIANTS)}")
+    solver_configs = [(v, solver_config_for(config.solver, v)) for v in variants]
 
     topology = build_scenario(config)
     noise = config.noise_power
@@ -71,8 +71,7 @@ def run_sweep(config, out_dir=None, variants=None, powers_dbm=None, trials=None)
         channels = channels_for_trial(config, trial, topology)
         for p_dbm in powers_dbm:
             p_watt = float(dbm_to_watt(p_dbm))
-            for variant in variants:
-                cfg = solver_config_for(config.solver, variant)
+            for variant, cfg in solver_configs:
                 start = time.perf_counter()
                 try:
                     _, trace = run_solver(channels, p_watt, noise, cfg)

@@ -7,9 +7,10 @@ over subcarriers, where MUI collects the receiver noise plus the power of
 every other stream at that user.
 
 :func:`snapshot` evaluates what one Jacobi sweep reads for all surfaces at
-once, the reflection profiles and their capacitance slopes included; the
-sweep reads both surface gradients of every BS off the victim-combined
-channels of :func:`surface_assembly`.  Nothing is cached between calls.
+once, the reflection profiles and their capacitance slopes included;
+:func:`surface_gradients` reads both surface gradients of every BS, the
+capacitance and the switch-selection gradient, off one victim-combined
+channel per BS.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import rational_coefficients, reflection_and_slope
+from .circuit import rational_coefficients, reflection
 
 LN2 = np.log(2.0)
 POWER_SLACK = 1e-9  # absolute slack on the per-BS power constraint
@@ -94,13 +95,16 @@ def snapshot(iterate, channels, noise_power, ris_enabled=True, coefficients=None
     the receive amplitude at user u of a vector w sent by BS j, direct path
     plus surface j's routed reflection (direct path only without surfaces).
     ``coefficients`` are the circuit's :func:`~bdris.circuit.rational_coefficients`
-    of the subcarriers; a solver run passes the ones it computed once.
+    of the subcarrier frequencies as a (K, 1) column; a solver run passes the
+    ones it computed once.
     """
     rows, phi, slope = np.conj(channels.direct), None, None
     if ris_enabled:
         if coefficients is None:
-            coefficients = rational_coefficients(channels.grid.frequencies, channels.circuit)
-        phi, slope = reflection_and_slope(iterate.capacitances, coefficients, channels.circuit)
+            coefficients = rational_coefficients(channels.grid.frequencies[:, None],
+                                                 channels.circuit)
+        phi, slope = reflection(iterate.capacitances[:, None, :], coefficients,
+                                channels.circuit)
         reflected = []
         for g, perm, p, h in zip(channels.ris_ue, iterate.selections, phi, channels.bs_ris):
             routed = np.take(g, perm, axis=-1)  # (U, K, M)
@@ -120,16 +124,24 @@ def snapshot(iterate, channels, noise_power, ris_enabled=True, coefficients=None
     return RateSnapshot(rows, amp, own, mui, snr, rates, phi, slope)
 
 
-def surface_assembly(iterate, channels, snap, cell=1.0, pricing=1.0):
-    """Victim-combined channels and surface-side beams of every user, each (U, K, M).
+def surface_gradients(iterate, channels, snap, cell=1.0, pricing=1.0, selection=True):
+    """Capacitance and real switch-selection gradients of every surface.
 
-    ``y[t, k] = sum_v c[t, v, k] conj(a[t, v, k]) conj(g_{q(t), v}[k])``, where
-    a is the amplitude of user t's stream at victim v and c weighs
-    ``Re(conj(a) da)`` in the derivative of the rate sum (times K):
-    ``d = (2 / ln 2) / ((1 + snr) mui)`` of the victim for its own stream
-    and ``-snr d`` for an interfering one, scaled by ``cell`` on victims in
-    t's own cell and by ``pricing`` on all others.  ``beams[t, k] =
-    H_{q(t)}[k] w_t[k]``.
+    Returns ``grad_c`` (Q, M) and ``grad_s`` (Q, M, M), or None for
+    ``grad_s`` when ``selection`` is false.  Both are read off one
+    victim-combined channel per BS,
+    ``y[t, k] = sum_v c[t, v, k] conj(a[t, v, k]) conj(g_{q(t), v}[k])``
+    for each of its own users t, where a is the amplitude of t's stream at
+    victim v and c weighs ``Re(conj(a) da)`` in the derivative of the rate
+    sum (times K): ``d = (2 / ln 2) / ((1 + snr) mui)`` of the victim for its
+    own stream and ``-snr d`` for an interfering one, scaled by ``cell`` on
+    victims in t's own cell and by ``pricing`` on all others.  With the beams
+    ``b[t, k] = H_q[k] w_t[k]``,
+    ``grad_c[q, m] = sum_k Re(slope[q, k, m] sum_t y[t, k, perm_q[m]] b[t, k, m])``
+    and ``grad_s[q, i, j] = Re sum_{t, k} y[t, k, i] phi_q[k, j] b[t, k, j]``,
+    one real (M x 2TK) by (2TK x M) product of the stacked real and
+    imaginary parts.  Scaling both weights by a complex s scales y by
+    conj(s), so weights times 1j give the imaginary part of the complex sums.
     """
     bs = channels.bs_of_user
     users = np.arange(len(bs))
@@ -138,13 +150,20 @@ def surface_assembly(iterate, channels, snap, cell=1.0, pricing=1.0):
     weights[users, users] = cell * d
     # conj(y) = (weights a) @ g: (T, K, 1, U) @ (K, U, M) per BS
     conj_combined = (weights * snap.amplitudes).transpose(0, 2, 1)[:, :, None]
-    y = np.empty(iterate.precoders.shape[:2] + snap.phi.shape[-1:], complex)
-    beams = np.empty_like(y)
+    q_n, m_n = iterate.capacitances.shape
+    per_bs = np.empty(snap.slope.shape, complex)
+    grad_s = np.empty((q_n, m_n, m_n)) if selection else None
     for q, (g, h) in enumerate(zip(channels.ris_ue, channels.bs_ris)):
         own = channels.users_of_bs(q)
-        y[own] = np.conjugate(conj_combined[own] @ g.swapaxes(0, 1))[:, :, 0]
-        beams[own] = (h @ iterate.precoders[own, ..., None])[..., 0]  # (K, M, N) @ (T, K, N, 1)
-    return y, beams
+        y = np.conjugate(conj_combined[own] @ g.swapaxes(0, 1))[:, :, 0]
+        beams = (h @ iterate.precoders[own, ..., None])[..., 0]  # (K, M, N) @ (T, K, N, 1)
+        per_bs[q] = np.sum(np.take(y, iterate.selections[q], axis=-1) * beams, axis=0)
+        if selection:
+            phased = snap.phi[q] * beams
+            lhs = np.concatenate([y.real, y.imag]).reshape(-1, m_n)
+            rhs = np.concatenate([phased.real, -phased.imag]).reshape(-1, m_n)
+            grad_s[q] = lhs.T @ rhs
+    return np.real(snap.slope * per_bs).sum(axis=1), grad_s
 
 
 def sum_rate(iterate, channels, noise_power, ris_enabled=True):

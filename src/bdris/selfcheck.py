@@ -19,8 +19,8 @@ import numpy as np
 
 from . import capacitance, precoding, switches
 from .channels import NetworkChannels
-from .circuit import (ElementCircuit, SubcarrierGrid, reflection_derivative,
-                      reflection_direct, reflection_reformulated)
+from .circuit import (ElementCircuit, SubcarrierGrid, rational_coefficients, reflection,
+                      reflection_direct)
 from .rates import Iterate, snapshot
 
 CAP_STEP = 1e-17  # finite-difference step for capacitances, farads
@@ -50,9 +50,10 @@ def random_network(rng, num_bs=2, num_antennas=2, num_elements=4,
 
 
 def fd_reflection_derivative(f, cap, circuit, step=CAP_STEP):
-    """Central differences of ``conj(phi)`` in the capacitance."""
-    return (np.conj(reflection_reformulated(f, cap + step, circuit))
-            - np.conj(reflection_reformulated(f, cap - step, circuit))) / (2 * step)
+    """Central differences of ``phi`` in the capacitance, d(phi)/dC."""
+    coefficients = rational_coefficients(f, circuit)
+    return (reflection(cap + step, coefficients, circuit)[0]
+            - reflection(cap - step, coefficients, circuit)[0]) / (2 * step)
 
 
 def fd_capacitance_gradient(fun, iterate, q, step=CAP_STEP):
@@ -132,15 +133,16 @@ def _element_draws(seed, samples, margin=0.0):
 def check_circuit_equivalence(samples=2000, seed=0):
     circ, f, c = _element_draws(seed, samples)
     direct = reflection_direct(f, c, circ)
-    reform = reflection_reformulated(f, c, circ)
+    reform = reflection(c, rational_coefficients(f, circ), circ)[0]
     err = np.max(np.abs(direct - reform) / np.maximum(np.abs(direct), 1.0))
     return "reflection reformulation vs direct", err <= 1e-10, f"max err {err:.2e}"
 
 
 def check_passivity(samples=2000, seed=1):
     circ, f, c = _element_draws(seed, samples)
-    lossy = np.max(np.abs(reflection_reformulated(f, c, circ)))
-    mag = np.abs(reflection_reformulated(f, c, ElementCircuit(resistance=0.0)))
+    lossless = ElementCircuit(resistance=0.0)
+    lossy = np.max(np.abs(reflection(c, rational_coefficients(f, circ), circ)[0]))
+    mag = np.abs(reflection(c, rational_coefficients(f, lossless), lossless)[0])
     unit = np.max(np.abs(mag - 1.0))
     ok = lossy < 1.0 and unit <= 1e-12
     return "element passivity", ok, f"lossy max |phi| {lossy:.6f}, lossless dev {unit:.1e}"
@@ -148,7 +150,7 @@ def check_passivity(samples=2000, seed=1):
 
 def check_reflection_derivative(samples=200, seed=2):
     circ, f, c = _element_draws(seed, samples, margin=2 * CAP_STEP)
-    analytic = reflection_derivative(f, c, circ)
+    analytic = reflection(c, rational_coefficients(f, circ), circ)[1]
     fd = fd_reflection_derivative(f, c, circ)
     err = np.max(np.abs(analytic - fd) / np.abs(analytic))
     return "element response derivative", err <= 1e-5, f"max rel err {err:.2e}"

@@ -11,10 +11,11 @@ local surrogate and kept otherwise.
 The per-BS updates are independent given the snapshot, so one batched
 call, :func:`local_subproblems`, computes all of them: the precoder blocks
 in one contraction and one lock-step Newton search of the power
-multipliers, both surface gradients from the victim-combined channels of
-:func:`bdris.rates.surface_assembly`, and one assignment per BS.  It
-returns one :class:`Candidate` of per-BS arrays, which :func:`blend_step`
-merges with array expressions; :func:`local_subproblem` is its one-BS slice.
+multipliers, both surface gradients of every BS from one pass over the
+surfaces (:func:`bdris.rates.surface_gradients`, which skips the switch
+products in ``diagonal`` mode), and one assignment per BS.  It returns one
+:class:`Candidate` of per-BS arrays, which :func:`blend_step` merges with
+array expressions; :func:`local_subproblem` is its one-BS slice.
 
 A merged point is kept only if the true sum rate does not drop.  The
 linearized pricing guarantees ascent only for small enough steps of the
@@ -199,19 +200,18 @@ def local_subproblems(iterate, channels, noise_power, power_budgets, config, sna
     c_prev, s_prev = iterate.capacitances, iterate.selections
     c_hat, s_hat, gains = c_prev, s_prev, np.zeros(q_n)
     if config.ris_enabled:
-        y, beams = rates.surface_assembly(iterate, channels, snap,
-                                          pricing=float(config.cooperative))
-        grad_c = capacitance.assemble_gradients(iterate, channels, snap, y, beams)
+        grad_c, grad_s = rates.surface_gradients(iterate, channels, snap,
+                                                 pricing=float(config.cooperative),
+                                                 selection=config.ris_mode == "bd")
         tau_c = capacitance_tau(config.tau, channels.circuit)
         c_hat = capacitance.update_capacitances(c_prev, grad_c, tau_c, channels.circuit)
         dc = c_hat - c_prev
         values += np.sum(grad_c * dc, axis=1) - 0.5 * tau_c * np.sum(dc * dc, axis=1)
 
-        if config.ris_mode == "bd":
+        if grad_s is not None:
             s_hat = s_prev.copy()
             for q in range(q_n):
-                grad_s = switches.assemble_gradient(q, channels, snap, y, beams)
-                reward = switches.selection_reward(grad_s, s_prev[q], config.tau)
+                reward = switches.selection_reward(grad_s[q], s_prev[q], config.tau)
                 s_hat[q] = switches.solve_selection(reward)
                 gains[q] = switches.reward_gain(reward, s_hat[q], s_prev[q])
             values += gains
@@ -256,7 +256,8 @@ def run(channels, power_budgets, noise_power, config):
     q_n = channels.num_bs
     budgets = np.broadcast_to(np.asarray(power_budgets, float), (q_n,))
     iterate = initial_iterate(channels, budgets)
-    coefficients = rational_coefficients(channels.grid.frequencies, channels.circuit)
+    coefficients = rational_coefficients(channels.grid.frequencies[:, None],
+                                         channels.circuit)
     snap = snapshot(iterate, channels, noise_power, config.ris_enabled, coefficients)
     trace = Trace()
     trace.append(snap.sum_rate, 0.0, np.zeros(q_n),

@@ -7,9 +7,9 @@ in S (the proximal term is constant on permutations up to an inner product
 with the current matrix), so the update is a linear assignment problem over
 a real (M, M) reward built from the rate gradient, own-cell plus pricing.
 The Jacobi sweep reads the real part of that gradient off the
-victim-combined channels of :func:`bdris.rates.surface_assembly`, one real
-matrix product per BS (:func:`assemble_gradient`); :func:`selection_gradient`
-and :func:`selection_pricing` are its complex own-cell and pricing parts for
+victim-combined channels of :func:`bdris.rates.surface_gradients`, one real
+matrix product per BS; :func:`selection_gradient` and
+:func:`selection_pricing` are its complex own-cell and pricing parts for
 one BS.  The literal per-link form is a test oracle (``tests/oracles.py``).
 """
 
@@ -18,22 +18,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .rates import snapshot, surface_assembly
-
-
-def assemble_gradient(q, channels, snap, y, beams):
-    """Real selection gradient of BS q from :func:`~bdris.rates.surface_assembly`, (M, M).
-
-    Entry ``[i, j]`` is ``Re sum_{t, k} y[t, k, i] phi_q[k, j] beams[t, k, j]``
-    over BS q's own users t: one real (M x 2TK) by (2TK x M) product of the
-    stacked real and imaginary parts.
-    """
-    own = channels.users_of_bs(q)
-    m_n = y.shape[-1]
-    phased = snap.phi[q] * beams[own]
-    lhs = np.concatenate([y[own].real, y[own].imag]).reshape(-1, m_n)
-    rhs = np.concatenate([phased.real, -phased.imag]).reshape(-1, m_n)
-    return lhs.T @ rhs
+from .rates import snapshot, surface_gradients
 
 
 def selection_gradient(q, iterate, channels, noise_power, snap=None):
@@ -42,21 +27,20 @@ def selection_gradient(q, iterate, channels, noise_power, snap=None):
     The real part is the gradient of the own-cell rate sum (times K) when
     the selection matrix is relaxed to a real matrix variable.
     """
-    return _complex_gradient(q, iterate, channels, noise_power, snap, pricing=0.0)
+    return _complex_gradient(q, iterate, channels, noise_power, snap, 1.0, 0.0)
 
 
 def selection_pricing(q, iterate, channels, noise_power, snap=None):
     """Other-cell pricing gradient w.r.t. BS q's relaxed selection matrix, (M, M)."""
-    return _complex_gradient(q, iterate, channels, noise_power, snap, cell=0.0)
+    return _complex_gradient(q, iterate, channels, noise_power, snap, 0.0, 1.0)
 
 
-def _complex_gradient(q, iterate, channels, noise_power, snap, **weights):
+def _complex_gradient(q, iterate, channels, noise_power, snap, cell, pricing):
     if snap is None:
         snap = snapshot(iterate, channels, noise_power)
-    y, beams = surface_assembly(iterate, channels, snap, **weights)
-    # Im(sum y phi b) = Re(sum y phi (-1j b))
-    return (assemble_gradient(q, channels, snap, y, beams)
-            + 1j * assemble_gradient(q, channels, snap, y, -1j * beams))
+    # both weights times 1j scale y by -1j: the real gradient becomes the imaginary part
+    return (surface_gradients(iterate, channels, snap, cell, pricing)[1][q]
+            + 1j * surface_gradients(iterate, channels, snap, 1j * cell, 1j * pricing)[1][q])
 
 
 def selection_reward(gradient, perm_prev, tau):

@@ -12,7 +12,7 @@ re-exported here.
 
 import numpy as np
 
-from bdris.circuit import reflection_derivative, reflection_reformulated
+from bdris.circuit import rational_coefficients, reflection
 from bdris.errors import NumericalFailureError
 from bdris.precoding import solve_precoder
 from bdris.selfcheck import (best_assignment, dense_precoder,  # noqa: F401
@@ -24,14 +24,15 @@ from bdris.switches import selection_gradient, selection_pricing
 def reflection_profile(cap_vector, grid, circuit):
     """(K, M) reflection coefficients ``phi(f_k, cap_vector[m])`` of one surface."""
     cap_vector = np.asarray(cap_vector, dtype=float)
-    return reflection_reformulated(grid.frequencies[:, None], cap_vector[None, :], circuit)
+    return reflection(cap_vector[None, :], rational_coefficients(grid.frequencies[:, None],
+                                                                 circuit), circuit)[0]
 
 
 def element_slopes(cap_vector, grid, circuit):
-    """(K, M) slopes d(phi)/dC of one surface: the conjugate of ``reflection_derivative``."""
+    """(K, M) slopes d(phi)/dC of one surface."""
     cap_vector = np.asarray(cap_vector, dtype=float)
-    return np.conj(reflection_derivative(grid.frequencies[:, None],
-                                         cap_vector[None, :], circuit))
+    return reflection(cap_vector[None, :], rational_coefficients(grid.frequencies[:, None],
+                                                                 circuit), circuit)[1]
 
 
 def reflection_matrix(cap_vector, grid, circuit, k):
@@ -39,7 +40,8 @@ def reflection_matrix(cap_vector, grid, circuit, k):
     m = len(cap_vector)
     out = np.zeros((m, m), dtype=complex)
     for i in range(m):
-        out[i, i] = reflection_reformulated(grid.frequencies[k], cap_vector[i], circuit)
+        out[i, i] = reflection(cap_vector[i], rational_coefficients(grid.frequencies[k],
+                                                                    circuit), circuit)[0]
     return out
 
 
@@ -192,9 +194,11 @@ def bisect_measured_power(surrogates, tau, power_budget, rel_tol=1e-8,
                           max_doublings=200):
     """Power multiplier bisection that solves every precoder at every trial.
 
-    Reference for ``precoding.bisect_power_multiplier``: the same bracket,
-    bisection and stopping test, with the power measured on the stacked
-    precoders of each trial multiplier.  Returns (lam, precoders).
+    Reference for ``precoding.bisect_power_multiplier``: the measured-power
+    bisection whose stopping band, measured power in
+    ``[B (1 - rel_tol), B]``, the Newton search must land in; the power is
+    measured on the stacked precoders of each trial multiplier.  Returns
+    (lam, precoders).
     """
     def solve_all(lam):
         return np.stack([solve_precoder(s, tau, lam) for s in surrogates])

@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from bdris.circuit import (ElementCircuit, SubcarrierGrid, characteristic_impedance,
-                           rational_coefficients, reflection_and_slope,
-                           reflection_derivative, reflection_direct,
-                           reflection_reformulated, _rational_parts)
+                           rational_coefficients, reflection, reflection_direct)
 from bdris.errors import DegenerateInputError
 
 KAPPA = 2 * np.pi
@@ -16,6 +14,11 @@ KAPPA = 2 * np.pi
 # at f = 3.5 GHz, C = 1 pF, R = 1 ohm, L1 = 2.5 nH, L2 = 0.7 nH
 Z_ORACLE = 4.8676331364672369 - 66.220520711309178j
 PHI_ORACLE = -0.91686265750220456 - 0.33240744251947942j
+
+
+def reflection_at(f, cap, circuit):
+    """(phi, d(phi)/dC) of the rational form at ``f`` and ``cap``, broadcast together."""
+    return reflection(cap, rational_coefficients(f, circuit), circuit)
 
 
 class TestElementCircuit:
@@ -120,9 +123,8 @@ class TestReflection:
         circ = ElementCircuit(resistance=0.0)
         f = rng.uniform(3.45e9, 3.55e9, 500)
         cap = rng.uniform(circ.c_min, circ.c_max, 500)
-        for fn in (reflection_direct, reflection_reformulated):
-            mag = np.abs(fn(f, cap, circ))
-            np.testing.assert_allclose(mag, 1.0, atol=1e-12)
+        for phi in (reflection_direct(f, cap, circ), reflection_at(f, cap, circ)[0]):
+            np.testing.assert_allclose(np.abs(phi), 1.0, atol=1e-12)
 
     def test_lossy_is_strictly_passive(self, circuit):
         cap = np.linspace(circuit.c_min, circuit.c_max, 1000)
@@ -131,21 +133,21 @@ class TestReflection:
 
     def test_out_of_range_capacitance_rejected(self, circuit):
         with pytest.raises(ValueError):
-            reflection_reformulated(3.5e9, 3e-12, circuit)
+            reflection_at(3.5e9, 3e-12, circuit)
 
     @settings(max_examples=300, deadline=None)
     @given(f=st.floats(3.45e9, 3.55e9), cap=st.floats(0.47e-12, 2.35e-12))
     def test_reformulation_matches_direct(self, f, cap):
         circ = ElementCircuit()
         d = reflection_direct(f, cap, circ)
-        r = reflection_reformulated(f, cap, circ)
+        r = reflection_at(f, cap, circ)[0]
         assert abs(d - r) <= 1e-10 * (1.0 + abs(d))
 
     def test_reformulation_matches_direct_bulk(self, circuit, rng):
         f = rng.uniform(3.45e9, 3.55e9, 10000)
         cap = rng.uniform(circuit.c_min, circuit.c_max, 10000)
         d = reflection_direct(f, cap, circuit)
-        r = reflection_reformulated(f, cap, circuit)
+        r = reflection_at(f, cap, circuit)[0]
         assert np.max(np.abs(d - r)) <= 1e-10 * (1.0 + np.max(np.abs(d)))
 
 
@@ -154,17 +156,17 @@ class TestReflectionDerivative:
         h = 1e-17
         f = rng.uniform(3.45e9, 3.55e9, 300)
         cap = rng.uniform(circuit.c_min + 2 * h, circuit.c_max - 2 * h, 300)
-        analytic = reflection_derivative(f, cap, circuit)
+        analytic = reflection_at(f, cap, circuit)[1]
         fd = oracles.fd_reflection_derivative(f, cap, circuit, h)
         rel = np.abs(analytic - fd) / np.abs(analytic)
         assert np.max(rel) <= 1e-5
 
     def test_numerator_slope_is_exact(self, circuit):
-        # the conjugated numerator is linear in C with a known slope
+        # the conjugated numerator 1 + C A is linear in C with a known slope
         f = 3.5e9
         c1, c2 = 0.8e-12, 1.9e-12
-        n1, _ = _rational_parts(c1, rational_coefficients(f, circuit))
-        n2, _ = _rational_parts(c2, rational_coefficients(f, circuit))
+        a, _, _ = rational_coefficients(f, circuit)
+        n1, n2 = 1.0 + c1 * a, 1.0 + c2 * a
         slope = (np.conj(n2) - np.conj(n1)) / (c2 - c1)
         kf = KAPPA * f
         expected = -(kf**2) * (circuit.inductance_l1 + circuit.inductance_l2) \
@@ -173,7 +175,7 @@ class TestReflectionDerivative:
 
     def test_varies_with_capacitance(self, circuit):
         cap = np.linspace(circuit.c_min, circuit.c_max, 50)
-        d = reflection_derivative(3.5e9, cap, circuit)
+        d = reflection_at(3.5e9, cap, circuit)[1]
         assert np.ptp(np.abs(d)) > 0
 
 
@@ -184,41 +186,45 @@ class TestReflectionAndSlope:
         caps = rng.uniform(circuit.c_min, circuit.c_max, (3, 7))
         caps[0, :2] = circuit.c_min, circuit.c_max
         caps[1] = np.linspace(circuit.c_min, circuit.c_max, 7)
-        phi, slope = reflection_and_slope(
-            caps, rational_coefficients(grid.frequencies, circuit), circuit)
-        assert phi.shape == slope.shape == (3, grid.num_subcarriers, 7)
         f, c = grid.frequencies[None, :, None], caps[:, None, :]
-        np.testing.assert_allclose(phi, reflection_reformulated(f, c, circuit),
-                                   rtol=1e-12, atol=0)
-        np.testing.assert_allclose(slope, np.conj(reflection_derivative(f, c, circuit)),
-                                   rtol=1e-12, atol=0)
-        # and against the explicit impedance form, which shares no code with it
+        phi, slope = reflection_at(f[0], c, circuit)
+        assert phi.shape == slope.shape == (3, grid.num_subcarriers, 7)
+        # against the explicit impedance form, which shares no code with it
         np.testing.assert_allclose(phi, reflection_direct(f, c, circuit), rtol=0, atol=1e-10)
         h = 1e-17
         inner = np.clip(c, circuit.c_min + 2 * h, circuit.c_max - 2 * h)
         fd = (reflection_direct(f, inner + h, circuit)
               - reflection_direct(f, inner - h, circuit)) / (2 * h)
-        _, slope_inner = reflection_and_slope(
-            inner[:, 0], rational_coefficients(grid.frequencies, circuit), circuit)
+        _, slope_inner = reflection_at(f[0], inner, circuit)
         assert np.max(np.abs(slope_inner - fd) / np.abs(slope_inner)) <= 1e-5
 
+    def test_broadcast_equals_paired_samples(self, circuit, grid, rng):
+        # (Q, 1, M) capacitances against (K, 1) coefficients give, entry by
+        # entry, what flat paired (frequency, capacitance) samples give
+        caps = rng.uniform(circuit.c_min, circuit.c_max, (3, 1, 7))
+        f = grid.frequencies[:, None]
+        phi, slope = reflection(caps, rational_coefficients(f, circuit), circuit)
+        f_pairs, c_pairs = (np.broadcast_to(x, phi.shape).ravel() for x in (f, caps))
+        phi_pairs, slope_pairs = reflection_at(f_pairs, c_pairs, circuit)
+        np.testing.assert_array_equal(phi.ravel(), phi_pairs)
+        np.testing.assert_array_equal(slope.ravel(), slope_pairs)
+
     def test_out_of_range_rejected(self, circuit, grid):
-        coefficients = rational_coefficients(grid.frequencies, circuit)
+        coefficients = rational_coefficients(grid.frequencies[:, None], circuit)
         for bad in (circuit.c_min * 0.99, circuit.c_max * 1.01):
             with pytest.raises(ValueError):
-                reflection_and_slope(np.array([[1e-12, bad]]), coefficients, circuit)
+                reflection(np.array([[1e-12, bad]]), coefficients, circuit)
 
     def test_non_finite_raises(self, circuit):
         with np.errstate(invalid="ignore"):
-            coefficients = rational_coefficients(np.array([3.5e9, np.inf]), circuit)
+            coefficients = rational_coefficients(np.array([[3.5e9], [np.inf]]), circuit)
         with pytest.raises(DegenerateInputError):
-            reflection_and_slope(np.array([[1e-12]]), coefficients, circuit)
+            reflection(np.array([1e-12]), coefficients, circuit)
 
 
 def reflection_profile(caps, grid, circuit):
     """(K, M) profile of one surface from the joint evaluation."""
-    return reflection_and_slope(caps, rational_coefficients(grid.frequencies, circuit),
-                                circuit)[0]
+    return reflection_at(grid.frequencies[:, None], caps, circuit)[0]
 
 
 class TestPhaseMatrices:
@@ -226,7 +232,7 @@ class TestPhaseMatrices:
         grid = SubcarrierGrid(3.5e9, 0.1e9, 1)
         prof = reflection_profile(np.array([1e-12]), grid, circuit)
         assert prof.shape == (1, 1)
-        expected = reflection_reformulated(grid.frequencies[0], 1e-12, circuit)
+        expected = reflection_at(grid.frequencies[0], 1e-12, circuit)[0]
         np.testing.assert_allclose(prof[0, 0], expected)
 
     def test_diagonal_and_equal_entries(self, circuit, grid):

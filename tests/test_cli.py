@@ -71,6 +71,20 @@ def test_single_rejects_unknown_variant(tiny_ini, tmp_path):
                  "--variants", "nope"]) == 2
 
 
+@pytest.mark.parametrize("where", ["flag", "ini"])
+def test_run_rejects_unknown_variant(tiny_ini, tmp_path, capsys, where):
+    # one check and one exit code whether the name comes from the flag or the file
+    args = ["--variants", "nope"]
+    if where == "ini":
+        tiny_ini.write_text(TINY_INI + "variants = nope\n")
+        args = []
+    out = tmp_path / "sweep"
+    assert main(["run", "--config", str(tiny_ini), "--out", str(out), *args]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "'nope'" in err and "Traceback" not in err
+    assert not (out / "results.csv").exists()
+
+
 @pytest.mark.parametrize("old, new, entry", [
     ("max_iters", "mx_iters", "[solver] mx_iters"),
     ("[network]", "[netwrk]", "[netwrk]"),

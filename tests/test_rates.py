@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from bdris.rates import Iterate, snapshot, sum_rate
+from bdris.rates import Iterate, snapshot, sum_rate, surface_gradients
 from bdris.scenario import ScenarioConfig, channels_for_trial
 
 from conftest import make_network
@@ -192,3 +192,53 @@ class TestSnapshot:
                 for k in range(channels.num_subcarriers):
                     np.testing.assert_allclose(
                         amp[n, u, k], rows[j, u, k] @ iterate.precoders[n, k])
+
+
+def literal_surface_parts(q, iterate, channels, snap):
+    """Own-cell and pricing parts, stacked, of BS q's capacitance gradient
+    (2, M) and real selection gradient (2, M, M), summed link by link over the
+    literal coupling diagonals and selection coupling matrices."""
+    ln2 = np.log(2.0)
+    own = channels.users_of_bs(q)
+    slopes = oracles.element_slopes(iterate.capacitances[q], channels.grid,
+                                    channels.circuit)
+    phi = oracles.reflection_profile(iterate.capacitances[q], channels.grid,
+                                     channels.circuit)
+    diag = oracles.coupling_diagonals(q, iterate, channels, snap)
+    m_n = channels.num_elements
+    cap, sel = np.zeros((2, m_n)), np.zeros((2, m_n, m_n), complex)
+    for v in range(channels.num_users):
+        part = int(channels.bs_of_user[v] != q)
+        for k in range(channels.num_subcarriers):
+            d = (2 / ln2) / ((1 + snap.snr[v, k]) * snap.mui[v, k])
+            for t_pos, t in enumerate(own):
+                c = d if t == v else -snap.snr[v, k] * d
+                cap[part] += c * np.real(slopes[k] * diag[t_pos, v, k])
+                sel[part] += c * oracles.selection_coupling(q, t, v, k, iterate,
+                                                            channels, phi).T
+    return cap, np.real(sel)
+
+
+class TestSurfaceGradients:
+    @pytest.mark.parametrize("network", ["multiuser_network", "default_scale_network"])
+    def test_matches_literal_forms(self, network, request):
+        channels, iterate, noise = request.getfixturevalue(network)
+        snap = snapshot(iterate, channels, noise)
+        parts = [literal_surface_parts(q, iterate, channels, snap)
+                 for q in range(channels.num_bs)]
+        for pricing in (0.0, 1.0):
+            grad_c, grad_s = surface_gradients(iterate, channels, snap, pricing=pricing)
+            assert grad_c.shape == iterate.capacitances.shape
+            assert grad_s.shape == grad_c.shape + grad_c.shape[-1:]
+            for q, (cap, sel) in enumerate(parts):
+                np.testing.assert_allclose(grad_c[q], cap[0] + pricing * cap[1], rtol=1e-10)
+                np.testing.assert_allclose(grad_s[q], sel[0] + pricing * sel[1],
+                                           rtol=1e-10, atol=1e-12)
+
+    def test_without_selection(self, multiuser_network, default_scale_network):
+        for channels, iterate, noise in (multiuser_network, default_scale_network):
+            snap = snapshot(iterate, channels, noise)
+            grad_c, grad_s = surface_gradients(iterate, channels, snap)
+            only_c, none = surface_gradients(iterate, channels, snap, selection=False)
+            assert none is None
+            np.testing.assert_array_equal(only_c, grad_c)
