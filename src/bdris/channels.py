@@ -82,10 +82,6 @@ class NetworkTopology:
     def bs_of_user(self):
         return np.repeat(np.arange(self.num_bs), self.users_per_bs)
 
-    def users_of_bs(self, q):
-        offsets = np.concatenate([[0], np.cumsum(self.users_per_bs)])
-        return np.arange(offsets[q], offsets[q + 1])
-
 
 def pathloss(distance, exponent, wavelength):
     """Distance-dependent power gain (lambda / 4 pi)^2 * (d / 1 m)^(-exponent)."""

@@ -14,9 +14,9 @@ J. Sci. Stat. Comput. 1983), with a measured-power fallback for feasibility.
 
 The Jacobi sweep builds all users' surrogates in one contraction
 (:func:`stacked_surrogates`) and runs all BSs' multiplier searches in lock
-step (:func:`solve_precoders`); :func:`build_surrogates`,
-:func:`pricing_vector` and :func:`bisect_power_multiplier` are their per-BS
-and per-user slices.
+step, every user's precoder in one broadcast solve (:func:`solve_precoders`);
+:func:`build_surrogates`, :func:`pricing_vector` and
+:func:`bisect_power_multiplier` are their per-BS and per-user slices.
 """
 
 from __future__ import annotations
@@ -131,19 +131,21 @@ def build_surrogates(q, iterate, channels, noise_power, snap=None,
 
 
 def solve_precoder(surrogate, tau, lam):
-    """Closed-form maximizer for a fixed power multiplier, shape (K, N).
+    """Closed-form maximizer for fixed power multipliers, shape (..., K, N).
 
-    Each subcarrier block is (a f f^H + (tau/2 + lam) I) w = rhs, inverted
-    with the rank-one update identity instead of a dense solve.
+    ``surrogate`` is one user's or a stack of users'; ``lam`` is a scalar or
+    one multiplier per stacked user.  Each subcarrier block is
+    (a f f^H + (tau/2 + lam) I) w = rhs, inverted with the rank-one update
+    identity instead of a dense solve.
     """
-    beta = tau / 2.0 + lam
+    beta = (tau / 2.0 + np.asarray(lam))[..., None]
     r = surrogate.rhs(tau)
     f = surrogate.own_channel
     a = surrogate.quad_weight
-    f_dot_r = np.einsum("ki,ki->k", np.conj(f), r)
-    f_norm2 = np.sum(np.abs(f) ** 2, axis=1)
+    f_dot_r = np.einsum("...ki,...ki->...k", np.conj(f), r)
+    f_norm2 = np.sum(np.abs(f) ** 2, axis=-1)
     coeff = a * f_dot_r / (beta * (beta + a * f_norm2))
-    return r / beta - coeff[:, None] * f
+    return r / beta[..., None] - coeff[..., None] * f
 
 
 def power_curves(surrogate, owner, tau):
@@ -177,12 +179,6 @@ def power_curves(surrogate, owner, tau):
     return power
 
 
-def power_curve(surrogates, tau):
-    """Transmit power of one BS's users as a function of a scalar ``lam``."""
-    power = power_curves(_stack(surrogates), np.zeros(len(surrogates), int), tau)
-    return lambda lam: float(power(np.array([lam]))[0][0])
-
-
 def _newton_search(power_at, budgets, lam, rel_tol, max_doublings):
     """Every multiplier at which its power first fits its budget, in lock step.
 
@@ -214,31 +210,30 @@ def solve_precoders(surrogate, owner, tau, budgets, rel_tol=1e-8, max_doublings=
     shapes (Q,) and (U, K, N).  Each multiplier is 0 if the unconstrained
     solution fits the budget, else Newton's method on :func:`power_curves`
     raises it until its power fits, within ``rel_tol * budget`` below the
-    budget; precoders are solved at it only, one :func:`solve_precoder` per
-    user.  If a BS's measured power rounds above its budget, its search goes
-    on from there on measured powers with the closed-form slope, so the
-    result is always feasible.  A multiplier that would pass
+    budget; precoders are solved at it only, in one :func:`solve_precoder`
+    call with each user's BS multiplier.  If a BS's measured power (summed as
+    in :meth:`~bdris.rates.Iterate.bs_power`) rounds above its budget, its
+    search goes on from there on measured powers with the closed-form slope,
+    so the result is always feasible.  A multiplier that would pass
     ``2**max_doublings`` raises :class:`NumericalFailureError`.
     """
     budgets = np.asarray(budgets, dtype=float)
     if np.any(budgets <= 0):
         raise ValueError("power budget must be > 0")
-    users = [surrogate.select(u) for u in range(len(owner))]
-    groups = [np.flatnonzero(owner == q) for q in range(len(budgets))]
     curve = power_curves(surrogate, owner, tau)
 
     def solve(lam):
-        return np.stack([solve_precoder(s, tau, lam[q]) for s, q in zip(users, owner)])
-
-    def power_of(ws):
-        return np.array([np.sum(np.abs(ws[g]) ** 2) for g in groups])
+        ws = solve_precoder(surrogate, tau, lam[owner])
+        power = np.bincount(owner, weights=np.sum(np.abs(ws) ** 2, axis=(1, 2)),
+                            minlength=len(budgets))
+        return ws, power
 
     lam = _newton_search(curve, budgets, np.zeros(len(budgets)), rel_tol, max_doublings)
-    ws = solve(lam)
-    if np.any(power_of(ws) > budgets):
-        lam = _newton_search(lambda x: (power_of(solve(x)), curve(x)[1]), budgets, lam,
+    ws, power = solve(lam)
+    if np.any(power > budgets):
+        lam = _newton_search(lambda x: (solve(x)[1], curve(x)[1]), budgets, lam,
                              rel_tol, max_doublings)
-        ws = solve(lam)
+        ws = solve(lam)[0]
     return lam, ws
 
 

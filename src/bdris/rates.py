@@ -94,6 +94,8 @@ def snapshot(iterate, channels, noise_power, ris_enabled=True, coefficients=None
     library's one form of the composite channel: ``rows[j, u, k] @ w`` is
     the receive amplitude at user u of a vector w sent by BS j, direct path
     plus surface j's routed reflection (direct path only without surfaces).
+    The reflected rows of all surfaces are one product batched over (Q, K)
+    of the routed, phased surface-to-user channels and the BS-to-surface matrices.
     ``coefficients`` are the circuit's :func:`~bdris.circuit.rational_coefficients`
     of the subcarrier frequencies as a (K, 1) column; a solver run passes the
     ones it computed once.
@@ -105,13 +107,12 @@ def snapshot(iterate, channels, noise_power, ris_enabled=True, coefficients=None
                                                  channels.circuit)
         phi, slope = reflection(iterate.capacitances[:, None, :], coefficients,
                                 channels.circuit)
-        reflected = []
-        for g, perm, p, h in zip(channels.ris_ue, iterate.selections, phi, channels.bs_ris):
-            routed = np.take(g, perm, axis=-1)  # (U, K, M)
-            np.conjugate(routed, out=routed)
-            routed *= p
-            reflected.append(routed.swapaxes(0, 1) @ h)  # @ BS -> surface matrices (K, M, N)
-        rows = rows + np.stack(reflected).swapaxes(1, 2)
+        # (Q, U, K, M): every surface's routed surface -> user channels
+        routed = np.take_along_axis(channels.ris_ue, iterate.selections[:, None, None], -1)
+        np.conjugate(routed, out=routed)
+        routed *= phi[:, None]
+        # (Q, K, U, M) @ BS -> surface matrices (Q, K, M, N)
+        rows = rows + (routed.swapaxes(1, 2) @ channels.bs_ris).swapaxes(1, 2)
     tx_rows = rows[channels.bs_of_user]  # (U, U, K, N): serving-BS row of each stream
     amp = np.einsum("nuki,nki->nuk", tx_rows, iterate.precoders)
     powers = np.abs(amp) ** 2

@@ -223,13 +223,17 @@ def check_surrogate_bound(seed=6, draws=100):
 def check_precoder_solve(seed=7):
     channels, iterate, noise = random_network(np.random.default_rng(seed))
     tau, worst = 0.8, 0.0
-    for q in range(channels.num_bs):
-        for s in precoding.build_surrogates(q, iterate, channels, noise):
-            for lam in (0.0, 0.3, 2.0):
-                dense = dense_precoder(s, tau, lam)
-                err = np.linalg.norm(precoding.solve_precoder(s, tau, lam) - dense, axis=1) \
-                    / np.maximum(np.linalg.norm(dense, axis=1), 1e-30)
-                worst = max(worst, err.max())
+    stacked = precoding.stacked_surrogates(iterate, channels, snapshot(iterate, channels, noise))
+    users = [stacked.select(u) for u in range(channels.num_users)]
+    # each user alone at three multipliers, then all users in one call at one each
+    lams = np.linspace(0.3, 2.0, len(users))
+    trials = [(precoding.solve_precoder(s, tau, lam), s, lam)
+              for s in users for lam in (0.0, 0.3, 2.0)]
+    trials += zip(precoding.solve_precoder(stacked, tau, lams), users, lams)
+    for w, s, lam in trials:
+        dense = dense_precoder(s, tau, lam)
+        err = np.linalg.norm(w - dense, axis=1) / np.maximum(np.linalg.norm(dense, axis=1), 1e-30)
+        worst = max(worst, err.max())
     return "precoder closed form vs dense solve", worst <= 1e-10, f"max rel err {worst:.2e}"
 
 

@@ -13,7 +13,8 @@ call, :func:`local_subproblems`, computes all of them: the precoder blocks
 in one contraction and one lock-step Newton search of the power
 multipliers, both surface gradients of every BS from one pass over the
 surfaces (:func:`bdris.rates.surface_gradients`, which skips the switch
-products in ``diagonal`` mode), and one assignment per BS.  It returns one
+products in ``diagonal`` mode), and the switch rewards and gains as (Q, M, M)
+and (Q,) arrays around one assignment per BS.  It returns one
 :class:`Candidate` of per-BS arrays, which :func:`blend_step` merges with
 array expressions; :func:`local_subproblem` is its one-BS slice.
 
@@ -209,11 +210,9 @@ def local_subproblems(iterate, channels, noise_power, power_budgets, config, sna
         values += np.sum(grad_c * dc, axis=1) - 0.5 * tau_c * np.sum(dc * dc, axis=1)
 
         if grad_s is not None:
-            s_hat = s_prev.copy()
-            for q in range(q_n):
-                reward = switches.selection_reward(grad_s[q], s_prev[q], config.tau)
-                s_hat[q] = switches.solve_selection(reward)
-                gains[q] = switches.reward_gain(reward, s_hat[q], s_prev[q])
+            rewards = switches.selection_reward(grad_s, s_prev, config.tau)
+            s_hat = np.array([switches.solve_selection(r) for r in rewards])
+            gains = switches.reward_gain(rewards, s_hat, s_prev)
             values += gains
     return Candidate(Iterate(w_hat, c_hat, s_hat), gains, values, lams)
 

@@ -8,7 +8,8 @@ with the current matrix), so the update is a linear assignment problem over
 a real (M, M) reward built from the rate gradient, own-cell plus pricing.
 The Jacobi sweep reads the real part of that gradient off the
 victim-combined channels of :func:`bdris.rates.surface_gradients`, one real
-matrix product per BS; :func:`selection_gradient` and
+matrix product per BS, and builds all rewards as one (Q, M, M) stack; only
+:func:`solve_selection` runs per BS.  :func:`selection_gradient` and
 :func:`selection_pricing` are its complex own-cell and pricing parts for
 one BS.  The literal per-link form is a test oracle (``tests/oracles.py``).
 """
@@ -44,16 +45,19 @@ def _complex_gradient(q, iterate, channels, noise_power, snap, cell, pricing):
 
 
 def selection_reward(gradient, perm_prev, tau):
-    """Real (M, M) assignment reward: the gradient plus ``tau`` on ``perm_prev``."""
+    """Real (..., M, M) rewards: the gradients plus ``tau`` at ``[..., perm_prev[..., m], m]``."""
     reward = np.real(gradient).copy()
-    reward[perm_prev, np.arange(len(perm_prev))] += tau
+    rows = perm_prev[..., None, :]
+    np.put_along_axis(reward, rows, np.take_along_axis(reward, rows, axis=-2) + tau,
+                      axis=-2)
     return reward
 
 
 def reward_gain(reward, perm_new, perm_old):
-    """Assignment-reward difference between two permutations."""
-    cols = np.arange(len(perm_new))
-    return float(np.sum(reward[perm_new, cols] - reward[perm_old, cols]))
+    """Assignment-reward differences between two (..., M) permutation stacks, shape (...)."""
+    def picked(perm):
+        return np.take_along_axis(reward, perm[..., None, :], axis=-2)[..., 0, :]
+    return np.sum(picked(perm_new) - picked(perm_old), axis=-1)
 
 
 def solve_selection(reward):

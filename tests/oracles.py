@@ -14,7 +14,7 @@ import numpy as np
 
 from bdris.circuit import rational_coefficients, reflection
 from bdris.errors import NumericalFailureError
-from bdris.precoding import solve_precoder
+from bdris.precoding import _stack, power_curves, solve_precoder
 from bdris.selfcheck import (best_assignment, dense_precoder,  # noqa: F401
                              fd_capacitance_gradient, fd_precoder_gradient,
                              fd_reflection_derivative, fd_selection_gradient)
@@ -188,6 +188,15 @@ def selection_gain(q, sel_new, sel_old, iterate, channels, noise_power, tau,
                 - 0.5 * tau * float(np.sum(diff ** 2)))
 
     return value(sel_new) - value(sel_old)
+
+
+def power_curve(surrogates, tau):
+    """Transmit power of one BS's users as a function of a scalar ``lam``.
+
+    The one-BS, scalar view of ``precoding.power_curves`` (its power only).
+    """
+    power = power_curves(_stack(surrogates), np.zeros(len(surrogates), int), tau)
+    return lambda lam: float(power(np.array([lam]))[0][0])
 
 
 def bisect_measured_power(surrogates, tau, power_budget, rel_tol=1e-8,

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from bdris import precoding
+from bdris import precoding, solver, switches
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
@@ -19,9 +19,9 @@ def test_every_traced_layer_resolves(monkeypatch):
             f"layer {name}: {owner.__name__}.{attr} no longer exists"
 
 
-def test_counted_solve_precoder_runs_once_per_user(monkeypatch, multiuser_network):
+def test_counted_solve_precoder_runs_once_per_bisection(monkeypatch, multiuser_network):
     # the benchmark counts precoding.solve_precoder outside LAYERS and reports
-    # it per bisection; a bisection solves each user's precoder once
+    # it per bisection; a bisection solves all its users' precoders in one call
     monkeypatch.syspath_prepend(str(BENCH_DIR))
     measure = importlib.import_module("measure")
     assert measure.precoding is precoding
@@ -39,7 +39,25 @@ def test_counted_solve_precoder_runs_once_per_user(monkeypatch, multiuser_networ
         for budget in (1e-3, 1e9):
             calls.clear()
             precoding.bisect_power_multiplier(surrogates, 0.8, budget)
-            assert len(calls) == len(channels.users_of_bs(q))
+            assert len(calls) == 1
+
+
+@pytest.mark.parametrize("ris_mode, per_bs", [("bd", 1), ("diagonal", 0)])
+def test_sweep_solves_one_assignment_per_bs(monkeypatch, multiuser_network, ris_mode,
+                                            per_bs):
+    # the benchmark's switches.move_ratio divides accepted moves by the
+    # number of switches.solve_selection calls
+    channels, iterate, noise = multiuser_network
+    calls = []
+    solve = switches.solve_selection
+
+    def counted(reward):
+        calls.append(reward)
+        return solve(reward)
+    monkeypatch.setattr(switches, "solve_selection", counted)
+    solver.local_subproblems(iterate, channels, noise, 1.0,
+                             solver.SolverConfig(ris_mode=ris_mode))
+    assert len(calls) == per_bs * channels.num_bs
 
 
 @pytest.mark.parametrize("name", ["bd-fixed", "sweep-direct"])

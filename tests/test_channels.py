@@ -27,7 +27,6 @@ class TestTopology:
         topo = small_topology()
         assert topo.num_bs == 2 and topo.num_users == 2
         np.testing.assert_array_equal(topo.bs_of_user, [0, 1])
-        np.testing.assert_array_equal(topo.users_of_bs(1), [1])
 
     def test_coincident_nodes_rejected(self):
         with pytest.raises(ValueError):

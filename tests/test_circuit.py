@@ -151,7 +151,7 @@ class TestReflection:
         assert np.max(np.abs(d - r)) <= 1e-10 * (1.0 + np.max(np.abs(d)))
 
 
-class TestReflectionDerivative:
+class TestReflectionSlope:
     def test_matches_finite_differences(self, circuit, rng):
         h = 1e-17
         f = rng.uniform(3.45e9, 3.55e9, 300)
@@ -180,7 +180,7 @@ class TestReflectionDerivative:
 
 
 class TestReflectionAndSlope:
-    def test_matches_reformulated_and_derivative(self, circuit, grid, rng):
+    def test_matches_direct_form_and_finite_differences(self, circuit, grid, rng):
         # a (Q, M) capacitance array with both ends of the range and
         # uniform draws between them
         caps = rng.uniform(circuit.c_min, circuit.c_max, (3, 7))

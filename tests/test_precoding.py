@@ -5,8 +5,7 @@ import oracles
 from bdris import precoding
 from bdris.errors import NumericalFailureError
 from bdris.precoding import (bisect_power_multiplier, build_surrogates,
-                             objective_values, power_curve, pricing_vector,
-                             solve_precoder)
+                             objective_values, pricing_vector, solve_precoder)
 from bdris.rates import LN2, snapshot
 
 from conftest import complex_normal, make_network
@@ -143,6 +142,20 @@ class TestSolvePrecoder:
         norms = [np.linalg.norm(solve_precoder(s, TAU, lam)) for lam in lams]
         assert np.all(np.diff(norms) <= 1e-12)
 
+    @pytest.mark.parametrize("network", ["multiuser_network", "default_scale_network"])
+    def test_stack_matches_per_user_calls(self, request, network):
+        # one broadcast call with a distinct multiplier per user equals the
+        # per-user calls bit for bit
+        channels, iterate, noise = request.getfixturevalue(network)
+        stacked = precoding.stacked_surrogates(iterate, channels,
+                                               snapshot(iterate, channels, noise))
+        lams = np.concatenate([[0.0], np.geomspace(1e-6, 10.0, channels.num_users - 1)])
+        ws = solve_precoder(stacked, TAU, lams)
+        assert ws.shape == iterate.precoders.shape
+        for u in range(channels.num_users):
+            np.testing.assert_array_equal(ws[u], solve_precoder(stacked.select(u), TAU,
+                                                                lams[u]))
+
 
 class TestPowerCurve:
     @pytest.mark.parametrize("case", ["mf", "none", "bd"])
@@ -155,7 +168,7 @@ class TestPowerCurve:
                         np.abs(np.einsum("ki,ki->k", np.conj(f), r)) ** 2,
                         np.sum(np.abs(f) ** 2, 1) * np.sum(np.abs(r) ** 2, 1),
                         rtol=1e-12)
-            power = power_curve(surr, TAU)
+            power = oracles.power_curve(surr, TAU)
             for lam in MULTIPLIERS:
                 assert power(lam) == pytest.approx(measured_power(surr, lam),
                                                    rel=1e-13, abs=0)
@@ -168,11 +181,11 @@ class TestPowerCurve:
         assert len(surr) == 2
         np.testing.assert_array_equal(surr[0].own_channel, 0)
         with np.errstate(all="raise"):
-            power = power_curve(surr, TAU)
+            power = oracles.power_curve(surr, TAU)
             for lam in MULTIPLIERS:
                 assert power(lam) == pytest.approx(measured_power(surr, lam),
                                                    rel=1e-13, abs=0)
-                assert power_curve(surr[:1], TAU)(lam) == pytest.approx(
+                assert oracles.power_curve(surr[:1], TAU)(lam) == pytest.approx(
                     measured_power(surr[:1], lam), rel=1e-13, abs=0)
 
 
@@ -249,7 +262,7 @@ class TestBisection:
         for _ in range(40):
             channels, iterate, noise = make_network(rng)
             surr = build_surrogates(0, iterate, channels, noise)
-            budget = power_curve(surr, TAU)(0.0)
+            budget = oracles.power_curve(surr, TAU)(0.0)
             if measured_power(surr, 0.0) > budget:
                 break
         else:
@@ -330,7 +343,7 @@ class TestLockStepBisection:
         for _ in range(40):
             channels, iterate, noise = make_network(rng)
             surr = build_surrogates(0, iterate, channels, noise)
-            budget = power_curve(surr, TAU)(0.0)
+            budget = oracles.power_curve(surr, TAU)(0.0)
             if measured_power(surr, 0.0) > budget:
                 break
         else:

@@ -42,14 +42,14 @@ class TestIterate:
 
 
 class TestEffectiveRows:
-    def test_matches_reference_row(self, small_network):
-        channels, iterate, noise = small_network
-        rows = snapshot(iterate, channels, noise).rows
-        for j in range(channels.num_bs):
-            for u in range(channels.num_users):
-                for k in range(channels.num_subcarriers):
-                    ref = oracles.composite_row(j, u, k, iterate, channels)
-                    np.testing.assert_allclose(rows[j, u, k], ref, atol=1e-12)
+    def test_matches_reference_row(self, small_network, multiuser_network):
+        for channels, iterate, noise in (small_network, multiuser_network):
+            rows = snapshot(iterate, channels, noise).rows
+            for j in range(channels.num_bs):
+                for u in range(channels.num_users):
+                    for k in range(channels.num_subcarriers):
+                        ref = oracles.composite_row(j, u, k, iterate, channels)
+                        np.testing.assert_allclose(rows[j, u, k], ref, atol=1e-12)
 
     def test_matches_literal_at_default_scale(self):
         # scenario defaults (M=100, K=64, one trial) with a random

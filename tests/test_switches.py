@@ -10,7 +10,7 @@ from bdris.switches import (reward_gain, selection_gradient,
                             selection_pricing, selection_reward,
                             solve_selection)
 
-from conftest import make_network
+from conftest import complex_normal, make_network
 
 TAU = 0.8
 
@@ -201,3 +201,24 @@ class TestSelectionGain:
                                   channels, noise, TAU)
             shortcut = reward_gain(reward, s_new, iterate.selections[q])
             assert gain == pytest.approx(shortcut, abs=1e-10)
+
+    def test_stacked_rewards_match_per_bs_calls(self, rng):
+        q_n, m_n = 4, 6
+        grads = complex_normal(rng, q_n, m_n, m_n)
+        perm_prev = np.stack([rng.permutation(m_n) for _ in range(q_n)])
+        perm_new = np.stack([rng.permutation(m_n) for _ in range(q_n)])
+        rewards = selection_reward(grads, perm_prev, TAU)
+        gains = reward_gain(rewards, perm_new, perm_prev)
+        assert rewards.shape == (q_n, m_n, m_n) and gains.shape == (q_n,)
+        cols = np.arange(m_n)
+        for q in range(q_n):
+            reward = selection_reward(grads[q], perm_prev[q], TAU)
+            np.testing.assert_array_equal(rewards[q], reward)
+            assert gains[q] == reward_gain(reward, perm_new[q], perm_prev[q])
+            # the literal forms: tau on the entries [perm_prev[m], m]
+            literal = np.real(grads[q]).copy()
+            literal[perm_prev[q], cols] += TAU
+            np.testing.assert_array_equal(reward, literal)
+            assert gains[q] == pytest.approx(
+                np.sum(literal[perm_new[q], cols] - literal[perm_prev[q], cols]),
+                rel=1e-14, abs=1e-14)
