@@ -53,14 +53,17 @@ def solver_config_for(base, variant):
 def run_sweep(config, out_dir=None, variants=None, powers_dbm=None, trials=None):
     """Run the full sweep; returns (result rows, summary rows).
 
-    Every variant name is resolved before the first trial, so an unknown one
-    raises :class:`ConfigError` before any work.  A solver failure inside
+    Every variant name and a ``trials`` override are checked before the first
+    trial, so an unknown name or a count below 1 raises :class:`ConfigError`
+    before any work or file.  A solver failure inside
     one (variant, power, trial) cell is logged and skipped; the summary keeps
     a count of skipped trials per cell.
     """
     variants = tuple(variants if variants is not None else config.variants)
     powers_dbm = tuple(powers_dbm if powers_dbm is not None else config.power_dbm)
-    trials = int(trials if trials is not None else config.trials)
+    if trials is not None:
+        config = replace(config, trials=int(trials))  # ScenarioConfig checks the count
+    trials = config.trials
     solver_configs = [(v, solver_config_for(config.solver, v)) for v in variants]
 
     topology = build_scenario(config)

@@ -10,7 +10,11 @@ every other stream at that user.
 once, the reflection profiles and their capacitance slopes included;
 :func:`surface_gradients` reads both surface gradients of every BS, the
 capacitance and the switch-selection gradient, off one victim-combined
-channel per BS.  Nothing is cached between calls.
+channel per BS.  The one thing a snapshot carries over from an earlier one
+is the routed surface-to-user channels, ``conj(g)[..., perm]``: they depend on
+the switch permutations alone, which rarely change between Jacobi sweeps, so
+:func:`snapshot` reuses the routing of a ``previous`` snapshot whose
+permutations equal the iterate's and rebuilds it otherwise.
 """
 
 from __future__ import annotations
@@ -71,7 +75,11 @@ class Iterate:
 
 @dataclass
 class RateSnapshot:
-    """Cached per-iterate quantities shared by the subproblem solvers."""
+    """Cached per-iterate quantities shared by the subproblem solvers.
+
+    ``routed`` and ``selections`` are read-only: later snapshots of iterates
+    with the same permutations share them.
+    """
 
     rows: np.ndarray          # (Q, U, K, N) conjugated composite channels
     amplitudes: np.ndarray    # (U, U, K): [n, u, k] is stream n's amplitude at user u
@@ -81,38 +89,54 @@ class RateSnapshot:
     user_rates: np.ndarray    # (U,) bits/s/Hz
     phi: np.ndarray | None    # (Q, K, M) reflection profiles, None without surfaces
     slope: np.ndarray | None  # (Q, K, M) d(phi)/dC, None without surfaces
+    routed: np.ndarray | None      # (Q, U, K, M) conj(g)[..., perm], None without surfaces
+    selections: np.ndarray | None  # (Q, M) permutations ``routed`` was built from, or None
 
     @property
     def sum_rate(self):
         return float(self.user_rates.sum())
 
 
-def snapshot(iterate, channels, noise_power, ris_enabled=True, coefficients=None):
+def snapshot(iterate, channels, noise_power, ris_enabled=True, coefficients=None,
+             previous=None):
     """Evaluate rates and interference terms once for the current iterate.
 
     The rows ``f^H = h^H + g^H S diag(phi) H``, (Q, U, K, N), are the
     library's one form of the composite channel: ``rows[j, u, k] @ w`` is
     the receive amplitude at user u of a vector w sent by BS j, direct path
     plus surface j's routed reflection (direct path only without surfaces).
-    The reflected rows of all surfaces are one product batched over (Q, K)
-    of the routed, phased surface-to-user channels and the BS-to-surface matrices.
+    The reflected rows of each surface are one product batched over K of its
+    routed, phased surface-to-user channels and BS-to-surface matrices.
     ``coefficients`` are the circuit's :func:`~bdris.circuit.rational_coefficients`
     of the subcarrier frequencies as a (K, 1) column; a solver run passes the
-    ones it computed once.
+    ones it computed once.  ``previous`` is an earlier snapshot of the same
+    channels: its ``routed`` array is reused, not copied, when its
+    ``selections`` equal the iterate's, and every surface is routed afresh
+    otherwise.  Both ways give the same array, so the result does not depend
+    on ``previous``.
     """
     rows, phi, slope = np.conj(channels.direct), None, None
+    routed = selections = None
     if ris_enabled:
         if coefficients is None:
             coefficients = rational_coefficients(channels.grid.frequencies[:, None],
                                                  channels.circuit)
         phi, slope = reflection(iterate.capacitances[:, None, :], coefficients,
                                 channels.circuit)
-        # (Q, U, K, M): every surface's routed surface -> user channels
-        routed = np.take_along_axis(channels.ris_ue, iterate.selections[:, None, None], -1)
-        np.conjugate(routed, out=routed)
-        routed *= phi[:, None]
-        # (Q, K, U, M) @ BS -> surface matrices (Q, K, M, N)
-        rows = rows + (routed.swapaxes(1, 2) @ channels.bs_ris).swapaxes(1, 2)
+        if previous is not None and np.array_equal(previous.selections, iterate.selections):
+            routed, selections = previous.routed, previous.selections
+        else:  # a copy of the permutations, since the iterate's may be edited in place
+            routed, selections = np.empty_like(channels.ris_ue), iterate.selections.copy()
+            for g, perm, out in zip(channels.ris_ue, selections, routed):
+                np.take(g, perm, axis=-1, out=out)
+            np.conjugate(routed, out=routed)
+            routed.flags.writeable = selections.flags.writeable = False
+        # one surface at a time, (K, U, M) @ BS -> surface matrices (K, M, N), so
+        # that each phased temporary is a quarter of ``routed``: a full-size one
+        # beside a freshly routed array lets the allocator return both to the
+        # system, and the next rebuild pages them in again (3x slower)
+        rows = rows + np.stack([((r * p).swapaxes(0, 1) @ h).swapaxes(0, 1)
+                                for r, p, h in zip(routed, phi[:, None], channels.bs_ris)])
     tx_rows = rows[channels.bs_of_user]  # (U, U, K, N): serving-BS row of each stream
     amp = np.einsum("nuki,nki->nuk", tx_rows, iterate.precoders)
     powers = np.abs(amp) ** 2
@@ -122,7 +146,7 @@ def snapshot(iterate, channels, noise_power, ris_enabled=True, coefficients=None
     snr = own / mui
     k_n = snr.shape[1]
     rates = np.log1p(snr).sum(axis=1) / (LN2 * k_n)
-    return RateSnapshot(rows, amp, own, mui, snr, rates, phi, slope)
+    return RateSnapshot(rows, amp, own, mui, snr, rates, phi, slope, routed, selections)
 
 
 def surface_gradients(iterate, channels, snap, cell=1.0, pricing=1.0, selection=True):

@@ -274,15 +274,28 @@ def check_capacitance_clamp(seed=8, draws=200):
     return "capacitance clamp vs grid oracle", worst <= 1e-4, f"max dev {worst:.1e}"
 
 
-def check_assignment(seed=9, draws=50, size=4):
+def check_assignment(seed=9, draws=50, size=4, tau=0.8):
+    """Random rewards, rewards the certificate of ``solve_selection`` accepts
+    (a small gradient plus ``tau`` at a random permutation, the solver's
+    usual case) and rewards it must reject (one column's maximum tied)."""
     rng = np.random.default_rng(seed)
-    bad = 0
+    cols = np.arange(size)
+    bad = wrong_certificate = 0
     for _ in range(draws):
-        reward = rng.standard_normal((size, size))
-        perm = switches.solve_selection(reward)
-        if abs(reward[perm, np.arange(size)].sum() - best_assignment(reward)) > 1e-12:
-            bad += 1
-    return "assignment vs exhaustive enumeration", bad == 0, f"{bad} mismatches"
+        dominant = switches.selection_reward(0.05 * rng.standard_normal((size, size)),
+                                             rng.permutation(size), tau)
+        tied = rng.standard_normal((size, size))
+        best = tied.argmax(axis=0)
+        tied[(best[0] + 1) % size, 0] = tied[best[0], 0]
+        for reward in (rng.standard_normal((size, size)), dominant, tied):
+            perm = switches.solve_selection(reward)
+            if abs(reward[perm, cols].sum() - best_assignment(reward)) > 1e-12:
+                bad += 1
+        wrong_certificate += (switches.certified_selection(dominant) is None
+                              or switches.certified_selection(tied) is not None)
+    ok = bad == 0 and wrong_certificate == 0
+    return "assignment vs exhaustive enumeration", ok, \
+        f"{bad} mismatches over {3 * draws} rewards, {wrong_certificate} wrong certificates"
 
 
 ALL_CHECKS = (

@@ -23,7 +23,9 @@ linearized pricing guarantees ascent only for small enough steps of the
 continuous blocks, and the switch model is linear in a rate that is not, so
 a rejected point is retried without the switch moves and then with halved
 steps; if no trial ascends, the iteration takes step 0.  The trace is
-therefore non-decreasing.
+therefore non-decreasing.  Every trial snapshot is handed the current one as
+``previous``, so the surfaces are routed again only after a switch move, and
+the trace counts those moves per BS.
 
 Cooperation is expressed through pricing terms (gradients of other cells'
 rates); the non-cooperative baselines force them to zero.
@@ -79,8 +81,10 @@ class Trace:
     """Per-iteration history of one solver run.
 
     The first recorded entries describe the initial point (step size 0,
-    surrogate values and power multipliers 0); each executed iteration
-    appends one entry, with the per-BS fields as (Q,) arrays.
+    surrogate values, power multipliers and switch moves 0); each executed
+    iteration appends one entry, with the per-BS fields as (Q,) arrays.
+    ``switch_moves[t][q]`` counts the elements of BS q whose routing the
+    accepted step changed.
     ``alphas`` holds the step actually taken: the scheduled one, a halved
     one after backtracking, or 0.0 when every trial lowered the sum rate and
     the point was kept.
@@ -92,31 +96,36 @@ class Trace:
     power_slacks: list = field(default_factory=list)
     power_multipliers: list = field(default_factory=list)
     wall_times: list = field(default_factory=list)
+    switch_moves: list = field(default_factory=list)
 
     @property
     def num_iterations(self):
         return max(len(self.sum_rates) - 1, 0)
 
-    def append(self, sum_rate, alpha, surrogates, slack, multipliers, wall):
+    def append(self, sum_rate, alpha, surrogates, slack, multipliers, wall, moves):
         self.sum_rates.append(float(sum_rate))
         self.alphas.append(float(alpha))
         self.surrogate_values.append(np.asarray(surrogates, dtype=float))
         self.power_slacks.append(np.asarray(slack, dtype=float))
         self.power_multipliers.append(np.asarray(multipliers, dtype=float))
         self.wall_times.append(float(wall))
+        self.switch_moves.append(np.asarray(moves, dtype=int))
 
     def to_csv(self, path):
-        """Write (iteration, sum_rate, alpha, per-BS power slack and multiplier) rows."""
+        """Write (iteration, sum_rate, alpha, per-BS power slack, multiplier and
+        switch moves) rows."""
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
             q_n = len(self.power_slacks[0]) if self.power_slacks else 0
             wr.writerow(["iteration", "sum_rate", "alpha"]
                         + [f"power_slack_bs{q}" for q in range(q_n)]
-                        + [f"power_multiplier_bs{q}" for q in range(q_n)])
-            for t, (sr, al, sl, mu) in enumerate(zip(self.sum_rates, self.alphas,
-                                                     self.power_slacks,
-                                                     self.power_multipliers)):
-                wr.writerow([t, repr(sr), repr(al)] + [repr(float(x)) for x in (*sl, *mu)])
+                        + [f"power_multiplier_bs{q}" for q in range(q_n)]
+                        + [f"switch_moves_bs{q}" for q in range(q_n)])
+            for t, (sr, al, sl, mu, mv) in enumerate(zip(
+                    self.sum_rates, self.alphas, self.power_slacks,
+                    self.power_multipliers, self.switch_moves)):
+                wr.writerow([t, repr(sr), repr(al)] + [repr(float(x)) for x in (*sl, *mu)]
+                            + [int(x) for x in mv])
 
 
 @dataclass
@@ -259,8 +268,13 @@ def run(channels, power_budgets, noise_power, config):
                                          channels.circuit)
     snap = snapshot(iterate, channels, noise_power, config.ris_enabled, coefficients)
     trace = Trace()
+    # one read-only row for every iteration without a switch move, since
+    # sweeps keep thousands of traces
+    no_moves = np.zeros(q_n, int)
+    no_moves.flags.writeable = False
     trace.append(snap.sum_rate, 0.0, np.zeros(q_n),
-                 budgets - iterate.bs_power(channels.bs_of_user), np.zeros(q_n), 0.0)
+                 budgets - iterate.bs_power(channels.bs_of_user), np.zeros(q_n), 0.0,
+                 no_moves)
 
     alpha = config.alpha0
     for t in range(config.max_iters):
@@ -268,14 +282,16 @@ def run(channels, power_budgets, noise_power, config):
         alpha = step_size_schedule(t, alpha, config)
         candidate = local_subproblems(iterate, channels, noise_power, budgets,
                                       config, snap)
-        prev_rate = snap.sum_rate
+        prev_rate, prev_sel = snap.sum_rate, iterate.selections
         step, iterate, snap = _ascent_step(iterate, snap, candidate, alpha, channels,
                                            budgets, noise_power, config, coefficients)
         if step > 0.0:
             alpha = step
+        moved = iterate.selections != prev_sel
         trace.append(snap.sum_rate, step, candidate.surrogate_values,
                      budgets - iterate.bs_power(channels.bs_of_user),
-                     candidate.power_multipliers, time.perf_counter() - start)
+                     candidate.power_multipliers, time.perf_counter() - start,
+                     np.count_nonzero(moved, axis=1) if moved.any() else no_moves)
         if abs(snap.sum_rate - prev_rate) <= config.tol:
             break
     return iterate, trace
@@ -297,7 +313,7 @@ def _ascent_step(iterate, snap, candidate, alpha, channels, budgets,
             raise NumericalFailureError(
                 f"iterate infeasible after update: {exc}") from exc
         trial_snap = snapshot(trial, channels, noise_power, config.ris_enabled,
-                              coefficients)
+                              coefficients, previous=snap)
         if trial_snap.sum_rate >= snap.sum_rate:
             return step, trial, trial_snap
         if cand is candidate and np.any(trial.selections != iterate.selections):

@@ -12,6 +12,13 @@ matrix product per BS, and builds all rewards as one (Q, M, M) stack; only
 :func:`solve_selection` runs per BS.  :func:`selection_gradient` and
 :func:`selection_pricing` are its complex own-cell and pricing parts for
 one BS.  The literal per-link form is a test oracle (``tests/oracles.py``).
+
+The proximal weight puts ``tau`` on the current permutation's entries of the
+reward, so while the gradient is small beside ``tau`` every column's maximum
+sits on a distinct row and the current permutation is the optimum.
+:func:`solve_selection` certifies that case exactly from the column maxima
+(:func:`certified_selection`) and calls the assignment solver only when the
+certificate fails.
 """
 
 from __future__ import annotations
@@ -60,15 +67,38 @@ def reward_gain(reward, perm_new, perm_old):
     return np.sum(picked(perm_new) - picked(perm_old), axis=-1)
 
 
+def certified_selection(reward):
+    """The unique maximizer of ``sum_m reward[perm[m], m]``, or None if uncertified.
+
+    If every column m of the finite (M, M) ``reward`` has a strict maximum,
+    at row ``best[m]``, and the rows ``best`` are distinct, then ``best`` is a
+    permutation that takes the largest entry of every column, and any other
+    permutation takes a strictly smaller entry in some column and no larger
+    one elsewhere, so ``best`` is the unique optimum.
+    """
+    best = reward.argmax(axis=0)
+    m_n = len(best)
+    if (np.bincount(best, minlength=m_n).max() == 1
+            and np.count_nonzero(reward == reward[best, np.arange(m_n)]) == m_n):
+        return best
+    return None
+
+
 def solve_selection(reward):
     """Index vector ``perm`` maximizing ``sum_m reward[perm[m], m]``.
 
-    The relaxation of the permutation set to doubly stochastic matrices is
-    tight for linear objectives, so the linear assignment solution is the
-    exact maximizer over all permutations.
+    The :func:`certified_selection` is returned when it exists.  Otherwise
+    the linear assignment solver runs: the relaxation of the permutation set
+    to doubly stochastic matrices is tight for linear objectives, so its
+    solution is the exact maximizer over all permutations.  Both give the
+    same permutation where the certificate holds, since the optimum is then
+    unique.
     """
     reward = np.asarray(reward, dtype=float)
     if not np.all(np.isfinite(reward)):
         raise ValueError("reward matrix must be finite")
-    _, cols = linear_sum_assignment(reward, maximize=True)
-    return np.argsort(cols)
+    perm = certified_selection(reward)
+    if perm is None:
+        _, cols = linear_sum_assignment(reward, maximize=True)
+        perm = np.argsort(cols)
+    return perm

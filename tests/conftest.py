@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,13 @@ from bdris.circuit import ElementCircuit, SubcarrierGrid
 from bdris.scenario import ScenarioConfig, channels_for_trial, dbm_to_watt
 from bdris.selfcheck import complex_normal, random_network as make_network  # noqa: F401
 from bdris.solver import initial_iterate
+
+
+def assert_same_snapshot(got, want):
+    """Every field of two rate snapshots equal, bit for bit."""
+    for f in dataclasses.fields(want):
+        np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name),
+                                      err_msg=f.name, strict=True)
 
 
 @pytest.fixture

@@ -55,6 +55,16 @@ def test_run_writes_results_and_summary(tiny_ini, tmp_path, capsys):
     assert all(int(s["n_trials"]) == 2 and int(s["n_failed"]) == 0 for s in summary)
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_run_rejects_trial_count_below_one(tiny_ini, tmp_path, capsys, trials):
+    out = tmp_path / "sweep"
+    assert main(["run", "--config", str(tiny_ini), "--out", str(out),
+                 "--trials", trials]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "trials" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_single_writes_trace(tiny_ini, tmp_path, capsys):
     out = tmp_path / "single"
     assert main(["single", "--config", str(tiny_ini), "--out", str(out),

@@ -5,7 +5,7 @@ import oracles
 from bdris.rates import Iterate, snapshot, sum_rate, surface_gradients
 from bdris.scenario import ScenarioConfig, channels_for_trial
 
-from conftest import make_network
+from conftest import assert_same_snapshot, make_network
 
 
 class TestIterate:
@@ -192,6 +192,44 @@ class TestSnapshot:
                 for k in range(channels.num_subcarriers):
                     np.testing.assert_allclose(
                         amp[n, u, k], rows[j, u, k] @ iterate.precoders[n, k])
+
+
+class TestRoutingReuse:
+    @staticmethod
+    def other_point(iterate, selections):
+        # another point of the design space, with the given permutations
+        return Iterate(0.5 * iterate.precoders, iterate.capacitances[:, ::-1].copy(),
+                       selections)
+
+    @pytest.mark.parametrize("network", ["multiuser_network", "default_scale_network"])
+    def test_equal_selections_reuse_routing(self, network, request):
+        channels, iterate, noise = request.getfixturevalue(network)
+        previous = snapshot(self.other_point(iterate, iterate.selections.copy()),
+                            channels, noise)
+        got = snapshot(iterate, channels, noise, previous=previous)
+        assert got.routed is previous.routed
+        assert_same_snapshot(got, snapshot(iterate, channels, noise))
+
+    @pytest.mark.parametrize("network", ["multiuser_network", "default_scale_network"])
+    def test_changed_permutation_is_routed_afresh(self, network, request):
+        channels, iterate, noise = request.getfixturevalue(network)
+        sels = iterate.selections.copy()
+        sels[-1, [0, 1]] = sels[-1, [1, 0]]
+        previous = snapshot(self.other_point(iterate, sels), channels, noise)
+        got = snapshot(iterate, channels, noise, previous=previous)
+        assert got.routed is not previous.routed
+        assert_same_snapshot(got, snapshot(iterate, channels, noise))
+
+    def test_routing_is_read_only(self, multiuser_network):
+        channels, iterate, noise = multiuser_network
+        snap = snapshot(iterate, channels, noise)
+        with pytest.raises(ValueError):
+            snap.routed[0, 0, 0, 0] = 0.0
+        with pytest.raises(ValueError):
+            snap.selections[0, 0] = 1
+        # the snapshot keeps its own permutations, not the iterate's array
+        iterate.selections[0, [0, 1]] = iterate.selections[0, [1, 0]]
+        assert not np.array_equal(snap.selections, iterate.selections)
 
 
 def literal_surface_parts(q, iterate, channels, snap):

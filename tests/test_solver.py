@@ -13,7 +13,7 @@ from bdris.solver import (MAX_HALVINGS, Candidate, SolverConfig, blend_step,
                           capacitance_tau, initial_iterate, local_subproblem,
                           local_subproblems, run, step_size_schedule)
 
-from conftest import make_network
+from conftest import assert_same_snapshot, make_network
 
 
 def swap_first_elements(iterate, candidate):
@@ -374,6 +374,33 @@ class TestRun:
         assert len(sweeps) == trace.num_iterations == 40
         assert np.all(np.diff(trace.sum_rates) >= -1e-6)
 
+    def test_reused_routing_matches_fresh_snapshots(self, rng, monkeypatch):
+        # switches move at every iteration whose swap is accepted; every
+        # snapshot the run makes, with its routing reused or rebuilt, equals
+        # a fresh snapshot of the same iterate, bit for bit
+        channels, _, noise = make_network(rng)
+        solve, snap_of = solver_mod.local_subproblems, solver_mod.snapshot
+        made = []
+
+        def recorded_snapshot(iterate, *args, **kwargs):
+            snap = snap_of(iterate, *args, **kwargs)
+            made.append((iterate, kwargs.get("previous"), snap))
+            return snap
+
+        monkeypatch.setattr(solver_mod, "local_subproblems",
+                            lambda it, *a, **k: swap_first_elements(it, solve(it, *a, **k)))
+        monkeypatch.setattr(solver_mod, "snapshot", recorded_snapshot)
+        _, trace = run(channels, 1.0, noise, SolverConfig(max_iters=20, tol=0.0))
+        reused = rebuilt = 0
+        for iterate, previous, snap in made:
+            assert_same_snapshot(snap, snapshot(iterate, channels, noise))
+            if previous is not None:
+                reused += snap.routed is previous.routed
+                rebuilt += snap.routed is not previous.routed
+        assert made[0][1] is None and len(made) > trace.num_iterations
+        assert reused > 0 and rebuilt > 0
+        assert np.sum(trace.switch_moves) > 0
+
     def test_runs_share_no_state(self, rng):
         # run(A), run(B), run(A) and a run after changing A in place must
         # each reproduce a run on a fresh copy of its channels, bit for bit
@@ -444,6 +471,27 @@ class TestTraceCsv:
         np.testing.assert_array_equal(mults[0], 0.0)
         assert np.all(mults >= 0.0) and np.any(mults[1:] > 0.0)
 
+    def test_switch_moves_recorded(self, rng, monkeypatch):
+        # 0 at the initial point, then the number of elements whose routing
+        # the accepted step changed; each accepted swap moves two elements
+        channels, _, noise = make_network(rng)
+        solve = solver_mod.local_subproblems
+        points = []
+
+        def swapping_subproblems(iterate, *args, **kwargs):
+            points.append(iterate.selections)
+            return swap_first_elements(iterate, solve(iterate, *args, **kwargs))
+
+        monkeypatch.setattr(solver_mod, "local_subproblems", swapping_subproblems)
+        best, trace = run(channels, 1.0, noise, SolverConfig(max_iters=20, tol=0.0))
+        points.append(best.selections)
+        moves = np.asarray(trace.switch_moves)
+        assert moves.shape == (21, channels.num_bs) and moves.dtype.kind == "i"
+        np.testing.assert_array_equal(moves[0], 0)
+        np.testing.assert_array_equal(
+            moves[1:], [np.count_nonzero(b != a, axis=1) for a, b in zip(points, points[1:])])
+        assert set(moves.ravel()) == {0, 2}
+
     def test_columns_and_determinism(self, rng, tmp_path):
         channels, _, noise = make_network(rng)
         cfg = SolverConfig(max_iters=5, tol=0.0)
@@ -454,4 +502,5 @@ class TestTraceCsv:
         assert p1.read_bytes() == p2.read_bytes()
         header = p1.read_text().splitlines()[0]
         assert header == ("iteration,sum_rate,alpha,power_slack_bs0,power_slack_bs1,"
-                          "power_multiplier_bs0,power_multiplier_bs1")
+                          "power_multiplier_bs0,power_multiplier_bs1,"
+                          "switch_moves_bs0,switch_moves_bs1")

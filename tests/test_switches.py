@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 import oracles
 from oracles import selection_coupling, selection_gain
+from bdris import solver, switches
 from bdris.rates import snapshot
 from bdris.switches import (reward_gain, selection_gradient,
                             selection_pricing, selection_reward,
@@ -13,6 +15,23 @@ from bdris.switches import (reward_gain, selection_gradient,
 from conftest import complex_normal, make_network
 
 TAU = 0.8
+
+
+def scipy_selection(reward):
+    """The assignment solver's permutation, as :func:`solve_selection` returns it."""
+    _, cols = linear_sum_assignment(reward, maximize=True)
+    return np.argsort(cols)
+
+
+def spy_on_assignment(monkeypatch):
+    """List that records every reward passed to ``switches.linear_sum_assignment``."""
+    calls = []
+
+    def spied(reward, maximize=False):
+        calls.append(reward)
+        return linear_sum_assignment(reward, maximize=maximize)
+    monkeypatch.setattr(switches, "linear_sum_assignment", spied)
+    return calls
 
 
 def cooperative_reward(q, iterate, channels, noise):
@@ -157,6 +176,55 @@ class TestSolveSelection:
     def test_rejects_nonfinite_reward(self):
         with pytest.raises(ValueError):
             solve_selection(np.array([[np.inf, 0], [0, 1]]))
+
+    @pytest.mark.parametrize("m_n", [2, 5, 100])
+    def test_dominant_reward_is_certified_without_scipy(self, rng, monkeypatch, m_n):
+        # a small gradient plus tau at a random permutation: the column maxima
+        # sit on distinct rows, so the certificate returns scipy's optimum
+        calls = spy_on_assignment(monkeypatch)
+        for _ in range(20):
+            perm = rng.permutation(m_n)
+            reward = selection_reward(0.05 * rng.standard_normal((m_n, m_n)), perm, TAU)
+            got = solve_selection(reward)
+            np.testing.assert_array_equal(got, perm)
+            np.testing.assert_array_equal(got, scipy_selection(reward))
+            assert got.dtype == scipy_selection(reward).dtype
+        assert calls == []
+
+    @pytest.mark.parametrize("case", ["shared_row", "tied_column"])
+    def test_uncertified_reward_falls_back_to_scipy(self, rng, monkeypatch, case):
+        m_n = 6
+        reward = selection_reward(0.05 * rng.standard_normal((m_n, m_n)),
+                                  rng.permutation(m_n), TAU)
+        best = reward.argmax(axis=0)
+        if case == "shared_row":
+            # column 1's maximum moves onto column 0's best row
+            reward[best[0], 1] = reward[best[1], 1] + 1.0
+        else:
+            # column 0's maximum is equalled by another row of the column
+            reward[(best[0] + 1) % m_n, 0] = reward[best[0], 0]
+        calls = spy_on_assignment(monkeypatch)
+        got = solve_selection(reward)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(got, scipy_selection(reward))
+
+    def test_sweep_matches_scipy_per_bs(self, monkeypatch, default_scale_network):
+        # one bd sweep at default scale: every BS's certified permutation is
+        # what the assignment solver returns on that BS's reward
+        channels, iterate, noise = default_scale_network
+        rewards = []
+        solve = switches.solve_selection
+
+        def recorded(reward):
+            rewards.append(reward)
+            return solve(reward)
+        monkeypatch.setattr(switches, "solve_selection", recorded)
+        calls = spy_on_assignment(monkeypatch)
+        candidate = solver.local_subproblems(iterate, channels, noise, 1.0,
+                                             solver.SolverConfig())
+        assert len(rewards) == channels.num_bs and calls == []
+        np.testing.assert_array_equal(candidate.target.selections,
+                                      [scipy_selection(r) for r in rewards])
 
 
 class TestSelectionGain:
