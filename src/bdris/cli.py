@@ -77,12 +77,20 @@ def _load_scenario(args):
     return cfg
 
 
+def _powers(args):
+    """The ``--power`` flag's finite numbers, None without the flag."""
+    try:
+        return parse_floats(args.power or "")
+    except ValueError as exc:
+        raise ConfigError(f"--power: {exc}") from exc
+
+
 def cmd_run(args):
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING,
                         format="%(levelname)s %(message)s")
     cfg = _load_scenario(args)
     run_sweep(cfg, out_dir=args.out, variants=parse_names(args.variants or ""),
-              powers_dbm=parse_floats(args.power or ""), trials=args.trials)
+              powers_dbm=_powers(args), trials=args.trials)
     print(f"wrote {os.path.join(args.out, 'results.csv')} and summary.csv")
     return 0
 
@@ -91,7 +99,10 @@ def cmd_single(args):
     cfg = _load_scenario(args)
     variant = (args.variants or "bd").strip()
     solver_cfg = solver_config_for(cfg.solver, variant)
-    p_dbm = float(args.power) if args.power else cfg.power_dbm[0]
+    powers = _powers(args) or cfg.power_dbm[:1]
+    if len(powers) != 1:
+        raise ConfigError("--power takes one transmit power")
+    p_dbm = powers[0]
     channels = channels_for_trial(cfg, args.trial)
     try:
         best, trace = run_solver(channels, float(dbm_to_watt(p_dbm)),

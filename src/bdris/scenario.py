@@ -143,14 +143,23 @@ def channels_for_trial(config, trial, topology=None):
 # INI config files
 # ---------------------------------------------------------------------------
 
+def finite_float(text):
+    """One finite number; NaN, infinities and non-numbers raise ValueError."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
 def parse_floats(text):
-    """Comma- or semicolon-separated numbers; None if there are none."""
-    return tuple(float(x) for x in text.replace(";", ",").split(",") if x.strip()) or None
+    """Comma- or semicolon-separated finite numbers; None if there are none."""
+    return tuple(finite_float(x) for x in text.replace(";", ",").split(",")
+                 if x.strip()) or None
 
 
 def _pairs(text):
     chunks = [c.split(",") for c in text.split(";") if c.strip()]
-    return tuple((float(x), float(y)) for x, y in chunks) or None
+    return tuple((finite_float(x), finite_float(y)) for x, y in chunks) or None
 
 
 def parse_names(text):
@@ -172,33 +181,33 @@ _INI_KEYS = (
     ("network", "N", "num_antennas", int),
     ("network", "M", "num_elements", int),
     ("network", "L_q", "users_per_bs", _counts),
-    ("geometry", "bs_square_width", "bs_square_width", float),
-    ("geometry", "bs_height", "bs_height", float),
+    ("geometry", "bs_square_width", "bs_square_width", finite_float),
+    ("geometry", "bs_height", "bs_height", finite_float),
     ("geometry", "ue_square_origin", "ue_square_origin", parse_floats),
-    ("geometry", "ue_square_width", "ue_square_width", float),
-    ("geometry", "ue_height", "ue_height", float),
-    ("geometry", "ris_height", "ris_height", float),
+    ("geometry", "ue_square_width", "ue_square_width", finite_float),
+    ("geometry", "ue_height", "ue_height", finite_float),
+    ("geometry", "ris_height", "ris_height", finite_float),
     ("geometry", "ris_positions", "ris_xy", _pairs),
-    ("ofdm", "f_c", "carrier_frequency", float),
-    ("ofdm", "BW", "bandwidth", float),
+    ("ofdm", "f_c", "carrier_frequency", finite_float),
+    ("ofdm", "BW", "bandwidth", finite_float),
     ("ofdm", "K", "num_subcarriers", int),
     ("ofdm", "delay_taps", "num_taps", int),
-    ("pathloss", "bs_ue", "alpha_bs_ue", float),
-    ("pathloss", "bs_ris", "alpha_bs_ris", float),
-    ("pathloss", "ris_ue", "alpha_ris_ue", float),
-    ("power", "noise_dbm", "noise_dbm", float),
+    ("pathloss", "bs_ue", "alpha_bs_ue", finite_float),
+    ("pathloss", "bs_ris", "alpha_bs_ris", finite_float),
+    ("pathloss", "ris_ue", "alpha_ris_ue", finite_float),
+    ("power", "noise_dbm", "noise_dbm", finite_float),
     ("power", "power_dbm", "power_dbm", parse_floats),
-    ("circuit", "resistance", "circuit.resistance", float),
-    ("circuit", "L1", "circuit.inductance_l1", float),
-    ("circuit", "L2", "circuit.inductance_l2", float),
-    ("circuit", "Z0", "circuit.z0", float),
-    ("circuit", "c_min", "circuit.c_min", float),
-    ("circuit", "c_max", "circuit.c_max", float),
-    ("solver", "tau", "solver.tau", float),
-    ("solver", "alpha0", "solver.alpha0", float),
-    ("solver", "epsilon", "solver.epsilon", float),
+    ("circuit", "resistance", "circuit.resistance", finite_float),
+    ("circuit", "L1", "circuit.inductance_l1", finite_float),
+    ("circuit", "L2", "circuit.inductance_l2", finite_float),
+    ("circuit", "Z0", "circuit.z0", finite_float),
+    ("circuit", "c_min", "circuit.c_min", finite_float),
+    ("circuit", "c_max", "circuit.c_max", finite_float),
+    ("solver", "tau", "solver.tau", finite_float),
+    ("solver", "alpha0", "solver.alpha0", finite_float),
+    ("solver", "epsilon", "solver.epsilon", finite_float),
     ("solver", "max_iters", "solver.max_iters", int),
-    ("solver", "tol", "solver.tol", float),
+    ("solver", "tol", "solver.tol", finite_float),
     ("simulation", "trials", "trials", int),
     ("simulation", "seed", "seed", int),
     ("simulation", "variants", "variants", parse_names),
@@ -226,15 +235,19 @@ def load_config(path):
         raise ConfigError(f"unknown config entries in {path}: {', '.join(unknown)}")
     cfg = ScenarioConfig()
     fields = {"": {}, "circuit": {}, "solver": {}}
+    for section, key, name, parse in _INI_KEYS:
+        text = parser.get(section, key, fallback=None)
+        try:
+            value = None if text is None else parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"malformed config {path}: [{section}] {key}: {exc}") from exc
+        if value is not None:
+            owner, _, attr = name.rpartition(".")
+            fields[owner][attr] = value
+    top = fields[""]
+    if "num_bs" in top:
+        top.setdefault("users_per_bs", 1)
     try:
-        for section, key, name, parse in _INI_KEYS:
-            text = parser.get(section, key, fallback=None)
-            if text is not None and (value := parse(text)) is not None:
-                owner, _, attr = name.rpartition(".")
-                fields[owner][attr] = value
-        top = fields[""]
-        if "num_bs" in top:
-            top.setdefault("users_per_bs", 1)
         return replace(cfg, circuit=replace(cfg.circuit, **fields["circuit"]),
                        solver=replace(cfg.solver, **fields["solver"]), **top)
     except ValueError as exc:

@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import capacitance, precoding, switches
+from . import capacitance, precoding, rates, switches
 from .channels import NetworkChannels
 from .circuit import (ElementCircuit, SubcarrierGrid, rational_coefficients, reflection,
                       reflection_direct)
@@ -156,45 +156,52 @@ def check_reflection_derivative(samples=200, seed=2):
     return "element response derivative", err <= 1e-5, f"max rel err {err:.2e}"
 
 
+def _own_and_pricing_gradients(iterate, channels, snap):
+    """Own-cell and pricing parts of every surface gradient, as the sweep
+    assembles them: ``[(grad_c, grad_s) own-cell, (grad_c, grad_s) pricing]``."""
+    return [rates.surface_gradients(iterate, channels, snap, cell=cell, pricing=1.0 - cell)
+            for cell in (1.0, 0.0)]
+
+
+def _worst_rel_err(analytic, fd):
+    """Largest relative error of the (own-cell, pricing) parts against the
+    finite differences ``fd[..., 0]`` and ``fd[..., 1]``."""
+    return max(np.linalg.norm(a - fd[..., n]) / np.linalg.norm(fd[..., n])
+               for n, a in enumerate(analytic))
+
+
 def check_capacitance_gradients(seed=3):
     channels, iterate, noise = random_network(np.random.default_rng(seed), users_per_bs=(2, 1))
+    parts = _own_and_pricing_gradients(iterate, channels, snapshot(iterate, channels, noise))
     worst = 0.0
     for q in range(channels.num_bs):
-        snap = snapshot(iterate, channels, noise)
-        analytic = (capacitance.rate_gradient(q, iterate, channels, noise, snap),
-                    capacitance.pricing_gradient(q, iterate, channels, noise, snap))
         fd = fd_capacitance_gradient(
             lambda it: _own_and_other_rate(it, channels, noise, q), iterate, q)
-        worst = max(worst, max(np.linalg.norm(a - fd[..., n]) / np.linalg.norm(fd[..., n])
-                               for n, a in enumerate(analytic)))
+        worst = max(worst, _worst_rel_err([grad_c[q] for grad_c, _ in parts], fd))
     return "capacitance gradient vs finite differences", worst <= 1e-4, f"max rel err {worst:.2e}"
 
 
 def check_selection_gradients(seed=4):
     channels, iterate, noise = random_network(np.random.default_rng(seed), users_per_bs=(2, 1))
+    parts = _own_and_pricing_gradients(iterate, channels, snapshot(iterate, channels, noise))
     worst = 0.0
     for q in range(channels.num_bs):
-        snap = snapshot(iterate, channels, noise)
-        analytic = (
-            np.real(switches.selection_gradient(q, iterate, channels, noise, snap)),
-            np.real(switches.selection_pricing(q, iterate, channels, noise, snap)))
         fd = fd_selection_gradient(
             lambda ch: _own_and_other_rate(iterate, ch, noise, q), channels,
             iterate.selections[q], q)
-        worst = max(worst, max(np.linalg.norm(a - fd[..., n]) / np.linalg.norm(fd[..., n])
-                               for n, a in enumerate(analytic)))
+        worst = max(worst, _worst_rel_err([grad_s[q] for _, grad_s in parts], fd))
     return "selection gradient vs finite differences", worst <= 1e-4, f"max rel err {worst:.2e}"
 
 
 def check_precoder_pricing(seed=5):
     channels, iterate, noise = random_network(np.random.default_rng(seed))
+    pricing = precoding.pricing_vectors(channels, snapshot(iterate, channels, noise))
     worst = 0.0
     for user in range(channels.num_users):
         q = channels.bs_of_user[user]
-        analytic = precoding.pricing_vector(user, iterate, channels, noise)
         fd = fd_precoder_gradient(
             lambda it: _own_and_other_rate(it, channels, noise, q)[1], iterate, user)
-        worst = max(worst, np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-30))
+        worst = max(worst, np.linalg.norm(pricing[user] - fd) / max(np.linalg.norm(fd), 1e-30))
     return "precoder pricing vs finite differences", worst <= 1e-4, f"max rel err {worst:.2e}"
 
 
@@ -202,19 +209,16 @@ def check_surrogate_bound(seed=6, draws=100):
     rng = np.random.default_rng(seed)
     channels, iterate, noise = random_network(rng)
     snap = snapshot(iterate, channels, noise)
-    worst_gap, violations = 0.0, 0
-    for q in range(channels.num_bs):
-        for s in precoding.build_surrogates(q, iterate, channels, noise, snap):
-            anchor_rate = np.log1p(snap.snr[s.user]) / np.log(2.0)
-            gap = np.max(np.abs(s.log_term_value(s.anchor) - anchor_rate))
-            worst_gap = max(worst_gap, gap)
-            for _ in range(draws):
-                w = (rng.standard_normal(s.anchor.shape)
-                     + 1j * rng.standard_normal(s.anchor.shape)) * 0.5
-                sig = np.abs(np.einsum("ki,ki->k", np.conj(s.own_channel), w)) ** 2
-                exact = np.log1p(sig / s.mui_anchor) / np.log(2.0)
-                if np.any(s.log_term_value(w) > exact + 1e-9):
-                    violations += 1
+    s = precoding.stacked_surrogates(iterate, channels, snap)
+    anchor_rate = np.log1p(snap.snr) / np.log(2.0)
+    worst_gap = np.max(np.abs(s.log_term_value(s.anchor) - anchor_rate))
+    violations = 0
+    for _ in range(draws):
+        w = (rng.standard_normal(s.anchor.shape)
+             + 1j * rng.standard_normal(s.anchor.shape)) * 0.5
+        sig = np.abs(np.einsum("uki,uki->uk", np.conj(s.own_channel), w)) ** 2
+        exact = np.log1p(sig / s.mui_anchor) / np.log(2.0)
+        violations += int(np.sum(np.any(s.log_term_value(w) > exact + 1e-9, axis=-1)))
     ok = worst_gap <= 1e-9 and violations == 0
     return "precoder surrogate lower bound", ok, \
         f"anchor gap {worst_gap:.1e}, violations {violations}"
@@ -238,21 +242,27 @@ def check_precoder_solve(seed=7):
 
 
 def check_power_multiplier(seed=10, rel_tol=1e-8):
+    """Every BS's multiplier in one lock-step call, each BS in another budget
+    regime (loose, binding, tight) per call, until each has met all three."""
     channels, iterate, noise = random_network(np.random.default_rng(seed), users_per_bs=(2, 1))
     tau, worst, violations = 0.8, 0.0, 0
-    for q in range(channels.num_bs):
-        surr = precoding.build_surrogates(q, iterate, channels, noise)
-        free = sum(np.sum(np.abs(dense_precoder(s, tau, 0.0)) ** 2) for s in surr)
-        for budget in (10.0 * free, 0.5 * free, 1e-4 * free):
-            lam, ws = precoding.bisect_power_multiplier(surr, tau, budget, rel_tol)
-            power = np.sum(np.abs(ws) ** 2)
-            violations += (lam == 0.0) != (free <= budget)
-            violations += lam > 0.0 and not budget * (1.0 - rel_tol) <= power <= budget
-            for s, w in zip(surr, ws):
-                dense = dense_precoder(s, tau, lam)
-                err = np.linalg.norm(w - dense, axis=1) \
-                    / np.maximum(np.linalg.norm(dense, axis=1), 1e-30)
-                worst = max(worst, err.max())
+    stacked = precoding.stacked_surrogates(iterate, channels, snapshot(iterate, channels, noise))
+    owner = channels.bs_of_user
+    users = [stacked.select(u) for u in range(channels.num_users)]
+    free = np.bincount(owner, [np.sum(np.abs(dense_precoder(s, tau, 0.0)) ** 2) for s in users])
+    scales = np.array([10.0, 0.5, 1e-4])
+    for shift in range(len(scales)):
+        budgets = free * scales[(np.arange(channels.num_bs) + shift) % len(scales)]
+        lams, ws = precoding.solve_precoders(stacked, owner, tau, budgets, rel_tol)
+        power = np.bincount(owner, np.sum(np.abs(ws) ** 2, axis=(1, 2)))
+        violations += np.sum((lams == 0.0) != (free <= budgets))
+        violations += np.sum((lams > 0.0) & ~((budgets * (1.0 - rel_tol) <= power)
+                                              & (power <= budgets)))
+        for s, w, lam in zip(users, ws, lams[owner]):
+            dense = dense_precoder(s, tau, lam)
+            err = np.linalg.norm(w - dense, axis=1) \
+                / np.maximum(np.linalg.norm(dense, axis=1), 1e-30)
+            worst = max(worst, err.max())
     ok = violations == 0 and worst <= 1e-10
     return "power multiplier KKT conditions", ok, \
         f"{violations} violations, max rel err {worst:.2e}"

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,8 +60,10 @@ class SolverConfig:
     cooperative: bool = True
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be > 0")
+        if not 0 < self.tau < np.inf:
+            raise ValueError("tau must be a finite number > 0")
+        if not self.tol >= 0:
+            raise ValueError("tol must be >= 0")
         if not (0 < self.alpha0 <= 1):
             raise ValueError("alpha0 must be in (0, 1]")
         if not (0 <= self.epsilon < 1):
@@ -78,54 +80,55 @@ class SolverConfig:
 
 @dataclass
 class Trace:
-    """Per-iteration history of one solver run.
+    """Per-iteration history of one solver run, one column per quantity.
 
-    The first recorded entries describe the initial point (step size 0,
-    surrogate values, power multipliers and switch moves 0); each executed
-    iteration appends one entry, with the per-BS fields as (Q,) arrays.
-    ``switch_moves[t][q]`` counts the elements of BS q whose routing the
-    accepted step changed.
-    ``alphas`` holds the step actually taken: the scheduled one, a halved
-    one after backtracking, or 0.0 when every trial lowered the sum rate and
-    the point was kept.
+    Row 0 describes the initial point (step size 0; surrogate values, power
+    multipliers and switch moves 0); each executed iteration adds one row,
+    so a run of T iterations has T + 1 rows.  ``sum_rates``, ``alphas`` and
+    ``wall_times`` are lists of floats; ``surrogate_values``,
+    ``power_slacks`` and ``power_multipliers`` are (T+1, Q) float arrays and
+    ``switch_moves`` a (T+1, Q) int array, whose ``[t, q]`` counts the
+    elements of BS q whose routing the accepted step changed.  ``alphas``
+    holds the step actually taken: the scheduled one, a halved one after
+    backtracking, or 0.0 when every trial lowered the sum rate and the point
+    was kept.  A new per-BS quantity is one more (T+1, Q) column.
     """
 
-    sum_rates: list = field(default_factory=list)
-    alphas: list = field(default_factory=list)
-    surrogate_values: list = field(default_factory=list)
-    power_slacks: list = field(default_factory=list)
-    power_multipliers: list = field(default_factory=list)
-    wall_times: list = field(default_factory=list)
-    switch_moves: list = field(default_factory=list)
+    sum_rates: list
+    alphas: list
+    surrogate_values: np.ndarray
+    power_slacks: np.ndarray
+    power_multipliers: np.ndarray
+    wall_times: list
+    switch_moves: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows):
+        """Trace of (sum rate, step, surrogate values, power slacks, power
+        multipliers, wall time, switch moves) rows, the per-BS entries (Q,)."""
+        rate, alpha, surrogate, slack, multiplier, wall, moves = zip(*rows)
+        return cls([float(x) for x in rate], [float(x) for x in alpha],
+                   np.array(surrogate, float), np.array(slack, float),
+                   np.array(multiplier, float), [float(x) for x in wall],
+                   np.array(moves, int))
 
     @property
     def num_iterations(self):
-        return max(len(self.sum_rates) - 1, 0)
-
-    def append(self, sum_rate, alpha, surrogates, slack, multipliers, wall, moves):
-        self.sum_rates.append(float(sum_rate))
-        self.alphas.append(float(alpha))
-        self.surrogate_values.append(np.asarray(surrogates, dtype=float))
-        self.power_slacks.append(np.asarray(slack, dtype=float))
-        self.power_multipliers.append(np.asarray(multipliers, dtype=float))
-        self.wall_times.append(float(wall))
-        self.switch_moves.append(np.asarray(moves, dtype=int))
+        return len(self.sum_rates) - 1
 
     def to_csv(self, path):
         """Write (iteration, sum_rate, alpha, per-BS power slack, multiplier and
         switch moves) rows."""
+        q_n = self.power_slacks.shape[1]
+        per_bs = np.hstack([self.power_slacks, self.power_multipliers]).tolist()
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
-            q_n = len(self.power_slacks[0]) if self.power_slacks else 0
             wr.writerow(["iteration", "sum_rate", "alpha"]
-                        + [f"power_slack_bs{q}" for q in range(q_n)]
-                        + [f"power_multiplier_bs{q}" for q in range(q_n)]
-                        + [f"switch_moves_bs{q}" for q in range(q_n)])
-            for t, (sr, al, sl, mu, mv) in enumerate(zip(
-                    self.sum_rates, self.alphas, self.power_slacks,
-                    self.power_multipliers, self.switch_moves)):
-                wr.writerow([t, repr(sr), repr(al)] + [repr(float(x)) for x in (*sl, *mu)]
-                            + [int(x) for x in mv])
+                        + [f"{name}_bs{q}" for name in ("power_slack", "power_multiplier",
+                                                        "switch_moves") for q in range(q_n)])
+            for t, (sr, al, floats, moves) in enumerate(zip(
+                    self.sum_rates, self.alphas, per_bs, self.switch_moves.tolist())):
+                wr.writerow([t, repr(sr), repr(al), *map(repr, floats), *moves])
 
 
 @dataclass
@@ -257,8 +260,10 @@ def run(channels, power_budgets, noise_power, config):
     same step with every switch move withheld, then up to ``MAX_HALVINGS``
     halvings of the continuous step.  If none ascends the point is kept
     (step 0), and the unchanged rate ends the run through the ``tol`` test.
-    The trace never drops, so the last point is also the best one visited
-    and its rate is ``max(trace.sum_rates)``.  Raises
+    The initial point and every iteration each record one row, and the
+    :class:`Trace` is built once from those rows on return.  The trace never
+    drops, so the last point is also the best one visited and its rate is
+    ``max(trace.sum_rates)``.  Raises
     :class:`NumericalFailureError` if a trial point leaves the feasible set.
     """
     q_n = channels.num_bs
@@ -267,14 +272,9 @@ def run(channels, power_budgets, noise_power, config):
     coefficients = rational_coefficients(channels.grid.frequencies[:, None],
                                          channels.circuit)
     snap = snapshot(iterate, channels, noise_power, config.ris_enabled, coefficients)
-    trace = Trace()
-    # one read-only row for every iteration without a switch move, since
-    # sweeps keep thousands of traces
-    no_moves = np.zeros(q_n, int)
-    no_moves.flags.writeable = False
-    trace.append(snap.sum_rate, 0.0, np.zeros(q_n),
-                 budgets - iterate.bs_power(channels.bs_of_user), np.zeros(q_n), 0.0,
-                 no_moves)
+    bs = channels.bs_of_user
+    rows = [(snap.sum_rate, 0.0, np.zeros(q_n), budgets - iterate.bs_power(bs),
+             np.zeros(q_n), 0.0, np.zeros(q_n, int))]
 
     alpha = config.alpha0
     for t in range(config.max_iters):
@@ -287,14 +287,13 @@ def run(channels, power_budgets, noise_power, config):
                                            budgets, noise_power, config, coefficients)
         if step > 0.0:
             alpha = step
-        moved = iterate.selections != prev_sel
-        trace.append(snap.sum_rate, step, candidate.surrogate_values,
-                     budgets - iterate.bs_power(channels.bs_of_user),
-                     candidate.power_multipliers, time.perf_counter() - start,
-                     np.count_nonzero(moved, axis=1) if moved.any() else no_moves)
+        rows.append((snap.sum_rate, step, candidate.surrogate_values,
+                     budgets - iterate.bs_power(bs), candidate.power_multipliers,
+                     time.perf_counter() - start,
+                     np.count_nonzero(iterate.selections != prev_sel, axis=1)))
         if abs(snap.sum_rate - prev_rate) <= config.tol:
             break
-    return iterate, trace
+    return iterate, Trace.from_rows(rows)
 
 
 def _ascent_step(iterate, snap, candidate, alpha, channels, budgets,

@@ -110,6 +110,37 @@ def test_single_rejects_unknown_config_entry(tiny_ini, tmp_path, capsys, old, ne
     assert not (out / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("solver", "tau", "nan"), ("solver", "tau", "inf"), ("solver", "tol", "-1"),
+    ("solver", "tol", "nan"), ("power", "noise_dbm", "inf"), ("power", "power_dbm", "20, nan"),
+    ("geometry", "ris_positions", "0,0; 1,-inf; 2,2; 3,3"),
+])
+def test_run_rejects_non_finite_or_negative_ini_value(tiny_ini, tmp_path, capsys, section,
+                                                      key, value):
+    text = TINY_INI if f"[{section}]" in TINY_INI else TINY_INI + f"\n[{section}]\n"
+    path = tmp_path / "bad.ini"
+    path.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
+    out = tmp_path / "sweep"
+    assert main(["run", "--config", str(path), "--out", str(out), "--power", "30",
+                 "--variants", "none"]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and key in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, power", [
+    ("run", "nan"), ("run", "20,inf"), ("single", "nan"), ("single", "inf"),
+    ("single", "20,30"),
+])
+def test_power_flag_rejects_non_finite_values(tiny_ini, tmp_path, capsys, command, power):
+    out = tmp_path / "out"
+    assert main([command, "--config", str(tiny_ini), "--out", str(out),
+                 "--power", power, "--variants", "none"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: --power" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_validate_passes_every_check(capsys):
     assert main(["validate"]) == 0
     assert "11/11 checks passed" in capsys.readouterr().out

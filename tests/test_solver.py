@@ -1,5 +1,7 @@
 import copy
+import csv
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"tau": 0.0}, {"alpha0": 0.0}, {"alpha0": 1.5}, {"epsilon": 1.0},
         {"ris_mode": "both"}, {"max_iters": 0},
+        {"tau": np.nan}, {"tau": np.inf}, {"tol": -1e-9}, {"tol": np.nan},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -504,3 +507,62 @@ class TestTraceCsv:
         assert header == ("iteration,sum_rate,alpha,power_slack_bs0,power_slack_bs1,"
                           "power_multiplier_bs0,power_multiplier_bs1,"
                           "switch_moves_bs0,switch_moves_bs1")
+
+    def test_per_bs_columns_are_arrays(self, rng):
+        # one (T+1, Q) array per per-BS quantity; the scalar columns stay lists
+        channels, _, noise = make_network(rng)
+        _, trace = run(channels, 1.0, noise, SolverConfig(max_iters=7, tol=0.0))
+        shape = (8, channels.num_bs)
+        for name, kind in (("surrogate_values", "f"), ("power_slacks", "f"),
+                           ("power_multipliers", "f"), ("switch_moves", "i")):
+            column = getattr(trace, name)
+            assert isinstance(column, np.ndarray), name
+            assert column.shape == shape and column.dtype.kind == kind, name
+        for name in ("sum_rates", "alphas", "wall_times"):
+            column = getattr(trace, name)
+            assert isinstance(column, list) and len(column) == 8, name
+            assert all(type(x) is float for x in column), name
+        np.testing.assert_array_equal(trace.surrogate_values[0], 0.0)
+
+    def test_csv_rows_equal_trace_columns(self, rng, tmp_path, monkeypatch):
+        # every accepted swap moves two elements, so the moves columns are not all 0
+        channels, _, noise = make_network(rng)
+        solve = solver_mod.local_subproblems
+        monkeypatch.setattr(solver_mod, "local_subproblems", lambda iterate, *a, **k:
+                            swap_first_elements(iterate, solve(iterate, *a, **k)))
+        _, trace = run(channels, 1.0, noise, SolverConfig(max_iters=6, tol=0.0))
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        q_n = channels.num_bs
+
+        def column(prefix, parse):
+            return [[parse(r[f"{prefix}_bs{q}"]) for q in range(q_n)] for r in rows]
+
+        assert [int(r["iteration"]) for r in rows] == list(range(len(trace.sum_rates)))
+        assert [float(r["sum_rate"]) for r in rows] == trace.sum_rates
+        assert [float(r["alpha"]) for r in rows] == trace.alphas
+        np.testing.assert_array_equal(column("power_slack", float), trace.power_slacks)
+        np.testing.assert_array_equal(column("power_multiplier", float),
+                                      trace.power_multipliers)
+        np.testing.assert_array_equal(column("switch_moves", int), trace.switch_moves)
+        assert np.any(trace.switch_moves)
+
+    @pytest.mark.parametrize("ris_mode", ["bd", "none"])
+    def test_trace_memory_per_row(self, rng, ris_mode):
+        # a run keeps a few numbers per BS and iteration, not one array per entry
+        channels, _, noise = make_network(rng)
+        tracemalloc.start()
+        try:
+            _, trace = run(channels, 1.0, noise,
+                           SolverConfig(ris_mode=ris_mode, max_iters=200, tol=0.0))
+            rows = len(trace.sum_rates)
+            held = tracemalloc.get_traced_memory()[0]
+            del trace
+            kept = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert rows == 201
+        # at least the four per-BS columns' data, so a measurement that sees nothing fails
+        assert 4 * 8 * channels.num_bs <= kept / rows <= 300
