@@ -16,7 +16,7 @@ from .errors import ConfigError, DegenerateInputError, NumericalFailureError
 from .rates import Iterate, snapshot, sum_rate
 from .scenario import (ScenarioConfig, build_scenario, channels_for_trial,
                        dbm_to_watt, load_config)
-from .solver import SolverConfig, Trace, run
-from .montecarlo import VARIANTS, run_sweep
+from .solver import VARIANTS, SolverConfig, Trace, run
+from .montecarlo import run_sweep
 
 __version__ = "0.1.0"

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.constants import speed_of_light
 
-from .circuit import ElementCircuit, SubcarrierGrid
+from .circuit import ElementCircuit, SubcarrierGrid, rational_coefficients
 
 _LINKS = ("direct", "bs_ris", "ris_ue")  # link families, in dump order
 
@@ -137,6 +138,9 @@ class NetworkChannels:
     grid : SubcarrierGrid
     circuit : ElementCircuit
         Element circuit of the surfaces these channels were generated for.
+    coefficients : (A, B, D), each (K, 1) complex
+        The circuit's :func:`~bdris.circuit.rational_coefficients` of the
+        subcarriers, computed once per instance on first use.
     """
 
     direct: np.ndarray
@@ -185,6 +189,10 @@ class NetworkChannels:
 
     def users_of_bs(self, q):
         return np.flatnonzero(self.bs_of_user == q)
+
+    @cached_property
+    def coefficients(self):
+        return rational_coefficients(self.grid.frequencies[:, None], self.circuit)
 
 
 def _link_rng(root_seed, kind, a, b):
@@ -288,7 +296,7 @@ def load_channels(path):
     """Read a realization written by :func:`save_channels`.
 
     Raises ``ValueError`` unless the file holds every header row and exactly
-    one row per (link, j, u, k) entry.
+    one row of finite values per (link, j, u, k) entry.
     """
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
@@ -313,6 +321,8 @@ def load_channels(path):
                 raise ValueError(f"repeated {link} row {j},{uu},{kk}")
             seen[link][index] = True
             target[index] = _unflat(cells, target.shape[3:])
+            if not np.all(np.isfinite(target[index])):
+                raise ValueError(f"{link} row {j},{uu},{kk} holds a non-finite value")
     for link, rows in seen.items():
         if not rows.all():
             raise ValueError(f"{np.count_nonzero(~rows)} {link} rows are missing")

@@ -18,7 +18,7 @@ All functions broadcast over numpy arrays of frequencies and capacitances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,6 +53,9 @@ class ElementCircuit:
     c_max: float = 2.35e-12
 
     def __post_init__(self):
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"circuit {f.name} must be a finite number")
         if self.resistance < 0:
             raise ValueError("resistance must be >= 0")
         if self.inductance_l1 <= 0 or self.inductance_l2 <= 0:
@@ -79,6 +82,8 @@ class SubcarrierGrid:
     num_subcarriers: int
 
     def __post_init__(self):
+        if not (np.isfinite(self.carrier_frequency) and np.isfinite(self.bandwidth)):
+            raise ValueError("carrier frequency and bandwidth must be finite numbers")
         if self.num_subcarriers < 1:
             raise ValueError("need at least one subcarrier")
         if self.carrier_frequency <= 0 or self.bandwidth < 0:

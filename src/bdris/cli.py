@@ -21,11 +21,11 @@ import numpy as np
 
 from .channels import load_channels, save_channels
 from .errors import ConfigError, NumericalFailureError
-from .montecarlo import run_sweep, solver_config_for
+from .montecarlo import run_sweep
 from .scenario import (ScenarioConfig, channels_for_trial, dbm_to_watt,
                        load_config, parse_floats, parse_names)
 from .selfcheck import run_all
-from .solver import run as run_solver
+from .solver import run as run_solver, solver_config_for
 
 
 def _add_common(p):
@@ -57,7 +57,6 @@ def _build_parser():
 
     p = sub.add_parser("validate", help="run the self-check suite")
     p.set_defaults(handler=cmd_validate)
-    p.add_argument("--config", help=argparse.SUPPRESS)
 
     p = sub.add_parser("dump-channels", help="write one channel realization to CSV")
     p.set_defaults(handler=cmd_dump_channels)
@@ -70,11 +69,18 @@ def _build_parser():
     return parser
 
 
-def _load_scenario(args):
+def _load_scenario(args, **flags):
+    """The ``--config`` scenario (or the defaults) with ``--seed`` and every
+    other given flag applied; ``ScenarioConfig`` checks the result."""
     cfg = load_config(args.config) if args.config else ScenarioConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return cfg
+    flags["seed"] = args.seed
+    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+
+
+def _trial(args):
+    if args.trial < 0:
+        raise ConfigError("--trial must be >= 0")
+    return args.trial
 
 
 def _powers(args):
@@ -88,9 +94,9 @@ def _powers(args):
 def cmd_run(args):
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING,
                         format="%(levelname)s %(message)s")
-    cfg = _load_scenario(args)
-    run_sweep(cfg, out_dir=args.out, variants=parse_names(args.variants or ""),
-              powers_dbm=_powers(args), trials=args.trials)
+    cfg = _load_scenario(args, variants=parse_names(args.variants or ""),
+                         power_dbm=_powers(args), trials=args.trials)
+    run_sweep(cfg, out_dir=args.out)
     print(f"wrote {os.path.join(args.out, 'results.csv')} and summary.csv")
     return 0
 
@@ -103,7 +109,7 @@ def cmd_single(args):
     if len(powers) != 1:
         raise ConfigError("--power takes one transmit power")
     p_dbm = powers[0]
-    channels = channels_for_trial(cfg, args.trial)
+    channels = channels_for_trial(cfg, _trial(args))
     try:
         best, trace = run_solver(channels, float(dbm_to_watt(p_dbm)),
                                  cfg.noise_power, solver_cfg)
@@ -132,7 +138,7 @@ def cmd_validate(args):
 
 def cmd_dump_channels(args):
     cfg = _load_scenario(args)
-    channels = channels_for_trial(cfg, args.trial)
+    channels = channels_for_trial(cfg, _trial(args))
     out = args.out
     if os.path.isdir(out) or out.endswith(os.sep):
         os.makedirs(out, exist_ok=True)

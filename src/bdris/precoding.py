@@ -28,6 +28,9 @@ import numpy as np
 from .errors import NumericalFailureError
 from .rates import LN2, snapshot
 
+POWER_REL_TOL = 1e-8     # a binding multiplier leaves the power in [B (1 - tol), B]
+MAX_MULTIPLIER = 2.0**200  # a larger power multiplier raises NumericalFailureError
+
 
 @dataclass
 class PrecoderSurrogate:
@@ -37,11 +40,10 @@ class PrecoderSurrogate:
     ``-quad_weight[k] |f_k^H w_k|^2 + 2 Re{linear[k]^H w_k}`` and the overall
     subproblem objective adds ``Re{pricing^H (w - anchor)}`` and the proximal
     term.  ``own_channel`` holds the composite channel vectors f_k.  A
-    surrogate may also stack several users along a leading axis (``user`` is
-    then an index array); every method then works per user.
+    surrogate may also stack several users along a leading axis; every
+    method then works per user.
     """
 
-    user: int
     quad_weight: np.ndarray   # (K,) |f^H w|^2 / (ln2 (mui + |f^H w|^2) mui) >= 0
     own_channel: np.ndarray   # (K, N) complex
     linear: np.ndarray        # (K, N) f (f^H w) / (ln2 mui)
@@ -76,14 +78,12 @@ class PrecoderSurrogate:
 
     def select(self, i):
         """The surrogate of the i-th user of a stack."""
-        return PrecoderSurrogate(int(self.user[i]), *(getattr(self, f.name)[i]
-                                                      for f in fields(self)[1:]))
+        return PrecoderSurrogate(*(getattr(self, f.name)[i] for f in fields(self)))
 
 
 def _stack(surrogates):
-    return PrecoderSurrogate(np.array([s.user for s in surrogates]),
-                             *(np.stack([getattr(s, f.name) for s in surrogates])
-                               for f in fields(PrecoderSurrogate)[1:]))
+    return PrecoderSurrogate(*(np.stack([getattr(s, f.name) for s in surrogates])
+                               for f in fields(PrecoderSurrogate)))
 
 
 def pricing_vectors(channels, snap):
@@ -117,7 +117,7 @@ def stacked_surrogates(iterate, channels, snap, cooperative=True):
     own = np.conj(snap.rows[channels.bs_of_user, users])          # (U, K, N)
     linear = own * (snap.amplitudes[users, users] / (LN2 * mui))[..., None]
     pricing = pricing_vectors(channels, snap) if cooperative else np.zeros_like(linear)
-    return PrecoderSurrogate(users, sig / (LN2 * (mui + sig) * mui), own, linear,
+    return PrecoderSurrogate(sig / (LN2 * (mui + sig) * mui), own, linear,
                              pricing, iterate.precoders.copy(), mui.copy())
 
 
@@ -179,17 +179,18 @@ def power_curves(surrogate, owner, tau):
     return power
 
 
-def _newton_search(power_at, budgets, lam, rel_tol, max_doublings):
+def _newton_search(power_at, budgets, lam):
     """Every multiplier at which its power first fits its budget, in lock step.
 
     ``power_at`` maps one multiplier per budget to ``(power, slope)`` arrays.
     A multiplier whose power exceeds its budget takes Newton steps on
-    ``phi = power^(-1/2)`` toward ``budget (1 - rel_tol/2)``.  ``phi`` is a
-    power mean with exponent -2 of terms affine in ``lam``, so it is concave
-    and increasing: each step stays on the infeasible side and none
-    overshoots.  The search stops within ``rel_tol * budget`` below the budget.
+    ``phi = power^(-1/2)`` toward ``budget (1 - POWER_REL_TOL/2)``.  ``phi``
+    is a power mean with exponent -2 of terms affine in ``lam``, so it is
+    concave and increasing: each step stays on the infeasible side and none
+    overshoots.  The search stops within ``POWER_REL_TOL * budget`` below the
+    budget.
     """
-    target = budgets * (1.0 - 0.5 * rel_tol)
+    target = budgets * (1.0 - 0.5 * POWER_REL_TOL)
     for _ in range(100):
         power, slope = power_at(lam)
         over = power > budgets
@@ -197,25 +198,25 @@ def _newton_search(power_at, budgets, lam, rel_tol, max_doublings):
             return lam
         lam = lam + np.divide(2.0 * power * (np.sqrt(power / target) - 1.0), -slope,
                               out=np.zeros_like(lam), where=over)
-        if np.any(lam > 2.0 ** max_doublings):
+        if np.any(lam > MAX_MULTIPLIER):
             raise NumericalFailureError("power multiplier exceeds its bound")
     raise NumericalFailureError("power multiplier search did not converge")
 
 
-def solve_precoders(surrogate, owner, tau, budgets, rel_tol=1e-8, max_doublings=200):
+def solve_precoders(surrogate, owner, tau, budgets):
     """Power multipliers and precoders of every BS, found by Newton in lock step.
 
     ``surrogate`` stacks the users, ``owner[u]`` is the BS of user u and
     ``budgets`` holds one budget per BS.  Returns ``(lams, precoders)`` of
     shapes (Q,) and (U, K, N).  Each multiplier is 0 if the unconstrained
     solution fits the budget, else Newton's method on :func:`power_curves`
-    raises it until its power fits, within ``rel_tol * budget`` below the
-    budget; precoders are solved at it only, in one :func:`solve_precoder`
+    raises it until its power fits, within ``POWER_REL_TOL * budget`` below
+    the budget; precoders are solved at it only, in one :func:`solve_precoder`
     call with each user's BS multiplier.  If a BS's measured power (summed as
     in :meth:`~bdris.rates.Iterate.bs_power`) rounds above its budget, its
     search goes on from there on measured powers with the closed-form slope,
     so the result is always feasible.  A multiplier that would pass
-    ``2**max_doublings`` raises :class:`NumericalFailureError`.
+    ``MAX_MULTIPLIER`` raises :class:`NumericalFailureError`.
     """
     budgets = np.asarray(budgets, dtype=float)
     if np.any(budgets <= 0):
@@ -228,24 +229,23 @@ def solve_precoders(surrogate, owner, tau, budgets, rel_tol=1e-8, max_doublings=
                             minlength=len(budgets))
         return ws, power
 
-    lam = _newton_search(curve, budgets, np.zeros(len(budgets)), rel_tol, max_doublings)
+    lam = _newton_search(curve, budgets, np.zeros(len(budgets)))
     ws, power = solve(lam)
     if np.any(power > budgets):
-        lam = _newton_search(lambda x: (solve(x)[1], curve(x)[1]), budgets, lam,
-                             rel_tol, max_doublings)
+        lam = _newton_search(lambda x: (solve(x)[1], curve(x)[1]), budgets, lam)
         ws = solve(lam)[0]
     return lam, ws
 
 
-def bisect_power_multiplier(surrogates, tau, power_budget, rel_tol=1e-8,
-                            max_doublings=200):
+def bisect_power_multiplier(surrogates, tau, power_budget):
     """Power multiplier and precoders (L, K, N) of one BS.
 
     The one-BS call of :func:`solve_precoders`: the same lock-step Newton
-    search of the multiplier, run on one budget.
+    search of the multiplier, run on one budget with the module's
+    ``POWER_REL_TOL`` and ``MAX_MULTIPLIER``.
     """
     lam, ws = solve_precoders(_stack(surrogates), np.zeros(len(surrogates), int), tau,
-                              [power_budget], rel_tol, max_doublings)
+                              [power_budget])
     return float(lam[0]), ws
 
 

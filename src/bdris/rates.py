@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import rational_coefficients, reflection
+from .circuit import reflection
 
 LN2 = np.log(2.0)
 POWER_SLACK = 1e-9  # absolute slack on the per-BS power constraint
@@ -97,8 +97,7 @@ class RateSnapshot:
         return float(self.user_rates.sum())
 
 
-def snapshot(iterate, channels, noise_power, ris_enabled=True, coefficients=None,
-             previous=None):
+def snapshot(iterate, channels, noise_power, ris_enabled=True, previous=None):
     """Evaluate rates and interference terms once for the current iterate.
 
     The rows ``f^H = h^H + g^H S diag(phi) H``, (Q, U, K, N), are the
@@ -106,22 +105,18 @@ def snapshot(iterate, channels, noise_power, ris_enabled=True, coefficients=None
     the receive amplitude at user u of a vector w sent by BS j, direct path
     plus surface j's routed reflection (direct path only without surfaces).
     The reflected rows of each surface are one product batched over K of its
-    routed, phased surface-to-user channels and BS-to-surface matrices.
-    ``coefficients`` are the circuit's :func:`~bdris.circuit.rational_coefficients`
-    of the subcarrier frequencies as a (K, 1) column; a solver run passes the
-    ones it computed once.  ``previous`` is an earlier snapshot of the same
-    channels: its ``routed`` array is reused, not copied, when its
-    ``selections`` equal the iterate's, and every surface is routed afresh
-    otherwise.  Both ways give the same array, so the result does not depend
-    on ``previous``.
+    routed, phased surface-to-user channels and BS-to-surface matrices; the
+    reflection profiles come from the channels' cached
+    :attr:`~bdris.channels.NetworkChannels.coefficients`.  ``previous`` is an
+    earlier snapshot of the same channels: its ``routed`` array is reused,
+    not copied, when its ``selections`` equal the iterate's, and every
+    surface is routed afresh otherwise.  Both ways give the same array, so
+    the result does not depend on ``previous``.
     """
     rows, phi, slope = np.conj(channels.direct), None, None
     routed = selections = None
     if ris_enabled:
-        if coefficients is None:
-            coefficients = rational_coefficients(channels.grid.frequencies[:, None],
-                                                 channels.circuit)
-        phi, slope = reflection(iterate.capacitances[:, None, :], coefficients,
+        phi, slope = reflection(iterate.capacitances[:, None, :], channels.coefficients,
                                 channels.circuit)
         if previous is not None and np.array_equal(previous.selections, iterate.selections):
             routed, selections = previous.routed, previous.selections

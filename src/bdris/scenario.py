@@ -18,11 +18,10 @@ import numpy as np
 from .channels import NetworkTopology, generate_channels
 from .circuit import ElementCircuit, SubcarrierGrid
 from .errors import ConfigError
-from .solver import SolverConfig
+from .solver import VARIANTS, SolverConfig
 
 DEFAULT_RIS_XY = ((-2.5, 8.5), (62.5, 8.5), (-2.5, 111.5), (62.5, 111.5))
 DEFAULT_POWER_DBM = (10.0, 15.0, 20.0, 25.0, 30.0, 35.0)
-DEFAULT_VARIANTS = ("bd", "diag", "none", "bd-pi0", "diag-pi0", "none-pi0")
 
 
 def dbm_to_watt(p_dbm):
@@ -31,7 +30,12 @@ def dbm_to_watt(p_dbm):
 
 @dataclass
 class ScenarioConfig:
-    """Complete description of one simulated deployment."""
+    """Complete description of one simulated deployment.
+
+    Construction raises :class:`ConfigError`, naming the INI key, for a value
+    no run could use: a non-finite number, a repeated variant or power, a
+    BS without users, or a grid or tap count channel generation would reject.
+    """
 
     num_bs: int = 4
     num_antennas: int = 4
@@ -60,7 +64,7 @@ class ScenarioConfig:
 
     trials: int = 100
     seed: int = 1
-    variants: tuple = DEFAULT_VARIANTS
+    variants: tuple = tuple(VARIANTS)
 
     circuit: ElementCircuit = field(default_factory=ElementCircuit)
     solver: SolverConfig = field(default_factory=SolverConfig)
@@ -71,12 +75,31 @@ class ScenarioConfig:
         self.users_per_bs = tuple(int(l) for l in self.users_per_bs)
         if len(self.users_per_bs) != self.num_bs:
             raise ConfigError("network.L_q must list one entry per BS")
+        if any(l < 1 for l in self.users_per_bs):
+            raise ConfigError("network.L_q must list >= 1 users for each BS")
         if self.trials < 1:
             raise ConfigError("simulation.trials must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("simulation.seed must be >= 0")
         if self.num_bs < 1 or self.num_antennas < 1 or self.num_elements < 1:
             raise ConfigError("network sizes must be >= 1")
+        for section, key, name, parse in _INI_KEYS:  # nested configs check their own
+            if parse in (finite_float, parse_floats, _pairs) and "." not in name:
+                value = getattr(self, name)
+                if value is not None and not np.all(np.isfinite(np.asarray(value, float))):
+                    raise ConfigError(f"{section}.{key} must hold finite numbers")
+        try:
+            self.grid()
+        except ValueError as exc:
+            raise ConfigError(f"ofdm.f_c, ofdm.BW, ofdm.K: {exc}") from exc
+        if not 1 <= self.num_taps <= self.num_subcarriers:
+            raise ConfigError("ofdm.delay_taps must lie between 1 and ofdm.K")
+        for key, names in (("power.power_dbm", self.power_dbm),
+                           ("simulation.variants", self.variants)):
+            if len(set(names)) != len(names):
+                raise ConfigError(f"{key} lists an entry twice: {names}")
         origin = np.atleast_1d(np.asarray(self.ue_square_origin, dtype=float))
-        if origin.shape != (2,) or not np.all(np.isfinite(origin)):
+        if origin.shape != (2,):
             raise ConfigError("geometry.ue_square_origin must be two finite numbers x, y")
         self.ue_square_origin = tuple(origin.tolist())
 

@@ -241,7 +241,7 @@ def check_precoder_solve(seed=7):
     return "precoder closed form vs dense solve", worst <= 1e-10, f"max rel err {worst:.2e}"
 
 
-def check_power_multiplier(seed=10, rel_tol=1e-8):
+def check_power_multiplier(seed=10):
     """Every BS's multiplier in one lock-step call, each BS in another budget
     regime (loose, binding, tight) per call, until each has met all three."""
     channels, iterate, noise = random_network(np.random.default_rng(seed), users_per_bs=(2, 1))
@@ -253,11 +253,11 @@ def check_power_multiplier(seed=10, rel_tol=1e-8):
     scales = np.array([10.0, 0.5, 1e-4])
     for shift in range(len(scales)):
         budgets = free * scales[(np.arange(channels.num_bs) + shift) % len(scales)]
-        lams, ws = precoding.solve_precoders(stacked, owner, tau, budgets, rel_tol)
+        lams, ws = precoding.solve_precoders(stacked, owner, tau, budgets)
         power = np.bincount(owner, np.sum(np.abs(ws) ** 2, axis=(1, 2)))
+        floor = budgets * (1.0 - precoding.POWER_REL_TOL)
         violations += np.sum((lams == 0.0) != (free <= budgets))
-        violations += np.sum((lams > 0.0) & ~((budgets * (1.0 - rel_tol) <= power)
-                                              & (power <= budgets)))
+        violations += np.sum((lams > 0.0) & ~((floor <= power) & (power <= budgets)))
         for s, w, lam in zip(users, ws, lams[owner]):
             dense = dense_precoder(s, tau, lam)
             err = np.linalg.norm(w - dense, axis=1) \

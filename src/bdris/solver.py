@@ -40,8 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import capacitance, precoding, rates, switches
-from .errors import NumericalFailureError
-from .circuit import rational_coefficients
+from .errors import ConfigError, NumericalFailureError
 from .rates import Iterate, snapshot
 
 RIS_MODES = ("bd", "diagonal", "none")
@@ -76,6 +75,26 @@ class SolverConfig:
     @property
     def ris_enabled(self):
         return self.ris_mode != "none"
+
+
+# named algorithm variants: (ris_mode, cooperative)
+VARIANTS = {
+    "bd": ("bd", True),
+    "diag": ("diagonal", True),
+    "none": ("none", True),
+    "bd-pi0": ("bd", False),
+    "diag-pi0": ("diagonal", False),
+    "none-pi0": ("none", False),
+}
+
+
+def solver_config_for(base, variant):
+    """Solver configuration of a named variant; :class:`ConfigError` for an unknown name."""
+    try:
+        ris_mode, cooperative = VARIANTS[variant]
+    except KeyError:
+        raise ConfigError(f"unknown variant {variant!r}; known: {sorted(VARIANTS)}")
+    return replace(base, ris_mode=ris_mode, cooperative=cooperative)
 
 
 @dataclass
@@ -269,9 +288,7 @@ def run(channels, power_budgets, noise_power, config):
     q_n = channels.num_bs
     budgets = np.broadcast_to(np.asarray(power_budgets, float), (q_n,))
     iterate = initial_iterate(channels, budgets)
-    coefficients = rational_coefficients(channels.grid.frequencies[:, None],
-                                         channels.circuit)
-    snap = snapshot(iterate, channels, noise_power, config.ris_enabled, coefficients)
+    snap = snapshot(iterate, channels, noise_power, config.ris_enabled)
     bs = channels.bs_of_user
     rows = [(snap.sum_rate, 0.0, np.zeros(q_n), budgets - iterate.bs_power(bs),
              np.zeros(q_n), 0.0, np.zeros(q_n, int))]
@@ -284,7 +301,7 @@ def run(channels, power_budgets, noise_power, config):
                                       config, snap)
         prev_rate, prev_sel = snap.sum_rate, iterate.selections
         step, iterate, snap = _ascent_step(iterate, snap, candidate, alpha, channels,
-                                           budgets, noise_power, config, coefficients)
+                                           budgets, noise_power, config)
         if step > 0.0:
             alpha = step
         rows.append((snap.sum_rate, step, candidate.surrogate_values,
@@ -296,8 +313,7 @@ def run(channels, power_budgets, noise_power, config):
     return iterate, Trace.from_rows(rows)
 
 
-def _ascent_step(iterate, snap, candidate, alpha, channels, budgets,
-                 noise_power, config, coefficients):
+def _ascent_step(iterate, snap, candidate, alpha, channels, budgets, noise_power, config):
     """First trial merge whose sum rate does not drop below ``snap``'s.
 
     Returns (step, iterate, snapshot) of the accepted point, or the given
@@ -311,8 +327,7 @@ def _ascent_step(iterate, snap, candidate, alpha, channels, budgets,
         except ValueError as exc:
             raise NumericalFailureError(
                 f"iterate infeasible after update: {exc}") from exc
-        trial_snap = snapshot(trial, channels, noise_power, config.ris_enabled,
-                              coefficients, previous=snap)
+        trial_snap = snapshot(trial, channels, noise_power, config.ris_enabled, previous=snap)
         if trial_snap.sum_rate >= snap.sum_rate:
             return step, trial, trial_snap
         if cand is candidate and np.any(trial.selections != iterate.selections):

@@ -259,6 +259,20 @@ class TestDumpLoad:
         with pytest.raises(ValueError, match="5 ris_ue rows are missing"):
             load_channels(path)
 
+    @pytest.mark.parametrize("prefix, column, named", [
+        ("direct,1,0,2,", 5, "direct row 1,0,2"),  # imaginary part of the first entry
+        ("circuit,", 1, "resistance"),
+    ])
+    def test_rejects_non_finite_value(self, dump_lines, prefix, column, named):
+        path, lines = dump_lines
+        i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        cells = lines[i].split(",")
+        cells[column] = "nan"
+        lines[i] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=named):
+            load_channels(path)
+
     def test_rejects_row_outside_the_dimensions(self, dump_lines):
         path, lines = dump_lines
         link, j, u, k, *cells = lines[-1].split(",")

@@ -32,6 +32,9 @@ class TestElementCircuit:
         {"z0": 0.0},
         {"c_min": 2e-12, "c_max": 1e-12},
         {"c_min": 0.0},
+        {"inductance_l1": np.nan},
+        {"resistance": np.inf},
+        {"c_max": np.inf},
     ])
     def test_invalid_constants_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -57,6 +60,12 @@ class TestSubcarrierGrid:
             SubcarrierGrid(3.5e9, 0.1e9, 0)
         with pytest.raises(ValueError):
             SubcarrierGrid(1e6, 1e9, 4)
+
+    @pytest.mark.parametrize("carrier, bandwidth", [(np.nan, 1e8), (np.inf, 1e8),
+                                                    (3.5e9, np.nan)])
+    def test_non_finite_rejected(self, carrier, bandwidth):
+        with pytest.raises(ValueError, match="finite"):
+            SubcarrierGrid(carrier, bandwidth, 8)
 
 
 class TestCharacteristicImpedance:

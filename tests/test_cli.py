@@ -128,6 +128,48 @@ def test_run_rejects_non_finite_or_negative_ini_value(tiny_ini, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("old, new, named", [
+    ("K = 8", "K = 0", "ofdm.K"),
+    ("delay_taps = 4", "delay_taps = 0", "delay_taps"),
+    ("delay_taps = 4", "delay_taps = 100", "delay_taps"),
+    ("K = 8", "K = 8\nf_c = -1", "f_c"),
+    ("M = 8", "M = 8\nL_q = 0,1,1,1", "L_q"),
+    ("trials = 2", "trials = 2\nvariants = none, none", "variants"),
+])
+def test_run_rejects_invalid_scenario_before_any_work(tiny_ini, tmp_path, capsys, old,
+                                                      new, named):
+    path = tmp_path / "bad.ini"
+    path.write_text(TINY_INI.replace(old, new))
+    out = tmp_path / "sweep"
+    assert main(["run", "--config", str(path), "--out", str(out), "--power", "30"]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and named in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, named", [
+    ("run", ["--seed", "-1"], "seed"),
+    ("single", ["--seed", "-1"], "seed"),
+    ("single", ["--trial", "-1"], "--trial"),
+    ("dump-channels", ["--trial", "-1"], "--trial"),
+    ("run", ["--variants", "bd,bd"], "variants"),
+    ("run", ["--power", "20,20.0"], "power_dbm"),
+])
+def test_flags_rejected_before_any_work(tiny_ini, tmp_path, capsys, command, flags, named):
+    out = tmp_path / "out"
+    assert main([command, "--config", str(tiny_ini), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and named in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_validate_takes_no_config_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--config", "does-not-exist.ini"])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, power", [
     ("run", "nan"), ("run", "20,inf"), ("single", "nan"), ("single", "inf"),
     ("single", "20,30"),

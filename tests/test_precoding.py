@@ -89,8 +89,9 @@ class TestSurrogate:
         channels, iterate, noise = make_network(rng)
         snap = snapshot(iterate, channels, noise)
         for q in range(channels.num_bs):
-            for s in build_surrogates(q, iterate, channels, noise, snap):
-                exact_anchor = np.log1p(snap.snr[s.user]) / LN2
+            for u, s in zip(channels.users_of_bs(q),
+                            build_surrogates(q, iterate, channels, noise, snap)):
+                exact_anchor = np.log1p(snap.snr[u]) / LN2
                 np.testing.assert_allclose(s.log_term_value(s.anchor),
                                            exact_anchor, atol=1e-9)
                 for _ in range(100):
@@ -230,7 +231,7 @@ class TestBisection:
         channels, iterate, noise = small_network
         surr = build_surrogates(0, iterate, channels, noise)
         with pytest.raises(NumericalFailureError):
-            bisect_power_multiplier(surr, TAU, 1e-300, max_doublings=5)
+            bisect_power_multiplier(surr, TAU, 1e-300)
 
     @pytest.mark.parametrize("network", ["small_network", "multiuser_network",
                                          "default_scale_network"])
@@ -366,7 +367,7 @@ class TestLockStepBisection:
         stacked = precoding.stacked_surrogates(iterate, channels, snap)
         with pytest.raises(NumericalFailureError):
             precoding.solve_precoders(stacked, channels.bs_of_user, TAU,
-                                      np.array([1.0, 1e-300]), max_doublings=5)
+                                      np.array([1.0, 1e-300]))
         with pytest.raises(ValueError):
             precoding.solve_precoders(stacked, channels.bs_of_user, TAU,
                                       np.array([1.0, 0.0]))

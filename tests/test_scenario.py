@@ -135,6 +135,27 @@ def test_ue_square_origin_must_be_two_finite_numbers(tmp_path, origin):
         ScenarioConfig(ue_square_origin=(1.0, 2.0, 3.0))
 
 
+@pytest.mark.parametrize("kwargs, named", [
+    ({"noise_dbm": float("inf")}, "noise_dbm"),
+    ({"power_dbm": (float("nan"),)}, "power_dbm"),
+    ({"bs_height": float("nan")}, "bs_height"),
+    ({"bandwidth": float("inf")}, "BW"),
+    ({"ris_xy": ((0.0, 0.0), (1.0, float("-inf")), (2.0, 2.0), (3.0, 3.0))},
+     "ris_positions"),
+    ({"num_subcarriers": 0}, "ofdm.K"),
+    ({"num_taps": 0}, "delay_taps"),
+    ({"num_subcarriers": 8}, "delay_taps"),  # default 16 taps > 8 subcarriers
+    ({"carrier_frequency": -1.0}, "f_c"),
+    ({"users_per_bs": (0, 1, 1, 1)}, "L_q"),
+    ({"seed": -1}, "seed"),
+    ({"variants": ("bd", "none", "bd")}, "variants"),
+    ({"power_dbm": (20.0, 30.0, 20.0)}, "power_dbm"),
+])
+def test_python_built_config_rejects_unusable_values(kwargs, named):
+    with pytest.raises(ConfigError, match=named):
+        ScenarioConfig(**kwargs)
+
+
 @pytest.mark.parametrize("text, entry", [
     ("[solver]\nmx_iters = 5\n", "[solver] mx_iters"),           # misspelled key
     ("[netwrk]\nQ = 2\n", "[netwrk]"),                           # misspelled section

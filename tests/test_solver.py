@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from bdris import capacitance, precoding, switches
+from bdris import channels as channels_mod, circuit as circuit_mod, rates as rates_mod
 from bdris import solver as solver_mod
 from bdris.errors import NumericalFailureError
 from bdris.rates import Iterate, snapshot, sum_rate
@@ -433,6 +434,21 @@ class TestRun:
         changed = fresh(ch_a, noise_a)
         assert changed[1].sum_rates != want_a[1].sum_rates
         assert_same(solve(ch_a, noise_a), changed)
+
+    def test_circuit_coefficients_computed_once_per_channel_set(self, rng, monkeypatch):
+        # two runs on one channel set, every variant with surfaces: the
+        # element's rational coefficients are evaluated at most once in total
+        channels, _, noise = make_network(rng)
+        original, calls = circuit_mod.rational_coefficients, []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+        for module in (circuit_mod, channels_mod, rates_mod, solver_mod):
+            monkeypatch.setattr(module, "rational_coefficients", counted, raising=False)
+        for ris_mode in ("bd", "diagonal"):
+            run(channels, 1.0, noise, SolverConfig(ris_mode=ris_mode, max_iters=3, tol=0.0))
+        assert len(calls) <= 1
 
     def test_single_user_matches_waterfilling(self, rng):
         # one cell, one user, no surface: the optimum is the matched filter
