@@ -11,6 +11,12 @@ secular equation of a trust-region step; the multiplier solves it by Newton's
 method on ``||w(lam)||^(-1)`` with the closed-form power and slope of
 :func:`power_curves` (Moré & Sorensen, "Computing a trust region step", SIAM
 J. Sci. Stat. Comput. 1983), with a measured-power fallback for feasibility.
+As there, the search may be warm-started: the solver starts each sweep's
+multipliers at the previous sweep's, and Newton steps reach the root from
+either side.  A positive multiplier is kept only once the power at
+``lam = 0`` is known to exceed the budget, so a start above the root never
+hides a free solution that fits; the stopping band
+``[P (1 - POWER_REL_TOL), P]`` is the same from any start.
 
 The Jacobi sweep builds all users' surrogates in one contraction
 (:func:`stacked_surrogates`) and runs all BSs' multiplier searches in lock
@@ -179,48 +185,77 @@ def power_curves(surrogate, owner, tau):
     return power
 
 
-def _newton_search(power_at, budgets, lam):
-    """Every multiplier at which its power first fits its budget, in lock step.
+def _newton_search(power_at, budgets, lam, binding=None):
+    """Every multiplier at which its power fits its budget, and the steps each took.
 
-    ``power_at`` maps one multiplier per budget to ``(power, slope)`` arrays.
-    A multiplier whose power exceeds its budget takes Newton steps on
+    ``power_at`` maps one multiplier per budget to ``(power, slope)`` arrays;
+    the searches run in lock step from the start ``lam``, which may lie on
+    either side of the root.  A multiplier whose power exceeds its budget, or
+    is positive with its power below the band
+    ``[budget (1 - POWER_REL_TOL), budget]``, takes a Newton step on
     ``phi = power^(-1/2)`` toward ``budget (1 - POWER_REL_TOL/2)``.  ``phi``
     is a power mean with exponent -2 of terms affine in ``lam``, so it is
-    concave and increasing: each step stays on the infeasible side and none
-    overshoots.  The search stops within ``POWER_REL_TOL * budget`` below the
-    budget.
+    concave and increasing: a step from above the budget stays on the
+    infeasible side and none overshoots, and a step from below the band
+    lands at or left of the target, clamped at 0.  A positive multiplier is
+    returned only inside the band and only once ``power(0) > budget`` is
+    known: ``binding`` marks the budgets known on entry, an evaluated power
+    above the budget shows it, and so does the convexity bound
+    ``power(0) >= power - lam * slope``.  Otherwise the multiplier restarts
+    at 0.  Returns ``(lam, steps)``; ``steps`` counts each budget's Newton
+    steps and restarts.
     """
     target = budgets * (1.0 - 0.5 * POWER_REL_TOL)
+    floor = budgets * (1.0 - POWER_REL_TOL)
+    binding = np.zeros(len(budgets), bool) if binding is None else binding.copy()
+    steps = np.zeros(len(budgets), int)
     for _ in range(100):
         power, slope = power_at(lam)
-        over = power > budgets
-        if not over.any():
-            return lam
-        lam = lam + np.divide(2.0 * power * (np.sqrt(power / target) - 1.0), -slope,
-                              out=np.zeros_like(lam), where=over)
-        if np.any(lam > MAX_MULTIPLIER):
+        binding |= power - lam * slope > budgets  # power(0) >= this >= power, as lam >= 0
+        positive = lam > 0.0
+        newton = (power > budgets) | (positive & (power < floor) & (slope < 0.0))
+        restart = positive & ~(newton | binding)
+        move = newton | restart
+        if not move.any():
+            return lam, steps
+        step = np.divide(2.0 * power * (np.sqrt(power / target) - 1.0), -slope,
+                         out=np.zeros_like(lam), where=newton)
+        lam = np.where(restart, 0.0, np.maximum(lam + step, 0.0))
+        steps += move
+        if lam.max() > MAX_MULTIPLIER:
             raise NumericalFailureError("power multiplier exceeds its bound")
     raise NumericalFailureError("power multiplier search did not converge")
 
 
-def solve_precoders(surrogate, owner, tau, budgets):
+def solve_precoders(surrogate, owner, tau, budgets, start_multipliers=None):
     """Power multipliers and precoders of every BS, found by Newton in lock step.
 
     ``surrogate`` stacks the users, ``owner[u]`` is the BS of user u and
-    ``budgets`` holds one budget per BS.  Returns ``(lams, precoders)`` of
-    shapes (Q,) and (U, K, N).  Each multiplier is 0 if the unconstrained
-    solution fits the budget, else Newton's method on :func:`power_curves`
-    raises it until its power fits, within ``POWER_REL_TOL * budget`` below
-    the budget; precoders are solved at it only, in one :func:`solve_precoder`
-    call with each user's BS multiplier.  If a BS's measured power (summed as
-    in :meth:`~bdris.rates.Iterate.bs_power`) rounds above its budget, its
-    search goes on from there on measured powers with the closed-form slope,
-    so the result is always feasible.  A multiplier that would pass
-    ``MAX_MULTIPLIER`` raises :class:`NumericalFailureError`.
+    ``budgets`` holds one budget per BS.  Returns ``(lams, precoders, steps)``
+    of shapes (Q,), (U, K, N) and (Q,), ``steps`` counting each BS's search
+    steps.  Each multiplier is 0 if the unconstrained solution fits the
+    budget, else its power fits within ``POWER_REL_TOL * budget`` below the
+    budget.  Newton's method on :func:`power_curves` starts from
+    ``start_multipliers`` (each in ``[0, MAX_MULTIPLIER]``; 0 if omitted),
+    as the solver warm-starts each sweep from the previous one's; a
+    positive multiplier is kept only once the power at 0 is known to exceed
+    the budget, else the search evaluates it at 0 (see
+    :func:`_newton_search`).  Precoders are solved at the result only, in
+    one :func:`solve_precoder` call with each user's BS multiplier.  If a
+    BS's measured power (summed as in :meth:`~bdris.rates.Iterate.bs_power`)
+    rounds above its budget, its search goes on from there on measured
+    powers with the closed-form slope, so the result is always feasible.  A
+    multiplier that would pass ``MAX_MULTIPLIER`` raises
+    :class:`NumericalFailureError`.
     """
     budgets = np.asarray(budgets, dtype=float)
     if np.any(budgets <= 0):
         raise ValueError("power budget must be > 0")
+    lam = np.zeros(len(budgets))
+    if start_multipliers is not None:
+        lam[:] = start_multipliers
+        if not np.all((lam >= 0.0) & (lam <= MAX_MULTIPLIER)):
+            raise ValueError("start multipliers must lie in [0, MAX_MULTIPLIER]")
     curve = power_curves(surrogate, owner, tau)
 
     def solve(lam):
@@ -229,23 +264,25 @@ def solve_precoders(surrogate, owner, tau, budgets):
                             minlength=len(budgets))
         return ws, power
 
-    lam = _newton_search(curve, budgets, np.zeros(len(budgets)))
+    lam, steps = _newton_search(curve, budgets, lam)
     ws, power = solve(lam)
     if np.any(power > budgets):
-        lam = _newton_search(lambda x: (solve(x)[1], curve(x)[1]), budgets, lam)
+        lam, more = _newton_search(lambda x: (solve(x)[1], curve(x)[1]), budgets, lam,
+                                   binding=lam > 0.0)
+        steps += more
         ws = solve(lam)[0]
-    return lam, ws
+    return lam, ws, steps
 
 
 def bisect_power_multiplier(surrogates, tau, power_budget):
     """Power multiplier and precoders (L, K, N) of one BS.
 
     The one-BS call of :func:`solve_precoders`: the same lock-step Newton
-    search of the multiplier, run on one budget with the module's
-    ``POWER_REL_TOL`` and ``MAX_MULTIPLIER``.
+    search of the multiplier, started at 0 and run on one budget with the
+    module's ``POWER_REL_TOL`` and ``MAX_MULTIPLIER``.
     """
-    lam, ws = solve_precoders(_stack(surrogates), np.zeros(len(surrogates), int), tau,
-                              [power_budget])
+    lam, ws, _ = solve_precoders(_stack(surrogates), np.zeros(len(surrogates), int), tau,
+                                 [power_budget])
     return float(lam[0]), ws
 
 

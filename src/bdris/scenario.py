@@ -34,7 +34,8 @@ class ScenarioConfig:
 
     Construction raises :class:`ConfigError`, naming the INI key, for a value
     no run could use: a non-finite number, a repeated variant or power, a
-    BS without users, or a grid or tap count channel generation would reject.
+    BS without users, surface positions that are not one x, y pair per BS,
+    or a grid or tap count channel generation would reject.
     """
 
     num_bs: int = 4
@@ -83,6 +84,13 @@ class ScenarioConfig:
             raise ConfigError("simulation.seed must be >= 0")
         if self.num_bs < 1 or self.num_antennas < 1 or self.num_elements < 1:
             raise ConfigError("network sizes must be >= 1")
+        if self.ris_xy is not None:
+            try:
+                ris_shape = np.asarray(self.ris_xy, dtype=float).shape
+            except (TypeError, ValueError):  # ragged, or not numbers
+                ris_shape = None
+            if ris_shape != (self.num_bs, 2):
+                raise ConfigError("geometry.ris_positions must list one x,y pair per BS")
         for section, key, name, parse in _INI_KEYS:  # nested configs check their own
             if parse in (finite_float, parse_floats, _pairs) and "." not in name:
                 value = getattr(self, name)
@@ -133,8 +141,6 @@ def build_scenario(config):
                          config.ue_square_origin)
     if config.ris_xy is not None:
         ris_xy = np.asarray(config.ris_xy, dtype=float)
-        if ris_xy.shape != (q_n, 2):
-            raise ConfigError("geometry.ris_positions must list one x,y pair per BS")
     elif q_n <= len(DEFAULT_RIS_XY):
         ris_xy = np.asarray(DEFAULT_RIS_XY[:q_n], dtype=float)
     else:

@@ -243,29 +243,45 @@ def check_precoder_solve(seed=7):
 
 def check_power_multiplier(seed=10):
     """Every BS's multiplier in one lock-step call, each BS in another budget
-    regime (loose, binding, tight) per call, until each has met all three."""
+    regime (loose, binding, tight) per call, until each has met all three.
+    Each call is repeated from warm starts at half, twice and 100 times its
+    multipliers and at the multipliers themselves, which lie inside the band;
+    a last call starts every BS at 1e-9 where only 0 fits, its budget the
+    free power times 1 + 1e-12."""
     channels, iterate, noise = random_network(np.random.default_rng(seed), users_per_bs=(2, 1))
-    tau, worst, violations = 0.8, 0.0, 0
+    tau = 0.8
     stacked = precoding.stacked_surrogates(iterate, channels, snapshot(iterate, channels, noise))
     owner = channels.bs_of_user
     users = [stacked.select(u) for u in range(channels.num_users)]
     free = np.bincount(owner, [np.sum(np.abs(dense_precoder(s, tau, 0.0)) ** 2) for s in users])
-    scales = np.array([10.0, 0.5, 1e-4])
-    for shift in range(len(scales)):
-        budgets = free * scales[(np.arange(channels.num_bs) + shift) % len(scales)]
-        lams, ws = precoding.solve_precoders(stacked, owner, tau, budgets)
+
+    def kkt(budgets, start=None):
+        """(multipliers, KKT violations, worst relative error vs dense solve)."""
+        lams, ws, _ = precoding.solve_precoders(stacked, owner, tau, budgets, start)
         power = np.bincount(owner, np.sum(np.abs(ws) ** 2, axis=(1, 2)))
         floor = budgets * (1.0 - precoding.POWER_REL_TOL)
-        violations += np.sum((lams == 0.0) != (free <= budgets))
-        violations += np.sum((lams > 0.0) & ~((floor <= power) & (power <= budgets)))
+        violations = (np.sum((lams == 0.0) != (free <= budgets))
+                      + np.sum((lams > 0.0) & ~((floor <= power) & (power <= budgets))))
+        worst = 0.0
         for s, w, lam in zip(users, ws, lams[owner]):
             dense = dense_precoder(s, tau, lam)
             err = np.linalg.norm(w - dense, axis=1) \
                 / np.maximum(np.linalg.norm(dense, axis=1), 1e-30)
             worst = max(worst, err.max())
+        return lams, violations, worst
+
+    results = []
+    scales = np.array([10.0, 0.5, 1e-4])
+    for shift in range(len(scales)):
+        budgets = free * scales[(np.arange(channels.num_bs) + shift) % len(scales)]
+        results.append(kkt(budgets))
+        results += [kkt(budgets, factor * results[-1][0]) for factor in (0.5, 2.0, 100.0, 1.0)]
+    results.append(kkt(free * (1.0 + 1e-12), np.full(channels.num_bs, 1e-9)))
+    violations = sum(r[1] for r in results)
+    worst = max(r[2] for r in results)
     ok = violations == 0 and worst <= 1e-10
     return "power multiplier KKT conditions", ok, \
-        f"{violations} violations, max rel err {worst:.2e}"
+        f"{violations} violations over {len(results)} calls, max rel err {worst:.2e}"
 
 
 def check_capacitance_clamp(seed=8, draws=200):

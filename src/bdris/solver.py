@@ -11,10 +11,11 @@ local surrogate and kept otherwise.
 The per-BS updates are independent given the snapshot, so one batched
 call, :func:`local_subproblems`, computes all of them: the precoder blocks
 in one contraction and one lock-step Newton search of the power
-multipliers, both surface gradients of every BS from one pass over the
-surfaces (:func:`bdris.rates.surface_gradients`, which skips the switch
-products in ``diagonal`` mode), and the switch rewards and gains as (Q, M, M)
-and (Q,) arrays around one assignment per BS.  It returns one
+multipliers, each started at the multiplier its BS found in the previous
+sweep (at 0 in the first); both surface gradients of every BS from one
+pass over the surfaces (:func:`bdris.rates.surface_gradients`, which skips
+the switch products in ``diagonal`` mode); and the switch rewards and gains
+as (Q, M, M) and (Q,) arrays around one assignment per BS.  It returns one
 :class:`Candidate` of per-BS arrays, which :func:`blend_step` merges with
 array expressions; :func:`local_subproblem` is its one-BS slice.
 
@@ -102,15 +103,17 @@ class Trace:
     """Per-iteration history of one solver run, one column per quantity.
 
     Row 0 describes the initial point (step size 0; surrogate values, power
-    multipliers and switch moves 0); each executed iteration adds one row,
-    so a run of T iterations has T + 1 rows.  ``sum_rates``, ``alphas`` and
-    ``wall_times`` are lists of floats; ``surrogate_values``,
-    ``power_slacks`` and ``power_multipliers`` are (T+1, Q) float arrays and
-    ``switch_moves`` a (T+1, Q) int array, whose ``[t, q]`` counts the
-    elements of BS q whose routing the accepted step changed.  ``alphas``
-    holds the step actually taken: the scheduled one, a halved one after
-    backtracking, or 0.0 when every trial lowered the sum rate and the point
-    was kept.  A new per-BS quantity is one more (T+1, Q) column.
+    multipliers, power steps and switch moves 0); each executed iteration
+    adds one row, so a run of T iterations has T + 1 rows.  ``sum_rates``,
+    ``alphas`` and ``wall_times`` are lists of floats; ``surrogate_values``,
+    ``power_slacks`` and ``power_multipliers`` are (T+1, Q) float arrays;
+    ``power_steps`` and ``switch_moves`` are (T+1, Q) int arrays.
+    ``power_steps[t, q]`` counts the steps BS q's multiplier search took in
+    sweep t, and ``switch_moves[t, q]`` the elements of BS q whose routing
+    the accepted step changed.  ``alphas`` holds the step actually taken:
+    the scheduled one, a halved one after backtracking, or 0.0 when every
+    trial lowered the sum rate and the point was kept.  A new per-BS
+    quantity is one more (T+1, Q) column.
     """
 
     sum_rates: list
@@ -118,36 +121,40 @@ class Trace:
     surrogate_values: np.ndarray
     power_slacks: np.ndarray
     power_multipliers: np.ndarray
+    power_steps: np.ndarray
     wall_times: list
     switch_moves: np.ndarray
 
     @classmethod
     def from_rows(cls, rows):
         """Trace of (sum rate, step, surrogate values, power slacks, power
-        multipliers, wall time, switch moves) rows, the per-BS entries (Q,)."""
-        rate, alpha, surrogate, slack, multiplier, wall, moves = zip(*rows)
+        multipliers, power steps, wall time, switch moves) rows, the per-BS
+        entries (Q,)."""
+        rate, alpha, surrogate, slack, multiplier, steps, wall, moves = zip(*rows)
         return cls([float(x) for x in rate], [float(x) for x in alpha],
                    np.array(surrogate, float), np.array(slack, float),
-                   np.array(multiplier, float), [float(x) for x in wall],
-                   np.array(moves, int))
+                   np.array(multiplier, float), np.array(steps, int),
+                   [float(x) for x in wall], np.array(moves, int))
 
     @property
     def num_iterations(self):
         return len(self.sum_rates) - 1
 
     def to_csv(self, path):
-        """Write (iteration, sum_rate, alpha, per-BS power slack, multiplier and
-        switch moves) rows."""
+        """Write (iteration, sum_rate, alpha, per-BS power slack, multiplier,
+        power steps and switch moves) rows."""
         q_n = self.power_slacks.shape[1]
-        per_bs = np.hstack([self.power_slacks, self.power_multipliers]).tolist()
+        floats = np.hstack([self.power_slacks, self.power_multipliers]).tolist()
+        ints = np.hstack([self.power_steps, self.switch_moves]).tolist()
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["iteration", "sum_rate", "alpha"]
                         + [f"{name}_bs{q}" for name in ("power_slack", "power_multiplier",
-                                                        "switch_moves") for q in range(q_n)])
-            for t, (sr, al, floats, moves) in enumerate(zip(
-                    self.sum_rates, self.alphas, per_bs, self.switch_moves.tolist())):
-                wr.writerow([t, repr(sr), repr(al), *map(repr, floats), *moves])
+                                                        "power_steps", "switch_moves")
+                           for q in range(q_n)])
+            for t, (sr, al, row_floats, row_ints) in enumerate(zip(
+                    self.sum_rates, self.alphas, floats, ints)):
+                wr.writerow([t, repr(sr), repr(al), *map(repr, row_floats), *row_ints])
 
 
 @dataclass
@@ -162,6 +169,7 @@ class Candidate:
     switch_gains: np.ndarray       # (Q,)
     surrogate_values: np.ndarray   # (Q,)
     power_multipliers: np.ndarray  # (Q,)
+    power_steps: np.ndarray        # (Q,) int, steps of each multiplier search
 
 
 MAX_HALVINGS = 10  # step halvings an iteration tries before it takes step 0
@@ -214,10 +222,12 @@ def initial_iterate(channels, power_budgets):
     return Iterate(w, caps, sels)
 
 
-def local_subproblems(iterate, channels, noise_power, power_budgets, config, snap=None):
+def local_subproblems(iterate, channels, noise_power, power_budgets, config, snap=None,
+                      start_multipliers=None):
     """One Jacobi sweep: every BS's three block subproblems against the shared snapshot.
 
-    Returns one :class:`Candidate` for all BSs.
+    ``start_multipliers`` (Q,) starts the power multiplier searches; they
+    start at 0 if it is omitted.  Returns one :class:`Candidate` for all BSs.
     """
     if snap is None:
         snap = snapshot(iterate, channels, noise_power, config.ris_enabled)
@@ -225,7 +235,8 @@ def local_subproblems(iterate, channels, noise_power, power_budgets, config, sna
     bs = channels.bs_of_user
     budgets = np.broadcast_to(np.asarray(power_budgets, float), (q_n,))
     surrogate = precoding.stacked_surrogates(iterate, channels, snap, config.cooperative)
-    lams, w_hat = precoding.solve_precoders(surrogate, bs, config.tau, budgets)
+    lams, w_hat, steps = precoding.solve_precoders(surrogate, bs, config.tau, budgets,
+                                                   start_multipliers)
     values = np.bincount(bs, precoding.objective_values(surrogate, w_hat, config.tau),
                          minlength=q_n)
 
@@ -245,7 +256,7 @@ def local_subproblems(iterate, channels, noise_power, power_budgets, config, sna
             s_hat = np.array([switches.solve_selection(r) for r in rewards])
             gains = switches.reward_gain(rewards, s_hat, s_prev)
             values += gains
-    return Candidate(Iterate(w_hat, c_hat, s_hat), gains, values, lams)
+    return Candidate(Iterate(w_hat, c_hat, s_hat), gains, values, lams, steps)
 
 
 def local_subproblem(q, iterate, channels, noise_power, power_budget, config, snap=None):
@@ -254,7 +265,8 @@ def local_subproblem(q, iterate, channels, noise_power, power_budget, config, sn
     t = c.target
     return Candidate(Iterate(t.precoders[channels.users_of_bs(q)], t.capacitances[[q]],
                              t.selections[[q]]),
-                     c.switch_gains[[q]], c.surrogate_values[[q]], c.power_multipliers[[q]])
+                     c.switch_gains[[q]], c.surrogate_values[[q]], c.power_multipliers[[q]],
+                     c.power_steps[[q]])
 
 
 def blend_step(iterate, candidate, alpha):
@@ -279,7 +291,12 @@ def run(channels, power_budgets, noise_power, config):
     same step with every switch move withheld, then up to ``MAX_HALVINGS``
     halvings of the continuous step.  If none ascends the point is kept
     (step 0), and the unchanged rate ends the run through the ``tol`` test.
-    The initial point and every iteration each record one row, and the
+    Each sweep's power multiplier searches start at the multipliers of the
+    previous sweep (at 0 in the first); the search keeps a positive
+    multiplier only once the power at 0 is known to exceed the budget, and
+    its stopping band is the one of a start at 0, so the warm start saves
+    power evaluations (see :func:`bdris.precoding.solve_precoders`).  The
+    initial point and every iteration each record one row, and the
     :class:`Trace` is built once from those rows on return.  The trace never
     drops, so the last point is also the best one visited and its rate is
     ``max(trace.sum_rates)``.  Raises
@@ -291,14 +308,15 @@ def run(channels, power_budgets, noise_power, config):
     snap = snapshot(iterate, channels, noise_power, config.ris_enabled)
     bs = channels.bs_of_user
     rows = [(snap.sum_rate, 0.0, np.zeros(q_n), budgets - iterate.bs_power(bs),
-             np.zeros(q_n), 0.0, np.zeros(q_n, int))]
+             np.zeros(q_n), np.zeros(q_n, int), 0.0, np.zeros(q_n, int))]
 
-    alpha = config.alpha0
+    alpha, lams = config.alpha0, None
     for t in range(config.max_iters):
         start = time.perf_counter()
         alpha = step_size_schedule(t, alpha, config)
-        candidate = local_subproblems(iterate, channels, noise_power, budgets,
-                                      config, snap)
+        candidate = local_subproblems(iterate, channels, noise_power, budgets, config,
+                                      snap, start_multipliers=lams)
+        lams = candidate.power_multipliers
         prev_rate, prev_sel = snap.sum_rate, iterate.selections
         step, iterate, snap = _ascent_step(iterate, snap, candidate, alpha, channels,
                                            budgets, noise_power, config)
@@ -306,6 +324,7 @@ def run(channels, power_budgets, noise_power, config):
             alpha = step
         rows.append((snap.sum_rate, step, candidate.surrogate_values,
                      budgets - iterate.bs_power(bs), candidate.power_multipliers,
+                     candidate.power_steps,
                      time.perf_counter() - start,
                      np.count_nonzero(iterate.selections != prev_sel, axis=1)))
         if abs(snap.sum_rate - prev_rate) <= config.tol:

@@ -14,7 +14,8 @@ import numpy as np
 
 from bdris.circuit import rational_coefficients, reflection
 from bdris.errors import NumericalFailureError
-from bdris.precoding import _stack, power_curves, solve_precoder
+from bdris.precoding import (MAX_MULTIPLIER, POWER_REL_TOL, _stack, power_curves,
+                             solve_precoder)
 from bdris.selfcheck import (best_assignment, dense_precoder,  # noqa: F401
                              fd_capacitance_gradient, fd_precoder_gradient,
                              fd_reflection_derivative, fd_selection_gradient)
@@ -199,15 +200,15 @@ def power_curve(surrogates, tau):
     return lambda lam: float(power(np.array([lam]))[0][0])
 
 
-def bisect_measured_power(surrogates, tau, power_budget, rel_tol=1e-8,
-                          max_doublings=200):
+def bisect_measured_power(surrogates, tau, power_budget):
     """Power multiplier bisection that solves every precoder at every trial.
 
     Reference for ``precoding.bisect_power_multiplier``: the measured-power
     bisection whose stopping band, measured power in
-    ``[B (1 - rel_tol), B]``, the Newton search must land in; the power is
-    measured on the stacked precoders of each trial multiplier.  Returns
-    (lam, precoders).
+    ``[B (1 - POWER_REL_TOL), B]``, the Newton search must land in; the
+    power is measured on the stacked precoders of each trial multiplier.
+    Bracketing doubles the multiplier from 1 and fails past
+    ``MAX_MULTIPLIER``, as the Newton search does.  Returns (lam, precoders).
     """
     def solve_all(lam):
         return np.stack([solve_precoder(s, tau, lam) for s in surrogates])
@@ -220,16 +221,14 @@ def bisect_measured_power(surrogates, tau, power_budget, rel_tol=1e-8,
         return 0.0, ws
     lo, hi = 0.0, 1.0
     ws = solve_all(hi)
-    doublings = 0
     while power_of(ws) > power_budget:
         lo, hi = hi, 2.0 * hi
-        doublings += 1
-        if doublings > max_doublings:
+        if hi > MAX_MULTIPLIER:
             raise NumericalFailureError("power bisection failed to bracket the multiplier")
         ws = solve_all(hi)
     p_hi = power_of(ws)
     for _ in range(500):
-        if power_budget - p_hi <= rel_tol * power_budget:
+        if power_budget - p_hi <= POWER_REL_TOL * power_budget:
             break
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:

@@ -282,14 +282,14 @@ class TestBisection:
 
 
 class TestLockStepBisection:
-    def solve_all(self, channels, iterate, noise, budgets):
+    def solve_all(self, channels, iterate, noise, budgets, start=None):
         snap = snapshot(iterate, channels, noise)
         stacked = precoding.stacked_surrogates(iterate, channels, snap)
         return precoding.solve_precoders(stacked, channels.bs_of_user, TAU,
-                                         np.asarray(budgets, float))
+                                         np.asarray(budgets, float), start)
 
     def assert_matches_scalar(self, channels, iterate, noise, budgets):
-        lams, ws = self.solve_all(channels, iterate, noise, budgets)
+        lams, ws, _ = self.solve_all(channels, iterate, noise, budgets)
         for q in range(channels.num_bs):
             surr = build_surrogates(q, iterate, channels, noise)
             lam, ws_q = bisect_power_multiplier(surr, TAU, budgets[q])
@@ -330,7 +330,7 @@ class TestLockStepBisection:
                 return curve(lam)
             return counted
         monkeypatch.setattr(precoding, "power_curves", counted_curves)
-        lams, ws = self.solve_all(channels, iterate, noise, budgets)
+        lams, ws, _ = self.solve_all(channels, iterate, noise, budgets)
         for q in range(channels.num_bs):
             power = float(np.sum(np.abs(ws[channels.users_of_bs(q)]) ** 2))
             assert lams[q] > 0.0
@@ -355,11 +355,60 @@ class TestLockStepBisection:
             calls.append(args)
             return solve_precoder(*args)
         monkeypatch.setattr(precoding, "solve_precoder", counted)
-        lams, ws = self.solve_all(channels, iterate, noise, [budget, 1e9])
+        lams, ws, _ = self.solve_all(channels, iterate, noise, [budget, 1e9])
         assert len(calls) > 1  # precoders were solved past the first try
         assert lams[0] > 0.0 and lams[1] == 0.0
         monkeypatch.undo()
         self.assert_matches_scalar(channels, iterate, noise, [budget, 1e9])
+
+    def default_scale_budgets(self, network, budget_scale):
+        channels, iterate, noise = network
+        return np.array([budget_scale * measured_power(
+            build_surrogates(q, iterate, channels, noise), 0.0)
+            for q in range(channels.num_bs)])
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0, 100.0])
+    @pytest.mark.parametrize("budget_scale", [0.5, 1e-4])
+    def test_warm_start_from_either_side(self, default_scale_network, budget_scale,
+                                         factor):
+        budgets = self.default_scale_budgets(default_scale_network, budget_scale)
+        cold, ws_cold, _ = self.solve_all(*default_scale_network, budgets)
+        lams, ws, steps = self.solve_all(*default_scale_network, budgets, factor * cold)
+        channels = default_scale_network[0]
+        for q in range(channels.num_bs):
+            power = float(np.sum(np.abs(ws[channels.users_of_bs(q)]) ** 2))
+            assert budgets[q] - 1e-8 * budgets[q] <= power <= budgets[q]
+        assert np.all(steps > 0)
+        np.testing.assert_allclose(lams, cold, rtol=1e-6, atol=0)
+        np.testing.assert_allclose(ws, ws_cold, rtol=1e-6, atol=0)
+
+    def test_start_inside_the_band_is_kept(self, default_scale_network):
+        # the convexity bound already shows that the power at 0 is over budget
+        budgets = self.default_scale_budgets(default_scale_network, 0.5)
+        cold, ws_cold, cold_steps = self.solve_all(*default_scale_network, budgets)
+        lams, ws, steps = self.solve_all(*default_scale_network, budgets, cold)
+        assert np.all(cold_steps > 0) and np.all(steps == 0)
+        np.testing.assert_array_equal(lams, cold)
+        np.testing.assert_array_equal(ws, ws_cold)
+
+    @pytest.mark.parametrize("start", [1e-9, 1.0])
+    def test_positive_start_where_zero_fits(self, default_scale_network, start):
+        # a budget just above the free power: only lam = 0 fits, although the
+        # power at 1e-9 lies inside the band, and at 1.0 below it
+        budgets = self.default_scale_budgets(default_scale_network, 1.0 + 1e-12)
+        cold, ws_cold, _ = self.solve_all(*default_scale_network, budgets)
+        lams, ws, steps = self.solve_all(*default_scale_network, budgets,
+                                         np.full(len(budgets), start))
+        np.testing.assert_array_equal(cold, 0.0)
+        np.testing.assert_array_equal(lams, 0.0)
+        np.testing.assert_array_equal(ws, ws_cold)
+        assert np.all(steps >= 1)
+
+    @pytest.mark.parametrize("start", [-1.0, np.nan, np.inf])
+    def test_bad_start_rejected(self, small_network, start):
+        channels, iterate, noise = small_network
+        with pytest.raises(ValueError):
+            self.solve_all(channels, iterate, noise, [1.0, 1.0], [0.0, start])
 
     def test_unbracketable_budget_raises(self, small_network):
         channels, iterate, noise = small_network

@@ -156,6 +156,18 @@ def test_python_built_config_rejects_unusable_values(kwargs, named):
         ScenarioConfig(**kwargs)
 
 
+@pytest.mark.parametrize("ris_xy", [
+    ((0.0, 0.0), (1.0,), (2.0, 2.0), (3.0, 3.0)),        # ragged
+    ((0.0, 0.0),),                                       # one pair for four BSs
+    ((0.0, 0.0, 0.0),) * 4,                              # x, y, z triples
+    ((0.0, 0.0), (1.0, 1.0), (2.0, (2.0,)), (3.0, 3.0)),  # ragged inside a pair
+    (1.0, 2.0, 3.0, 4.0),                                # numbers, not pairs
+])
+def test_ris_positions_need_one_pair_per_bs_at_construction(ris_xy):
+    with pytest.raises(ConfigError, match="ris_positions"):
+        ScenarioConfig(ris_xy=ris_xy)
+
+
 @pytest.mark.parametrize("text, entry", [
     ("[solver]\nmx_iters = 5\n", "[solver] mx_iters"),           # misspelled key
     ("[netwrk]\nQ = 2\n", "[netwrk]"),                           # misspelled section

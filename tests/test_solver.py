@@ -203,7 +203,7 @@ def batched_candidate(precoders, capacitances, selections, gains=None):
     q_n = len(capacitances)
     gains = np.zeros(q_n) if gains is None else np.asarray(gains, dtype=float)
     return Candidate(Iterate(precoders, capacitances, selections), gains,
-                     np.zeros(q_n), np.zeros(q_n))
+                     np.zeros(q_n), np.zeros(q_n), np.zeros(q_n, int))
 
 
 class TestBlendStep:
@@ -478,6 +478,45 @@ class TestRun:
         with pytest.raises(NumericalFailureError):
             run(channels, 1.0, noise, SolverConfig(max_iters=3))
 
+    def test_multipliers_warm_start_from_the_previous_sweep(self, monkeypatch,
+                                                            default_scale_network):
+        # started at 0, every sweep needs >= 6 power-curve evaluations; started
+        # at the previous sweep's multipliers, the sweeps after the first
+        # need <= 4 on average
+        channels, _, noise = default_scale_network
+        solve, curves = solver_mod.local_subproblems, precoding.power_curves
+        cfg = SolverConfig(ris_mode="none", max_iters=40, tol=0.0)
+
+        def sweeps(warm):
+            starts, evaluations = [], []
+
+            def counted_curves(*args):
+                curve = curves(*args)
+
+                def counted(lam):
+                    evaluations[-1] += 1
+                    return curve(lam)
+                return counted
+
+            def sweep(*args, start_multipliers=None, **kwargs):
+                starts.append(start_multipliers)
+                evaluations.append(0)
+                return solve(*args, start_multipliers=start_multipliers if warm else None,
+                             **kwargs)
+
+            monkeypatch.setattr(precoding, "power_curves", counted_curves)
+            monkeypatch.setattr(solver_mod, "local_subproblems", sweep)
+            _, trace = run(channels, 1.0, noise, cfg)
+            return starts, np.array(evaluations), trace
+
+        starts, warm, trace = sweeps(warm=True)
+        _, cold, cold_trace = sweeps(warm=False)
+        assert starts[0] is None
+        np.testing.assert_array_equal(starts[1:], trace.power_multipliers[1:-1])
+        assert warm[0] == cold[0] and len(warm) == len(cold) == 40
+        assert np.mean(warm[1:]) <= 4.0 and np.mean(cold[1:]) >= 6.0
+        assert np.sum(trace.power_steps) < np.sum(cold_trace.power_steps)
+
 
 class TestTraceCsv:
     def test_power_multipliers_recorded(self, rng):
@@ -522,6 +561,7 @@ class TestTraceCsv:
         header = p1.read_text().splitlines()[0]
         assert header == ("iteration,sum_rate,alpha,power_slack_bs0,power_slack_bs1,"
                           "power_multiplier_bs0,power_multiplier_bs1,"
+                          "power_steps_bs0,power_steps_bs1,"
                           "switch_moves_bs0,switch_moves_bs1")
 
     def test_per_bs_columns_are_arrays(self, rng):
@@ -530,7 +570,8 @@ class TestTraceCsv:
         _, trace = run(channels, 1.0, noise, SolverConfig(max_iters=7, tol=0.0))
         shape = (8, channels.num_bs)
         for name, kind in (("surrogate_values", "f"), ("power_slacks", "f"),
-                           ("power_multipliers", "f"), ("switch_moves", "i")):
+                           ("power_multipliers", "f"), ("power_steps", "i"),
+                           ("switch_moves", "i")):
             column = getattr(trace, name)
             assert isinstance(column, np.ndarray), name
             assert column.shape == shape and column.dtype.kind == kind, name
@@ -562,8 +603,9 @@ class TestTraceCsv:
         np.testing.assert_array_equal(column("power_slack", float), trace.power_slacks)
         np.testing.assert_array_equal(column("power_multiplier", float),
                                       trace.power_multipliers)
+        np.testing.assert_array_equal(column("power_steps", int), trace.power_steps)
         np.testing.assert_array_equal(column("switch_moves", int), trace.switch_moves)
-        assert np.any(trace.switch_moves)
+        assert np.any(trace.switch_moves) and np.any(trace.power_steps)
 
     @pytest.mark.parametrize("ris_mode", ["bd", "none"])
     def test_trace_memory_per_row(self, rng, ris_mode):
@@ -580,5 +622,5 @@ class TestTraceCsv:
         finally:
             tracemalloc.stop()
         assert rows == 201
-        # at least the four per-BS columns' data, so a measurement that sees nothing fails
-        assert 4 * 8 * channels.num_bs <= kept / rows <= 300
+        # at least the five per-BS columns' data, so a measurement that sees nothing fails
+        assert 5 * 8 * channels.num_bs <= kept / rows <= 300
