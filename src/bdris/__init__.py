@@ -1,10 +1,11 @@
 """Multi-cell wideband downlink with switch-interconnected tunable surfaces.
 
-A numpy/scipy library modeling an interference broadcast channel where each
+A numpy library modeling an interference broadcast channel where each
 base station owns one reconfigurable surface whose elements can be cross
 routed by a switch network, plus a distributed pricing-based optimizer that
 jointly tunes precoders, element capacitances and switch permutations to
-maximize the network sum rate.
+maximize the network sum rate.  scipy is loaded only by the first switch
+assignment that :func:`bdris.switches.certified_selection` cannot certify.
 """
 
 from .channels import (NetworkChannels, NetworkTopology, generate_channels,

@@ -13,7 +13,8 @@ Every link draws from its own random substream derived from the root seed
 and a (kind, endpoint, endpoint) key, so adding users or surfaces never
 perturbs previously generated links.  The composite channel of every link,
 direct plus routed reflected path, is assembled by
-:func:`bdris.rates.snapshot` (its ``rows``).
+:func:`bdris.rates.snapshot` (its ``rows``).  Wavelengths use the exact SI
+:data:`SPEED_OF_LIGHT`, so this module needs numpy only.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.constants import speed_of_light
 
 from .circuit import ElementCircuit, SubcarrierGrid, rational_coefficients
 
+SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by SI definition
 _LINKS = ("direct", "bs_ris", "ris_ue")  # link families, in dump order
 
 # substream kinds for per-link seeding
@@ -215,7 +216,7 @@ def generate_channels(topology, grid, exponents, root_seed, num_taps=16, circuit
     circuit : ElementCircuit, optional
     """
     circuit = circuit or ElementCircuit()
-    wavelength = speed_of_light / grid.carrier_frequency
+    wavelength = SPEED_OF_LIGHT / grid.carrier_frequency
     a_bu, a_br, a_ru = exponents
     q_n, u_n = topology.num_bs, topology.num_users
     k_n, n_n, m_n = grid.num_subcarriers, topology.num_antennas, topology.num_elements

@@ -249,7 +249,7 @@ def solve_precoders(surrogate, owner, tau, budgets, start_multipliers=None):
     :class:`NumericalFailureError`.
     """
     budgets = np.asarray(budgets, dtype=float)
-    if np.any(budgets <= 0):
+    if not np.all(budgets > 0):  # a NaN budget fails too
         raise ValueError("power budget must be > 0")
     lam = np.zeros(len(budgets))
     if start_multipliers is not None:

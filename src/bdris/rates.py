@@ -62,10 +62,10 @@ class Iterate:
         """Raise if any constraint (power, box, permutation) is violated."""
         power = self.bs_power(channels.bs_of_user)
         budgets = np.broadcast_to(np.asarray(power_budgets, float), power.shape)
-        if np.any(power > budgets + POWER_SLACK):
+        if not np.all(power <= budgets + POWER_SLACK):
             raise ValueError("per-BS transmit power exceeds the budget")
         c = channels.circuit
-        if np.any(self.capacitances < c.c_min) or np.any(self.capacitances > c.c_max):
+        if not np.all((self.capacitances >= c.c_min) & (self.capacitances <= c.c_max)):
             raise ValueError("capacitance outside the tunable range")
         s = self.selections
         if (not np.issubdtype(s.dtype, np.integer) or s.shape != self.capacitances.shape

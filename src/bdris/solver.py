@@ -299,11 +299,14 @@ def run(channels, power_budgets, noise_power, config):
     initial point and every iteration each record one row, and the
     :class:`Trace` is built once from those rows on return.  The trace never
     drops, so the last point is also the best one visited and its rate is
-    ``max(trace.sum_rates)``.  Raises
+    ``max(trace.sum_rates)``.  Raises ``ValueError`` on a budget that is
+    not finite and > 0 before any work, and
     :class:`NumericalFailureError` if a trial point leaves the feasible set.
     """
     q_n = channels.num_bs
     budgets = np.broadcast_to(np.asarray(power_budgets, float), (q_n,))
+    if not np.all((budgets > 0) & (budgets < np.inf)):  # a NaN budget fails too
+        raise ValueError("power budget must be finite and > 0")
     iterate = initial_iterate(channels, budgets)
     snap = snapshot(iterate, channels, noise_power, config.ris_enabled)
     bs = channels.bs_of_user

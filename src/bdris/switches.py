@@ -18,15 +18,22 @@ reward, so while the gradient is small beside ``tau`` every column's maximum
 sits on a distinct row and the current permutation is the optimum.
 :func:`solve_selection` certifies that case exactly from the column maxima
 (:func:`certified_selection`) and calls the assignment solver only when the
-certificate fails.
+certificate fails.  That solver is scipy's, imported by the first
+uncertified assignment in a process (about 0.6 s, once per process), so a
+run whose rewards are all certified never loads scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .rates import snapshot, surface_gradients
+
+
+def linear_sum_assignment(reward, maximize=False):
+    """:func:`scipy.optimize.linear_sum_assignment`, imported on first call."""
+    from scipy.optimize import linear_sum_assignment as solve
+    return solve(reward, maximize=maximize)
 
 
 def selection_gradient(q, iterate, channels, noise_power, snap=None):

@@ -5,6 +5,7 @@ import pytest
 from scipy.constants import speed_of_light
 
 import oracles
+from bdris import channels as channels_mod
 from bdris.channels import (NetworkTopology, generate_channels,
                             generate_link_taps, load_channels, pathloss,
                             save_channels, taps_to_frequency)
@@ -40,6 +41,9 @@ class TestTopology:
 
 
 class TestPathloss:
+    def test_speed_of_light_is_scipys(self):
+        assert channels_mod.SPEED_OF_LIGHT == speed_of_light
+
     def test_reference_distance(self):
         lam = speed_of_light / 3.5e9
         np.testing.assert_allclose(pathloss(1.0, 3.7, lam), (lam / (4 * np.pi)) ** 2)

@@ -404,6 +404,11 @@ class TestLockStepBisection:
         np.testing.assert_array_equal(ws, ws_cold)
         assert np.all(steps >= 1)
 
+    def test_nan_budget_rejected(self, small_network):
+        channels, iterate, noise = small_network
+        with pytest.raises(ValueError, match="budget"):
+            self.solve_all(channels, iterate, noise, [1.0, np.nan])
+
     @pytest.mark.parametrize("start", [-1.0, np.nan, np.inf])
     def test_bad_start_rejected(self, small_network, start):
         channels, iterate, noise = small_network

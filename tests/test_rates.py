@@ -26,6 +26,18 @@ class TestIterate:
         with pytest.raises(ValueError):
             iterate.validate(channels, 1e9)
 
+    def test_validate_rejects_nan_precoder(self, small_network):
+        channels, iterate, _ = small_network
+        iterate.precoders[0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="power"):
+            iterate.validate(channels, 1e9)
+
+    def test_validate_rejects_nan_capacitance(self, small_network):
+        channels, iterate, _ = small_network
+        iterate.capacitances[0, 0] = np.nan
+        with pytest.raises(ValueError, match="capacitance"):
+            iterate.validate(channels, 1e9)
+
     def test_validate_rejects_non_permutation(self, small_network):
         channels, iterate, _ = small_network
         m_n = channels.num_elements

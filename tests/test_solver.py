@@ -14,7 +14,8 @@ from bdris.errors import NumericalFailureError
 from bdris.rates import Iterate, snapshot, sum_rate
 from bdris.solver import (MAX_HALVINGS, Candidate, SolverConfig, blend_step,
                           capacitance_tau, initial_iterate, local_subproblem,
-                          local_subproblems, run, step_size_schedule)
+                          local_subproblems, run, solver_config_for,
+                          step_size_schedule)
 
 from conftest import assert_same_snapshot, make_network
 
@@ -264,6 +265,20 @@ class TestRun:
         assert len(trace.sum_rates) == 31
         best.validate(channels, np.array([1.0, 1.0]))
         assert np.all(np.asarray(trace.power_slacks) >= -1e-9)
+
+    @pytest.mark.parametrize("budget", [np.nan, np.inf, 0.0, -1.0])
+    def test_unusable_budget_rejected_before_any_work(self, rng, monkeypatch, budget):
+        channels, _, noise = make_network(rng)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("run started before rejecting the budget")
+        monkeypatch.setattr(solver_mod, "initial_iterate", no_work)
+        for variant in ("none", "bd"):
+            cfg = solver_config_for(SolverConfig(), variant)
+            with pytest.raises(ValueError, match="budget"):
+                run(channels, budget, noise, cfg)
+        with pytest.raises(ValueError, match="budget"):
+            run(channels, [1.0, budget], noise, SolverConfig())
 
     def test_deterministic(self, rng):
         channels, _, noise = make_network(rng)
