@@ -2,21 +2,22 @@
 
 Each base station refreshes the precoders of all of its users jointly by
 maximizing a concave surrogate of the network objective: the own-cell log
-terms are lower-bounded by a tight quadratic (see
-:class:`PrecoderSurrogate`), other cells' rates enter through a linear
-pricing term, and a proximal penalty keeps the update near the current
-point.  The maximizer for a fixed power multiplier is a per-subcarrier
-rank-one-plus-identity solve.  The power budget ``||w(lam)||^2 = P`` is the
-secular equation of a trust-region step; the multiplier solves it by Newton's
-method on ``||w(lam)||^(-1)`` with the closed-form power and slope of
-:func:`power_curves` (Moré & Sorensen, "Computing a trust region step", SIAM
-J. Sci. Stat. Comput. 1983), with a measured-power fallback for feasibility.
-As there, the search may be warm-started: the solver starts each sweep's
-multipliers at the previous sweep's, and Newton steps reach the root from
-either side.  A positive multiplier is kept only once the power at
-``lam = 0`` is known to exceed the budget, so a start above the root never
-hides a free solution that fits; the stopping band
-``[P (1 - POWER_REL_TOL), P]`` is the same from any start.
+terms are lower-bounded by a tight quadratic (:class:`PrecoderSurrogate`),
+other cells' rates enter through a linear pricing term, half of the
+:func:`bdris.rates.weighted_amplitudes` the surface gradients read, and a
+proximal penalty keeps the update near the current point.  For a fixed
+power multiplier, the precoder solve and the power curve read one split of
+each right-hand side along the own channel (:func:`split_rhs`).  The power
+budget ``||w(lam)||^2 = P`` is the secular equation of a trust-region step;
+the multiplier solves it by Newton's method on ``||w(lam)||^(-1)`` with the
+closed-form power and slope of :func:`power_curves` (Moré & Sorensen,
+"Computing a trust region step", SIAM J. Sci. Stat. Comput. 1983), with a
+measured-power fallback for feasibility.  As there, the search may be
+warm-started: the solver starts each sweep's multipliers at the previous
+sweep's, and Newton steps reach the root from either side.  A positive
+multiplier is kept only once the power at ``lam = 0`` is known to exceed the
+budget, so a start above the root never hides a free solution that fits; the
+stopping band ``[P (1 - POWER_REL_TOL), P]`` is the same from any start.
 
 The Jacobi sweep builds all users' surrogates in one contraction
 (:func:`stacked_surrogates`) and runs all BSs' multiplier searches in lock
@@ -32,7 +33,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import NumericalFailureError
-from .rates import LN2, snapshot
+from .rates import LN2, bs_power, snapshot, weighted_amplitudes
 
 POWER_REL_TOL = 1e-8     # a binding multiplier leaves the power in [B (1 - tol), B]
 MAX_MULTIPLIER = 2.0**200  # a larger power multiplier raises NumericalFailureError
@@ -43,11 +44,11 @@ class PrecoderSurrogate:
     """Quadratic model of one user's objective around the current iterate.
 
     The per-subcarrier quadratic is
-    ``-quad_weight[k] |f_k^H w_k|^2 + 2 Re{linear[k]^H w_k}`` and the overall
-    subproblem objective adds ``Re{pricing^H (w - anchor)}`` and the proximal
-    term.  ``own_channel`` holds the composite channel vectors f_k.  A
-    surrogate may also stack several users along a leading axis; every
-    method then works per user.
+    ``-quad_weight[k] |f_k^H w_k|^2 + 2 Re{linear[k]^H w_k} + offset[k]`` and
+    the overall subproblem objective adds ``Re{pricing^H (w - anchor)}`` and
+    the proximal term.  ``own_channel`` holds the composite channel vectors
+    f_k.  A surrogate may also stack several users along a leading axis;
+    every method then works per user.
     """
 
     quad_weight: np.ndarray   # (K,) |f^H w|^2 / (ln2 (mui + |f^H w|^2) mui) >= 0
@@ -55,7 +56,7 @@ class PrecoderSurrogate:
     linear: np.ndarray        # (K, N) f (f^H w) / (ln2 mui)
     pricing: np.ndarray       # (K, N) complex
     anchor: np.ndarray        # (K, N) complex, current precoder
-    mui_anchor: np.ndarray    # (K,) interference-plus-noise at the anchor
+    offset: np.ndarray        # (K,) log2(1 + snr) + quad_weight |f^H w|^2 - 2 Re{linear^H w}
 
     def rhs(self, tau):
         """Right-hand side whose regularized solve maximizes the subproblem.
@@ -71,16 +72,12 @@ class PrecoderSurrogate:
     def log_term_value(self, w):
         """Tight quadratic lower bound of the rate log term, per subcarrier.
 
-        Includes the additive constant that makes the bound coincide with
+        Includes the additive ``offset`` that makes the bound coincide with
         ``log2(1 + |f^H w|^2 / mui)`` at the anchor point.
         """
-        f_conj, lin_conj = np.conj(self.own_channel), np.conj(self.linear)
-        sig = np.abs(np.einsum("...ki,...ki->...k", f_conj, w)) ** 2
-        sig_t = np.abs(np.einsum("...ki,...ki->...k", f_conj, self.anchor)) ** 2
-        lin = 2.0 * np.real(np.einsum("...ki,...ki->...k", lin_conj, w))
-        lin_t = 2.0 * np.real(np.einsum("...ki,...ki->...k", lin_conj, self.anchor))
-        const = np.log1p(sig_t / self.mui_anchor) / LN2 + self.quad_weight * sig_t - lin_t
-        return -self.quad_weight * sig + lin + const
+        sig = np.abs(np.einsum("...ki,...ki->...k", np.conj(self.own_channel), w)) ** 2
+        lin = 2.0 * np.real(np.einsum("...ki,...ki->...k", np.conj(self.linear), w))
+        return -self.quad_weight * sig + lin + self.offset
 
     def select(self, i):
         """The surrogate of the i-th user of a stack."""
@@ -92,39 +89,32 @@ def _stack(surrogates):
                                for f in fields(PrecoderSurrogate)))
 
 
-def pricing_vectors(channels, snap):
-    """Gradient of other cells' rates with respect to every user's precoder, (U, K, N).
-
-    Entry ``[u]`` is the (K, N) array of per-subcarrier conjugate-coordinate
-    gradients (d/dw*) of the sum of all user rates outside u's cell, scaled
-    by the number of subcarriers (the subcarrier average is left out of the
-    subproblems, as it rescales every term equally).
-    """
-    bs = channels.bs_of_user
-    coef = -(snap.snr / LN2) / ((1.0 + snap.snr) * snap.mui)  # (U, K) per victim
-    weights = np.where((bs[:, None] != bs)[..., None], coef * snap.amplitudes, 0.0)
-    return np.einsum("unk,unki->uki", weights, np.conj(snap.rows[bs]))
-
-
 def pricing_vector(user, iterate, channels, noise_power, snap=None, ris_enabled=True):
-    """Gradient of other cells' rates w.r.t. one user's precoder, (K, N).
-
-    One row of :func:`pricing_vectors`.
-    """
+    """One user's ``pricing`` of :func:`stacked_surrogates`, (K, N)."""
     if snap is None:
         snap = snapshot(iterate, channels, noise_power, ris_enabled)
-    return pricing_vectors(channels, snap)[user]
+    return stacked_surrogates(iterate, channels, snap).pricing[user]
 
 
 def stacked_surrogates(iterate, channels, snap, cooperative=True):
-    """Surrogates of every user, stacked along a leading user axis."""
+    """Surrogates of every user, stacked along a leading user axis.
+
+    User u's ``pricing`` is the conjugate-coordinate gradient (d/dw*) of the
+    rates outside u's cell, times K (the subcarrier average rescales every
+    term equally); non-cooperative surrogates price nothing.
+    """
+    bs = channels.bs_of_user
     users = np.arange(channels.num_users)
     sig, mui = snap.signal, snap.mui
-    own = np.conj(snap.rows[channels.bs_of_user, users])          # (U, K, N)
+    own = np.conj(snap.rows[bs, users])          # (U, K, N)
     linear = own * (snap.amplitudes[users, users] / (LN2 * mui))[..., None]
-    pricing = pricing_vectors(channels, snap) if cooperative else np.zeros_like(linear)
-    return PrecoderSurrogate(sig / (LN2 * (mui + sig) * mui), own, linear,
-                             pricing, iterate.precoders.copy(), mui.copy())
+    pricing = np.zeros_like(linear)
+    if cooperative:
+        weighted = weighted_amplitudes(channels, snap, cell=0.0)
+        pricing = 0.5 * np.einsum("unk,unki->uki", weighted, np.conj(snap.rows[bs]))
+    quad = sig / (LN2 * (mui + sig) * mui)
+    offset = np.log1p(snap.snr) / LN2 + quad * sig - 2.0 * sig / (LN2 * mui)
+    return PrecoderSurrogate(quad, own, linear, pricing, iterate.precoders.copy(), offset)
 
 
 def build_surrogates(q, iterate, channels, noise_power, snap=None,
@@ -136,22 +126,31 @@ def build_surrogates(q, iterate, channels, noise_power, snap=None,
     return [stacked.select(u) for u in channels.users_of_bs(q)]
 
 
+def split_rhs(surrogate, tau):
+    """``(across, along, |f|^2)`` with ``rhs = across + along f`` and ``f^H across = 0``.
+
+    Shapes (..., K, N), (..., K), (..., K); ``along`` is 0 where f is.
+    """
+    r = surrogate.rhs(tau)
+    f = surrogate.own_channel
+    f_norm2 = np.sum(np.abs(f) ** 2, axis=-1)
+    along = np.divide(np.einsum("...ki,...ki->...k", np.conj(f), r), f_norm2,
+                      out=np.zeros(f_norm2.shape, complex), where=f_norm2 > 0)
+    return r - along[..., None] * f, along, f_norm2
+
+
 def solve_precoder(surrogate, tau, lam):
     """Closed-form maximizer for fixed power multipliers, shape (..., K, N).
 
     ``surrogate`` is one user's or a stack of users'; ``lam`` is a scalar or
-    one multiplier per stacked user.  Each subcarrier block is
-    (a f f^H + (tau/2 + lam) I) w = rhs, inverted with the rank-one update
-    identity instead of a dense solve.
+    one multiplier per stacked user.  Each subcarrier block
+    (a f f^H + beta I) w = rhs, ``beta = tau/2 + lam``, solves part by part on
+    the :func:`split_rhs`: ``w = across / beta + along f / (beta + a |f|^2)``.
     """
+    across, along, f_norm2 = split_rhs(surrogate, tau)
     beta = (tau / 2.0 + np.asarray(lam))[..., None]
-    r = surrogate.rhs(tau)
-    f = surrogate.own_channel
-    a = surrogate.quad_weight
-    f_dot_r = np.einsum("...ki,...ki->...k", np.conj(f), r)
-    f_norm2 = np.sum(np.abs(f) ** 2, axis=-1)
-    coeff = a * f_dot_r / (beta * (beta + a * f_norm2))
-    return r / beta[..., None] - coeff[..., None] * f
+    along = along / (beta + surrogate.quad_weight * f_norm2)
+    return across / beta[..., None] + along[..., None] * surrogate.own_channel
 
 
 def power_curves(surrogate, owner, tau):
@@ -159,18 +158,12 @@ def power_curves(surrogate, owner, tau):
 
     ``surrogate`` stacks users and ``owner[u]`` is the BS of user u; the
     returned function maps one multiplier per BS to ``(power, slope)``, one
-    power and one derivative dP/dlam per BS.  The solve divides each
-    right-hand side r's part along the own channel f by ``beta + a |f|^2``
-    and its part across f by ``beta = tau/2 + lam``, so the power is a sum of
-    nonnegative terms ``c / (beta + s)^2``; unlike ``|r|^2 - ...`` none
-    cancels, and the slope is ``-2 sum c / (beta + s)^3``.
+    power and one derivative dP/dlam per BS.  On the :func:`split_rhs`, the
+    power is a sum of nonnegative terms ``c / (beta + s)^2``; unlike
+    ``|r|^2 - ...`` none cancels, and the slope is ``-2 sum c / (beta + s)^3``.
     """
-    r = surrogate.rhs(tau)
-    f = surrogate.own_channel
-    f_norm2 = np.sum(np.abs(f) ** 2, axis=-1)
-    along = np.divide(np.einsum("...ki,...ki->...k", np.conj(f), r), f_norm2,
-                      out=np.zeros(f_norm2.shape, complex), where=f_norm2 > 0)
-    perp2 = np.sum(np.abs(r - along[..., None] * f) ** 2, axis=(-2, -1))
+    across, along, f_norm2 = split_rhs(surrogate, tau)
+    perp2 = np.sum(np.abs(across) ** 2, axis=(-2, -1))
     par2 = np.abs(along) ** 2 * f_norm2
     shift = surrogate.quad_weight * f_norm2
 
@@ -242,11 +235,10 @@ def solve_precoders(surrogate, owner, tau, budgets, start_multipliers=None):
     the budget, else the search evaluates it at 0 (see
     :func:`_newton_search`).  Precoders are solved at the result only, in
     one :func:`solve_precoder` call with each user's BS multiplier.  If a
-    BS's measured power (summed as in :meth:`~bdris.rates.Iterate.bs_power`)
-    rounds above its budget, its search goes on from there on measured
-    powers with the closed-form slope, so the result is always feasible.  A
-    multiplier that would pass ``MAX_MULTIPLIER`` raises
-    :class:`NumericalFailureError`.
+    BS's measured power (:func:`~bdris.rates.bs_power`) rounds above its
+    budget, its search goes on from there on measured powers with the
+    closed-form slope, so the result is always feasible.  A multiplier that
+    would pass ``MAX_MULTIPLIER`` raises :class:`NumericalFailureError`.
     """
     budgets = np.asarray(budgets, dtype=float)
     if not np.all(budgets > 0):  # a NaN budget fails too
@@ -260,9 +252,7 @@ def solve_precoders(surrogate, owner, tau, budgets, start_multipliers=None):
 
     def solve(lam):
         ws = solve_precoder(surrogate, tau, lam[owner])
-        power = np.bincount(owner, weights=np.sum(np.abs(ws) ** 2, axis=(1, 2)),
-                            minlength=len(budgets))
-        return ws, power
+        return ws, bs_power(ws, owner, len(budgets))
 
     lam, steps = _newton_search(curve, budgets, lam)
     ws, power = solve(lam)

@@ -7,12 +7,12 @@ over subcarriers, where MUI collects the receiver noise plus the power of
 every other stream at that user.
 
 :func:`snapshot` evaluates what one Jacobi sweep reads for all surfaces at
-once, the reflection profiles and their capacitance slopes included;
-:func:`surface_gradients` reads both surface gradients of every BS, the
-capacitance and the switch-selection gradient, off one victim-combined
-channel per BS.  The one thing a snapshot carries over from an earlier one
-is the routed surface-to-user channels, ``conj(g)[..., perm]``: they depend on
-the switch permutations alone, which rarely change between Jacobi sweeps, so
+once, the reflection profiles and their capacitance slopes included.  Every
+block's gradient is read off :func:`weighted_amplitudes`: both surface
+gradients (:func:`surface_gradients`) and the precoder pricing.  The one
+thing a snapshot carries over from an earlier one is the routed
+surface-to-user channels, ``conj(g)[..., perm]``: they depend on the switch
+permutations alone, which rarely change between Jacobi sweeps, so
 :func:`snapshot` reuses the routing of a ``previous`` snapshot whose
 permutations equal the iterate's and rebuilds it otherwise.
 """
@@ -53,14 +53,9 @@ class Iterate:
         return Iterate(self.precoders.copy(), self.capacitances.copy(),
                        self.selections.copy())
 
-    def bs_power(self, bs_of_user):
-        """Transmit power spent by each BS, shape (Q,)."""
-        per_user = np.sum(np.abs(self.precoders) ** 2, axis=(1, 2))
-        return np.bincount(bs_of_user, weights=per_user, minlength=len(self.capacitances))
-
     def validate(self, channels, power_budgets):
         """Raise if any constraint (power, box, permutation) is violated."""
-        power = self.bs_power(channels.bs_of_user)
+        power = bs_power(self.precoders, channels.bs_of_user, channels.num_bs)
         budgets = np.broadcast_to(np.asarray(power_budgets, float), power.shape)
         if not np.all(power <= budgets + POWER_SLACK):
             raise ValueError("per-BS transmit power exceeds the budget")
@@ -71,6 +66,12 @@ class Iterate:
         if (not np.issubdtype(s.dtype, np.integer) or s.shape != self.capacitances.shape
                 or np.any(np.sort(s, axis=1) != np.arange(s.shape[1]))):
             raise ValueError("selections must be (Q, M) integer permutations")
+
+
+def bs_power(precoders, bs_of_user, num_bs):
+    """Transmit power of each BS, (Q,): the one sum every budget test reads."""
+    per_user = np.sum(np.abs(precoders) ** 2, axis=(1, 2))
+    return np.bincount(bs_of_user, weights=per_user, minlength=num_bs)
 
 
 @dataclass
@@ -144,18 +145,30 @@ def snapshot(iterate, channels, noise_power, ris_enabled=True, previous=None):
     return RateSnapshot(rows, amp, own, mui, snr, rates, phi, slope, routed, selections)
 
 
+def weighted_amplitudes(channels, snap, cell=1.0, pricing=1.0):
+    """Amplitudes weighted by their share of the rate-sum derivative, (U, U, K).
+
+    Entry ``[t, v, k]`` is ``c a``: a is t's stream's amplitude at victim v
+    and c weighs ``Re(conj(a) da)`` in the rate sum's derivative (times K),
+    ``d = (2 / ln 2) / ((1 + snr) mui)`` of v for its own stream and
+    ``-snr d`` for another, times ``cell`` in t's cell and ``pricing`` outside.
+    """
+    bs = channels.bs_of_user
+    users = np.arange(len(bs))
+    d = (2.0 / LN2) / ((1.0 + snap.snr) * snap.mui)
+    weights = np.where(bs[:, None] == bs, cell, pricing)[..., None] * (-snap.snr * d)
+    weights[users, users] = cell * d
+    return weights * snap.amplitudes
+
+
 def surface_gradients(iterate, channels, snap, cell=1.0, pricing=1.0, selection=True):
     """Capacitance and real switch-selection gradients of every surface.
 
     Returns ``grad_c`` (Q, M) and ``grad_s`` (Q, M, M), or None for
     ``grad_s`` when ``selection`` is false.  Both are read off one
-    victim-combined channel per BS,
-    ``y[t, k] = sum_v c[t, v, k] conj(a[t, v, k]) conj(g_{q(t), v}[k])``
-    for each of its own users t, where a is the amplitude of t's stream at
-    victim v and c weighs ``Re(conj(a) da)`` in the derivative of the rate
-    sum (times K): ``d = (2 / ln 2) / ((1 + snr) mui)`` of the victim for its
-    own stream and ``-snr d`` for an interfering one, scaled by ``cell`` on
-    victims in t's own cell and by ``pricing`` on all others.  With the beams
+    victim-combined channel per BS, ``y[t, k] = sum_v conj(ca[t, v, k]
+    g_{q(t), v}[k])`` for each own user t, ``ca`` being the
+    :func:`weighted_amplitudes` at ``cell`` and ``pricing``.  With the beams
     ``b[t, k] = H_q[k] w_t[k]``,
     ``grad_c[q, m] = sum_k Re(slope[q, k, m] sum_t y[t, k, perm_q[m]] b[t, k, m])``
     and ``grad_s[q, i, j] = Re sum_{t, k} y[t, k, i] phi_q[k, j] b[t, k, j]``,
@@ -163,19 +176,14 @@ def surface_gradients(iterate, channels, snap, cell=1.0, pricing=1.0, selection=
     imaginary parts.  Scaling both weights by a complex s scales y by
     conj(s), so weights times 1j give the imaginary part of the complex sums.
     """
-    bs = channels.bs_of_user
-    users = np.arange(len(bs))
-    d = (2.0 / LN2) / ((1.0 + snap.snr) * snap.mui)
-    weights = np.where(bs[:, None] == bs, cell, pricing)[..., None] * (-snap.snr * d)
-    weights[users, users] = cell * d
     # conj(y) = (weights a) @ g: (T, K, 1, U) @ (K, U, M) per BS
-    conj_combined = (weights * snap.amplitudes).transpose(0, 2, 1)[:, :, None]
+    conj_y = weighted_amplitudes(channels, snap, cell, pricing).swapaxes(1, 2)[:, :, None]
     q_n, m_n = iterate.capacitances.shape
     per_bs = np.empty(snap.slope.shape, complex)
     grad_s = np.empty((q_n, m_n, m_n)) if selection else None
     for q, (g, h) in enumerate(zip(channels.ris_ue, channels.bs_ris)):
         own = channels.users_of_bs(q)
-        y = np.conjugate(conj_combined[own] @ g.swapaxes(0, 1))[:, :, 0]
+        y = np.conjugate(conj_y[own] @ g.swapaxes(0, 1))[:, :, 0]
         beams = (h @ iterate.precoders[own, ..., None])[..., 0]  # (K, M, N) @ (T, K, N, 1)
         per_bs[q] = np.sum(np.take(y, iterate.selections[q], axis=-1) * beams, axis=0)
         if selection:

@@ -24,6 +24,10 @@ DEFAULT_RIS_XY = ((-2.5, 8.5), (62.5, 8.5), (-2.5, 111.5), (62.5, 111.5))
 DEFAULT_POWER_DBM = (10.0, 15.0, 20.0, 25.0, 30.0, 35.0)
 
 
+_AT_LEAST = {"num_bs": 1, "num_antennas": 1, "num_elements": 1, "users_per_bs": 1,
+             "num_subcarriers": 1, "num_taps": 1, "trials": 1, "seed": 0}
+
+
 def dbm_to_watt(p_dbm):
     return 10.0 ** ((np.asarray(p_dbm, dtype=float) - 30.0) / 10.0)
 
@@ -33,9 +37,10 @@ class ScenarioConfig:
     """Complete description of one simulated deployment.
 
     Construction raises :class:`ConfigError`, naming the INI key, for a value
-    no run could use: a non-finite number, a repeated variant or power, a
-    BS without users, surface positions that are not one x, y pair per BS,
-    or a grid or tap count channel generation would reject.
+    no run could use: a non-finite number, a non-integer count, an empty or
+    repeated list of variants or powers, a BS without users, surface
+    positions that are not one x, y pair per BS (the defaults place four), or
+    a grid or tap count channel generation would reject.
     """
 
     num_bs: int = 4
@@ -71,26 +76,24 @@ class ScenarioConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if isinstance(self.users_per_bs, int):
+        for section, key, name, parse in _INI_KEYS:  # nested configs check their own
+            if parse in (int, _counts) and "." not in name:
+                least, counts = _AT_LEAST[name], np.ravel(getattr(self, name)).tolist()
+                if not all(isinstance(n, int) and n >= least for n in counts):
+                    raise ConfigError(f"{section}.{key} must hold integers >= {least}")
+        if np.ndim(self.users_per_bs) == 0:
             self.users_per_bs = (self.users_per_bs,) * self.num_bs
         self.users_per_bs = tuple(int(l) for l in self.users_per_bs)
         if len(self.users_per_bs) != self.num_bs:
             raise ConfigError("network.L_q must list one entry per BS")
-        if any(l < 1 for l in self.users_per_bs):
-            raise ConfigError("network.L_q must list >= 1 users for each BS")
-        if self.trials < 1:
-            raise ConfigError("simulation.trials must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("simulation.seed must be >= 0")
-        if self.num_bs < 1 or self.num_antennas < 1 or self.num_elements < 1:
-            raise ConfigError("network sizes must be >= 1")
-        if self.ris_xy is not None:
-            try:
-                ris_shape = np.asarray(self.ris_xy, dtype=float).shape
-            except (TypeError, ValueError):  # ragged, or not numbers
-                ris_shape = None
-            if ris_shape != (self.num_bs, 2):
-                raise ConfigError("geometry.ris_positions must list one x,y pair per BS")
+        try:
+            ris_shape = np.asarray(DEFAULT_RIS_XY[:self.num_bs] if self.ris_xy is None
+                                   else self.ris_xy, dtype=float).shape
+        except (TypeError, ValueError):  # ragged, or not numbers
+            ris_shape = None
+        if ris_shape != (self.num_bs, 2):
+            raise ConfigError("geometry.ris_positions must list one x,y pair per BS "
+                              f"(the defaults place {len(DEFAULT_RIS_XY)})")
         for section, key, name, parse in _INI_KEYS:  # nested configs check their own
             if parse in (finite_float, parse_floats, _pairs) and "." not in name:
                 value = getattr(self, name)
@@ -104,6 +107,8 @@ class ScenarioConfig:
             raise ConfigError("ofdm.delay_taps must lie between 1 and ofdm.K")
         for key, names in (("power.power_dbm", self.power_dbm),
                            ("simulation.variants", self.variants)):
+            if not names:
+                raise ConfigError(f"{key} must list at least one entry")
             if len(set(names)) != len(names):
                 raise ConfigError(f"{key} lists an entry twice: {names}")
         origin = np.atleast_1d(np.asarray(self.ue_square_origin, dtype=float))
@@ -139,13 +144,7 @@ def build_scenario(config):
     bs_xy = _corner_grid(q_n, config.bs_square_width)
     ue_xy = _corner_grid(config.num_users, config.ue_square_width,
                          config.ue_square_origin)
-    if config.ris_xy is not None:
-        ris_xy = np.asarray(config.ris_xy, dtype=float)
-    elif q_n <= len(DEFAULT_RIS_XY):
-        ris_xy = np.asarray(DEFAULT_RIS_XY[:q_n], dtype=float)
-    else:
-        raise ConfigError("geometry.ris_positions is required for more than "
-                          f"{len(DEFAULT_RIS_XY)} base stations")
+    ris_xy = DEFAULT_RIS_XY[:q_n] if config.ris_xy is None else config.ris_xy
     stack = lambda xy, z: np.column_stack([xy, np.full(len(xy), z)])
     return NetworkTopology(stack(bs_xy, config.bs_height),
                            stack(ue_xy, config.ue_height),

@@ -86,10 +86,10 @@ def fd_selection_gradient(fun, channels, perm, q, step=1e-6):
                                for j in range(m_n)]) for i in range(m_n)])
 
 
-def fd_precoder_gradient(fun, iterate, user, step=1e-7):
+def fd_precoder_gradient(fun, iterate, user, step=1e-7, subcarriers=None):
     """Conjugate-coordinate gradient d fun / d w* of one user's precoder, (K, N, ...).
 
-    Built from central differences along the real and the imaginary part.
+    Central differences along the real and imaginary parts, at ``subcarriers`` (default all).
     """
     def partial(k, n, part):
         up, down = iterate.copy(), iterate.copy()
@@ -97,8 +97,9 @@ def fd_precoder_gradient(fun, iterate, user, step=1e-7):
         down.precoders[user, k, n] -= step * part
         return 0.5 * part * (np.asarray(fun(up)) - np.asarray(fun(down))) / (2 * step)
     k_n, n_n = iterate.precoders.shape[1:]
+    ks = range(k_n) if subcarriers is None else subcarriers
     return np.stack([np.stack([partial(k, n, 1.0) + partial(k, n, 1j)
-                               for n in range(n_n)]) for k in range(k_n)])
+                               for n in range(n_n)]) for k in ks])
 
 
 def dense_precoder(surrogate, tau, lam):
@@ -195,13 +196,13 @@ def check_selection_gradients(seed=4):
 
 def check_precoder_pricing(seed=5):
     channels, iterate, noise = random_network(np.random.default_rng(seed))
-    pricing = precoding.pricing_vectors(channels, snapshot(iterate, channels, noise))
     worst = 0.0
     for user in range(channels.num_users):
         q = channels.bs_of_user[user]
         fd = fd_precoder_gradient(
             lambda it: _own_and_other_rate(it, channels, noise, q)[1], iterate, user)
-        worst = max(worst, np.linalg.norm(pricing[user] - fd) / max(np.linalg.norm(fd), 1e-30))
+        got = precoding.pricing_vector(user, iterate, channels, noise)
+        worst = max(worst, np.linalg.norm(got - fd) / max(np.linalg.norm(fd), 1e-30))
     return "precoder pricing vs finite differences", worst <= 1e-4, f"max rel err {worst:.2e}"
 
 
@@ -217,7 +218,7 @@ def check_surrogate_bound(seed=6, draws=100):
         w = (rng.standard_normal(s.anchor.shape)
              + 1j * rng.standard_normal(s.anchor.shape)) * 0.5
         sig = np.abs(np.einsum("uki,uki->uk", np.conj(s.own_channel), w)) ** 2
-        exact = np.log1p(sig / s.mui_anchor) / np.log(2.0)
+        exact = np.log1p(sig / snap.mui) / np.log(2.0)
         violations += int(np.sum(np.any(s.log_term_value(w) > exact + 1e-9, axis=-1)))
     ok = worst_gap <= 1e-9 and violations == 0
     return "precoder surrogate lower bound", ok, \
@@ -253,12 +254,13 @@ def check_power_multiplier(seed=10):
     stacked = precoding.stacked_surrogates(iterate, channels, snapshot(iterate, channels, noise))
     owner = channels.bs_of_user
     users = [stacked.select(u) for u in range(channels.num_users)]
-    free = np.bincount(owner, [np.sum(np.abs(dense_precoder(s, tau, 0.0)) ** 2) for s in users])
+    free = rates.bs_power(np.stack([dense_precoder(s, tau, 0.0) for s in users]), owner,
+                          channels.num_bs)
 
     def kkt(budgets, start=None):
         """(multipliers, KKT violations, worst relative error vs dense solve)."""
         lams, ws, _ = precoding.solve_precoders(stacked, owner, tau, budgets, start)
-        power = np.bincount(owner, np.sum(np.abs(ws) ** 2, axis=(1, 2)))
+        power = rates.bs_power(ws, owner, channels.num_bs)
         floor = budgets * (1.0 - precoding.POWER_REL_TOL)
         violations = (np.sum((lams == 0.0) != (free <= budgets))
                       + np.sum((lams > 0.0) & ~((floor <= power) & (power <= budgets))))

@@ -70,8 +70,8 @@ class SolverConfig:
             raise ValueError("epsilon must be in [0, 1)")
         if self.ris_mode not in RIS_MODES:
             raise ValueError(f"ris_mode must be one of {RIS_MODES}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
+            raise ValueError("max_iters must be an integer >= 1")
 
     @property
     def ris_enabled(self):
@@ -310,7 +310,8 @@ def run(channels, power_budgets, noise_power, config):
     iterate = initial_iterate(channels, budgets)
     snap = snapshot(iterate, channels, noise_power, config.ris_enabled)
     bs = channels.bs_of_user
-    rows = [(snap.sum_rate, 0.0, np.zeros(q_n), budgets - iterate.bs_power(bs),
+    rows = [(snap.sum_rate, 0.0, np.zeros(q_n),
+             budgets - rates.bs_power(iterate.precoders, bs, q_n),
              np.zeros(q_n), np.zeros(q_n, int), 0.0, np.zeros(q_n, int))]
 
     alpha, lams = config.alpha0, None
@@ -326,8 +327,8 @@ def run(channels, power_budgets, noise_power, config):
         if step > 0.0:
             alpha = step
         rows.append((snap.sum_rate, step, candidate.surrogate_values,
-                     budgets - iterate.bs_power(bs), candidate.power_multipliers,
-                     candidate.power_steps,
+                     budgets - rates.bs_power(iterate.precoders, bs, q_n),
+                     candidate.power_multipliers, candidate.power_steps,
                      time.perf_counter() - start,
                      np.count_nonzero(iterate.selections != prev_sel, axis=1)))
         if abs(snap.sum_rate - prev_rate) <= config.tol:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from bdris.rates import Iterate, snapshot, sum_rate, surface_gradients
+from bdris.rates import Iterate, bs_power, snapshot, sum_rate, surface_gradients
 from bdris.scenario import ScenarioConfig, channels_for_trial
 
 from conftest import assert_same_snapshot, make_network
@@ -11,12 +11,12 @@ from conftest import assert_same_snapshot, make_network
 class TestIterate:
     def test_validate_accepts_feasible_point(self, small_network):
         channels, iterate, _ = small_network
-        budgets = 2.0 * iterate.bs_power(channels.bs_of_user)
+        budgets = 2.0 * bs_power(iterate.precoders, channels.bs_of_user, channels.num_bs)
         iterate.validate(channels, budgets)
 
     def test_validate_rejects_power_violation(self, small_network):
         channels, iterate, _ = small_network
-        power = iterate.bs_power(channels.bs_of_user)
+        power = bs_power(iterate.precoders, channels.bs_of_user, channels.num_bs)
         with pytest.raises(ValueError):
             iterate.validate(channels, 0.5 * power)
 

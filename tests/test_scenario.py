@@ -150,6 +150,11 @@ def test_ue_square_origin_must_be_two_finite_numbers(tmp_path, origin):
     ({"seed": -1}, "seed"),
     ({"variants": ("bd", "none", "bd")}, "variants"),
     ({"power_dbm": (20.0, 30.0, 20.0)}, "power_dbm"),
+    ({"num_elements": 3.5}, "network.M"),
+    ({"trials": 2.5}, "simulation.trials"),
+    ({"users_per_bs": (1.7, 1, 1, 1)}, "network.L_q"),
+    ({"power_dbm": ()}, "power.power_dbm"),
+    ({"variants": ()}, "simulation.variants"),
 ])
 def test_python_built_config_rejects_unusable_values(kwargs, named):
     with pytest.raises(ConfigError, match=named):
@@ -162,10 +167,12 @@ def test_python_built_config_rejects_unusable_values(kwargs, named):
     ((0.0, 0.0, 0.0),) * 4,                              # x, y, z triples
     ((0.0, 0.0), (1.0, 1.0), (2.0, (2.0,)), (3.0, 3.0)),  # ragged inside a pair
     (1.0, 2.0, 3.0, 4.0),                                # numbers, not pairs
+    pytest.param(None, id="none-for-five-bs"),           # the defaults place four
 ])
 def test_ris_positions_need_one_pair_per_bs_at_construction(ris_xy):
+    num_bs = 4 if ris_xy is not None else 5
     with pytest.raises(ConfigError, match="ris_positions"):
-        ScenarioConfig(ris_xy=ris_xy)
+        ScenarioConfig(num_bs=num_bs, users_per_bs=1, ris_xy=ris_xy)
 
 
 @pytest.mark.parametrize("text, entry", [

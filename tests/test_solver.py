@@ -11,7 +11,7 @@ from bdris import capacitance, precoding, switches
 from bdris import channels as channels_mod, circuit as circuit_mod, rates as rates_mod
 from bdris import solver as solver_mod
 from bdris.errors import NumericalFailureError
-from bdris.rates import Iterate, snapshot, sum_rate
+from bdris.rates import Iterate, bs_power, snapshot, sum_rate
 from bdris.solver import (MAX_HALVINGS, Candidate, SolverConfig, blend_step,
                           capacitance_tau, initial_iterate, local_subproblem,
                           local_subproblems, run, solver_config_for,
@@ -40,6 +40,7 @@ class TestConfig:
         {"tau": 0.0}, {"alpha0": 0.0}, {"alpha0": 1.5}, {"epsilon": 1.0},
         {"ris_mode": "both"}, {"max_iters": 0},
         {"tau": np.nan}, {"tau": np.inf}, {"tol": -1e-9}, {"tol": np.nan},
+        {"max_iters": 2.5},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -73,8 +74,8 @@ class TestInitialIterate:
         budgets = np.array([2.0, 3.0])
         it0 = initial_iterate(channels, budgets)
         it0.validate(channels, budgets)
-        np.testing.assert_allclose(it0.bs_power(channels.bs_of_user), budgets,
-                                   rtol=1e-12)
+        np.testing.assert_allclose(
+            bs_power(it0.precoders, channels.bs_of_user, channels.num_bs), budgets, rtol=1e-12)
 
     def test_matched_to_direct_channel(self, small_network):
         channels, _, _ = small_network
@@ -227,7 +228,7 @@ class TestBlendStep:
 
     def test_blend_stays_feasible_for_any_step(self, rng):
         channels, iterate, noise = make_network(rng)
-        budgets = iterate.bs_power(channels.bs_of_user)
+        budgets = bs_power(iterate.precoders, channels.bs_of_user, channels.num_bs)
         # a different feasible candidate: each BS's precoders rescaled and
         # reversed over its users, corner caps
         w = iterate.precoders.copy()
