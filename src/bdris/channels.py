@@ -200,7 +200,7 @@ def _link_rng(root_seed, kind, a, b):
     return np.random.default_rng(np.random.SeedSequence(root_seed, spawn_key=(kind, a, b)))
 
 
-def generate_channels(topology, grid, exponents, root_seed, num_taps=16, circuit=None):
+def generate_channels(topology, grid, exponents, root_seed, num_taps, circuit):
     """Draw one network realization.
 
     Parameters
@@ -213,9 +213,8 @@ def generate_channels(topology, grid, exponents, root_seed, num_taps=16, circuit
         Root of the per-link substream tree; fully determines the output.
     num_taps : int
         Delay taps per link.
-    circuit : ElementCircuit, optional
+    circuit : ElementCircuit
     """
-    circuit = circuit or ElementCircuit()
     wavelength = SPEED_OF_LIGHT / grid.carrier_frequency
     a_bu, a_br, a_ru = exponents
     q_n, u_n = topology.num_bs, topology.num_users

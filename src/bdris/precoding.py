@@ -5,9 +5,9 @@ maximizing a concave surrogate of the network objective: the own-cell log
 terms are lower-bounded by a tight quadratic (:class:`PrecoderSurrogate`),
 other cells' rates enter through a linear pricing term, half of the
 :func:`bdris.rates.weighted_amplitudes` the surface gradients read, and a
-proximal penalty keeps the update near the current point.  For a fixed
-power multiplier, the precoder solve and the power curve read one split of
-each right-hand side along the own channel (:func:`split_rhs`).  The power
+proximal penalty keeps the update near the current point.  A power search
+splits each right-hand side along the own channel once (:func:`split_rhs`,
+the only place ``tau`` enters), and every solve reads that split.  The power
 budget ``||w(lam)||^2 = P`` is the secular equation of a trust-region step;
 the multiplier solves it by Newton's method on ``||w(lam)||^(-1)`` with the
 closed-form power and slope of :func:`power_curves` (Moré & Sorensen,
@@ -29,6 +29,7 @@ step, every user's precoder in one broadcast solve (:func:`solve_precoders`);
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,53 +127,59 @@ def build_surrogates(q, iterate, channels, noise_power, snap=None,
     return [stacked.select(u) for u in channels.users_of_bs(q)]
 
 
-def split_rhs(surrogate, tau):
-    """``(across, along, |f|^2)`` with ``rhs = across + along f`` and ``f^H across = 0``.
+class RhsSplit(NamedTuple):
+    """One surrogate's closed form at one ``tau``, from :func:`split_rhs`."""
 
-    Shapes (..., K, N), (..., K), (..., K); ``along`` is 0 where f is.
-    """
+    across: np.ndarray   # (..., K, N) part of rhs with f^H across = 0
+    along: np.ndarray    # (..., K) rhs = across + along f; 0 where f is
+    channel: np.ndarray  # (..., K, N) own channel f
+    f_norm2: np.ndarray  # (..., K) |f|^2
+    shift: np.ndarray    # (..., K) a |f|^2
+    half_tau: float
+
+
+def split_rhs(surrogate, tau):
+    """The :class:`RhsSplit` of ``rhs(tau)``, the only place ``tau`` enters the solve."""
     r = surrogate.rhs(tau)
     f = surrogate.own_channel
     f_norm2 = np.sum(np.abs(f) ** 2, axis=-1)
     along = np.divide(np.einsum("...ki,...ki->...k", np.conj(f), r), f_norm2,
                       out=np.zeros(f_norm2.shape, complex), where=f_norm2 > 0)
-    return r - along[..., None] * f, along, f_norm2
+    return RhsSplit(r - along[..., None] * f, along, f, f_norm2,
+                    surrogate.quad_weight * f_norm2, tau / 2.0)
 
 
-def solve_precoder(surrogate, tau, lam):
+def solve_precoder(split, lam):
     """Closed-form maximizer for fixed power multipliers, shape (..., K, N).
 
-    ``surrogate`` is one user's or a stack of users'; ``lam`` is a scalar or
-    one multiplier per stacked user.  Each subcarrier block
-    (a f f^H + beta I) w = rhs, ``beta = tau/2 + lam``, solves part by part on
-    the :func:`split_rhs`: ``w = across / beta + along f / (beta + a |f|^2)``.
+    ``split`` is one user's or a stack of users' :func:`split_rhs`; ``lam``
+    is a scalar or one multiplier per stacked user.  Each subcarrier block
+    (a f f^H + beta I) w = rhs, ``beta = tau/2 + lam``, solves part by part:
+    ``w = across / beta + along f / (beta + a |f|^2)``.
     """
-    across, along, f_norm2 = split_rhs(surrogate, tau)
-    beta = (tau / 2.0 + np.asarray(lam))[..., None]
-    along = along / (beta + surrogate.quad_weight * f_norm2)
-    return across / beta[..., None] + along[..., None] * surrogate.own_channel
+    beta = (split.half_tau + np.asarray(lam))[..., None]
+    along = split.along / (beta + split.shift)
+    return split.across / beta[..., None] + along[..., None] * split.channel
 
 
-def power_curves(surrogate, owner, tau):
+def power_curves(split, owner):
     """Transmit power of every BS's :func:`solve_precoder`, and its slope, in its ``lam``.
 
-    ``surrogate`` stacks users and ``owner[u]`` is the BS of user u; the
+    ``split`` splits a user stack and ``owner[u]`` is the BS of user u; the
     returned function maps one multiplier per BS to ``(power, slope)``, one
-    power and one derivative dP/dlam per BS.  On the :func:`split_rhs`, the
-    power is a sum of nonnegative terms ``c / (beta + s)^2``; unlike
-    ``|r|^2 - ...`` none cancels, and the slope is ``-2 sum c / (beta + s)^3``.
+    power and one derivative dP/dlam per BS.  On the split, the power is a
+    sum of nonnegative terms ``c / (beta + s)^2``; unlike ``|r|^2 - ...``
+    none cancels, and the slope is ``-2 sum c / (beta + s)^3``.
     """
-    across, along, f_norm2 = split_rhs(surrogate, tau)
-    perp2 = np.sum(np.abs(across) ** 2, axis=(-2, -1))
-    par2 = np.abs(along) ** 2 * f_norm2
-    shift = surrogate.quad_weight * f_norm2
+    perp2 = np.sum(np.abs(split.across) ** 2, axis=(-2, -1))
+    par2 = np.abs(split.along) ** 2 * split.f_norm2
 
     def power(lam):
-        beta = tau / 2.0 + lam[owner]
-        par_terms = par2 / (beta[:, None] + shift) ** 2
+        beta = split.half_tau + lam[owner]
+        par_terms = par2 / (beta[:, None] + split.shift) ** 2
         per_user = perp2 / beta**2 + np.sum(par_terms, axis=1)
         slope = -2.0 * (perp2 / beta**3
-                        + np.sum(par_terms / (beta[:, None] + shift), axis=1))
+                        + np.sum(par_terms / (beta[:, None] + split.shift), axis=1))
         return (np.bincount(owner, weights=per_user, minlength=len(lam)),
                 np.bincount(owner, weights=slope, minlength=len(lam)))
     return power
@@ -232,13 +239,14 @@ def solve_precoders(surrogate, owner, tau, budgets, start_multipliers=None):
     ``start_multipliers`` (each in ``[0, MAX_MULTIPLIER]``; 0 if omitted),
     as the solver warm-starts each sweep from the previous one's; a
     positive multiplier is kept only once the power at 0 is known to exceed
-    the budget, else the search evaluates it at 0 (see
-    :func:`_newton_search`).  Precoders are solved at the result only, in
-    one :func:`solve_precoder` call with each user's BS multiplier.  If a
-    BS's measured power (:func:`~bdris.rates.bs_power`) rounds above its
-    budget, its search goes on from there on measured powers with the
-    closed-form slope, so the result is always feasible.  A multiplier that
-    would pass ``MAX_MULTIPLIER`` raises :class:`NumericalFailureError`.
+    the budget, else it restarts at 0 (see :func:`_newton_search`).  All of
+    it reads one :func:`split_rhs` of ``surrogate``: the power curve, the
+    Newton steps and the precoders, solved at the result only in one
+    :func:`solve_precoder` call with each user's BS multiplier.  If a BS's
+    measured power (:func:`~bdris.rates.bs_power`) rounds above its budget,
+    its search goes on from there on measured powers and the split's slope,
+    so the result is always feasible.  A multiplier that would pass
+    ``MAX_MULTIPLIER`` raises :class:`NumericalFailureError`.
     """
     budgets = np.asarray(budgets, dtype=float)
     if not np.all(budgets > 0):  # a NaN budget fails too
@@ -248,10 +256,11 @@ def solve_precoders(surrogate, owner, tau, budgets, start_multipliers=None):
         lam[:] = start_multipliers
         if not np.all((lam >= 0.0) & (lam <= MAX_MULTIPLIER)):
             raise ValueError("start multipliers must lie in [0, MAX_MULTIPLIER]")
-    curve = power_curves(surrogate, owner, tau)
+    split = split_rhs(surrogate, tau)
+    curve = power_curves(split, owner)
 
     def solve(lam):
-        ws = solve_precoder(surrogate, tau, lam[owner])
+        ws = solve_precoder(split, lam[owner])
         return ws, bs_power(ws, owner, len(budgets))
 
     lam, steps = _newton_search(curve, budgets, lam)

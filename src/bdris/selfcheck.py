@@ -232,9 +232,10 @@ def check_precoder_solve(seed=7):
     users = [stacked.select(u) for u in range(channels.num_users)]
     # each user alone at three multipliers, then all users in one call at one each
     lams = np.linspace(0.3, 2.0, len(users))
-    trials = [(precoding.solve_precoder(s, tau, lam), s, lam)
+    trials = [(precoding.solve_precoder(precoding.split_rhs(s, tau), lam), s, lam)
               for s in users for lam in (0.0, 0.3, 2.0)]
-    trials += zip(precoding.solve_precoder(stacked, tau, lams), users, lams)
+    trials += zip(precoding.solve_precoder(precoding.split_rhs(stacked, tau), lams),
+                  users, lams)
     for w, s, lam in trials:
         dense = dense_precoder(s, tau, lam)
         err = np.linalg.norm(w - dense, axis=1) / np.maximum(np.linalg.norm(dense, axis=1), 1e-30)

@@ -141,20 +141,23 @@ class Trace:
         return len(self.sum_rates) - 1
 
     def to_csv(self, path):
-        """Write (iteration, sum_rate, alpha, per-BS power slack, multiplier,
-        power steps and switch moves) rows."""
+        """Write (iteration, sum_rate, alpha, wall time, per-BS surrogate
+        value, power slack, multiplier, power steps and switch moves) rows."""
         q_n = self.power_slacks.shape[1]
-        floats = np.hstack([self.power_slacks, self.power_multipliers]).tolist()
+        floats = np.hstack([self.surrogate_values, self.power_slacks,
+                            self.power_multipliers]).tolist()
         ints = np.hstack([self.power_steps, self.switch_moves]).tolist()
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
-            wr.writerow(["iteration", "sum_rate", "alpha"]
-                        + [f"{name}_bs{q}" for name in ("power_slack", "power_multiplier",
-                                                        "power_steps", "switch_moves")
+            wr.writerow(["iteration", "sum_rate", "alpha", "wall_time_s"]
+                        + [f"{name}_bs{q}" for name in ("surrogate_value", "power_slack",
+                                                        "power_multiplier", "power_steps",
+                                                        "switch_moves")
                            for q in range(q_n)])
-            for t, (sr, al, row_floats, row_ints) in enumerate(zip(
-                    self.sum_rates, self.alphas, floats, ints)):
-                wr.writerow([t, repr(sr), repr(al), *map(repr, row_floats), *row_ints])
+            for t, (sr, al, wt, row_floats, row_ints) in enumerate(zip(
+                    self.sum_rates, self.alphas, self.wall_times, floats, ints)):
+                wr.writerow([t, repr(sr), repr(al), repr(wt), *map(repr, row_floats),
+                             *row_ints])
 
 
 @dataclass
@@ -274,11 +277,16 @@ def blend_step(iterate, candidate, alpha):
 
     Precoders and capacitances move a fraction ``alpha`` toward the
     candidate; a BS's proposed permutation replaces its current one only
-    where its switch gain is strictly positive.  Whether the merged point is
-    kept at all is decided by ``run`` on the true sum rate.
+    where its switch gain is strictly positive.  Each capacitance is kept
+    between its current and candidate values, which ``c + 1.0 (c_hat - c)``
+    can round past, so a full step stays in the tunable range.  Whether the
+    merged point is kept at all is decided by ``run`` on the true sum rate.
     """
     t, w, caps = candidate.target, iterate.precoders, iterate.capacitances
-    return Iterate(w + alpha * (t.precoders - w), caps + alpha * (t.capacitances - caps),
+    c_hat = t.capacitances
+    return Iterate(w + alpha * (t.precoders - w),
+                   np.clip(caps + alpha * (c_hat - caps), np.minimum(caps, c_hat),
+                           np.maximum(caps, c_hat)),
                    np.where((candidate.switch_gains > 0.0)[:, None], t.selections,
                             iterate.selections))
 

@@ -15,7 +15,7 @@ import numpy as np
 from bdris.circuit import rational_coefficients, reflection
 from bdris.errors import NumericalFailureError
 from bdris.precoding import (MAX_MULTIPLIER, POWER_REL_TOL, _stack, power_curves,
-                             solve_precoder)
+                             solve_precoder, split_rhs)
 from bdris.selfcheck import (best_assignment, dense_precoder,  # noqa: F401
                              fd_capacitance_gradient, fd_precoder_gradient,
                              fd_reflection_derivative, fd_selection_gradient)
@@ -196,7 +196,7 @@ def power_curve(surrogates, tau):
 
     The one-BS, scalar view of ``precoding.power_curves`` (its power only).
     """
-    power = power_curves(_stack(surrogates), np.zeros(len(surrogates), int), tau)
+    power = power_curves(split_rhs(_stack(surrogates), tau), np.zeros(len(surrogates), int))
     return lambda lam: float(power(np.array([lam]))[0][0])
 
 
@@ -210,8 +210,10 @@ def bisect_measured_power(surrogates, tau, power_budget):
     Bracketing doubles the multiplier from 1 and fails past
     ``MAX_MULTIPLIER``, as the Newton search does.  Returns (lam, precoders).
     """
+    splits = [split_rhs(s, tau) for s in surrogates]
+
     def solve_all(lam):
-        return np.stack([solve_precoder(s, tau, lam) for s in surrogates])
+        return np.stack([solve_precoder(s, lam) for s in splits])
 
     def power_of(ws):
         return float(np.sum(np.abs(ws) ** 2))

@@ -9,7 +9,7 @@ from bdris import channels as channels_mod
 from bdris.channels import (NetworkTopology, generate_channels,
                             generate_link_taps, load_channels, pathloss,
                             save_channels, taps_to_frequency)
-from bdris.circuit import SubcarrierGrid
+from bdris.circuit import ElementCircuit, SubcarrierGrid
 from bdris.rates import snapshot
 
 from conftest import complex_normal, make_network
@@ -177,8 +177,10 @@ class TestGenerateChannels:
     def test_shapes_and_determinism(self):
         topo = small_topology()
         grid = SubcarrierGrid(3.5e9, 0.1e9, 16)
-        a = generate_channels(topo, grid, (3.7, 2.2, 2.6), root_seed=11)
-        b = generate_channels(topo, grid, (3.7, 2.2, 2.6), root_seed=11)
+        a = generate_channels(topo, grid, (3.7, 2.2, 2.6), root_seed=11, num_taps=16,
+                              circuit=ElementCircuit())
+        b = generate_channels(topo, grid, (3.7, 2.2, 2.6), root_seed=11, num_taps=16,
+                              circuit=ElementCircuit())
         assert a.direct.shape == (2, 2, 16, 2)
         assert a.bs_ris.shape == (2, 16, 3, 2)
         assert a.ris_ue.shape == (2, 2, 16, 3)
@@ -192,8 +194,10 @@ class TestGenerateChannels:
         topo3 = NetworkTopology(
             topo2.bs_positions, np.vstack([topo2.ue_positions, [[31, 61, 1.5]]]),
             topo2.ris_positions, 2, 3, (1, 2))
-        a = generate_channels(topo2, grid, (3.7, 2.2, 2.6), root_seed=5)
-        b = generate_channels(topo3, grid, (3.7, 2.2, 2.6), root_seed=5)
+        a = generate_channels(topo2, grid, (3.7, 2.2, 2.6), root_seed=5, num_taps=16,
+                              circuit=ElementCircuit())
+        b = generate_channels(topo3, grid, (3.7, 2.2, 2.6), root_seed=5, num_taps=16,
+                              circuit=ElementCircuit())
         np.testing.assert_array_equal(a.direct, b.direct[:, :2])
         np.testing.assert_array_equal(a.ris_ue, b.ris_ue[:, :2])
         np.testing.assert_array_equal(a.bs_ris, b.bs_ris)
@@ -201,7 +205,8 @@ class TestGenerateChannels:
     def test_mean_power_tracks_pathloss(self):
         topo = small_topology()
         grid = SubcarrierGrid(3.5e9, 0.1e9, 64)
-        ch = generate_channels(topo, grid, (3.7, 2.2, 2.6), root_seed=2)
+        ch = generate_channels(topo, grid, (3.7, 2.2, 2.6), root_seed=2, num_taps=16,
+                               circuit=ElementCircuit())
         lam = speed_of_light / 3.5e9
         d = np.linalg.norm(topo.bs_positions[0] - topo.ue_positions[0])
         expected = pathloss(d, 3.7, lam)

@@ -5,7 +5,8 @@ import oracles
 from bdris import precoding
 from bdris.errors import NumericalFailureError
 from bdris.precoding import (bisect_power_multiplier, build_surrogates,
-                             objective_values, pricing_vector, solve_precoder)
+                             objective_values, pricing_vector, solve_precoder,
+                             split_rhs)
 from bdris.rates import LN2, snapshot
 
 from conftest import complex_normal, make_network
@@ -15,8 +16,21 @@ MULTIPLIERS = (0.0, 1e-6, 1e-3, 1.0, 1e3, 1e6)
 
 
 def measured_power(surrogates, lam):
-    ws = np.stack([solve_precoder(s, TAU, lam) for s in surrogates])
+    ws = np.stack([solve_precoder(split_rhs(s, TAU), lam) for s in surrogates])
     return float(np.sum(np.abs(ws) ** 2))
+
+
+def rounding_draw():
+    """A synthetic network whose BS 0's measured power at ``lam = 0`` rounds
+    above its closed-form power, that power the budget; with BS 0's surrogates."""
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        channels, iterate, noise = make_network(rng)
+        surr = build_surrogates(0, iterate, channels, noise)
+        budget = oracles.power_curve(surr, TAU)(0.0)
+        if measured_power(surr, 0.0) > budget:
+            return channels, iterate, noise, surr, budget
+    pytest.fail("no draw rounds above its closed-form power")
 
 
 def default_scale_surrogates(network, case):
@@ -138,7 +152,7 @@ class TestSolvePrecoder:
         s = build_surrogates(0, iterate, channels, noise)[0]
         s.quad_weight[:] = 0
         lam = 0.7
-        got = solve_precoder(s, TAU, lam)
+        got = solve_precoder(split_rhs(s, TAU), lam)
         np.testing.assert_allclose(got, s.rhs(TAU) / (TAU / 2 + lam), rtol=1e-12)
 
     @pytest.mark.parametrize("network", ["multiuser_network", "default_scale_network"])
@@ -148,7 +162,7 @@ class TestSolvePrecoder:
         for q in range(channels.num_bs):
             for s in build_surrogates(q, iterate, channels, noise):
                 for lam in (0.0, 0.5, 3.0):
-                    fast = solve_precoder(s, TAU, lam)
+                    fast = solve_precoder(split_rhs(s, TAU), lam)
                     dense = oracles.dense_precoder(s, TAU, lam)
                     for k in range(fast.shape[0]):
                         assert np.linalg.norm(fast[k] - dense[k]) <= \
@@ -158,7 +172,8 @@ class TestSolvePrecoder:
         channels, iterate, noise = small_network
         s = build_surrogates(0, iterate, channels, noise)[0]
         lams = np.linspace(0.0, 5.0, 30)
-        norms = [np.linalg.norm(solve_precoder(s, TAU, lam)) for lam in lams]
+        split = split_rhs(s, TAU)
+        norms = [np.linalg.norm(solve_precoder(split, lam)) for lam in lams]
         assert np.all(np.diff(norms) <= 1e-12)
 
     @pytest.mark.parametrize("network", ["multiuser_network", "default_scale_network"])
@@ -169,11 +184,11 @@ class TestSolvePrecoder:
         stacked = precoding.stacked_surrogates(iterate, channels,
                                                snapshot(iterate, channels, noise))
         lams = np.concatenate([[0.0], np.geomspace(1e-6, 10.0, channels.num_users - 1)])
-        ws = solve_precoder(stacked, TAU, lams)
+        ws = solve_precoder(split_rhs(stacked, TAU), lams)
         assert ws.shape == iterate.precoders.shape
         for u in range(channels.num_users):
-            np.testing.assert_array_equal(ws[u], solve_precoder(stacked.select(u), TAU,
-                                                                lams[u]))
+            np.testing.assert_array_equal(
+                ws[u], solve_precoder(split_rhs(stacked.select(u), TAU), lams[u]))
 
 
 class TestPowerCurve:
@@ -277,15 +292,7 @@ class TestBisection:
     def test_rounding_above_budget_falls_back_to_measured_powers(self, monkeypatch):
         # a budget equal to the closed-form power at lam = 0, where the
         # measured power of the solved precoders rounds above it
-        rng = np.random.default_rng(7)
-        for _ in range(40):
-            channels, iterate, noise = make_network(rng)
-            surr = build_surrogates(0, iterate, channels, noise)
-            budget = oracles.power_curve(surr, TAU)(0.0)
-            if measured_power(surr, 0.0) > budget:
-                break
-        else:
-            pytest.fail("no draw rounds above its closed-form power")
+        channels, iterate, noise, surr, budget = rounding_draw()
         calls = []
 
         def counted(*args):
@@ -358,15 +365,7 @@ class TestLockStepBisection:
     def test_measured_power_fallback_per_bs(self, monkeypatch):
         # the rounding case of TestBisection: BS 0's budget is its closed-form
         # power at lam = 0, which its measured power rounds above; BS 1 is loose
-        rng = np.random.default_rng(7)
-        for _ in range(40):
-            channels, iterate, noise = make_network(rng)
-            surr = build_surrogates(0, iterate, channels, noise)
-            budget = oracles.power_curve(surr, TAU)(0.0)
-            if measured_power(surr, 0.0) > budget:
-                break
-        else:
-            pytest.fail("no draw rounds above its closed-form power")
+        channels, iterate, noise, surr, budget = rounding_draw()
         calls = []
 
         def counted(*args):
@@ -378,6 +377,30 @@ class TestLockStepBisection:
         assert lams[0] > 0.0 and lams[1] == 0.0
         monkeypatch.undo()
         self.assert_matches_scalar(channels, iterate, noise, [budget, 1e9])
+
+    def test_one_split_per_search(self, monkeypatch, multiuser_network):
+        # the power curve, the Newton steps, the final solve and the
+        # measured-power fallback all read one split of the stacked surrogate
+        channels, iterate, noise, _, budget = rounding_draw()
+        splits, solves = [], []
+        split, solve = precoding.split_rhs, precoding.solve_precoder
+
+        def counted_split(*args):
+            splits.append(args)
+            return split(*args)
+
+        def counted_solve(*args):
+            solves.append(args)
+            return solve(*args)
+        monkeypatch.setattr(precoding, "split_rhs", counted_split)
+        monkeypatch.setattr(precoding, "solve_precoder", counted_solve)
+        for network, budgets, fallback in ((multiuser_network, [1e9, 1e-3], False),
+                                           ((channels, iterate, noise), [budget, 1e9], True)):
+            splits.clear()
+            solves.clear()
+            self.solve_all(*network, budgets)
+            assert len(splits) == 1
+            assert (len(solves) > 1) == fallback
 
     def default_scale_budgets(self, network, budget_scale):
         channels, iterate, noise = network

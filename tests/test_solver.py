@@ -242,6 +242,20 @@ class TestBlendStep:
             out = blend_step(iterate, cand, float(alpha))
             out.validate(channels, budgets)
 
+    def test_full_step_lands_inside_the_box(self, rng):
+        # c + 1.0 (c_max - c) rounds above c_max for about 1% of c < c_max / 2;
+        # each blended capacitance stays between its two endpoints
+        circuit = circuit_mod.ElementCircuit()
+        caps = rng.uniform(circuit.c_min, 0.5 * circuit.c_max, (2, 1000))
+        sels = np.tile(np.arange(1000), (2, 1))
+        iterate = Iterate(np.zeros((2, 1, 1), complex), caps, sels)
+        for corner in (circuit.c_max, circuit.c_min):
+            cand = batched_candidate(iterate.precoders, np.full(caps.shape, corner), sels)
+            for alpha in [1.0, *rng.uniform(0.0, 1.0, 5)]:
+                out = blend_step(iterate, cand, float(alpha)).capacitances
+                assert np.all((out >= np.minimum(caps, corner))
+                              & (out <= np.maximum(caps, corner)))
+
     def test_selection_guard_accepts_only_improvements(self, small_network):
         channels, iterate, _ = small_network
         m_n = channels.num_elements
@@ -575,7 +589,9 @@ class TestTraceCsv:
         trace.to_csv(p2)
         assert p1.read_bytes() == p2.read_bytes()
         header = p1.read_text().splitlines()[0]
-        assert header == ("iteration,sum_rate,alpha,power_slack_bs0,power_slack_bs1,"
+        assert header == ("iteration,sum_rate,alpha,wall_time_s,"
+                          "surrogate_value_bs0,surrogate_value_bs1,"
+                          "power_slack_bs0,power_slack_bs1,"
                           "power_multiplier_bs0,power_multiplier_bs1,"
                           "power_steps_bs0,power_steps_bs1,"
                           "switch_moves_bs0,switch_moves_bs1")
@@ -616,12 +632,16 @@ class TestTraceCsv:
         assert [int(r["iteration"]) for r in rows] == list(range(len(trace.sum_rates)))
         assert [float(r["sum_rate"]) for r in rows] == trace.sum_rates
         assert [float(r["alpha"]) for r in rows] == trace.alphas
+        assert [float(r["wall_time_s"]) for r in rows] == trace.wall_times
+        np.testing.assert_array_equal(column("surrogate_value", float),
+                                      trace.surrogate_values)
         np.testing.assert_array_equal(column("power_slack", float), trace.power_slacks)
         np.testing.assert_array_equal(column("power_multiplier", float),
                                       trace.power_multipliers)
         np.testing.assert_array_equal(column("power_steps", int), trace.power_steps)
         np.testing.assert_array_equal(column("switch_moves", int), trace.switch_moves)
         assert np.any(trace.switch_moves) and np.any(trace.power_steps)
+        assert np.any(trace.surrogate_values) and all(trace.wall_times[1:])
 
     @pytest.mark.parametrize("ris_mode", ["bd", "none"])
     def test_trace_memory_per_row(self, rng, ris_mode):
