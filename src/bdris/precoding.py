@@ -21,13 +21,14 @@ stopping band ``[P (1 - POWER_REL_TOL), P]`` is the same from any start.
 
 The Jacobi sweep builds all users' surrogates in one contraction
 (:func:`stacked_surrogates`) and runs all BSs' multiplier searches in lock
-step, every user's precoder in one broadcast solve (:func:`solve_precoders`);
-:func:`build_surrogates`, :func:`pricing_vector` and
-:func:`bisect_power_multiplier` are their per-BS and per-user slices.
+step, one batched power curve call per Newton pass and every precoder in
+one broadcast solve (:func:`solve_precoders`); :func:`build_surrogates`,
+:func:`pricing_vector` and :func:`bisect_power_multiplier` are its slices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -142,7 +143,7 @@ def split_rhs(surrogate, tau):
     """The :class:`RhsSplit` of ``rhs(tau)``, the only place ``tau`` enters the solve."""
     r = surrogate.rhs(tau)
     f = surrogate.own_channel
-    f_norm2 = np.sum(np.abs(f) ** 2, axis=-1)
+    f_norm2 = (np.abs(f) ** 2).sum(axis=-1)
     along = np.divide(np.einsum("...ki,...ki->...k", np.conj(f), r), f_norm2,
                       out=np.zeros(f_norm2.shape, complex), where=f_norm2 > 0)
     return RhsSplit(r - along[..., None] * f, along, f, f_norm2,
@@ -169,17 +170,18 @@ def power_curves(split, owner):
     returned function maps one multiplier per BS to ``(power, slope)``, one
     power and one derivative dP/dlam per BS.  On the split, the power is a
     sum of nonnegative terms ``c / (beta + s)^2``; unlike ``|r|^2 - ...``
-    none cancels, and the slope is ``-2 sum c / (beta + s)^3``.
+    none cancels, and the slope is ``-2 sum c / (beta + s)^3``, both read
+    off one ``beta + s`` per call.
     """
-    perp2 = np.sum(np.abs(split.across) ** 2, axis=(-2, -1))
+    perp2 = (np.abs(split.across) ** 2).sum(axis=(-2, -1))
     par2 = np.abs(split.along) ** 2 * split.f_norm2
 
     def power(lam):
         beta = split.half_tau + lam[owner]
-        par_terms = par2 / (beta[:, None] + split.shift) ** 2
-        per_user = perp2 / beta**2 + np.sum(par_terms, axis=1)
-        slope = -2.0 * (perp2 / beta**3
-                        + np.sum(par_terms / (beta[:, None] + split.shift), axis=1))
+        shifted = beta[:, None] + split.shift
+        par_terms = par2 / shifted**2
+        per_user = perp2 / beta**2 + par_terms.sum(axis=1)
+        slope = -2.0 * (perp2 / beta**3 + (par_terms / shifted).sum(axis=1))
         return (np.bincount(owner, weights=per_user, minlength=len(lam)),
                 np.bincount(owner, weights=slope, minlength=len(lam)))
     return power
@@ -202,28 +204,32 @@ def _newton_search(power_at, budgets, lam, binding=None):
     known: ``binding`` marks the budgets known on entry, an evaluated power
     above the budget shows it, and so does the convexity bound
     ``power(0) >= power - lam * slope``.  Otherwise the multiplier restarts
-    at 0.  Returns ``(lam, steps)``; ``steps`` counts each budget's Newton
-    steps and restarts.
+    at 0.  Each pass calls ``power_at`` once; the tests and steps then run
+    on its Python floats, as a numpy call on Q numbers costs more than its
+    arithmetic.  Returns ``(lam, steps)`` arrays; ``steps`` counts each
+    budget's Newton steps and restarts.
     """
-    target = budgets * (1.0 - 0.5 * POWER_REL_TOL)
-    floor = budgets * (1.0 - POWER_REL_TOL)
-    binding = np.zeros(len(budgets), bool) if binding is None else binding.copy()
-    steps = np.zeros(len(budgets), int)
+    budgets, lam = budgets.tolist(), lam.tolist()
+    binding = [False] * len(lam) if binding is None else binding.tolist()
+    steps = [0] * len(lam)
     for _ in range(100):
-        power, slope = power_at(lam)
-        binding |= power - lam * slope > budgets  # power(0) >= this >= power, as lam >= 0
-        positive = lam > 0.0
-        newton = (power > budgets) | (positive & (power < floor) & (slope < 0.0))
-        restart = positive & ~(newton | binding)
-        move = newton | restart
-        if not move.any():
-            return lam, steps
-        step = np.divide(2.0 * power * (np.sqrt(power / target) - 1.0), -slope,
-                         out=np.zeros_like(lam), where=newton)
-        lam = np.where(restart, 0.0, np.maximum(lam + step, 0.0))
-        steps += move
-        if lam.max() > MAX_MULTIPLIER:
-            raise NumericalFailureError("power multiplier exceeds its bound")
+        power, slope = power_at(np.array(lam))
+        done = True
+        for q, (b, p, s, x) in enumerate(zip(budgets, power.tolist(), slope.tolist(), lam)):
+            binding[q] = binding[q] or p - x * s > b  # power(0) >= this >= p, as x >= 0
+            if p > b or (x > 0.0 and p < b * (1.0 - POWER_REL_TOL) and s < 0.0):
+                target = b * (1.0 - 0.5 * POWER_REL_TOL)
+                x = max(x + 2.0 * p * (math.sqrt(p / target) - 1.0) / -s, 0.0)
+            elif x > 0.0 and not binding[q]:
+                x = 0.0
+            else:
+                continue
+            if x > MAX_MULTIPLIER:
+                raise NumericalFailureError("power multiplier exceeds its bound")
+            lam[q], done = x, False
+            steps[q] += 1
+        if done:
+            return np.array(lam), np.array(steps)
     raise NumericalFailureError("power multiplier search did not converge")
 
 
@@ -235,7 +241,7 @@ def solve_precoders(surrogate, owner, tau, budgets, start_multipliers=None):
     of shapes (Q,), (U, K, N) and (Q,), ``steps`` counting each BS's search
     steps.  Each multiplier is 0 if the unconstrained solution fits the
     budget, else its power fits within ``POWER_REL_TOL * budget`` below the
-    budget.  Newton's method on :func:`power_curves` starts from
+    budget.  Newton's method, one :func:`power_curves` call a pass, starts from
     ``start_multipliers`` (each in ``[0, MAX_MULTIPLIER]``; 0 if omitted),
     as the solver warm-starts each sweep from the previous one's; a
     positive multiplier is kept only once the power at 0 is known to exceed
@@ -249,12 +255,12 @@ def solve_precoders(surrogate, owner, tau, budgets, start_multipliers=None):
     ``MAX_MULTIPLIER`` raises :class:`NumericalFailureError`.
     """
     budgets = np.asarray(budgets, dtype=float)
-    if not np.all(budgets > 0):  # a NaN budget fails too
+    if not (budgets > 0).all():  # a NaN budget fails too
         raise ValueError("power budget must be > 0")
     lam = np.zeros(len(budgets))
     if start_multipliers is not None:
         lam[:] = start_multipliers
-        if not np.all((lam >= 0.0) & (lam <= MAX_MULTIPLIER)):
+        if not ((lam >= 0.0) & (lam <= MAX_MULTIPLIER)).all():
             raise ValueError("start multipliers must lie in [0, MAX_MULTIPLIER]")
     split = split_rhs(surrogate, tau)
     curve = power_curves(split, owner)
@@ -265,7 +271,7 @@ def solve_precoders(surrogate, owner, tau, budgets, start_multipliers=None):
 
     lam, steps = _newton_search(curve, budgets, lam)
     ws, power = solve(lam)
-    if np.any(power > budgets):
+    if (power > budgets).any():
         lam, more = _newton_search(lambda x: (solve(x)[1], curve(x)[1]), budgets, lam,
                                    binding=lam > 0.0)
         steps += more
@@ -292,6 +298,6 @@ def objective_values(surrogate, ws, tau):
     included so the value is comparable across candidates of one iteration.
     """
     diff = ws - surrogate.anchor
-    return (np.sum(surrogate.log_term_value(ws), axis=-1)
-            - 0.5 * tau * np.sum(np.abs(diff) ** 2, axis=(-2, -1))
-            + 2.0 * np.real(np.sum(np.conj(surrogate.pricing) * diff, axis=(-2, -1))))
+    return (surrogate.log_term_value(ws).sum(axis=-1)
+            - 0.5 * tau * (np.abs(diff) ** 2).sum(axis=(-2, -1))
+            + 2.0 * np.real((np.conj(surrogate.pricing) * diff).sum(axis=(-2, -1))))

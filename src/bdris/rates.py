@@ -53,24 +53,27 @@ class Iterate:
         return Iterate(self.precoders.copy(), self.capacitances.copy(),
                        self.selections.copy())
 
-    def validate(self, channels, power_budgets):
-        """Raise if any constraint (power, box, permutation) is violated."""
+    def validate(self, channels, power_budgets, moved=None):
+        """Raise if any constraint (power, box, permutation) is violated; return the
+        per-BS power (:func:`bs_power`).  Only the ``selections`` rows that ``moved``
+        picks (indices or a (Q,) mask; all if None) are checked as permutations."""
         power = bs_power(self.precoders, channels.bs_of_user, channels.num_bs)
-        budgets = np.broadcast_to(np.asarray(power_budgets, float), power.shape)
-        if not np.all(power <= budgets + POWER_SLACK):
+        if not (power <= np.asarray(power_budgets, float) + POWER_SLACK).all():
             raise ValueError("per-BS transmit power exceeds the budget")
-        c = channels.circuit
-        if not np.all((self.capacitances >= c.c_min) & (self.capacitances <= c.c_max)):
+        c, caps, s = channels.circuit, self.capacitances, self.selections
+        if not ((caps >= c.c_min) & (caps <= c.c_max)).all():
             raise ValueError("capacitance outside the tunable range")
-        s = self.selections
-        if (not np.issubdtype(s.dtype, np.integer) or s.shape != self.capacitances.shape
-                or np.any(np.sort(s, axis=1) != np.arange(s.shape[1]))):
+        if not np.issubdtype(s.dtype, np.integer) or s.shape != caps.shape:
             raise ValueError("selections must be (Q, M) integer permutations")
+        rows = s if moved is None else s[moved]
+        if len(rows) and (np.sort(rows, axis=1) != np.arange(s.shape[1])).any():
+            raise ValueError("selections must be (Q, M) integer permutations")
+        return power
 
 
 def bs_power(precoders, bs_of_user, num_bs):
     """Transmit power of each BS, (Q,): the one sum every budget test reads."""
-    per_user = np.sum(np.abs(precoders) ** 2, axis=(1, 2))
+    per_user = (np.abs(precoders) ** 2).sum(axis=(1, 2))
     return np.bincount(bs_of_user, weights=per_user, minlength=num_bs)
 
 

@@ -103,17 +103,18 @@ class Trace:
     """Per-iteration history of one solver run, one column per quantity.
 
     Row 0 describes the initial point (step size 0; surrogate values, power
-    multipliers, power steps and switch moves 0); each executed iteration
-    adds one row, so a run of T iterations has T + 1 rows.  ``sum_rates``,
-    ``alphas`` and ``wall_times`` are lists of floats; ``surrogate_values``,
-    ``power_slacks`` and ``power_multipliers`` are (T+1, Q) float arrays;
-    ``power_steps`` and ``switch_moves`` are (T+1, Q) int arrays.
-    ``power_steps[t, q]`` counts the steps BS q's multiplier search took in
-    sweep t, and ``switch_moves[t, q]`` the elements of BS q whose routing
-    the accepted step changed.  ``alphas`` holds the step actually taken:
-    the scheduled one, a halved one after backtracking, or 0.0 when every
-    trial lowered the sum rate and the point was kept.  A new per-BS
-    quantity is one more (T+1, Q) column.
+    multipliers, power steps, switch moves and trials 0); each executed
+    iteration adds one row, so a run of T iterations has T + 1 rows.
+    ``sum_rates``, ``alphas`` and ``wall_times`` are lists of floats and
+    ``trials`` a (T+1,) int array; ``surrogate_values``, ``power_slacks``
+    and ``power_multipliers`` are (T+1, Q) float arrays; ``power_steps``
+    and ``switch_moves`` are (T+1, Q) int arrays.  ``power_steps[t, q]``
+    counts the steps BS q's multiplier search took in sweep t,
+    ``switch_moves[t, q]`` the elements of BS q whose routing the accepted
+    step changed, and ``trials[t]`` the trial merges iteration t evaluated.
+    ``alphas`` holds the step actually taken: the scheduled one, a halved
+    one after backtracking, or 0.0 when every trial lowered the sum rate and
+    the point was kept.  A new per-BS quantity is one more (T+1, Q) column.
     """
 
     sum_rates: list
@@ -124,24 +125,25 @@ class Trace:
     power_steps: np.ndarray
     wall_times: list
     switch_moves: np.ndarray
+    trials: np.ndarray
 
     @classmethod
     def from_rows(cls, rows):
         """Trace of (sum rate, step, surrogate values, power slacks, power
-        multipliers, power steps, wall time, switch moves) rows, the per-BS
-        entries (Q,)."""
-        rate, alpha, surrogate, slack, multiplier, steps, wall, moves = zip(*rows)
+        multipliers, power steps, wall time, switch moves, trials) rows, the
+        per-BS entries (Q,)."""
+        rate, alpha, surrogate, slack, multiplier, steps, wall, moves, trials = zip(*rows)
         return cls([float(x) for x in rate], [float(x) for x in alpha],
                    np.array(surrogate, float), np.array(slack, float),
                    np.array(multiplier, float), np.array(steps, int),
-                   [float(x) for x in wall], np.array(moves, int))
+                   [float(x) for x in wall], np.array(moves, int), np.array(trials, int))
 
     @property
     def num_iterations(self):
         return len(self.sum_rates) - 1
 
     def to_csv(self, path):
-        """Write (iteration, sum_rate, alpha, wall time, per-BS surrogate
+        """Write (iteration, sum_rate, alpha, wall time, trials, per-BS surrogate
         value, power slack, multiplier, power steps and switch moves) rows."""
         q_n = self.power_slacks.shape[1]
         floats = np.hstack([self.surrogate_values, self.power_slacks,
@@ -149,14 +151,15 @@ class Trace:
         ints = np.hstack([self.power_steps, self.switch_moves]).tolist()
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
-            wr.writerow(["iteration", "sum_rate", "alpha", "wall_time_s"]
+            wr.writerow(["iteration", "sum_rate", "alpha", "wall_time_s", "trials"]
                         + [f"{name}_bs{q}" for name in ("surrogate_value", "power_slack",
                                                         "power_multiplier", "power_steps",
                                                         "switch_moves")
                            for q in range(q_n)])
-            for t, (sr, al, wt, row_floats, row_ints) in enumerate(zip(
-                    self.sum_rates, self.alphas, self.wall_times, floats, ints)):
-                wr.writerow([t, repr(sr), repr(al), repr(wt), *map(repr, row_floats),
+            for t, (sr, al, wt, n, row_floats, row_ints) in enumerate(zip(
+                    self.sum_rates, self.alphas, self.wall_times, self.trials.tolist(),
+                    floats, ints)):
+                wr.writerow([t, repr(sr), repr(al), repr(wt), n, *map(repr, row_floats),
                              *row_ints])
 
 
@@ -236,7 +239,7 @@ def local_subproblems(iterate, channels, noise_power, power_budgets, config, sna
         snap = snapshot(iterate, channels, noise_power, config.ris_enabled)
     q_n = channels.num_bs
     bs = channels.bs_of_user
-    budgets = np.broadcast_to(np.asarray(power_budgets, float), (q_n,))
+    budgets = np.full(q_n, power_budgets, float)
     surrogate = precoding.stacked_surrogates(iterate, channels, snap, config.cooperative)
     lams, w_hat, steps = precoding.solve_precoders(surrogate, bs, config.tau, budgets,
                                                    start_multipliers)
@@ -305,10 +308,11 @@ def run(channels, power_budgets, noise_power, config):
     its stopping band is the one of a start at 0, so the warm start saves
     power evaluations (see :func:`bdris.precoding.solve_precoders`).  The
     initial point and every iteration each record one row, and the
-    :class:`Trace` is built once from those rows on return.  The trace never
-    drops, so the last point is also the best one visited and its rate is
-    ``max(trace.sum_rates)``.  Raises ``ValueError`` on a budget that is
-    not finite and > 0 before any work, and
+    :class:`Trace` is built once from those rows on return; a row's power
+    slack is read off the power that validating its point measured.  The
+    trace never drops, so the last point is also the best one visited and
+    its rate is ``max(trace.sum_rates)``.  Raises ``ValueError`` on a budget
+    that is not finite and > 0 before any work, and
     :class:`NumericalFailureError` if a trial point leaves the feasible set.
     """
     q_n = channels.num_bs
@@ -317,10 +321,9 @@ def run(channels, power_budgets, noise_power, config):
         raise ValueError("power budget must be finite and > 0")
     iterate = initial_iterate(channels, budgets)
     snap = snapshot(iterate, channels, noise_power, config.ris_enabled)
-    bs = channels.bs_of_user
-    rows = [(snap.sum_rate, 0.0, np.zeros(q_n),
-             budgets - rates.bs_power(iterate.precoders, bs, q_n),
-             np.zeros(q_n), np.zeros(q_n, int), 0.0, np.zeros(q_n, int))]
+    power = rates.bs_power(iterate.precoders, channels.bs_of_user, q_n)
+    rows = [(snap.sum_rate, 0.0, np.zeros(q_n), budgets - power, np.zeros(q_n),
+             np.zeros(q_n, int), 0.0, np.zeros(q_n, int), 0)]
 
     alpha, lams = config.alpha0, None
     for t in range(config.max_iters):
@@ -330,39 +333,42 @@ def run(channels, power_budgets, noise_power, config):
                                       snap, start_multipliers=lams)
         lams = candidate.power_multipliers
         prev_rate, prev_sel = snap.sum_rate, iterate.selections
-        step, iterate, snap = _ascent_step(iterate, snap, candidate, alpha, channels,
-                                           budgets, noise_power, config)
+        step, trials, iterate, snap, power = _ascent_step(
+            iterate, snap, power, candidate, alpha, channels, budgets, noise_power, config)
         if step > 0.0:
             alpha = step
-        rows.append((snap.sum_rate, step, candidate.surrogate_values,
-                     budgets - rates.bs_power(iterate.precoders, bs, q_n),
+        rows.append((snap.sum_rate, step, candidate.surrogate_values, budgets - power,
                      candidate.power_multipliers, candidate.power_steps,
                      time.perf_counter() - start,
-                     np.count_nonzero(iterate.selections != prev_sel, axis=1)))
+                     np.count_nonzero(iterate.selections != prev_sel, axis=1), trials))
         if abs(snap.sum_rate - prev_rate) <= config.tol:
             break
     return iterate, Trace.from_rows(rows)
 
 
-def _ascent_step(iterate, snap, candidate, alpha, channels, budgets, noise_power, config):
+def _ascent_step(iterate, snap, power, candidate, alpha, channels, budgets, noise_power,
+                 config):
     """First trial merge whose sum rate does not drop below ``snap``'s.
 
-    Returns (step, iterate, snapshot) of the accepted point, or the given
-    point with step 0.0 if every trial drops.
+    Returns (step, trials, iterate, snapshot, per-BS power) of the accepted
+    point, or the given point with step 0.0 if every trial drops; ``trials``
+    counts the merges tried.  A trial's permutations are validated only in
+    the rows whose switch gain is positive: the others are the given point's.
     """
-    cand, step = candidate, alpha
+    cand, step, trials = candidate, alpha, 0
     while step >= alpha * 0.5**MAX_HALVINGS:
         trial = blend_step(iterate, cand, step)
         try:
-            trial.validate(channels, budgets)
+            trial_power = trial.validate(channels, budgets, cand.switch_gains > 0.0)
         except ValueError as exc:
             raise NumericalFailureError(
                 f"iterate infeasible after update: {exc}") from exc
         trial_snap = snapshot(trial, channels, noise_power, config.ris_enabled, previous=snap)
+        trials += 1
         if trial_snap.sum_rate >= snap.sum_rate:
-            return step, trial, trial_snap
+            return step, trials, trial, trial_snap, trial_power
         if cand is candidate and np.any(trial.selections != iterate.selections):
             cand = replace(candidate, switch_gains=np.zeros_like(candidate.switch_gains))
         else:
             step *= 0.5
-    return 0.0, iterate, snap
+    return 0.0, trials, iterate, snap, power

@@ -10,6 +10,8 @@ precoder solve, the exhaustive assignment search and the synthetic network
 re-exported here.
 """
 
+import functools
+
 import numpy as np
 
 from bdris.circuit import rational_coefficients, reflection
@@ -55,55 +57,69 @@ def selection_matrix(perm):
     return out
 
 
-def composite_row(j, u, k, iterate, channels, ris_enabled=True):
-    """Row vector f^H of the BS j -> user u composite channel."""
+def reflection_matrices(iterate, channels):
+    """``(j, k) -> reflection_matrix`` of surface j at subcarrier k for one
+    iterate, each matrix built entrywise on first use and then reused."""
+    return functools.cache(lambda j, k: reflection_matrix(
+        iterate.capacitances[j], channels.grid, channels.circuit, k))
+
+
+def composite_row(j, u, k, iterate, channels, ris_enabled=True, phis=None):
+    """Row vector f^H of the BS j -> user u composite channel.
+
+    ``phis`` is a :func:`reflection_matrices` of ``iterate``; the rate
+    oracles below make one per call and share it between all their rows.
+    """
     h = channels.direct[j, u, k]
     row = np.conj(h)
     if ris_enabled:
-        phi = reflection_matrix(iterate.capacitances[j], channels.grid,
-                                channels.circuit, k)
+        phi = (reflection_matrices(iterate, channels) if phis is None else phis)(j, k)
         g = channels.ris_ue[j, u, k]
         sel = selection_matrix(iterate.selections[j])
         row = row + np.conj(g) @ sel @ phi @ channels.bs_ris[j, k]
     return row
 
 
-def mui(u, k, iterate, channels, noise_power, ris_enabled=True):
+def mui(u, k, iterate, channels, noise_power, ris_enabled=True, phis=None):
+    phis = reflection_matrices(iterate, channels) if phis is None else phis
     total = noise_power
     u_n = channels.num_users
     for n in range(u_n):
         if n == u:
             continue
         j = channels.bs_of_user[n]
-        amp = composite_row(j, u, k, iterate, channels, ris_enabled) \
+        amp = composite_row(j, u, k, iterate, channels, ris_enabled, phis) \
             @ iterate.precoders[n, k]
         total += abs(amp) ** 2
     return total
 
 
-def user_rate(u, iterate, channels, noise_power, ris_enabled=True):
+def user_rate(u, iterate, channels, noise_power, ris_enabled=True, phis=None):
+    phis = reflection_matrices(iterate, channels) if phis is None else phis
     q = channels.bs_of_user[u]
     k_n = channels.num_subcarriers
     total = 0.0
     for k in range(k_n):
-        amp = composite_row(q, u, k, iterate, channels, ris_enabled) \
+        amp = composite_row(q, u, k, iterate, channels, ris_enabled, phis) \
             @ iterate.precoders[u, k]
         total += np.log2(1.0 + abs(amp) ** 2
-                         / mui(u, k, iterate, channels, noise_power, ris_enabled))
+                         / mui(u, k, iterate, channels, noise_power, ris_enabled, phis))
     return total / k_n
 
 
 def sum_rate(iterate, channels, noise_power, ris_enabled=True):
-    return sum(user_rate(u, iterate, channels, noise_power, ris_enabled)
+    phis = reflection_matrices(iterate, channels)
+    return sum(user_rate(u, iterate, channels, noise_power, ris_enabled, phis)
                for u in range(channels.num_users))
 
 
 def cell_rates(iterate, channels, noise_power, q, ris_enabled=True):
     """(own-cell rate sum, other-cell rate sum) scaled by the subcarrier count."""
+    phis = reflection_matrices(iterate, channels)
     k_n = channels.num_subcarriers
     own = other = 0.0
     for u in range(channels.num_users):
-        r = user_rate(u, iterate, channels, noise_power, ris_enabled)
+        r = user_rate(u, iterate, channels, noise_power, ris_enabled, phis)
         if channels.bs_of_user[u] == q:
             own += r
         else:
@@ -198,6 +214,35 @@ def power_curve(surrogates, tau):
     """
     power = power_curves(split_rhs(_stack(surrogates), tau), np.zeros(len(surrogates), int))
     return lambda lam: float(power(np.array([lam]))[0][0])
+
+
+def newton_search(power_at, budgets, lam, binding=None):
+    """Lock-step Newton search of every power multiplier, as whole-array steps.
+
+    Reference for ``precoding._newton_search``, which runs the same tests and
+    steps on the Python floats of each pass; both must return bit-equal
+    ``(lam, steps)`` and raise the same errors.
+    """
+    target = budgets * (1.0 - 0.5 * POWER_REL_TOL)
+    floor = budgets * (1.0 - POWER_REL_TOL)
+    binding = np.zeros(len(budgets), bool) if binding is None else binding.copy()
+    steps = np.zeros(len(budgets), int)
+    for _ in range(100):
+        power, slope = power_at(lam)
+        binding |= power - lam * slope > budgets  # power(0) >= this >= power, as lam >= 0
+        positive = lam > 0.0
+        newton = (power > budgets) | (positive & (power < floor) & (slope < 0.0))
+        restart = positive & ~(newton | binding)
+        move = newton | restart
+        if not move.any():
+            return lam, steps
+        step = np.divide(2.0 * power * (np.sqrt(power / target) - 1.0), -slope,
+                         out=np.zeros_like(lam), where=newton)
+        lam = np.where(restart, 0.0, np.maximum(lam + step, 0.0))
+        steps += move
+        if lam.max() > MAX_MULTIPLIER:
+            raise NumericalFailureError("power multiplier exceeds its bound")
+    raise NumericalFailureError("power multiplier search did not converge")
 
 
 def bisect_measured_power(surrogates, tau, power_budget):

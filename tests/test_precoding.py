@@ -78,8 +78,8 @@ class TestPricingVector:
 
     @pytest.mark.parametrize("network", ["multiuser_network", "default_scale_network"])
     def test_matches_finite_differences(self, request, network):
-        # At default scale the literal rates of ``oracles.cell_rates`` take
-        # 0.1 s per user and subcarrier, so the other-cell rates come from
+        # At default scale one literal ``oracles.cell_rates`` call takes about
+        # 1.5 s, four per differenced entry, so the other-cell rates come from
         # snapshots, differenced on subcarriers 0 and K - 1 only (all of K
         # take about 8 s).  Each subcarrier's error must stay within 1e-5 of
         # its largest entry; trial 0 measured 1.4e-6, the rounding of the
@@ -466,6 +466,98 @@ class TestLockStepBisection:
         with pytest.raises(ValueError):
             precoding.solve_precoders(stacked, channels.bs_of_user, TAU,
                                       np.array([1.0, 0.0]))
+
+
+class TestNewtonSearch:
+    """``_newton_search`` against the whole-array reference, bit for bit."""
+
+    @pytest.fixture(params=["multiuser_network", "default_scale_network"])
+    def curve(self, request):
+        channels, iterate, noise = request.getfixturevalue(request.param)
+        stacked = precoding.stacked_surrogates(iterate, channels,
+                                               snapshot(iterate, channels, noise))
+        curve = precoding.power_curves(split_rhs(stacked, TAU), channels.bs_of_user)
+        free = curve(np.zeros(channels.num_bs))[0]  # each BS's power at lam = 0
+        return curve, free
+
+    @staticmethod
+    def assert_same_search(power_at, budgets, start, binding=None):
+        want = oracles.newton_search(power_at, budgets, start.copy(), binding)
+        got = precoding._newton_search(power_at, budgets, start.copy(), binding)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w, strict=True)
+        return got
+
+    @pytest.mark.parametrize("budget_scale", [10.0, 0.5, 1e-4, 1e-8])
+    def test_cold_start(self, curve, budget_scale):
+        power_at, free = curve
+        lam, steps = self.assert_same_search(power_at, budget_scale * free,
+                                             np.zeros(len(free)))
+        assert np.all((lam > 0.0) == (budget_scale < 1.0))
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0, 100.0])
+    @pytest.mark.parametrize("budget_scale", [0.5, 1e-4])
+    def test_warm_start_around_the_root(self, curve, budget_scale, factor):
+        power_at, free = curve
+        budgets = budget_scale * free
+        root, _ = self.assert_same_search(power_at, budgets, np.zeros(len(free)))
+        _, steps = self.assert_same_search(power_at, budgets, factor * root)
+        assert np.all(steps > 0)
+
+    @pytest.mark.parametrize("factor", [1.0, 2.0])
+    def test_given_binding_mask(self, curve, factor):
+        # a mask marks the budgets known to bind, so no positive start restarts
+        power_at, free = curve
+        budgets = 0.5 * free
+        root, _ = self.assert_same_search(power_at, budgets, np.zeros(len(free)))
+        mask = np.arange(len(free)) % 2 == 0
+        self.assert_same_search(power_at, budgets, factor * root, mask)
+
+    def test_binding_shown_once_is_kept(self):
+        # on the power curves the convexity bound shows a binding budget
+        # wherever the band is, so a stand-in curve hides it: twice the
+        # budget at 0 and, past 0, a power inside the band with a slope of
+        # almost 0; the pass at 0, or a mask given on entry, keeps lam > 0
+        budgets = np.array([2.0, 3.0])
+
+        def power_at(lam):
+            inside = budgets * (1.0 - 0.5 * precoding.POWER_REL_TOL)
+            return (np.where(lam > 0.0, inside, 2.0 * budgets),
+                    np.where(lam > 0.0, -1e-30, -budgets))
+        root, steps = self.assert_same_search(power_at, budgets, np.zeros(2))
+        assert np.all(root > 0.0) and np.all(steps == 1)
+        _, steps = self.assert_same_search(power_at, budgets, root, np.ones(2, bool))
+        np.testing.assert_array_equal(steps, 0)
+        _, steps = self.assert_same_search(power_at, budgets, root)
+        np.testing.assert_array_equal(steps, 2)
+
+    @pytest.mark.parametrize("start", [1e-9, 1.0])
+    def test_positive_start_where_zero_fits(self, curve, start):
+        power_at, free = curve
+        lam, steps = self.assert_same_search(power_at, (1.0 + 1e-12) * free,
+                                             np.full(len(free), start))
+        np.testing.assert_array_equal(lam, 0.0)
+        assert np.all(steps >= 1)
+
+    def test_multiplier_bound_raises(self, curve):
+        power_at, free = curve
+        budgets = np.where(np.arange(len(free)) == 0, 1e-300, free)
+        self.assert_same_raise(power_at, budgets, "exceeds its bound")
+
+    def test_no_convergence_raises(self, curve):
+        # slopes a million times too steep make every step far too short
+        power_at, free = curve
+
+        def steep(lam):
+            power, slope = power_at(lam)
+            return power, 1e6 * slope
+        self.assert_same_raise(steep, 0.5 * free, "did not converge")
+
+    @staticmethod
+    def assert_same_raise(power_at, budgets, match):
+        for search in (oracles.newton_search, precoding._newton_search):
+            with pytest.raises(NumericalFailureError, match=match):
+                search(power_at, budgets, np.zeros(len(budgets)))
 
 
 class TestSubproblemImprovement:

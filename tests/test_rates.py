@@ -53,6 +53,47 @@ class TestIterate:
                         sels).validate(channels, 1e9)
 
 
+class TestValidateMoved:
+    @staticmethod
+    def repeated(iterate, row):
+        sels = iterate.selections.copy()
+        sels[row, 0] = sels[row, 1]
+        return Iterate(iterate.precoders, iterate.capacitances, sels)
+
+    @pytest.mark.parametrize("moved", [[1], np.array([0, 1]), np.array([False, True])])
+    def test_listed_row_with_repeated_index_rejected(self, small_network, moved):
+        channels, iterate, _ = small_network
+        with pytest.raises(ValueError, match="permutations"):
+            self.repeated(iterate, 1).validate(channels, 1e9, moved)
+
+    @pytest.mark.parametrize("moved", [[0], np.array([], int), np.array([True, False])])
+    def test_unlisted_rows_are_not_sorted(self, small_network, moved):
+        channels, iterate, _ = small_network
+        self.repeated(iterate, 1).validate(channels, 1e9, moved)
+
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_every_row_checked_without_moved(self, small_network, row):
+        # bench/workloads.check_pass validates returned iterates this way
+        channels, iterate, _ = small_network
+        with pytest.raises(ValueError, match="permutations"):
+            self.repeated(iterate, row).validate(channels, 1e9)
+
+    def test_shape_and_power_checks_ignore_moved(self, small_network):
+        channels, iterate, _ = small_network
+        power = bs_power(iterate.precoders, channels.bs_of_user, channels.num_bs)
+        with pytest.raises(ValueError, match="power"):
+            iterate.validate(channels, 0.5 * power, [])
+        with pytest.raises(ValueError, match="permutations"):
+            Iterate(iterate.precoders, iterate.capacitances,
+                    iterate.selections[:, :-1]).validate(channels, 1e9, [])
+
+    def test_returns_the_measured_power(self, small_network):
+        channels, iterate, _ = small_network
+        power = bs_power(iterate.precoders, channels.bs_of_user, channels.num_bs)
+        np.testing.assert_array_equal(iterate.validate(channels, 2.0 * power), power,
+                                      strict=True)
+
+
 class TestEffectiveRows:
     def test_matches_reference_row(self, small_network, multiuser_network):
         for channels, iterate, noise in (small_network, multiuser_network):
@@ -110,12 +151,20 @@ class TestMui:
         expected = noise + abs(rows[1, 0, 0, 0] * iterate.precoders[1, 0, 0]) ** 2
         assert snapshot(iterate, channels, noise).mui[0, 0] == pytest.approx(expected)
 
-    def test_matches_reference(self, multiuser_network):
-        channels, iterate, noise = multiuser_network
-        for u in range(channels.num_users):
-            for k in range(channels.num_subcarriers):
-                assert snapshot(iterate, channels, noise).mui[u, k] == pytest.approx(
-                    oracles.mui(u, k, iterate, channels, noise), rel=1e-12)
+    @pytest.mark.parametrize("network", ["multiuser_network", "default_scale_network"])
+    def test_matches_reference(self, request, network):
+        # every (u, k) on the synthetic network; 16 sampled pairs at default
+        # scale, where each pair's literal rows take about 20 ms
+        channels, iterate, noise = request.getfixturevalue(network)
+        pairs = [(u, k) for u in range(channels.num_users)
+                 for k in range(channels.num_subcarriers)]
+        if network == "default_scale_network":
+            rng = np.random.default_rng(5)
+            pairs = [pairs[i] for i in rng.choice(len(pairs), 16, replace=False)]
+        mui = snapshot(iterate, channels, noise).mui
+        for u, k in pairs:
+            assert mui[u, k] == pytest.approx(oracles.mui(u, k, iterate, channels, noise),
+                                              rel=1e-12)
 
 
 class TestUserRate:

@@ -508,6 +508,29 @@ class TestRun:
         with pytest.raises(NumericalFailureError):
             run(channels, 1.0, noise, SolverConfig(max_iters=3))
 
+    @pytest.mark.parametrize("gain", [1.0, 0.0])
+    def test_repeated_index_in_a_moved_row_raises(self, rng, monkeypatch, gain):
+        # BS 1 proposes a permutation with a repeated index: validating only
+        # the rows with a positive switch gain still finds it there, and a
+        # row whose gain is 0 is never merged
+        channels, _, noise = make_network(rng)
+        solve = solver_mod.local_subproblems
+
+        def repeating_subproblems(iterate, *args, **kwargs):
+            candidate = swap_first_elements(iterate, solve(iterate, *args, **kwargs))
+            candidate.target.selections[1, 0] = candidate.target.selections[1, 1]
+            candidate.switch_gains[1] = gain
+            return candidate
+
+        monkeypatch.setattr(solver_mod, "local_subproblems", repeating_subproblems)
+        cfg = SolverConfig(max_iters=3, tol=0.0)
+        if gain > 0.0:
+            with pytest.raises(NumericalFailureError, match="permutations"):
+                run(channels, 1.0, noise, cfg)
+        else:
+            best, _ = run(channels, 1.0, noise, cfg)
+            best.validate(channels, 1.0)
+
     def test_multipliers_warm_start_from_the_previous_sweep(self, monkeypatch,
                                                             default_scale_network):
         # started at 0, every sweep needs >= 6 power-curve evaluations; started
@@ -580,6 +603,57 @@ class TestTraceCsv:
             moves[1:], [np.count_nonzero(b != a, axis=1) for a, b in zip(points, points[1:])])
         assert set(moves.ravel()) == {0, 2}
 
+    def test_trials_count_each_iteration_snapshots(self, rng, monkeypatch):
+        # every trial merge takes one snapshot, and run's first snapshot is
+        # the initial point's; swapping proposals make some iterations retry
+        channels, _, noise = make_network(rng)
+        solve, snap_of = solver_mod.local_subproblems, solver_mod.snapshot
+        snapshots, before_sweep = [], []
+
+        def counted_snapshot(*args, **kwargs):
+            snapshots.append(args[0])
+            return snap_of(*args, **kwargs)
+
+        def swapping_subproblems(iterate, *args, **kwargs):
+            before_sweep.append(len(snapshots))
+            return swap_first_elements(iterate, solve(iterate, *args, **kwargs))
+
+        monkeypatch.setattr(solver_mod, "snapshot", counted_snapshot)
+        monkeypatch.setattr(solver_mod, "local_subproblems", swapping_subproblems)
+        _, trace = run(channels, 1.0, noise, SolverConfig(max_iters=30, tol=0.0))
+        assert before_sweep[0] == 1
+        assert trace.trials.shape == (31,) and trace.trials.dtype.kind == "i"
+        np.testing.assert_array_equal(trace.trials,
+                                      [0, *np.diff(before_sweep + [len(snapshots)])])
+        assert trace.trials[1:].min() >= 1 and trace.trials.max() > 1
+
+    def test_power_slacks_read_each_row_point(self, rng, monkeypatch):
+        # a row's slack is the budget minus the power of the point the row
+        # ends on; every trial of iteration 2 reads a lower rate, so that
+        # iteration keeps its point (step 0) and ends the run
+        channels, _, noise = make_network(rng)
+        solve, snap_of = solver_mod.local_subproblems, solver_mod.snapshot
+        points = []
+
+        def recorded_subproblems(iterate, *args, **kwargs):
+            points.append(iterate)
+            return solve(iterate, *args, **kwargs)
+
+        def dropping_snapshot(*args, **kwargs):
+            snap = snap_of(*args, **kwargs)
+            if len(points) == 2:
+                snap.user_rates = snap.user_rates - 100.0
+            return snap
+
+        monkeypatch.setattr(solver_mod, "local_subproblems", recorded_subproblems)
+        monkeypatch.setattr(solver_mod, "snapshot", dropping_snapshot)
+        best, trace = run(channels, 1.0, noise, SolverConfig(max_iters=5, tol=0.0))
+        points.append(best)
+        assert trace.alphas[1] > 0.0 and trace.alphas[2] == 0.0 and points[2] is points[1]
+        np.testing.assert_array_equal(
+            trace.power_slacks,
+            [1.0 - bs_power(p.precoders, channels.bs_of_user, channels.num_bs) for p in points])
+
     def test_columns_and_determinism(self, rng, tmp_path):
         channels, _, noise = make_network(rng)
         cfg = SolverConfig(max_iters=5, tol=0.0)
@@ -589,7 +663,7 @@ class TestTraceCsv:
         trace.to_csv(p2)
         assert p1.read_bytes() == p2.read_bytes()
         header = p1.read_text().splitlines()[0]
-        assert header == ("iteration,sum_rate,alpha,wall_time_s,"
+        assert header == ("iteration,sum_rate,alpha,wall_time_s,trials,"
                           "surrogate_value_bs0,surrogate_value_bs1,"
                           "power_slack_bs0,power_slack_bs1,"
                           "power_multiplier_bs0,power_multiplier_bs1,"
@@ -640,6 +714,7 @@ class TestTraceCsv:
                                       trace.power_multipliers)
         np.testing.assert_array_equal(column("power_steps", int), trace.power_steps)
         np.testing.assert_array_equal(column("switch_moves", int), trace.switch_moves)
+        np.testing.assert_array_equal([int(r["trials"]) for r in rows], trace.trials)
         assert np.any(trace.switch_moves) and np.any(trace.power_steps)
         assert np.any(trace.surrogate_values) and all(trace.wall_times[1:])
 
