@@ -1,11 +1,11 @@
 """Per-BS precoder subproblem.
 
 Each base station refreshes the precoders of all of its users jointly by
-maximizing a concave surrogate of the network objective: the own-cell log
-terms are lower-bounded by a tight quadratic (:class:`PrecoderSurrogate`),
-other cells' rates enter through a linear pricing term, half of the
-:func:`bdris.rates.weighted_amplitudes` the surface gradients read, and a
-proximal penalty keeps the update near the current point.  A power search
+maximizing a concave surrogate of the network objective: each user's own
+log term is lower-bounded by a tight quadratic (:class:`PrecoderSurrogate`),
+every other rate it weighs enters through a linear pricing term, half of
+the :func:`bdris.rates.weighted_amplitudes` the surface gradients read, and
+a proximal penalty keeps the update near the current point.  A power search
 splits each right-hand side along the own channel once (:func:`split_rhs`,
 the only place ``tau`` enters), and every solve reads that split.  The power
 budget ``||w(lam)||^2 = P`` is the secular equation of a trust-region step;
@@ -65,7 +65,7 @@ class PrecoderSurrogate:
 
         The pricing enters the objective through the real inner product
         ``2 Re{pricing^H (w - anchor)}``, the linearization that matches the
-        true gradient of other cells' rates.  Stationarity of the concave
+        true gradient of every priced rate.  Stationarity of the concave
         objective then gives
         ``(F + (tau/2 + lam) I) w = linear + pricing + tau/2 * anchor``.
         """
@@ -101,9 +101,10 @@ def pricing_vector(user, iterate, channels, noise_power, snap=None, ris_enabled=
 def stacked_surrogates(iterate, channels, snap, cooperative=True):
     """Surrogates of every user, stacked along a leading user axis.
 
-    User u's ``pricing`` is the conjugate-coordinate gradient (d/dw*) of the
-    rates outside u's cell, times K (the subcarrier average rescales every
-    term equally); non-cooperative surrogates price nothing.
+    User u's ``pricing`` is the conjugate-coordinate gradient (d/dw*), times
+    K (the subcarrier average rescales every term equally), of u's cell's
+    rates plus ``cooperative`` times the other cells', as the surface
+    gradients weigh them, less u's own log term, which the quadratic models.
     """
     bs = channels.bs_of_user
     users = np.arange(channels.num_users)
@@ -111,8 +112,9 @@ def stacked_surrogates(iterate, channels, snap, cooperative=True):
     own = np.conj(snap.rows[bs, users])          # (U, K, N)
     linear = own * (snap.amplitudes[users, users] / (LN2 * mui))[..., None]
     pricing = np.zeros_like(linear)
-    if cooperative:
-        weighted = weighted_amplitudes(channels, snap, cell=0.0)
+    if cooperative or np.bincount(bs).max() > 1:
+        weighted = weighted_amplitudes(channels, snap, pricing=float(cooperative))
+        weighted[users, users] = 0.0  # the quadratic models the own stream
         pricing = 0.5 * np.einsum("unk,unki->uki", weighted, np.conj(snap.rows[bs]))
     quad = sig / (LN2 * (mui + sig) * mui)
     offset = np.log1p(snap.snr) / LN2 + quad * sig - 2.0 * sig / (LN2 * mui)

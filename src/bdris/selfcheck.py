@@ -22,8 +22,10 @@ from .channels import NetworkChannels
 from .circuit import (ElementCircuit, SubcarrierGrid, rational_coefficients, reflection,
                       reflection_direct)
 from .rates import Iterate, snapshot
+from .solver import SolverConfig
 
 CAP_STEP = 1e-17  # finite-difference step for capacitances, farads
+TAU = SolverConfig().tau  # proximal weight of the checks that solve a subproblem
 
 
 def complex_normal(rng, *shape):
@@ -195,12 +197,13 @@ def check_selection_gradients(seed=4):
 
 
 def check_precoder_pricing(seed=5):
-    channels, iterate, noise = random_network(np.random.default_rng(seed))
-    worst = 0.0
+    """Pricing vs the gradient of every rate but the user's own; BS 0 serves two users."""
+    channels, iterate, noise = random_network(np.random.default_rng(seed), users_per_bs=(2, 1))
+    k_n, worst = channels.num_subcarriers, 0.0
     for user in range(channels.num_users):
-        q = channels.bs_of_user[user]
         fd = fd_precoder_gradient(
-            lambda it: _own_and_other_rate(it, channels, noise, q)[1], iterate, user)
+            lambda it: k_n * np.delete(snapshot(it, channels, noise).user_rates, user).sum(),
+            iterate, user)
         got = precoding.pricing_vector(user, iterate, channels, noise)
         worst = max(worst, np.linalg.norm(got - fd) / max(np.linalg.norm(fd), 1e-30))
     return "precoder pricing vs finite differences", worst <= 1e-4, f"max rel err {worst:.2e}"
@@ -227,17 +230,17 @@ def check_surrogate_bound(seed=6, draws=100):
 
 def check_precoder_solve(seed=7):
     channels, iterate, noise = random_network(np.random.default_rng(seed))
-    tau, worst = 0.8, 0.0
+    worst = 0.0
     stacked = precoding.stacked_surrogates(iterate, channels, snapshot(iterate, channels, noise))
     users = [stacked.select(u) for u in range(channels.num_users)]
     # each user alone at three multipliers, then all users in one call at one each
     lams = np.linspace(0.3, 2.0, len(users))
-    trials = [(precoding.solve_precoder(precoding.split_rhs(s, tau), lam), s, lam)
+    trials = [(precoding.solve_precoder(precoding.split_rhs(s, TAU), lam), s, lam)
               for s in users for lam in (0.0, 0.3, 2.0)]
-    trials += zip(precoding.solve_precoder(precoding.split_rhs(stacked, tau), lams),
+    trials += zip(precoding.solve_precoder(precoding.split_rhs(stacked, TAU), lams),
                   users, lams)
     for w, s, lam in trials:
-        dense = dense_precoder(s, tau, lam)
+        dense = dense_precoder(s, TAU, lam)
         err = np.linalg.norm(w - dense, axis=1) / np.maximum(np.linalg.norm(dense, axis=1), 1e-30)
         worst = max(worst, err.max())
     return "precoder closed form vs dense solve", worst <= 1e-10, f"max rel err {worst:.2e}"
@@ -251,23 +254,22 @@ def check_power_multiplier(seed=10):
     a last call starts every BS at 1e-9 where only 0 fits, its budget the
     free power times 1 + 1e-12."""
     channels, iterate, noise = random_network(np.random.default_rng(seed), users_per_bs=(2, 1))
-    tau = 0.8
     stacked = precoding.stacked_surrogates(iterate, channels, snapshot(iterate, channels, noise))
     owner = channels.bs_of_user
     users = [stacked.select(u) for u in range(channels.num_users)]
-    free = rates.bs_power(np.stack([dense_precoder(s, tau, 0.0) for s in users]), owner,
+    free = rates.bs_power(np.stack([dense_precoder(s, TAU, 0.0) for s in users]), owner,
                           channels.num_bs)
 
     def kkt(budgets, start=None):
         """(multipliers, KKT violations, worst relative error vs dense solve)."""
-        lams, ws, _ = precoding.solve_precoders(stacked, owner, tau, budgets, start)
+        lams, ws, _ = precoding.solve_precoders(stacked, owner, TAU, budgets, start)
         power = rates.bs_power(ws, owner, channels.num_bs)
         floor = budgets * (1.0 - precoding.POWER_REL_TOL)
         violations = (np.sum((lams == 0.0) != (free <= budgets))
                       + np.sum((lams > 0.0) & ~((floor <= power) & (power <= budgets))))
         worst = 0.0
         for s, w, lam in zip(users, ws, lams[owner]):
-            dense = dense_precoder(s, tau, lam)
+            dense = dense_precoder(s, TAU, lam)
             err = np.linalg.norm(w - dense, axis=1) \
                 / np.maximum(np.linalg.norm(dense, axis=1), 1e-30)
             worst = max(worst, err.max())
@@ -290,29 +292,29 @@ def check_power_multiplier(seed=10):
 def check_capacitance_clamp(seed=8, draws=200):
     rng = np.random.default_rng(seed)
     circ = ElementCircuit()
-    tau, worst = 0.8, 0.0
+    worst = 0.0
     grid_pts = np.linspace(circ.c_min, circ.c_max, 20001)[:, None]
     for _ in range(draws):
         c_prev = rng.uniform(circ.c_min, circ.c_max, 6)
-        grad = rng.standard_normal(6) * tau * (circ.c_max - circ.c_min)
-        out = capacitance.update_capacitances(c_prev, grad, tau, circ)
+        grad = rng.standard_normal(6) * TAU * (circ.c_max - circ.c_min)
+        out = capacitance.update_capacitances(c_prev, grad, TAU, circ)
         # per-coordinate concave model maximized on a fine grid as oracle
-        model = grad * (grid_pts - c_prev) - tau / 2 * (grid_pts - c_prev) ** 2
+        model = grad * (grid_pts - c_prev) - TAU / 2 * (grid_pts - c_prev) ** 2
         best = grid_pts[np.argmax(model, axis=0), 0]
         worst = max(worst, np.max(np.abs(out - best)) / (circ.c_max - circ.c_min))
     return "capacitance clamp vs grid oracle", worst <= 1e-4, f"max dev {worst:.1e}"
 
 
-def check_assignment(seed=9, draws=50, size=4, tau=0.8):
+def check_assignment(seed=9, draws=50, size=4):
     """Random rewards, rewards the certificate of ``solve_selection`` accepts
-    (a small gradient plus ``tau`` at a random permutation, the solver's
+    (a small gradient plus ``TAU`` at a random permutation, the solver's
     usual case) and rewards it must reject (one column's maximum tied)."""
     rng = np.random.default_rng(seed)
     cols = np.arange(size)
     bad = wrong_certificate = 0
     for _ in range(draws):
         dominant = switches.selection_reward(0.05 * rng.standard_normal((size, size)),
-                                             rng.permutation(size), tau)
+                                             rng.permutation(size), TAU)
         tied = rng.standard_normal((size, size))
         best = tied.argmax(axis=0)
         tied[(best[0] + 1) % size, 0] = tied[best[0], 0]

@@ -28,15 +28,17 @@ therefore non-decreasing.  Every trial snapshot is handed the current one as
 ``previous``, so the surfaces are routed again only after a switch move, and
 the trace counts those moves per BS.
 
-Cooperation is expressed through pricing terms (gradients of other cells'
-rates); the non-cooperative baselines force them to zero.
+Every block linearizes the gradient of its own cell's rates plus
+``cooperative`` times the other cells' rates, less the terms it models
+exactly (:func:`bdris.rates.weighted_amplitudes`), so a non-cooperative
+(``-pi0``) BS still prices the interference between its own users.
 """
 
 from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -78,7 +80,7 @@ class SolverConfig:
         return self.ris_mode != "none"
 
 
-# named algorithm variants: (ris_mode, cooperative)
+# named algorithm variants: (ris_mode, cooperative); ``-pi0`` prices no other cell
 VARIANTS = {
     "bd": ("bd", True),
     "diag": ("diagonal", True),
@@ -100,67 +102,58 @@ def solver_config_for(base, variant):
 
 @dataclass
 class Trace:
-    """Per-iteration history of one solver run, one column per quantity.
+    """Per-iteration history of one solver run, one field per ``trace.csv`` column.
 
-    Row 0 describes the initial point (step size 0; surrogate values, power
-    multipliers, power steps, switch moves and trials 0); each executed
-    iteration adds one row, so a run of T iterations has T + 1 rows.
-    ``sum_rates``, ``alphas`` and ``wall_times`` are lists of floats and
-    ``trials`` a (T+1,) int array; ``surrogate_values``, ``power_slacks``
-    and ``power_multipliers`` are (T+1, Q) float arrays; ``power_steps``
-    and ``switch_moves`` are (T+1, Q) int arrays.  ``power_steps[t, q]``
-    counts the steps BS q's multiplier search took in sweep t,
-    ``switch_moves[t, q]`` the elements of BS q whose routing the accepted
-    step changed, and ``trials[t]`` the trial merges iteration t evaluated.
-    ``alphas`` holds the step actually taken: the scheduled one, a halved
-    one after backtracking, or 0.0 when every trial lowered the sum rate and
-    the point was kept.  A new per-BS quantity is one more (T+1, Q) column.
+    Row 0 describes the initial point (step size 0; wall time, trials,
+    surrogate values, power multipliers, power steps and switch moves 0);
+    each executed iteration adds one row, so a run of T iterations has T + 1
+    rows.  ``sum_rates``, ``alphas`` and ``wall_times`` are lists of floats
+    and ``trials`` a (T+1,) int array; ``surrogate_values``, ``power_slacks``
+    and ``power_multipliers`` are (T+1, Q) float arrays; ``power_steps`` and
+    ``switch_moves`` are (T+1, Q) int arrays.  ``trials[t]`` counts the trial
+    merges iteration t evaluated, ``power_steps[t, q]`` the steps BS q's
+    multiplier search took in sweep t, and ``switch_moves[t, q]`` the
+    elements of BS q whose routing the accepted step changed.  ``alphas``
+    holds the step actually taken: the scheduled one, a halved one after
+    backtracking, or 0.0 when every trial lowered the sum rate and the point
+    was kept.  A new column is one more field and one more entry of a row.
     """
 
     sum_rates: list
     alphas: list
+    wall_times: list
+    trials: np.ndarray
     surrogate_values: np.ndarray
     power_slacks: np.ndarray
     power_multipliers: np.ndarray
     power_steps: np.ndarray
-    wall_times: list
     switch_moves: np.ndarray
-    trials: np.ndarray
+
+    # ``trace.csv`` names of the per-BS fields, each column suffixed ``_bs<q>``
+    PER_BS_COLUMNS = ("surrogate_value", "power_slack", "power_multiplier", "power_steps",
+                      "switch_moves")
 
     @classmethod
     def from_rows(cls, rows):
-        """Trace of (sum rate, step, surrogate values, power slacks, power
-        multipliers, power steps, wall time, switch moves, trials) rows, the
-        per-BS entries (Q,)."""
-        rate, alpha, surrogate, slack, multiplier, steps, wall, moves, trials = zip(*rows)
-        return cls([float(x) for x in rate], [float(x) for x in alpha],
-                   np.array(surrogate, float), np.array(slack, float),
-                   np.array(multiplier, float), np.array(steps, int),
-                   [float(x) for x in wall], np.array(moves, int), np.array(trials, int))
+        """Trace of rows holding one entry per field in field order, the per-BS ones (Q,)."""
+        columns = list(zip(*rows))
+        return cls(*([float(x) for x in c] for c in columns[:3]), *map(np.array, columns[3:]))
 
     @property
     def num_iterations(self):
         return len(self.sum_rates) - 1
 
     def to_csv(self, path):
-        """Write (iteration, sum_rate, alpha, wall time, trials, per-BS surrogate
-        value, power slack, multiplier, power steps and switch moves) rows."""
-        q_n = self.power_slacks.shape[1]
-        floats = np.hstack([self.surrogate_values, self.power_slacks,
-                            self.power_multipliers]).tolist()
-        ints = np.hstack([self.power_steps, self.switch_moves]).tolist()
+        """Write one row per iteration: its index, then every field's values in order."""
+        columns = [np.reshape(getattr(self, f.name), (len(self.sum_rates), -1)).tolist()
+                   for f in fields(self)]
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["iteration", "sum_rate", "alpha", "wall_time_s", "trials"]
-                        + [f"{name}_bs{q}" for name in ("surrogate_value", "power_slack",
-                                                        "power_multiplier", "power_steps",
-                                                        "switch_moves")
-                           for q in range(q_n)])
-            for t, (sr, al, wt, n, row_floats, row_ints) in enumerate(zip(
-                    self.sum_rates, self.alphas, self.wall_times, self.trials.tolist(),
-                    floats, ints)):
-                wr.writerow([t, repr(sr), repr(al), repr(wt), n, *map(repr, row_floats),
-                             *row_ints])
+                        + [f"{name}_bs{q}" for name in self.PER_BS_COLUMNS
+                           for q in range(self.power_slacks.shape[1])])
+            for t, row in enumerate(zip(*columns)):
+                wr.writerow([t, *(repr(v) for part in row for v in part)])
 
 
 @dataclass
@@ -322,8 +315,8 @@ def run(channels, power_budgets, noise_power, config):
     iterate = initial_iterate(channels, budgets)
     snap = snapshot(iterate, channels, noise_power, config.ris_enabled)
     power = rates.bs_power(iterate.precoders, channels.bs_of_user, q_n)
-    rows = [(snap.sum_rate, 0.0, np.zeros(q_n), budgets - power, np.zeros(q_n),
-             np.zeros(q_n, int), 0.0, np.zeros(q_n, int), 0)]
+    rows = [(snap.sum_rate, 0.0, 0.0, 0, np.zeros(q_n), budgets - power, np.zeros(q_n),
+             np.zeros(q_n, int), np.zeros(q_n, int))]
 
     alpha, lams = config.alpha0, None
     for t in range(config.max_iters):
@@ -337,10 +330,10 @@ def run(channels, power_budgets, noise_power, config):
             iterate, snap, power, candidate, alpha, channels, budgets, noise_power, config)
         if step > 0.0:
             alpha = step
-        rows.append((snap.sum_rate, step, candidate.surrogate_values, budgets - power,
+        rows.append((snap.sum_rate, step, time.perf_counter() - start, trials,
+                     candidate.surrogate_values, budgets - power,
                      candidate.power_multipliers, candidate.power_steps,
-                     time.perf_counter() - start,
-                     np.count_nonzero(iterate.selections != prev_sel, axis=1), trials))
+                     np.count_nonzero(iterate.selections != prev_sel, axis=1)))
         if abs(snap.sum_rate - prev_rate) <= config.tol:
             break
     return iterate, Trace.from_rows(rows)

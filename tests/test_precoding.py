@@ -90,8 +90,10 @@ class TestPricingVector:
             q = channels.bs_of_user[user]
             got = pricing_vector(user, iterate, channels, noise)
             if network == "multiuser_network":
+                # every rate but u's own, whose log term the quadratic models
                 fd = oracles.fd_precoder_gradient(
-                    lambda it: oracles.cell_rates(it, channels, noise, q)[1],
+                    lambda it: k_n * (oracles.sum_rate(it, channels, noise)
+                                      - oracles.user_rate(user, it, channels, noise)),
                     iterate, user)
                 assert np.linalg.norm(got - fd) <= 1e-6 * np.linalg.norm(fd)
                 continue
@@ -144,6 +146,26 @@ class TestSurrogate:
                             d_sur = (s.log_term_value(up)[k]
                                      - s.log_term_value(down)[k]) / (2 * h)
                             assert d_sur == pytest.approx(d_exact, rel=1e-4, abs=1e-9)
+
+    @pytest.mark.parametrize("cooperative", [True, False])
+    @pytest.mark.parametrize("users_per_bs", [(2, 1), (3, 2)], ids=["2+1", "3+2"])
+    def test_gradient_matches_weighted_rates(self, rng, users_per_bs, cooperative):
+        # At its anchor, every user's surrogate has the gradient of its own
+        # cell's rates plus ``cooperative`` times the other cells' rates, the
+        # intra-cell interference terms of multi-user cells included
+        channels, iterate, noise = make_network(rng, users_per_bs=users_per_bs)
+        s = precoding.stacked_surrogates(iterate, channels, snapshot(iterate, channels, noise),
+                                         cooperative)
+        f = s.own_channel
+        along = np.einsum("uki,uki->uk", np.conj(f), s.anchor)
+        grad = s.linear - (s.quad_weight * along)[..., None] * f + s.pricing
+        for user in range(channels.num_users):
+            q = channels.bs_of_user[user]
+            fd = oracles.fd_precoder_gradient(
+                lambda it: np.dot(oracles.cell_rates(it, channels, noise, q),
+                                  [1.0, float(cooperative)]),
+                iterate, user)
+            assert np.linalg.norm(grad[user] - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
 class TestSolvePrecoder:

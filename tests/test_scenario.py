@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +99,16 @@ def test_every_solver_setting_is_an_ini_key_or_a_variant():
 
 def test_missing_sections_keep_defaults(tmp_path):
     assert load(tmp_path, "[network]\n") == ScenarioConfig()
+
+
+def test_committed_two_user_scenario():
+    # the multi-user scenario that CI runs end to end
+    cfg = load_config(Path(__file__).parent / "data" / "two_users_per_bs.ini")
+    default = ScenarioConfig()
+    assert cfg == dataclasses.replace(
+        default, users_per_bs=(2,) * default.num_bs, num_elements=16, num_subcarriers=16,
+        num_taps=8, power_dbm=(20.0, 35.0), trials=3, variants=("none", "diag", "none-pi0"),
+        solver=dataclasses.replace(default.solver, max_iters=300))
 
 
 @pytest.mark.parametrize("text, users", [
