@@ -105,10 +105,19 @@ def fd_precoder_gradient(fun, iterate, user, step=1e-7, subcarriers=None):
 
 
 def dense_precoder(surrogate, tau, lam):
-    """Precoder of one surrogate by a dense solve per subcarrier, (K, N)."""
-    mats = [a * np.outer(f, np.conj(f)) + (tau / 2 + lam) * np.eye(len(f))
-            for a, f in zip(surrogate.quad_weight, surrogate.own_channel)]
-    return np.stack([np.linalg.solve(m, r) for m, r in zip(mats, surrogate.rhs(tau))])
+    """Precoders of a surrogate stack by one dense solve per user and subcarrier,
+    (..., K, N); ``lam`` is one multiplier per stacked user, or a scalar."""
+    f = surrogate.own_channel
+    outer = f[..., :, None] * np.conj(f)[..., None, :]
+    beta = (tau / 2 + np.asarray(lam))[..., None, None, None]
+    mats = surrogate.quad_weight[..., None, None] * outer + beta * np.eye(f.shape[-1])
+    return np.linalg.solve(mats, surrogate.rhs(tau)[..., None])[..., 0]
+
+
+def _dense_rel_err(w, dense):
+    """Largest per-subcarrier relative error of precoders ``w`` against ``dense``."""
+    return np.max(np.linalg.norm(w - dense, axis=-1)
+                  / np.maximum(np.linalg.norm(dense, axis=-1), 1e-30))
 
 
 def best_assignment(reward):
@@ -133,16 +142,16 @@ def _element_draws(seed, samples, margin=0.0):
             rng.uniform(circ.c_min + margin, circ.c_max - margin, samples))
 
 
-def check_circuit_equivalence(samples=2000, seed=0):
-    circ, f, c = _element_draws(seed, samples)
+def check_circuit_equivalence():
+    circ, f, c = _element_draws(0, 2000)
     direct = reflection_direct(f, c, circ)
     reform = reflection(c, rational_coefficients(f, circ), circ)[0]
     err = np.max(np.abs(direct - reform) / np.maximum(np.abs(direct), 1.0))
     return "reflection reformulation vs direct", err <= 1e-10, f"max err {err:.2e}"
 
 
-def check_passivity(samples=2000, seed=1):
-    circ, f, c = _element_draws(seed, samples)
+def check_passivity():
+    circ, f, c = _element_draws(1, 2000)
     lossless = ElementCircuit(resistance=0.0)
     lossy = np.max(np.abs(reflection(c, rational_coefficients(f, circ), circ)[0]))
     mag = np.abs(reflection(c, rational_coefficients(f, lossless), lossless)[0])
@@ -151,73 +160,69 @@ def check_passivity(samples=2000, seed=1):
     return "element passivity", ok, f"lossy max |phi| {lossy:.6f}, lossless dev {unit:.1e}"
 
 
-def check_reflection_derivative(samples=200, seed=2):
-    circ, f, c = _element_draws(seed, samples, margin=2 * CAP_STEP)
+def check_reflection_derivative():
+    circ, f, c = _element_draws(2, 200, margin=2 * CAP_STEP)
     analytic = reflection(c, rational_coefficients(f, circ), circ)[1]
     fd = fd_reflection_derivative(f, c, circ)
     err = np.max(np.abs(analytic - fd) / np.abs(analytic))
     return "element response derivative", err <= 1e-5, f"max rel err {err:.2e}"
 
 
-def _own_and_pricing_gradients(iterate, channels, snap):
-    """Own-cell and pricing parts of every surface gradient, as the sweep
-    assembles them: ``[(grad_c, grad_s) own-cell, (grad_c, grad_s) pricing]``."""
-    return [rates.surface_gradients(iterate, channels, snap, cell=cell, pricing=1.0 - cell)
-            for cell in (1.0, 0.0)]
-
-
-def _worst_rel_err(analytic, fd):
-    """Largest relative error of the (own-cell, pricing) parts against the
-    finite differences ``fd[..., 0]`` and ``fd[..., 1]``."""
-    return max(np.linalg.norm(a - fd[..., n]) / np.linalg.norm(fd[..., n])
-               for n, a in enumerate(analytic))
-
-
-def check_capacitance_gradients(seed=3):
+def _surface_gradient_error(seed, block):
+    """Largest relative error of one block of every surface gradient, 0 for the
+    capacitances and 1 for the selections, on a network whose BS 0 serves two
+    users: BS q's own-cell and pricing parts, as the sweep assembles them,
+    against central differences of its own-cell and other-cell rate sums."""
     channels, iterate, noise = random_network(np.random.default_rng(seed), users_per_bs=(2, 1))
-    parts = _own_and_pricing_gradients(iterate, channels, snapshot(iterate, channels, noise))
+    snap = snapshot(iterate, channels, noise)
+    parts = [rates.surface_gradients(iterate, channels, snap, cell=c, pricing=1.0 - c)[block]
+             for c in (1.0, 0.0)]
     worst = 0.0
     for q in range(channels.num_bs):
-        fd = fd_capacitance_gradient(
-            lambda it: _own_and_other_rate(it, channels, noise, q), iterate, q)
-        worst = max(worst, _worst_rel_err([grad_c[q] for grad_c, _ in parts], fd))
+        if block == 0:
+            fd = fd_capacitance_gradient(
+                lambda it: _own_and_other_rate(it, channels, noise, q), iterate, q)
+        else:
+            fd = fd_selection_gradient(lambda ch: _own_and_other_rate(iterate, ch, noise, q),
+                                       channels, iterate.selections[q], q)
+        worst = max(worst, *(np.linalg.norm(part[q] - fd[..., n]) / np.linalg.norm(fd[..., n])
+                             for n, part in enumerate(parts)))
+    return worst
+
+
+def check_capacitance_gradients():
+    worst = _surface_gradient_error(3, 0)
     return "capacitance gradient vs finite differences", worst <= 1e-4, f"max rel err {worst:.2e}"
 
 
-def check_selection_gradients(seed=4):
-    channels, iterate, noise = random_network(np.random.default_rng(seed), users_per_bs=(2, 1))
-    parts = _own_and_pricing_gradients(iterate, channels, snapshot(iterate, channels, noise))
-    worst = 0.0
-    for q in range(channels.num_bs):
-        fd = fd_selection_gradient(
-            lambda ch: _own_and_other_rate(iterate, ch, noise, q), channels,
-            iterate.selections[q], q)
-        worst = max(worst, _worst_rel_err([grad_s[q] for _, grad_s in parts], fd))
+def check_selection_gradients():
+    worst = _surface_gradient_error(4, 1)
     return "selection gradient vs finite differences", worst <= 1e-4, f"max rel err {worst:.2e}"
 
 
-def check_precoder_pricing(seed=5):
+def check_precoder_pricing():
     """Pricing vs the gradient of every rate but the user's own; BS 0 serves two users."""
-    channels, iterate, noise = random_network(np.random.default_rng(seed), users_per_bs=(2, 1))
+    channels, iterate, noise = random_network(np.random.default_rng(5), users_per_bs=(2, 1))
+    pricing = precoding.stacked_surrogates(iterate, channels,
+                                           snapshot(iterate, channels, noise)).pricing
     k_n, worst = channels.num_subcarriers, 0.0
-    for user in range(channels.num_users):
+    for user, got in enumerate(pricing):
         fd = fd_precoder_gradient(
             lambda it: k_n * np.delete(snapshot(it, channels, noise).user_rates, user).sum(),
             iterate, user)
-        got = precoding.pricing_vector(user, iterate, channels, noise)
         worst = max(worst, np.linalg.norm(got - fd) / max(np.linalg.norm(fd), 1e-30))
     return "precoder pricing vs finite differences", worst <= 1e-4, f"max rel err {worst:.2e}"
 
 
-def check_surrogate_bound(seed=6, draws=100):
-    rng = np.random.default_rng(seed)
+def check_surrogate_bound():
+    rng = np.random.default_rng(6)
     channels, iterate, noise = random_network(rng)
     snap = snapshot(iterate, channels, noise)
     s = precoding.stacked_surrogates(iterate, channels, snap)
     anchor_rate = np.log1p(snap.snr) / np.log(2.0)
     worst_gap = np.max(np.abs(s.log_term_value(s.anchor) - anchor_rate))
     violations = 0
-    for _ in range(draws):
+    for _ in range(100):
         w = (rng.standard_normal(s.anchor.shape)
              + 1j * rng.standard_normal(s.anchor.shape)) * 0.5
         sig = np.abs(np.einsum("uki,uki->uk", np.conj(s.own_channel), w)) ** 2
@@ -228,60 +233,49 @@ def check_surrogate_bound(seed=6, draws=100):
         f"anchor gap {worst_gap:.1e}, violations {violations}"
 
 
-def check_precoder_solve(seed=7):
-    channels, iterate, noise = random_network(np.random.default_rng(seed))
-    worst = 0.0
+def check_precoder_solve():
+    channels, iterate, noise = random_network(np.random.default_rng(7))
     stacked = precoding.stacked_surrogates(iterate, channels, snapshot(iterate, channels, noise))
-    users = [stacked.select(u) for u in range(channels.num_users)]
-    # each user alone at three multipliers, then all users in one call at one each
-    lams = np.linspace(0.3, 2.0, len(users))
-    trials = [(precoding.solve_precoder(precoding.split_rhs(s, TAU), lam), s, lam)
-              for s in users for lam in (0.0, 0.3, 2.0)]
-    trials += zip(precoding.solve_precoder(precoding.split_rhs(stacked, TAU), lams),
-                  users, lams)
-    for w, s, lam in trials:
-        dense = dense_precoder(s, TAU, lam)
-        err = np.linalg.norm(w - dense, axis=1) / np.maximum(np.linalg.norm(dense, axis=1), 1e-30)
-        worst = max(worst, err.max())
+    split = precoding.split_rhs(stacked, TAU)
+    worst = 0.0  # each user's split alone at three multipliers, then the stack at one each
+    for lam in (0.0, 0.3, 2.0):
+        for u, dense in enumerate(dense_precoder(stacked, TAU, lam)):
+            alone = precoding.RhsSplit(*(a[u] for a in split[:-1]), split.half_tau)
+            worst = max(worst, _dense_rel_err(precoding.solve_precoder(alone, lam), dense))
+    lams = np.linspace(0.3, 2.0, channels.num_users)
+    worst = max(worst, _dense_rel_err(precoding.solve_precoder(split, lams),
+                                      dense_precoder(stacked, TAU, lams)))
     return "precoder closed form vs dense solve", worst <= 1e-10, f"max rel err {worst:.2e}"
 
 
-def check_power_multiplier(seed=10):
+def check_power_multiplier():
     """Every BS's multiplier in one lock-step call, each BS in another budget
     regime (loose, binding, tight) per call, until each has met all three.
     Each call is repeated from warm starts at half, twice and 100 times its
     multipliers and at the multipliers themselves, which lie inside the band;
     a last call starts every BS at 1e-9 where only 0 fits, its budget the
     free power times 1 + 1e-12."""
-    channels, iterate, noise = random_network(np.random.default_rng(seed), users_per_bs=(2, 1))
+    channels, iterate, noise = random_network(np.random.default_rng(10), users_per_bs=(2, 1))
     stacked = precoding.stacked_surrogates(iterate, channels, snapshot(iterate, channels, noise))
-    owner = channels.bs_of_user
-    users = [stacked.select(u) for u in range(channels.num_users)]
-    free = rates.bs_power(np.stack([dense_precoder(s, TAU, 0.0) for s in users]), owner,
-                          channels.num_bs)
+    owner, q_n = channels.bs_of_user, channels.num_bs
+    free = rates.bs_power(dense_precoder(stacked, TAU, 0.0), owner, q_n)
 
     def kkt(budgets, start=None):
         """(multipliers, KKT violations, worst relative error vs dense solve)."""
         lams, ws, _ = precoding.solve_precoders(stacked, owner, TAU, budgets, start)
-        power = rates.bs_power(ws, owner, channels.num_bs)
+        power = rates.bs_power(ws, owner, q_n)
         floor = budgets * (1.0 - precoding.POWER_REL_TOL)
         violations = (np.sum((lams == 0.0) != (free <= budgets))
                       + np.sum((lams > 0.0) & ~((floor <= power) & (power <= budgets))))
-        worst = 0.0
-        for s, w, lam in zip(users, ws, lams[owner]):
-            dense = dense_precoder(s, TAU, lam)
-            err = np.linalg.norm(w - dense, axis=1) \
-                / np.maximum(np.linalg.norm(dense, axis=1), 1e-30)
-            worst = max(worst, err.max())
-        return lams, violations, worst
+        return lams, violations, _dense_rel_err(ws, dense_precoder(stacked, TAU, lams[owner]))
 
     results = []
     scales = np.array([10.0, 0.5, 1e-4])
     for shift in range(len(scales)):
-        budgets = free * scales[(np.arange(channels.num_bs) + shift) % len(scales)]
+        budgets = free * scales[(np.arange(q_n) + shift) % len(scales)]
         results.append(kkt(budgets))
         results += [kkt(budgets, factor * results[-1][0]) for factor in (0.5, 2.0, 100.0, 1.0)]
-    results.append(kkt(free * (1.0 + 1e-12), np.full(channels.num_bs, 1e-9)))
+    results.append(kkt(free * (1.0 + 1e-12), np.full(q_n, 1e-9)))
     violations = sum(r[1] for r in results)
     worst = max(r[2] for r in results)
     ok = violations == 0 and worst <= 1e-10
@@ -289,12 +283,12 @@ def check_power_multiplier(seed=10):
         f"{violations} violations over {len(results)} calls, max rel err {worst:.2e}"
 
 
-def check_capacitance_clamp(seed=8, draws=200):
-    rng = np.random.default_rng(seed)
+def check_capacitance_clamp():
+    rng = np.random.default_rng(8)
     circ = ElementCircuit()
     worst = 0.0
     grid_pts = np.linspace(circ.c_min, circ.c_max, 20001)[:, None]
-    for _ in range(draws):
+    for _ in range(200):
         c_prev = rng.uniform(circ.c_min, circ.c_max, 6)
         grad = rng.standard_normal(6) * TAU * (circ.c_max - circ.c_min)
         out = capacitance.update_capacitances(c_prev, grad, TAU, circ)
@@ -305,11 +299,12 @@ def check_capacitance_clamp(seed=8, draws=200):
     return "capacitance clamp vs grid oracle", worst <= 1e-4, f"max dev {worst:.1e}"
 
 
-def check_assignment(seed=9, draws=50, size=4):
+def check_assignment():
     """Random rewards, rewards the certificate of ``solve_selection`` accepts
     (a small gradient plus ``TAU`` at a random permutation, the solver's
     usual case) and rewards it must reject (one column's maximum tied)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(9)
+    size, draws = 4, 50
     cols = np.arange(size)
     bad = wrong_certificate = 0
     for _ in range(draws):

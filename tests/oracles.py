@@ -3,14 +3,18 @@
 Everything here recomputes quantities from first principles with explicit
 Python loops and plain formulas, deliberately avoiding the vectorized
 library paths it is used to check.  The literal per-link forms that only
-tests use live here.  The finite-difference oracles (``fd_*``), the dense
-precoder solve, the exhaustive assignment search and the synthetic network
+tests use live here, and so does the one oracle that runs the solver: the
+best fixed-permutation run, which enumerates the switch choices around it.
+The finite-difference oracles (``fd_*``), the dense precoder solve, the
+exhaustive assignment search and the synthetic network
 (``conftest.make_network``) live in :mod:`bdris.selfcheck`, because
 ``bdris validate`` ships with the library and runs them; they are
 re-exported here.
 """
 
 import functools
+import itertools
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,6 +25,7 @@ from bdris.precoding import (MAX_MULTIPLIER, POWER_REL_TOL, _stack, power_curves
 from bdris.selfcheck import (best_assignment, dense_precoder,  # noqa: F401
                              fd_capacitance_gradient, fd_precoder_gradient,
                              fd_reflection_derivative, fd_selection_gradient)
+from bdris.solver import run
 from bdris.switches import selection_gradient, selection_pricing
 
 
@@ -288,6 +293,26 @@ def bisect_measured_power(surrogates, tau, power_budget):
     else:
         raise NumericalFailureError("power bisection did not converge")
     return hi, ws
+
+
+def best_fixed_permutation_rate(channels, power_budgets, noise_power, config):
+    """Best final sum rate of ``diagonal`` runs over every tuple of per-BS permutations.
+
+    Exhaustive over (M!)^Q tuples, so meant for M <= 4.  Each tuple's run
+    permutes the columns of every ``ris_ue[q]`` by BS q's permutation and
+    keeps the identity; as a ``diagonal`` run starts at the identity and
+    never moves a switch, that is the run started and kept at the tuple.
+    This bounds what switch choice can give with the same continuous solver
+    and settings ``config``.
+    """
+    diagonal = replace(config, ris_mode="diagonal")
+    best = -np.inf
+    for perms in itertools.product(itertools.permutations(range(channels.num_elements)),
+                                   repeat=channels.num_bs):
+        ris_ue = np.stack([g[..., list(p)] for g, p in zip(channels.ris_ue, perms)])
+        _, trace = run(replace(channels, ris_ue=ris_ue), power_budgets, noise_power, diagonal)
+        best = max(best, trace.sum_rates[-1])
+    return best
 
 
 def waterfilling_rate(gains, total_power, noise_power):

@@ -2,6 +2,7 @@
 
 import csv
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -195,6 +196,16 @@ def test_module_entry_point_runs_validate():
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert "11/11 checks passed" in done.stdout
+
+
+def test_module_entry_point_runs_validate_in_process(monkeypatch, capsys):
+    # ``python -m bdris validate`` inside the test process, so that line
+    # tracing of the suite reaches ``bdris/__main__.py``
+    monkeypatch.setattr(sys, "argv", ["bdris", "validate"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("bdris", run_name="__main__")
+    assert exc.value.code == 0
+    assert "11/11 checks passed" in capsys.readouterr().out
 
 
 def test_dump_and_load_channels_round_trip(tiny_ini, tmp_path, capsys):

@@ -79,15 +79,14 @@ class TestPricingVector:
     @pytest.mark.parametrize("network", ["multiuser_network", "default_scale_network"])
     def test_matches_finite_differences(self, request, network):
         # At default scale one literal ``oracles.cell_rates`` call takes about
-        # 1.5 s, four per differenced entry, so the other-cell rates come from
-        # snapshots, differenced on subcarriers 0 and K - 1 only (all of K
-        # take about 8 s).  Each subcarrier's error must stay within 1e-5 of
-        # its largest entry; trial 0 measured 1.4e-6, the rounding of the
-        # central differences.
+        # 1.5 s, four per differenced entry, so every rate but the user's own
+        # comes from snapshots, differenced on subcarriers 0 and K - 1 only
+        # (all of K take about 8 s).  Each subcarrier's error must stay within
+        # 1e-5 of its largest entry; trial 0 measured 2.6e-6, the rounding of
+        # the central differences.
         channels, iterate, noise = request.getfixturevalue(network)
         k_n = channels.num_subcarriers
         for user in range(channels.num_users):
-            q = channels.bs_of_user[user]
             got = pricing_vector(user, iterate, channels, noise)
             if network == "multiuser_network":
                 # every rate but u's own, whose log term the quadratic models
@@ -97,10 +96,13 @@ class TestPricingVector:
                     iterate, user)
                 assert np.linalg.norm(got - fd) <= 1e-6 * np.linalg.norm(fd)
                 continue
-            other = channels.bs_of_user != q
-            fd = oracles.fd_precoder_gradient(
-                lambda it: k_n * snapshot(it, channels, noise).user_rates[other].sum(),
-                iterate, user, subcarriers=[0, k_n - 1])
+
+            def priced_rates(it):
+                user_rates = snapshot(it, channels, noise).user_rates
+                return k_n * (user_rates.sum() - user_rates[user])
+
+            fd = oracles.fd_precoder_gradient(priced_rates, iterate, user,
+                                              subcarriers=[0, k_n - 1])
             err = np.max(np.abs(got[[0, -1]] - fd), axis=1)
             assert np.all(err <= 1e-5 * np.max(np.abs(fd), axis=1))
 

@@ -8,7 +8,7 @@ import pytest
 
 from bdris.circuit import ElementCircuit
 from bdris.errors import ConfigError
-from bdris.scenario import ScenarioConfig, load_config
+from bdris.scenario import _INI_KEYS, ScenarioConfig, load_config
 from bdris.solver import SolverConfig
 
 FULL_INI = """\
@@ -199,3 +199,10 @@ def test_unknown_entry_raises_config_error(tmp_path, text, entry):
 def test_missing_file_raises_config_error(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.ini")
+
+
+def test_readme_lists_every_ini_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    missing = [f"[{section}] {key}" for section, key, _, _ in _INI_KEYS
+               if f"`[{section}]`" not in readme or f"`{key}`" not in readme]
+    assert missing == []
