@@ -142,6 +142,9 @@ class NetworkChannels:
     coefficients : (A, B, D), each (K, 1) complex
         The circuit's :func:`~bdris.circuit.rational_coefficients` of the
         subcarriers, computed once per instance on first use.
+    same_cell : (U, U) bool
+        ``same_cell[t, v]`` is true when users t and v share a serving BS,
+        computed once per instance on first use.
     """
 
     direct: np.ndarray
@@ -194,6 +197,10 @@ class NetworkChannels:
     @cached_property
     def coefficients(self):
         return rational_coefficients(self.grid.frequencies[:, None], self.circuit)
+
+    @cached_property
+    def same_cell(self):
+        return self.bs_of_user[:, None] == self.bs_of_user
 
 
 def _link_rng(root_seed, kind, a, b):

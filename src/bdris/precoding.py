@@ -49,12 +49,14 @@ class PrecoderSurrogate:
     ``-quad_weight[k] |f_k^H w_k|^2 + 2 Re{linear[k]^H w_k} + offset[k]`` and
     the overall subproblem objective adds ``Re{pricing^H (w - anchor)}`` and
     the proximal term.  ``own_channel`` holds the composite channel vectors
-    f_k.  A surrogate may also stack several users along a leading axis;
-    every method then works per user.
+    f_k and ``own_norm2`` their squared norms, both the snapshot's.  A
+    surrogate may also stack several users along a leading axis; every
+    method then works per user.
     """
 
     quad_weight: np.ndarray   # (K,) |f^H w|^2 / (ln2 (mui + |f^H w|^2) mui) >= 0
     own_channel: np.ndarray   # (K, N) complex
+    own_norm2: np.ndarray     # (K,) |f|^2
     linear: np.ndarray        # (K, N) f (f^H w) / (ln2 mui)
     pricing: np.ndarray       # (K, N) complex
     anchor: np.ndarray        # (K, N) complex, current precoder
@@ -105,20 +107,22 @@ def stacked_surrogates(iterate, channels, snap, cooperative=True):
     K (the subcarrier average rescales every term equally), of u's cell's
     rates plus ``cooperative`` times the other cells', as the surface
     gradients weigh them, less u's own log term, which the quadratic models.
+    The own channels and the rows come from the snapshot as they are.
     """
-    bs = channels.bs_of_user
     users = np.arange(channels.num_users)
-    sig, mui = snap.signal, snap.mui
-    own = np.conj(snap.rows[bs, users])          # (U, K, N)
-    linear = own * (snap.amplitudes[users, users] / (LN2 * mui))[..., None]
-    pricing = np.zeros_like(linear)
-    if cooperative or np.bincount(bs).max() > 1:
+    sig, mui, own = snap.signal, snap.mui, snap.own_channel
+    ln2_mui = LN2 * mui
+    linear = own * (snap.amplitudes[users, users] / ln2_mui)[..., None]
+    if cooperative or channels.num_users > channels.num_bs:  # some BS serves two users
         weighted = weighted_amplitudes(channels, snap, pricing=float(cooperative))
         weighted[users, users] = 0.0  # the quadratic models the own stream
-        pricing = 0.5 * np.einsum("unk,unki->uki", weighted, np.conj(snap.rows[bs]))
+        pricing = 0.5 * np.einsum("unk,unki->uki", weighted, np.conj(snap.stream_rows))
+    else:
+        pricing = np.zeros_like(linear)
     quad = sig / (LN2 * (mui + sig) * mui)
-    offset = np.log1p(snap.snr) / LN2 + quad * sig - 2.0 * sig / (LN2 * mui)
-    return PrecoderSurrogate(quad, own, linear, pricing, iterate.precoders.copy(), offset)
+    offset = np.log1p(snap.snr) / LN2 + quad * sig - 2.0 * sig / ln2_mui
+    return PrecoderSurrogate(quad, own, snap.own_norm2, linear, pricing,
+                             iterate.precoders.copy(), offset)
 
 
 def build_surrogates(q, iterate, channels, noise_power, snap=None,
@@ -144,8 +148,7 @@ class RhsSplit(NamedTuple):
 def split_rhs(surrogate, tau):
     """The :class:`RhsSplit` of ``rhs(tau)``, the only place ``tau`` enters the solve."""
     r = surrogate.rhs(tau)
-    f = surrogate.own_channel
-    f_norm2 = (np.abs(f) ** 2).sum(axis=-1)
+    f, f_norm2 = surrogate.own_channel, surrogate.own_norm2
     along = np.divide(np.einsum("...ki,...ki->...k", np.conj(f), r), f_norm2,
                       out=np.zeros(f_norm2.shape, complex), where=f_norm2 > 0)
     return RhsSplit(r - along[..., None] * f, along, f, f_norm2,

@@ -7,19 +7,25 @@ over subcarriers, where MUI collects the receiver noise plus the power of
 every other stream at that user.
 
 :func:`snapshot` evaluates what one Jacobi sweep reads for all surfaces at
-once, the reflection profiles and their capacitance slopes included.  Every
-block's gradient is read off :func:`weighted_amplitudes`: both surface
-gradients (:func:`surface_gradients`) and the precoder pricing.  The one
-thing a snapshot carries over from an earlier one is the routed
-surface-to-user channels, ``conj(g)[..., perm]``: they depend on the switch
-permutations alone, which rarely change between Jacobi sweeps, so
-:func:`snapshot` reuses the routing of a ``previous`` snapshot whose
-permutations equal the iterate's and rebuilds it otherwise.
+once: the composite rows, their per-stream gather, each user's own channel
+and its squared norm, the reflection profiles and their capacitance slopes,
+and the sum rate, summed once per snapshot.  Every block reads these from
+the snapshot instead of forming them again, and every block's gradient is
+read off :func:`weighted_amplitudes`: both surface gradients
+(:func:`surface_gradients`) and the precoder pricing.  A snapshot given a
+``previous`` one of the same channels carries over what did not change
+between them.  The routed surface-to-user channels, ``conj(g)[..., perm]``,
+depend on the switch permutations alone, which rarely change between Jacobi
+sweeps, so they are reused when ``previous`` has the iterate's permutations
+and rebuilt otherwise.  Without surfaces the rows, their per-stream gather
+and the own channels depend on the channels alone, so they are reused
+whenever ``previous`` was also formed without surfaces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,7 +69,7 @@ class Iterate:
         c, caps, s = channels.circuit, self.capacitances, self.selections
         if not ((caps >= c.c_min) & (caps <= c.c_max)).all():
             raise ValueError("capacitance outside the tunable range")
-        if not np.issubdtype(s.dtype, np.integer) or s.shape != caps.shape:
+        if s.dtype.kind not in "iu" or s.shape != caps.shape:
             raise ValueError("selections must be (Q, M) integer permutations")
         rows = s if moved is None else s[moved]
         if len(rows) and (np.sort(rows, axis=1) != np.arange(s.shape[1])).any():
@@ -82,10 +88,16 @@ class RateSnapshot:
     """Cached per-iterate quantities shared by the subproblem solvers.
 
     ``routed`` and ``selections`` are read-only: later snapshots of iterates
-    with the same permutations share them.
+    with the same permutations share them.  Surface-less snapshots of one
+    run share ``rows``, ``stream_rows``, ``own_channel`` and ``own_norm2``,
+    which depend on the channels alone.  ``sum_rate`` is summed on its first
+    read and kept.
     """
 
     rows: np.ndarray          # (Q, U, K, N) conjugated composite channels
+    stream_rows: np.ndarray   # (U, U, K, N) rows[bs_of_user]: serving-BS row of each stream
+    own_channel: np.ndarray   # (U, K, N) f = conj(rows[bs_of_user[u], u]), u's own channel
+    own_norm2: np.ndarray     # (U, K) |f|^2
     amplitudes: np.ndarray    # (U, U, K): [n, u, k] is stream n's amplitude at user u
     signal: np.ndarray        # (U, K) own-stream power
     mui: np.ndarray           # (U, K) noise plus interference power
@@ -96,7 +108,7 @@ class RateSnapshot:
     routed: np.ndarray | None      # (Q, U, K, M) conj(g)[..., perm], None without surfaces
     selections: np.ndarray | None  # (Q, M) permutations ``routed`` was built from, or None
 
-    @property
+    @cached_property
     def sum_rate(self):
         return float(self.user_rates.sum())
 
@@ -114,38 +126,54 @@ def snapshot(iterate, channels, noise_power, ris_enabled=True, previous=None):
     :attr:`~bdris.channels.NetworkChannels.coefficients`.  ``previous`` is an
     earlier snapshot of the same channels: its ``routed`` array is reused,
     not copied, when its ``selections`` equal the iterate's, and every
-    surface is routed afresh otherwise.  Both ways give the same array, so
-    the result does not depend on ``previous``.
+    surface is routed afresh otherwise.  Without surfaces, the rows, their
+    per-stream gather ``rows[bs_of_user]`` and the own channels of a
+    ``previous`` snapshot also formed without surfaces are reused.  Both
+    ways give the same arrays, so the result does not depend on ``previous``.
     """
-    rows, phi, slope = np.conj(channels.direct), None, None
-    routed = selections = None
-    if ris_enabled:
-        phi, slope = reflection(iterate.capacitances[:, None, :], channels.coefficients,
-                                channels.circuit)
-        if previous is not None and np.array_equal(previous.selections, iterate.selections):
-            routed, selections = previous.routed, previous.selections
-        else:  # a copy of the permutations, since the iterate's may be edited in place
-            routed, selections = np.empty_like(channels.ris_ue), iterate.selections.copy()
-            for g, perm, out in zip(channels.ris_ue, selections, routed):
-                np.take(g, perm, axis=-1, out=out)
-            np.conjugate(routed, out=routed)
-            routed.flags.writeable = selections.flags.writeable = False
-        # one surface at a time, (K, U, M) @ BS -> surface matrices (K, M, N), so
-        # that each phased temporary is a quarter of ``routed``: a full-size one
-        # beside a freshly routed array lets the allocator return both to the
-        # system, and the next rebuild pages them in again (3x slower)
-        rows = rows + np.stack([((r * p).swapaxes(0, 1) @ h).swapaxes(0, 1)
-                                for r, p, h in zip(routed, phi[:, None], channels.bs_ris)])
-    tx_rows = rows[channels.bs_of_user]  # (U, U, K, N): serving-BS row of each stream
-    amp = np.einsum("nuki,nki->nuk", tx_rows, iterate.precoders)
+    phi = slope = routed = selections = None
+    users = np.arange(channels.num_users)
+    if not ris_enabled and previous is not None and previous.phi is None:
+        rows, stream_rows = previous.rows, previous.stream_rows
+        own_channel, own_norm2 = previous.own_channel, previous.own_norm2
+    else:
+        rows = np.conj(channels.direct)
+        if ris_enabled:
+            phi, slope = reflection(iterate.capacitances[:, None, :], channels.coefficients,
+                                    channels.circuit)
+            routed, selections = _routing(iterate, channels, previous)
+            # one surface at a time, (K, U, M) @ BS -> surface matrices (K, M, N), so
+            # that each phased temporary is a quarter of ``routed``: a full-size one
+            # beside a freshly routed array lets the allocator return both to the
+            # system, and the next rebuild pages them in again (3x slower)
+            rows = rows + np.stack([((r * p).swapaxes(0, 1) @ h).swapaxes(0, 1)
+                                    for r, p, h in zip(routed, phi[:, None],
+                                                       channels.bs_ris)])
+        stream_rows = rows[channels.bs_of_user]
+        own_channel = np.conj(stream_rows[users, users])
+        own_norm2 = (np.abs(own_channel) ** 2).sum(axis=-1)
+    amp = np.einsum("nuki,nki->nuk", stream_rows, iterate.precoders)
     powers = np.abs(amp) ** 2
-    u_n = powers.shape[0]
-    own = powers[np.arange(u_n), np.arange(u_n)]  # (U, K)
+    own = powers[users, users]  # (U, K)
     mui = noise_power + powers.sum(axis=0) - own
     snr = own / mui
     k_n = snr.shape[1]
     rates = np.log1p(snr).sum(axis=1) / (LN2 * k_n)
-    return RateSnapshot(rows, amp, own, mui, snr, rates, phi, slope, routed, selections)
+    return RateSnapshot(rows, stream_rows, own_channel, own_norm2, amp, own, mui, snr,
+                        rates, phi, slope, routed, selections)
+
+
+def _routing(iterate, channels, previous):
+    """``(routed, selections)`` of the iterate's permutations, ``previous``'s if equal."""
+    if previous is not None and np.array_equal(previous.selections, iterate.selections):
+        return previous.routed, previous.selections
+    # a copy of the permutations, since the iterate's may be edited in place
+    routed, selections = np.empty_like(channels.ris_ue), iterate.selections.copy()
+    for g, perm, out in zip(channels.ris_ue, selections, routed):
+        np.take(g, perm, axis=-1, out=out)
+    np.conjugate(routed, out=routed)
+    routed.flags.writeable = selections.flags.writeable = False
+    return routed, selections
 
 
 def weighted_amplitudes(channels, snap, cell=1.0, pricing=1.0):
@@ -156,10 +184,9 @@ def weighted_amplitudes(channels, snap, cell=1.0, pricing=1.0):
     ``d = (2 / ln 2) / ((1 + snr) mui)`` of v for its own stream and
     ``-snr d`` for another, times ``cell`` in t's cell and ``pricing`` outside.
     """
-    bs = channels.bs_of_user
-    users = np.arange(len(bs))
+    users = np.arange(channels.num_users)
     d = (2.0 / LN2) / ((1.0 + snap.snr) * snap.mui)
-    weights = np.where(bs[:, None] == bs, cell, pricing)[..., None] * (-snap.snr * d)
+    weights = np.where(channels.same_cell, cell, pricing)[..., None] * (-snap.snr * d)
     weights[users, users] = cell * d
     return weights * snap.amplitudes
 

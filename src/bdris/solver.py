@@ -25,8 +25,12 @@ continuous blocks, and the switch model is linear in a rate that is not, so
 a rejected point is retried without the switch moves and then with halved
 steps; if no trial ascends, the iteration takes step 0.  The trace is
 therefore non-decreasing.  Every trial snapshot is handed the current one as
-``previous``, so the surfaces are routed again only after a switch move, and
-the trace counts those moves per BS.
+``previous`` and carries over what the trial did not change: the surfaces are
+routed again only after a switch move, which the trace counts per BS, and a
+surface-less run forms its composite rows, their per-stream gather and the
+own channels once, at the initial point (see :func:`bdris.rates.snapshot`).
+A block that does not move keeps its array in the trial, so its snapshot
+reads the same arrays the current one did.
 
 Every block linearizes the gradient of its own cell's rates plus
 ``cooperative`` times the other cells' rates, less the terms it models
@@ -275,16 +279,21 @@ def blend_step(iterate, candidate, alpha):
     candidate; a BS's proposed permutation replaces its current one only
     where its switch gain is strictly positive.  Each capacitance is kept
     between its current and candidate values, which ``c + 1.0 (c_hat - c)``
-    can round past, so a full step stays in the tunable range.  Whether the
-    merged point is kept at all is decided by ``run`` on the true sum rate.
+    can round past, so a full step stays in the tunable range.  A block that
+    does not move is returned as the same array: the capacitances when the
+    candidate's are the iterate's (no surfaces), the selections when no
+    switch gain is positive.  Whether the merged point is kept at all is
+    decided by ``run`` on the true sum rate.
     """
-    t, w, caps = candidate.target, iterate.precoders, iterate.capacitances
-    c_hat = t.capacitances
-    return Iterate(w + alpha * (t.precoders - w),
-                   np.clip(caps + alpha * (c_hat - caps), np.minimum(caps, c_hat),
-                           np.maximum(caps, c_hat)),
-                   np.where((candidate.switch_gains > 0.0)[:, None], t.selections,
-                            iterate.selections))
+    t, w, caps, sels = (candidate.target, iterate.precoders, iterate.capacitances,
+                        iterate.selections)
+    c_hat, moved = t.capacitances, candidate.switch_gains > 0.0
+    if c_hat is not caps:
+        caps = np.clip(caps + alpha * (c_hat - caps), np.minimum(caps, c_hat),
+                       np.maximum(caps, c_hat))
+    if moved.any():
+        sels = np.where(moved[:, None], t.selections, sels)
+    return Iterate(w + alpha * (t.precoders - w), caps, sels)
 
 
 def run(channels, power_budgets, noise_power, config):

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bdris import cli
 from bdris.channels import load_channels
 from bdris.cli import main
 from bdris.scenario import channels_for_trial, load_config
@@ -184,9 +185,34 @@ def test_power_flag_rejects_non_finite_values(tiny_ini, tmp_path, capsys, comman
     assert not out.exists()
 
 
-def test_validate_passes_every_check(capsys):
+@pytest.fixture
+def stub_checks(monkeypatch):
+    """Replace the self-check suite the CLI runs by 11 stand-in results.
+
+    The suite itself runs twice in the tests: in process
+    (``test_selfcheck.py``) and through ``python -m bdris validate``
+    (``test_module_entry_point_runs_validate``); the CLI tests only need
+    its results.  ``stub_checks(*failed)`` makes the listed checks fail.
+    """
+    def stub(*failed):
+        results = [(f"check {i}", i not in failed, f"detail {i}") for i in range(11)]
+        monkeypatch.setattr(cli, "run_all", lambda: results)
+    return stub
+
+
+def test_validate_passes_every_check(stub_checks, capsys):
+    stub_checks()
     assert main(["validate"]) == 0
-    assert "11/11 checks passed" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines() == \
+        [f"PASS  check {i}  (detail {i})" for i in range(11)] + ["11/11 checks passed"]
+
+
+def test_validate_reports_a_failed_check(stub_checks, capsys):
+    stub_checks(4)
+    assert main(["validate"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[4] == "FAIL  check 4  (detail 4)"
+    assert out[-1] == "10/11 checks passed"
 
 
 def test_module_entry_point_runs_validate():
@@ -198,14 +224,27 @@ def test_module_entry_point_runs_validate():
     assert "11/11 checks passed" in done.stdout
 
 
-def test_module_entry_point_runs_validate_in_process(monkeypatch, capsys):
+def _run_module(monkeypatch, capsys):
     # ``python -m bdris validate`` inside the test process, so that line
     # tracing of the suite reaches ``bdris/__main__.py``
     monkeypatch.setattr(sys, "argv", ["bdris", "validate"])
     with pytest.raises(SystemExit) as exc:
         runpy.run_module("bdris", run_name="__main__")
-    assert exc.value.code == 0
-    assert "11/11 checks passed" in capsys.readouterr().out
+    return exc.value.code, capsys.readouterr().out.splitlines()
+
+
+def test_module_entry_point_runs_validate_in_process(stub_checks, monkeypatch, capsys):
+    stub_checks()
+    code, out = _run_module(monkeypatch, capsys)
+    assert code == 0
+    assert out[-1] == "11/11 checks passed"
+
+
+def test_module_entry_point_exits_1_on_a_failed_check(stub_checks, monkeypatch, capsys):
+    stub_checks(2)
+    code, out = _run_module(monkeypatch, capsys)
+    assert code == 1
+    assert out[2] == "FAIL  check 2  (detail 2)" and out[-1] == "10/11 checks passed"
 
 
 def test_dump_and_load_channels_round_trip(tiny_ini, tmp_path, capsys):

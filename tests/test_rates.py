@@ -256,6 +256,8 @@ class TestSnapshot:
 
 
 class TestRoutingReuse:
+    CHANNEL_QUANTITIES = ("rows", "stream_rows", "own_channel", "own_norm2")
+
     @staticmethod
     def other_point(iterate, selections):
         # another point of the design space, with the given permutations
@@ -280,6 +282,62 @@ class TestRoutingReuse:
         got = snapshot(iterate, channels, noise, previous=previous)
         assert got.routed is not previous.routed
         assert_same_snapshot(got, snapshot(iterate, channels, noise))
+
+    @pytest.mark.parametrize("network", ["multiuser_network", "default_scale_network"])
+    def test_surface_less_snapshot_shares_channel_quantities(self, network, request):
+        # without surfaces the rows, their per-stream gather and the own
+        # channels depend on the channels alone, so a later point shares them
+        channels, iterate, noise = request.getfixturevalue(network)
+        previous = snapshot(self.other_point(iterate, iterate.selections.copy()),
+                            channels, noise, ris_enabled=False)
+        got = snapshot(iterate, channels, noise, ris_enabled=False, previous=previous)
+        for name in self.CHANNEL_QUANTITIES:
+            assert getattr(got, name) is getattr(previous, name), name
+        assert_same_snapshot(got, snapshot(iterate, channels, noise, ris_enabled=False))
+
+    @pytest.mark.parametrize("network", ["multiuser_network", "default_scale_network"])
+    def test_capacitance_change_rebuilds_rows(self, network, request):
+        # the same permutations share the routing, but other capacitances
+        # give other rows, so every row quantity is formed afresh
+        channels, iterate, noise = request.getfixturevalue(network)
+        previous = snapshot(self.other_point(iterate, iterate.selections.copy()),
+                            channels, noise)
+        got = snapshot(iterate, channels, noise, previous=previous)
+        assert got.routed is previous.routed
+        for name in self.CHANNEL_QUANTITIES:
+            assert getattr(got, name) is not getattr(previous, name), name
+        assert not np.array_equal(got.rows, previous.rows)
+        assert_same_snapshot(got, snapshot(iterate, channels, noise))
+
+    def test_surface_rows_not_reused_without_surfaces(self, multiuser_network):
+        channels, iterate, noise = multiuser_network
+        previous = snapshot(iterate, channels, noise)
+        got = snapshot(iterate, channels, noise, ris_enabled=False, previous=previous)
+        assert got.rows is not previous.rows
+        assert_same_snapshot(got, snapshot(iterate, channels, noise, ris_enabled=False))
+
+    @pytest.mark.parametrize("network", ["multiuser_network", "default_scale_network"])
+    @pytest.mark.parametrize("ris_enabled", [True, False])
+    def test_own_channel_quantities_match_rows(self, network, request, ris_enabled):
+        channels, iterate, noise = request.getfixturevalue(network)
+        snap = snapshot(iterate, channels, noise, ris_enabled)
+        bs, users = channels.bs_of_user, np.arange(channels.num_users)
+        own = np.conj(snap.rows[bs, users])
+        np.testing.assert_array_equal(snap.stream_rows, snap.rows[bs], strict=True)
+        np.testing.assert_array_equal(snap.own_channel, own, strict=True)
+        np.testing.assert_array_equal(snap.own_norm2, (np.abs(own) ** 2).sum(axis=-1),
+                                      strict=True)
+
+    @pytest.mark.parametrize("network", ["multiuser_network", "default_scale_network"])
+    def test_sum_rate_is_the_rate_sum(self, network, request):
+        channels, iterate, noise = request.getfixturevalue(network)
+        snap = snapshot(iterate, channels, noise)
+        assert snap.sum_rate == float(snap.user_rates.sum())
+        assert sum_rate(iterate, channels, noise) == snap.sum_rate
+        # summed on the first read: rates edited before it are seen
+        edited = snapshot(iterate, channels, noise)
+        edited.user_rates = edited.user_rates + 1.0
+        assert edited.sum_rate == float((snap.user_rates + 1.0).sum())
 
     def test_routing_is_read_only(self, multiuser_network):
         channels, iterate, noise = multiuser_network

@@ -270,6 +270,34 @@ class TestBlendStep:
         np.testing.assert_array_equal(out.selections[0], swap)
         np.testing.assert_array_equal(out.selections[1], iterate.selections[1])
 
+    def test_unmoved_blocks_pass_through(self, small_network):
+        # a surface-less candidate keeps the iterate's capacitances, and no
+        # positive switch gain keeps its selections: both come back as the
+        # same arrays, while the precoders blend
+        channels, iterate, _ = small_network
+        cand = batched_candidate(0.5 * iterate.precoders, iterate.capacitances,
+                                 iterate.selections[:, ::-1], gains=[0.0, -1.0])
+        out = blend_step(iterate, cand, 0.3)
+        assert out.capacitances is iterate.capacitances
+        assert out.selections is iterate.selections
+        np.testing.assert_array_equal(
+            out.precoders, iterate.precoders + 0.3 * (cand.target.precoders
+                                                      - iterate.precoders), strict=True)
+
+    def test_moved_blocks_blend(self, small_network):
+        # moved blocks are new arrays, equal bit for bit to the clipped blend
+        # and the gain-masked choice
+        channels, iterate, _ = small_network
+        caps, sels = iterate.capacitances, iterate.selections
+        c_hat = np.full(caps.shape, channels.circuit.c_max)
+        cand = batched_candidate(iterate.precoders, c_hat, sels[:, ::-1], gains=[2.0, 0.0])
+        out = blend_step(iterate, cand, 0.3)
+        assert out.capacitances is not caps and out.selections is not sels
+        np.testing.assert_array_equal(
+            out.capacitances, np.clip(caps + 0.3 * (c_hat - caps), np.minimum(caps, c_hat),
+                                      np.maximum(caps, c_hat)), strict=True)
+        np.testing.assert_array_equal(out.selections, [sels[0, ::-1], sels[1]], strict=True)
+
 
 class TestRun:
     def test_trace_and_feasibility(self, rng):
