@@ -11,10 +11,15 @@ responses with a K-point DFT along delay.  Three link families exist:
 
 Every link draws from its own random substream derived from the root seed
 and a (kind, endpoint, endpoint) key, so adding users or surfaces never
-perturbs previously generated links.  The composite channel of every link,
-direct plus routed reflected path, is assembled by
-:func:`bdris.rates.snapshot` (its ``rows``).  Wavelengths use the exact SI
-:data:`SPEED_OF_LIGHT`, so this module needs numpy only.
+perturbs previously generated links, and the links do not depend on the
+order they are drawn in.  :func:`generate_channels` draws the direct links
+at once and leaves the two surface families to its :class:`LinkDraw`,
+which draws both on the first read of either (see :class:`NetworkChannels`):
+a run without surfaces never builds them, and at the default scale they
+hold 98% of a realization's bytes.  Each family takes one batched DFT.
+The composite channel of every link, direct plus routed reflected path, is
+assembled by :func:`bdris.rates.snapshot` (its ``rows``).  Wavelengths use
+the exact SI :data:`SPEED_OF_LIGHT`, so this module needs numpy only.
 """
 
 from __future__ import annotations
@@ -29,8 +34,9 @@ from .circuit import ElementCircuit, SubcarrierGrid, rational_coefficients
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by SI definition
 _LINKS = ("direct", "bs_ris", "ris_ue")  # link families, in dump order
+_SURFACE_LINKS = _LINKS[1:]  # drawn together, on first read
 
-# substream kinds for per-link seeding
+# substream kinds for per-link seeding, in the order of the pathloss exponents
 _KIND_DIRECT = 0
 _KIND_BS_RIS = 1
 _KIND_RIS_UE = 2
@@ -110,21 +116,84 @@ def generate_link_taps(rng, rows, cols, num_taps, total_gain):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def taps_to_frequency(taps, num_subcarriers):
-    """K-point DFT along the trailing delay axis; subcarrier axis moved first.
+def taps_to_frequency(taps, num_subcarriers, axis=0):
+    """K-point DFT along the trailing delay axis; subcarrier axis moved to ``axis``.
 
-    Input shape (..., T) with T <= K gives output shape (K, ...).
+    Input shape (..., T) with T <= K gives a C-contiguous output with the K
+    subcarriers at ``axis``: (K, ...) by default.  Each length-T row is
+    transformed on its own, so a stack of links gives the bits of one DFT
+    per link.
     """
     taps = np.asarray(taps)
     if taps.shape[-1] > num_subcarriers:
         raise ValueError("more taps than subcarriers")
     freq = np.fft.fft(taps, n=num_subcarriers, axis=-1)
-    return np.moveaxis(freq, -1, 0)
+    return np.ascontiguousarray(np.moveaxis(freq, -1, axis))
+
+
+def _link_rng(root_seed, kind, a, b):
+    return np.random.default_rng(np.random.SeedSequence(root_seed, spawn_key=(kind, a, b)))
+
+
+@dataclass(frozen=True)
+class LinkDraw:
+    """Everything that fixes one realization's links, as plain data.
+
+    It holds no arrays of links and no closure, so a :class:`NetworkChannels`
+    waiting on it pickles, and the links it draws depend on its fields alone.
+    Each family is drawn link by link from the per-link substreams and
+    taken to the frequency domain with one batched DFT.
+    """
+
+    topology: NetworkTopology
+    grid: SubcarrierGrid
+    exponents: tuple  # (alpha_bs_ue, alpha_bs_ris, alpha_ris_ue)
+    root_seed: int
+    num_taps: int
+
+    def direct(self):
+        """(Q, U, K, N) BS -> user links."""
+        t = self.topology
+        freq = self._family(_KIND_DIRECT, t.bs_positions, t.ue_positions,
+                            np.ndindex(t.num_bs, t.num_users), (1, t.num_antennas))
+        return freq.reshape(t.num_bs, t.num_users, -1, t.num_antennas)
+
+    def surfaces(self):
+        """``(bs_ris, ris_ue)``: (Q, K, M, N) BS -> own surface, (Q, U, K, M) surface -> user."""
+        t = self.topology
+        bs_ris = self._family(_KIND_BS_RIS, t.bs_positions, t.ris_positions,
+                              [(j, j) for j in range(t.num_bs)],
+                              (t.num_elements, t.num_antennas))
+        ris_ue = self._family(_KIND_RIS_UE, t.ris_positions, t.ue_positions,
+                              np.ndindex(t.num_bs, t.num_users), (1, t.num_elements))
+        return bs_ris, ris_ue.reshape(t.num_bs, t.num_users, -1, t.num_elements)
+
+    def _family(self, kind, tx, rx, pairs, shape):
+        """(L, K, *shape) responses of the links ``tx[a] -> rx[b]`` of ``pairs``.
+
+        Link (a, b) draws its taps from substream ``(kind, a, b)``; ``kind``
+        also indexes the family's pathloss exponent.
+        """
+        wavelength = SPEED_OF_LIGHT / self.grid.carrier_frequency
+        pairs = list(pairs)
+        taps = np.empty((len(pairs), *shape, self.num_taps), complex)
+        for out, (a, b) in zip(taps, pairs):
+            gain = pathloss(np.linalg.norm(tx[a] - rx[b]), self.exponents[kind], wavelength)
+            out[...] = generate_link_taps(_link_rng(self.root_seed, kind, a, b), *shape,
+                                          self.num_taps, gain)
+        return taps_to_frequency(taps, self.grid.num_subcarriers, axis=1)
 
 
 @dataclass
 class NetworkChannels:
     """Frequency-domain channels of all links plus the grid they live on.
+
+    Built from arrays, every link is there from the start.
+    :func:`generate_channels` passes one :class:`LinkDraw` as both ``bs_ris``
+    and ``ris_ue``: the first read of either draws both, and later reads are
+    plain attribute reads of the same arrays.  ``num_elements`` and the
+    cached properties need no draw, and a ``dataclasses.replace`` copy reads
+    (so draws) the original's surface links and shares them.
 
     Attributes
     ----------
@@ -132,8 +201,10 @@ class NetworkChannels:
         ``direct[j, u, k]`` is the BS j -> user u channel at subcarrier k.
     bs_ris : (Q, K, M, N) complex
         ``bs_ris[q, k]`` is the BS q -> surface q matrix at subcarrier k.
+        Drawn on the first read of ``bs_ris`` or ``ris_ue`` if generated.
     ris_ue : (Q, U, K, M) complex
         ``ris_ue[j, u, k]`` is the surface j -> user u channel at subcarrier k.
+        Drawn together with ``bs_ris``.
     bs_of_user : (U,) int
         Serving base station of each user.
     grid : SubcarrierGrid
@@ -156,11 +227,19 @@ class NetworkChannels:
 
     def __post_init__(self):
         q, u, k, n = self.direct.shape
-        if self.bs_ris.shape[0] != q or self.bs_ris.shape[1] != k or self.bs_ris.shape[3] != n:
-            raise ValueError("bs_ris shape inconsistent with direct channels")
-        m = self.bs_ris.shape[2]
-        if self.ris_ue.shape != (q, u, k, m):
-            raise ValueError("ris_ue shape inconsistent with the other links")
+        self._draw = draw = self.bs_ris if isinstance(self.bs_ris, LinkDraw) else None
+        if draw is not None:
+            t = draw.topology
+            if self.ris_ue is not draw or (t.num_bs, t.num_users, draw.grid.num_subcarriers,
+                                           t.num_antennas) != (q, u, k, n):
+                raise ValueError("surface links must come from the direct links' draw")
+            del self.bs_ris, self.ris_ue  # drawn by __getattr__ on first read
+        else:
+            m = self.bs_ris.shape[2]
+            if self.bs_ris.shape != (q, k, m, n):
+                raise ValueError("bs_ris shape inconsistent with direct channels")
+            if self.ris_ue.shape != (q, u, k, m):
+                raise ValueError("ris_ue shape inconsistent with the other links")
         if len(self.bs_of_user) != u:
             raise ValueError("bs_of_user must cover every user")
         bs = np.asarray(self.bs_of_user)
@@ -170,6 +249,15 @@ class NetworkChannels:
             raise ValueError("every BS must serve at least one user")
         if k != self.grid.num_subcarriers:
             raise ValueError("subcarrier count does not match the grid")
+
+    def __getattr__(self, name):
+        # reached only for attributes that are not set: surface links not yet drawn
+        draw = vars(self).get("_draw")
+        if draw is None or name not in _SURFACE_LINKS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        for link, arr in zip(_SURFACE_LINKS, draw.surfaces()):
+            vars(self).setdefault(link, arr)
+        return vars(self)[name]
 
     @property
     def num_bs(self):
@@ -189,7 +277,7 @@ class NetworkChannels:
 
     @property
     def num_elements(self):
-        return self.bs_ris.shape[2]
+        return self.bs_ris.shape[2] if self._draw is None else self._draw.topology.num_elements
 
     def users_of_bs(self, q):
         return np.flatnonzero(self.bs_of_user == q)
@@ -203,12 +291,8 @@ class NetworkChannels:
         return self.bs_of_user[:, None] == self.bs_of_user
 
 
-def _link_rng(root_seed, kind, a, b):
-    return np.random.default_rng(np.random.SeedSequence(root_seed, spawn_key=(kind, a, b)))
-
-
 def generate_channels(topology, grid, exponents, root_seed, num_taps, circuit):
-    """Draw one network realization.
+    """One network realization: direct links now, surface links on first read.
 
     Parameters
     ----------
@@ -222,29 +306,8 @@ def generate_channels(topology, grid, exponents, root_seed, num_taps, circuit):
         Delay taps per link.
     circuit : ElementCircuit
     """
-    wavelength = SPEED_OF_LIGHT / grid.carrier_frequency
-    a_bu, a_br, a_ru = exponents
-    q_n, u_n = topology.num_bs, topology.num_users
-    k_n, n_n, m_n = grid.num_subcarriers, topology.num_antennas, topology.num_elements
-
-    def link(kind, a, b, distance, exponent, rows, cols):
-        """(K, rows, cols) frequency response of one link."""
-        taps = generate_link_taps(_link_rng(root_seed, kind, a, b), rows, cols,
-                                  num_taps, pathloss(distance, exponent, wavelength))
-        return taps_to_frequency(taps, k_n)
-
-    direct = np.zeros((q_n, u_n, k_n, n_n), dtype=complex)
-    bs_ris = np.zeros((q_n, k_n, m_n, n_n), dtype=complex)
-    ris_ue = np.zeros((q_n, u_n, k_n, m_n), dtype=complex)
-    for j in range(q_n):
-        bs, ris = topology.bs_positions[j], topology.ris_positions[j]
-        bs_ris[j] = link(_KIND_BS_RIS, j, j, np.linalg.norm(bs - ris), a_br, m_n, n_n)
-        for u, ue in enumerate(topology.ue_positions):
-            direct[j, u] = link(_KIND_DIRECT, j, u, np.linalg.norm(bs - ue),
-                                a_bu, 1, n_n)[:, 0]
-            ris_ue[j, u] = link(_KIND_RIS_UE, j, u, np.linalg.norm(ris - ue),
-                                a_ru, 1, m_n)[:, 0]
-    return NetworkChannels(direct, bs_ris, ris_ue, topology.bs_of_user, grid, circuit)
+    draw = LinkDraw(topology, grid, tuple(exponents), root_seed, num_taps)
+    return NetworkChannels(draw.direct(), draw, draw, topology.bs_of_user, grid, circuit)
 
 
 # ---------------------------------------------------------------------------

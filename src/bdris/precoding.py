@@ -161,11 +161,13 @@ def solve_precoder(split, lam):
     ``split`` is one user's or a stack of users' :func:`split_rhs`; ``lam``
     is a scalar or one multiplier per stacked user.  Each subcarrier block
     (a f f^H + beta I) w = rhs, ``beta = tau/2 + lam``, solves part by part:
-    ``w = across / beta + along f / (beta + a |f|^2)``.
+    ``w = across / beta + along f / (beta + a |f|^2)``.  Both divisions
+    multiply by the real reciprocal, which is what numpy's complex-by-real
+    division computes, without promoting the divisor to complex.
     """
     beta = (split.half_tau + np.asarray(lam))[..., None]
-    along = split.along / (beta + split.shift)
-    return split.across / beta[..., None] + along[..., None] * split.channel
+    along = split.along * (1.0 / (beta + split.shift))
+    return split.across * (1.0 / beta)[..., None] + along[..., None] * split.channel
 
 
 def power_curves(split, owner):

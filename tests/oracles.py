@@ -18,6 +18,8 @@ from dataclasses import replace
 
 import numpy as np
 
+from bdris.channels import (SPEED_OF_LIGHT, _KIND_BS_RIS, _KIND_DIRECT, _KIND_RIS_UE,
+                            _link_rng, generate_link_taps, pathloss, taps_to_frequency)
 from bdris.circuit import rational_coefficients, reflection
 from bdris.errors import NumericalFailureError
 from bdris.precoding import (MAX_MULTIPLIER, POWER_REL_TOL, _stack, power_curves,
@@ -27,6 +29,31 @@ from bdris.selfcheck import (best_assignment, dense_precoder,  # noqa: F401
                              fd_reflection_derivative, fd_selection_gradient)
 from bdris.solver import run
 from bdris.switches import selection_gradient, selection_pricing
+
+
+def per_link_channels(topology, grid, exponents, root_seed, num_taps):
+    """``(direct, bs_ris, ris_ue)`` drawn link by link, one DFT per link, at once."""
+    wavelength = SPEED_OF_LIGHT / grid.carrier_frequency
+    k_n, n_n, m_n = grid.num_subcarriers, topology.num_antennas, topology.num_elements
+
+    def link(kind, a, b, distance, exponent, rows, cols):
+        taps = generate_link_taps(_link_rng(root_seed, kind, a, b), rows, cols, num_taps,
+                                  pathloss(distance, exponent, wavelength))
+        return taps_to_frequency(taps, k_n)
+
+    q_n, u_n = topology.num_bs, topology.num_users
+    direct = np.zeros((q_n, u_n, k_n, n_n), dtype=complex)
+    bs_ris = np.zeros((q_n, k_n, m_n, n_n), dtype=complex)
+    ris_ue = np.zeros((q_n, u_n, k_n, m_n), dtype=complex)
+    for j in range(q_n):
+        bs, ris = topology.bs_positions[j], topology.ris_positions[j]
+        bs_ris[j] = link(_KIND_BS_RIS, j, j, np.linalg.norm(bs - ris), exponents[1], m_n, n_n)
+        for u, ue in enumerate(topology.ue_positions):
+            direct[j, u] = link(_KIND_DIRECT, j, u, np.linalg.norm(bs - ue), exponents[0],
+                                1, n_n)[:, 0]
+            ris_ue[j, u] = link(_KIND_RIS_UE, j, u, np.linalg.norm(ris - ue), exponents[2],
+                                1, m_n)[:, 0]
+    return direct, bs_ris, ris_ue
 
 
 def reflection_profile(cap_vector, grid, circuit):

@@ -1,16 +1,20 @@
+import pickle
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.constants import speed_of_light
 
 import oracles
-from bdris import channels as channels_mod
-from bdris.channels import (NetworkTopology, generate_channels,
-                            generate_link_taps, load_channels, pathloss,
-                            save_channels, taps_to_frequency)
+from bdris import channels as channels_mod, montecarlo, solver
+from bdris.channels import (LinkDraw, NetworkChannels, NetworkTopology,
+                            generate_channels, generate_link_taps, load_channels,
+                            pathloss, save_channels, taps_to_frequency)
 from bdris.circuit import ElementCircuit, SubcarrierGrid
 from bdris.rates import snapshot
+from bdris.scenario import (ScenarioConfig, build_scenario, channels_for_trial,
+                            dbm_to_watt, load_config, trial_seed)
 
 from conftest import complex_normal, make_network
 
@@ -115,6 +119,12 @@ class TestTapsToFrequency:
         np.testing.assert_allclose(back[..., :6], taps, atol=1e-10)
         np.testing.assert_allclose(back[..., 6:], 0, atol=1e-10)
 
+    def test_stack_gives_the_bits_of_one_dft_per_link(self, rng):
+        taps = complex_normal(rng, 3, 2, 5, 6)
+        freq = taps_to_frequency(taps, 16, axis=1)
+        assert freq.shape == (3, 16, 2, 5) and freq.flags.c_contiguous
+        np.testing.assert_array_equal(freq, np.stack([taps_to_frequency(t, 16) for t in taps]))
+
     def test_too_many_taps_rejected(self):
         with pytest.raises(ValueError):
             taps_to_frequency(np.zeros((1, 1, 16)), 8)
@@ -212,6 +222,106 @@ class TestGenerateChannels:
         expected = pathloss(d, 3.7, lam)
         measured = np.mean(np.abs(ch.direct[0, 0]) ** 2)
         assert 0.5 * expected < measured < 2.0 * expected
+
+
+class TestLazySurfaceLinks:
+    """Generated channels draw both surface families on the first read of either."""
+
+    TWO_USERS = Path(__file__).parent / "data" / "two_users_per_bs.ini"
+
+    @staticmethod
+    def undrawn(channels):
+        return {"bs_ris", "ris_ue"}.isdisjoint(vars(channels))
+
+    @staticmethod
+    def tiny_config(variants=("none", "none-pi0")):
+        cfg = ScenarioConfig(num_elements=4, num_subcarriers=8, num_taps=4, trials=2,
+                             power_dbm=(20.0, 30.0), variants=variants)
+        return replace(cfg, solver=replace(cfg.solver, max_iters=5))
+
+    @pytest.mark.parametrize("config, trial", [
+        *((ScenarioConfig(seed=seed), trial) for seed in (1, 5) for trial in (0, 1)),
+        (load_config(TWO_USERS), 0)],
+        ids=["seed1-trial0", "seed1-trial1", "seed5-trial0", "seed5-trial1", "two-users"])
+    def test_equal_an_eager_draw(self, config, trial):
+        topology = build_scenario(config)
+        channels = channels_for_trial(config, trial, topology)
+        assert self.undrawn(channels)
+        eager = oracles.per_link_channels(topology, config.grid(), config.exponents(),
+                                          trial_seed(config.seed, trial), config.num_taps)
+        for name, want in zip(("direct", "bs_ris", "ris_ue"), eager):
+            np.testing.assert_array_equal(getattr(channels, name), want, err_msg=name,
+                                          strict=True)
+
+    def test_either_read_draws_both_once(self):
+        channels = channels_for_trial(self.tiny_config(), 0)
+        assert channels.num_elements == 4 and self.undrawn(channels)
+        ris_ue = channels.ris_ue
+        assert {"bs_ris", "ris_ue"} <= vars(channels).keys()
+        assert channels.ris_ue is ris_ue
+        assert channels.bs_ris is channels.bs_ris
+
+    @pytest.mark.parametrize("variant", ["none", "none-pi0"])
+    def test_surface_less_solve_leaves_them_undrawn(self, variant):
+        config = self.tiny_config()
+        channels = channels_for_trial(config, 0)
+        solver.run(channels, dbm_to_watt(30.0), config.noise_power,
+                   solver.solver_config_for(config.solver, variant))
+        assert self.undrawn(channels)
+
+    def test_surface_less_sweep_leaves_them_undrawn(self, monkeypatch):
+        seen, inner = [], montecarlo.run_solver
+
+        def recording(channels, *args):
+            seen.append(channels)
+            return inner(channels, *args)
+        monkeypatch.setattr(montecarlo, "run_solver", recording)
+        montecarlo.run_sweep(self.tiny_config())
+        assert len(seen) == 2 * 2 * 2
+        assert all(self.undrawn(c) for c in seen)
+
+    def test_bd_solve_draws_them(self):
+        config = self.tiny_config()
+        channels = channels_for_trial(config, 0)
+        solver.run(channels, dbm_to_watt(30.0), config.noise_power,
+                   solver.solver_config_for(config.solver, "bd"))
+        assert not self.undrawn(channels)
+
+    def test_pickle_round_trip(self):
+        channels = channels_for_trial(self.tiny_config(), 1)
+        back = pickle.loads(pickle.dumps(channels))
+        assert self.undrawn(back) and back.num_elements == 4
+        for name in ("direct", "bs_ris", "ris_ue", "bs_of_user"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(channels, name))
+        assert back.grid == channels.grid and back.circuit == channels.circuit
+
+    def test_replace_keeps_the_original_links(self):
+        config = self.tiny_config()
+        channels = channels_for_trial(config, 0)
+        copy = replace(channels, grid=replace(channels.grid, bandwidth=0.0))
+        fresh = channels_for_trial(config, 0)
+        for name in ("bs_ris", "ris_ue"):
+            assert getattr(copy, name) is getattr(channels, name)
+            np.testing.assert_array_equal(getattr(copy, name), getattr(fresh, name))
+
+    def test_dump_round_trip(self, tmp_path):
+        channels = channels_for_trial(self.tiny_config(), 0)
+        save_channels(channels, tmp_path / "channels.csv")
+        back = load_channels(tmp_path / "channels.csv")
+        for name in ("direct", "bs_ris", "ris_ue", "bs_of_user"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(channels, name))
+
+    def test_surface_links_must_come_from_the_direct_links_draw(self):
+        config = self.tiny_config()
+        channels = channels_for_trial(config, 0)
+        draw = LinkDraw(build_scenario(config), config.grid(), config.exponents(), 0,
+                        config.num_taps)
+        with pytest.raises(ValueError, match="direct links' draw"):
+            NetworkChannels(channels.direct, draw, channels.ris_ue, channels.bs_of_user,
+                            channels.grid)
+        with pytest.raises(ValueError, match="direct links' draw"):
+            NetworkChannels(channels.direct[:, :1], draw, draw, channels.bs_of_user[:1],
+                            channels.grid)
 
 
 class TestDumpLoad:

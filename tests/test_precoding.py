@@ -192,6 +192,20 @@ class TestSolvePrecoder:
                         assert np.linalg.norm(fast[k] - dense[k]) <= \
                             1e-10 * max(np.linalg.norm(dense[k]), 1e-30)
 
+    @pytest.mark.parametrize("network", ["multiuser_network", "default_scale_network"])
+    def test_reciprocal_scaling_keeps_the_division_bits(self, request, network):
+        # numpy divides complex by real as a product with the reciprocal; if that
+        # changes, the solver's results change with it
+        channels, iterate, noise = request.getfixturevalue(network)
+        for q in range(channels.num_bs):
+            for s in build_surrogates(q, iterate, channels, noise):
+                split = split_rhs(s, TAU)
+                for lam in MULTIPLIERS:
+                    beta = split.half_tau + lam
+                    divided = (split.across / beta
+                               + (split.along / (beta + split.shift))[..., None] * split.channel)
+                    np.testing.assert_array_equal(solve_precoder(split, lam), divided)
+
     def test_norm_decreases_with_multiplier(self, small_network):
         channels, iterate, noise = small_network
         s = build_surrogates(0, iterate, channels, noise)[0]
