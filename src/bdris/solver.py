@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import csv
 import time
+from array import array
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -111,21 +112,25 @@ class Trace:
     Row 0 describes the initial point (step size 0; wall time, trials,
     surrogate values, power multipliers, power steps and switch moves 0);
     each executed iteration adds one row, so a run of T iterations has T + 1
-    rows.  ``sum_rates``, ``alphas`` and ``wall_times`` are lists of floats
-    and ``trials`` a (T+1,) int array; ``surrogate_values``, ``power_slacks``
-    and ``power_multipliers`` are (T+1, Q) float arrays; ``power_steps`` and
-    ``switch_moves`` are (T+1, Q) int arrays.  ``trials[t]`` counts the trial
-    merges iteration t evaluated, ``power_steps[t, q]`` the steps BS q's
-    multiplier search took in sweep t, and ``switch_moves[t, q]`` the
-    elements of BS q whose routing the accepted step changed.  ``alphas``
-    holds the step actually taken: the scheduled one, a halved one after
-    backtracking, or 0.0 when every trial lowered the sum rate and the point
-    was kept.  A new column is one more field and one more entry of a row.
+    rows.  ``sum_rates``, ``alphas`` and ``wall_times`` are ``array('d')``
+    columns and ``trials`` a (T+1,) int32 array; ``surrogate_values``,
+    ``power_slacks`` and ``power_multipliers`` are (T+1, Q) float64 arrays,
+    and ``power_steps`` and ``switch_moves`` (T+1, Q) int32 arrays, so a row
+    holds 28 + 32·Q bytes.  An ``array('d')`` takes 8 B a value where a float
+    list takes 32, and unlike an ndarray it still compares with ``==`` to one
+    ``bool`` and takes ``append`` and item assignment, as a list does.
+    ``trials[t]`` counts the trial merges iteration t evaluated,
+    ``power_steps[t, q]`` the steps BS q's multiplier search took in sweep
+    t, and ``switch_moves[t, q]`` the elements of BS q whose routing the
+    accepted step changed.  ``alphas`` holds the step actually taken: the
+    scheduled one, a halved one after backtracking, or 0.0 when every trial
+    lowered the sum rate and the point was kept.  A new column is one more
+    field and one more entry of ``ENTRY_TYPES``.
     """
 
-    sum_rates: list
-    alphas: list
-    wall_times: list
+    sum_rates: array
+    alphas: array
+    wall_times: array
     trials: np.ndarray
     surrogate_values: np.ndarray
     power_slacks: np.ndarray
@@ -136,12 +141,23 @@ class Trace:
     # ``trace.csv`` names of the per-BS fields, each column suffixed ``_bs<q>``
     PER_BS_COLUMNS = ("surrogate_value", "power_slack", "power_multiplier", "power_steps",
                       "switch_moves")
+    # the type of each field's entries, in field order
+    ENTRY_TYPES = ("f8", "f8", "f8", "i4", "f8", "f8", "f8", "i4", "i4")
 
     @classmethod
-    def from_rows(cls, rows):
-        """Trace of rows holding one entry per field in field order, the per-BS ones (Q,)."""
-        columns = list(zip(*rows))
-        return cls(*([float(x) for x in c] for c in columns[:3]), *map(np.array, columns[3:]))
+    def records(cls, rows, q_n):
+        """Zeroed buffer of ``rows`` rows: one record field per field, (Q,) if per BS."""
+        names, per_bs = [f.name for f in fields(cls)], len(cls.PER_BS_COLUMNS)
+        shapes = [()] * (len(names) - per_bs) + [(q_n,)] * per_bs
+        return np.zeros(rows, list(zip(names, cls.ENTRY_TYPES, shapes)))
+
+    @classmethod
+    def from_records(cls, records):
+        """Trace of every row of ``records``, each column copied at its exact length."""
+        names = [f.name for f in fields(cls)]
+        # built from bytes an array('d') keeps spare room; its slice does not
+        return cls(*(array("d", records[name].tobytes())[:] for name in names[:3]),
+                   *(records[name].copy() for name in names[3:]))
 
     @property
     def num_iterations(self):
@@ -176,6 +192,7 @@ class Candidate:
 
 
 MAX_HALVINGS = 10  # step halvings an iteration tries before it takes step 0
+TRACE_ROWS = 64  # trace rows ``run`` holds before it first doubles its record buffer
 
 
 def step_size_schedule(t, alpha_prev, config):
@@ -309,13 +326,14 @@ def run(channels, power_budgets, noise_power, config):
     multiplier only once the power at 0 is known to exceed the budget, and
     its stopping band is the one of a start at 0, so the warm start saves
     power evaluations (see :func:`bdris.precoding.solve_precoders`).  The
-    initial point and every iteration each record one row, and the
-    :class:`Trace` is built once from those rows on return; a row's power
-    slack is read off the power that validating its point measured.  The
-    trace never drops, so the last point is also the best one visited and
-    its rate is ``max(trace.sum_rates)``.  Raises ``ValueError`` on a budget
-    that is not finite and > 0 before any work, and
-    :class:`NumericalFailureError` if a trial point leaves the feasible set.
+    initial point and every iteration each write one row in place into a
+    record buffer that doubles when full, and the :class:`Trace` copies the
+    rows written on return; a row's power slack is read off the power that
+    validating its point measured.  The trace never drops, so the last point
+    is also the best one visited and its rate is ``max(trace.sum_rates)``.
+    Raises ``ValueError`` on a budget that is not finite and > 0 before any
+    work, and :class:`NumericalFailureError` if a trial point leaves the
+    feasible set.
     """
     q_n = channels.num_bs
     budgets = np.broadcast_to(np.asarray(power_budgets, float), (q_n,))
@@ -324,8 +342,8 @@ def run(channels, power_budgets, noise_power, config):
     iterate = initial_iterate(channels, budgets)
     snap = snapshot(iterate, channels, noise_power, config.ris_enabled)
     power = rates.bs_power(iterate.precoders, channels.bs_of_user, q_n)
-    rows = [(snap.sum_rate, 0.0, 0.0, 0, np.zeros(q_n), budgets - power, np.zeros(q_n),
-             np.zeros(q_n, int), np.zeros(q_n, int))]
+    records = Trace.records(TRACE_ROWS, q_n)
+    records[0] = (snap.sum_rate, 0.0, 0.0, 0, 0.0, budgets - power, 0.0, 0, 0)
 
     alpha, lams = config.alpha0, None
     for t in range(config.max_iters):
@@ -337,15 +355,19 @@ def run(channels, power_budgets, noise_power, config):
         prev_rate, prev_sel = snap.sum_rate, iterate.selections
         step, trials, iterate, snap, power = _ascent_step(
             iterate, snap, power, candidate, alpha, channels, budgets, noise_power, config)
+        elapsed = time.perf_counter() - start
         if step > 0.0:
             alpha = step
-        rows.append((snap.sum_rate, step, time.perf_counter() - start, trials,
-                     candidate.surrogate_values, budgets - power,
-                     candidate.power_multipliers, candidate.power_steps,
-                     np.count_nonzero(iterate.selections != prev_sel, axis=1)))
+        if t + 1 == len(records):
+            records = np.concatenate([records, np.zeros_like(records)])
+        moves = (0 if iterate.selections is prev_sel
+                 else np.count_nonzero(iterate.selections != prev_sel, axis=1))
+        records[t + 1] = (snap.sum_rate, step, elapsed, trials, candidate.surrogate_values,
+                          budgets - power, candidate.power_multipliers,
+                          candidate.power_steps, moves)
         if abs(snap.sum_rate - prev_rate) <= config.tol:
             break
-    return iterate, Trace.from_rows(rows)
+    return iterate, Trace.from_records(records[:t + 2])
 
 
 def _ascent_step(iterate, snap, power, candidate, alpha, channels, budgets, noise_power,

@@ -1,7 +1,10 @@
 import copy
 import csv
 import dataclasses
+import math
+import sys
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -28,6 +31,13 @@ def swap_first_elements(iterate, candidate):
     return dataclasses.replace(candidate,
                                target=dataclasses.replace(candidate.target, selections=swap),
                                switch_gains=np.ones(len(swap)))
+
+
+def column_bytes(column):
+    """Bytes a trace column allocates for its entries, spare room included."""
+    if isinstance(column, array):
+        return sys.getsizeof(column) - sys.getsizeof(array(column.typecode))
+    return column.nbytes
 
 
 class TestConfig:
@@ -415,7 +425,7 @@ class TestRun:
         order += [(alpha * 0.5**i, False) for i in range(1, MAX_HALVINGS + 1)]
         assert trials == order[:drops + 1]
         accepted = drops < len(order)
-        assert trace.alphas == [0.0, trials[-1][0] if accepted else 0.0]
+        assert list(trace.alphas) == [0.0, trials[-1][0] if accepted else 0.0]
         assert trace.sum_rates[1] == (snaps[-1].sum_rate if accepted
                                       else trace.sum_rates[0])
 
@@ -699,19 +709,21 @@ class TestTraceCsv:
                           "switch_moves_bs0,switch_moves_bs1")
 
     def test_per_bs_columns_are_arrays(self, rng):
-        # one (T+1, Q) array per per-BS quantity; the scalar columns stay lists
+        # one (T+1, Q) array per per-BS quantity, float64 or int32; the scalar
+        # columns are array('d')
         channels, _, noise = make_network(rng)
         _, trace = run(channels, 1.0, noise, SolverConfig(max_iters=7, tol=0.0))
         shape = (8, channels.num_bs)
-        for name, kind in (("surrogate_values", "f"), ("power_slacks", "f"),
-                           ("power_multipliers", "f"), ("power_steps", "i"),
-                           ("switch_moves", "i")):
+        for name, dtype in (("surrogate_values", np.float64), ("power_slacks", np.float64),
+                            ("power_multipliers", np.float64), ("power_steps", np.int32),
+                            ("switch_moves", np.int32)):
             column = getattr(trace, name)
             assert isinstance(column, np.ndarray), name
-            assert column.shape == shape and column.dtype.kind == kind, name
+            assert column.shape == shape and column.dtype == dtype, name
         for name in ("sum_rates", "alphas", "wall_times"):
             column = getattr(trace, name)
-            assert isinstance(column, list) and len(column) == 8, name
+            assert type(column) is array and column.typecode == "d", name
+            assert len(column) == 8, name
             assert all(type(x) is float for x in column), name
         np.testing.assert_array_equal(trace.surrogate_values[0], 0.0)
 
@@ -732,9 +744,9 @@ class TestTraceCsv:
             return [[parse(r[f"{prefix}_bs{q}"]) for q in range(q_n)] for r in rows]
 
         assert [int(r["iteration"]) for r in rows] == list(range(len(trace.sum_rates)))
-        assert [float(r["sum_rate"]) for r in rows] == trace.sum_rates
-        assert [float(r["alpha"]) for r in rows] == trace.alphas
-        assert [float(r["wall_time_s"]) for r in rows] == trace.wall_times
+        assert [float(r["sum_rate"]) for r in rows] == list(trace.sum_rates)
+        assert [float(r["alpha"]) for r in rows] == list(trace.alphas)
+        assert [float(r["wall_time_s"]) for r in rows] == list(trace.wall_times)
         np.testing.assert_array_equal(column("surrogate_value", float),
                                       trace.surrogate_values)
         np.testing.assert_array_equal(column("power_slack", float), trace.power_slacks)
@@ -763,3 +775,78 @@ class TestTraceCsv:
         assert rows == 201
         # at least the five per-BS columns' data, so a measurement that sees nothing fails
         assert 5 * 8 * channels.num_bs <= kept / rows <= 300
+
+
+class TestTraceColumns:
+    @pytest.mark.parametrize("ris_mode", ["bd", "none"])
+    def test_row_holds_28_plus_32_q_bytes(self, rng, ris_mode):
+        # every column owns exactly its rows' entries: 8 B a float, 4 B a count
+        channels, _, noise = make_network(rng)
+        _, trace = run(channels, 1.0, noise,
+                       SolverConfig(ris_mode=ris_mode, max_iters=200, tol=0.0))
+        columns = [getattr(trace, f.name) for f in dataclasses.fields(trace)]
+        rows = len(trace.sum_rates)
+        assert rows == 201
+        assert not any(isinstance(c, list) for c in columns)
+        assert all(c.flags.owndata for c in columns if isinstance(c, np.ndarray))
+        assert sum(map(column_bytes, columns)) <= rows * (28 + 32 * channels.num_bs)
+
+    def test_columns_are_not_sized_by_max_iters(self, rng):
+        # a run that tol stops within tens of iterations allocates as little
+        # as it would with a small max_iters
+        channels, _, noise = make_network(rng)
+        tracemalloc.start()
+        try:
+            _, trace = run(channels, 1.0, noise,
+                           SolverConfig(ris_mode="none", max_iters=10**6, tol=3e-3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 1 < trace.num_iterations < 100
+        assert peak < 2e6
+
+    def test_rows_past_the_first_doublings_stay_in_order(self, rng, monkeypatch):
+        # each row holds what its iteration's ascent step returned, across two
+        # doublings of the record buffer
+        channels, _, noise = make_network(rng)
+        ascent, steps = solver_mod._ascent_step, []
+
+        def recorded_ascent(*args, **kwargs):
+            out = ascent(*args, **kwargs)
+            steps.append(out)
+            return out
+
+        monkeypatch.setattr(solver_mod, "_ascent_step", recorded_ascent)
+        iters = 2 * solver_mod.TRACE_ROWS + 5
+        _, trace = run(channels, 1.0, noise, SolverConfig(max_iters=iters, tol=0.0))
+        assert trace.num_iterations == len(steps) == iters
+        assert trace.sum_rates[0] == snapshot(initial_iterate(channels, 1.0), channels,
+                                              noise).sum_rate
+        assert list(trace.sum_rates[1:]) == [snap.sum_rate for _, _, _, snap, _ in steps]
+        assert list(trace.alphas[1:]) == [step for step, *_ in steps]
+        np.testing.assert_array_equal(trace.trials[1:], [trials for _, trials, *_ in steps])
+        np.testing.assert_array_equal(trace.power_slacks[1:],
+                                      [1.0 - power for *_, power in steps])
+
+    def test_scalar_columns_keep_the_list_operations(self, rng):
+        # two traces' rates compare to one bool, and a column takes append,
+        # item assignment, slicing, max and np.isfinite
+        channels, _, noise = make_network(rng)
+        cfg = SolverConfig(max_iters=10, tol=0.0)
+        (_, a), (_, b) = run(channels, 1.0, noise, cfg), run(channels, 1.0, noise, cfg)
+        same = a.sum_rates == b.sum_rates
+        assert type(same) is bool and same
+        b.sum_rates[3] = math.nextafter(b.sum_rates[3], 0.0)
+        differ = a.sum_rates == b.sum_rates
+        assert type(differ) is bool and not differ
+        for name in ("sum_rates", "alphas", "wall_times"):
+            column = getattr(a, name)
+            n = len(column)
+            column.append(1.0)
+            column[-1] += 1.0
+            assert len(column) == n + 1 and column[-1] == 2.0
+            assert type(column[1:3]) is type(column) and list(column[1:3]) == [column[1],
+                                                                               column[2]]
+            assert type(max(column)) is float and max(column) == max(list(column))
+            column.append(float("nan"))
+            assert np.isfinite(column).tolist() == [True] * (n + 1) + [False]
