@@ -33,6 +33,7 @@ from .circuit import reflection
 
 LN2 = np.log(2.0)
 POWER_SLACK = 1e-9  # absolute slack on the per-BS power constraint
+SCREEN_MARGIN = 1e-9  # relative rounding margin of :func:`selection_bound`
 
 
 @dataclass
@@ -191,7 +192,8 @@ def weighted_amplitudes(channels, snap, cell=1.0, pricing=1.0):
     return weights * snap.amplitudes
 
 
-def surface_gradients(iterate, channels, snap, cell=1.0, pricing=1.0, selection=True):
+def surface_gradients(iterate, channels, snap, cell=1.0, pricing=1.0, selection=True,
+                      tau=None):
     """Capacitance and real switch-selection gradients of every surface.
 
     Returns ``grad_c`` (Q, M) and ``grad_s`` (Q, M, M), or None for
@@ -205,23 +207,69 @@ def surface_gradients(iterate, channels, snap, cell=1.0, pricing=1.0, selection=
     one real (M x 2TK) by (2TK x M) product of the stacked real and
     imaginary parts.  Scaling both weights by a complex s scales y by
     conj(s), so weights times 1j give the imaginary part of the complex sums.
+
+    Given the switch weight ``tau``, each surface is screened first: one
+    whose :func:`selection_bound` ``tau`` exceeds skips its switch product,
+    since its reward, ``grad_s[q]`` plus ``tau`` on the current permutation,
+    is then known to certify that permutation (the bound's relative margin
+    ``SCREEN_MARGIN`` covers the rounding).  The call then returns a third
+    value, the (Q,) mask ``uncertified`` of the surfaces whose product was
+    formed, and ``grad_s`` holds only their slices, in BS order.  A
+    certified surface has no slice: its assignment keeps the current
+    permutation at a reward gain of 0.0, as its full reward would.
     """
     # conj(y) = (weights a) @ g: (T, K, 1, U) @ (K, U, M) per BS
     conj_y = weighted_amplitudes(channels, snap, cell, pricing).swapaxes(1, 2)[:, :, None]
     q_n, m_n = iterate.capacitances.shape
     per_bs = np.empty(snap.slope.shape, complex)
     grad_s = np.empty((q_n, m_n, m_n)) if selection else None
+    uncertified = np.zeros(q_n, bool)
     for q, (g, h) in enumerate(zip(channels.ris_ue, channels.bs_ris)):
-        own = channels.users_of_bs(q)
+        own, perm = channels.users_of_bs(q), iterate.selections[q]
         y = np.conjugate(conj_y[own] @ g.swapaxes(0, 1))[:, :, 0]
         beams = (h @ iterate.precoders[own, ..., None])[..., 0]  # (K, M, N) @ (T, K, N, 1)
-        per_bs[q] = np.sum(np.take(y, iterate.selections[q], axis=-1) * beams, axis=0)
+        per_bs[q] = np.sum(np.take(y, perm, axis=-1) * beams, axis=0)
         if selection:
             phased = snap.phi[q] * beams
-            lhs = np.concatenate([y.real, y.imag]).reshape(-1, m_n)
-            rhs = np.concatenate([phased.real, -phased.imag]).reshape(-1, m_n)
-            grad_s[q] = lhs.T @ rhs
-    return np.real(snap.slope * per_bs).sum(axis=1), grad_s
+            if tau is None or not tau > selection_bound(y, phased, perm):
+                lhs = np.concatenate([y.real, y.imag]).reshape(-1, m_n)
+                rhs = np.concatenate([phased.real, -phased.imag]).reshape(-1, m_n)
+                grad_s[np.count_nonzero(uncertified)] = lhs.T @ rhs
+                uncertified[q] = True
+    grad_c = np.real(snap.slope * per_bs).sum(axis=1)
+    if tau is None:
+        return grad_c, grad_s
+    if selection:
+        grad_s = grad_s[:np.count_nonzero(uncertified)]
+    return grad_c, grad_s, uncertified
+
+
+def selection_bound(y, phased, perm):
+    """Switch weight above which one surface's assignment cannot move, a float.
+
+    Entry ``[i, j]`` of the switch gradient of :func:`surface_gradients` is
+    ``Re sum_{t, k} y[t, k, i] phased[t, k, j]``, so by Cauchy-Schwarz over
+    own users and subcarriers it is at most ``|y_i| |p_j|`` in size, |.|
+    being the Euclidean norm of column i of ``y`` or j of ``phased``.
+    Column j of the reward, the gradient plus ``tau`` at row ``perm[j]``,
+    then keeps its strict maximum at that row when ``tau`` exceeds
+    ``|p_j| (|y_{perm[j]}| + max_i |y_i|)``; if every column does, the
+    column maxima certify ``perm`` (see
+    :func:`bdris.switches.certified_selection`).  The bound is the largest
+    of these over j, times ``1 + SCREEN_MARGIN`` so that the rounding of the
+    norms and of the product cannot reverse a comparison.  A NaN in either
+    array gives a NaN bound, which no ``tau`` exceeds.  The bound assumes
+    that no squared entry underflows, i.e. magnitudes above about 1e-154.
+    """
+    y_norm, p_norm = _column_norms(y), _column_norms(phased)
+    return (1.0 + SCREEN_MARGIN) * float(np.max(p_norm * (y_norm[perm] + y_norm.max())))
+
+
+def _column_norms(a):
+    """Euclidean norm of each last-axis column of a complex array, over all other axes."""
+    parts = np.ascontiguousarray(a).view(float).reshape(-1, 2 * a.shape[-1])
+    squares = np.einsum("rc,rc->c", parts, parts)
+    return np.sqrt(squares[::2] + squares[1::2])
 
 
 def sum_rate(iterate, channels, noise_power, ris_enabled=True):

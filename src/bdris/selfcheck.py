@@ -299,29 +299,63 @@ def check_capacitance_clamp():
     return "capacitance clamp vs grid oracle", worst <= 1e-4, f"max dev {worst:.1e}"
 
 
+def tight_selection_draw(rng, users=2, subcarriers=3, elements=4):
+    """``(y, phased, perm)`` of one surface on which the switch bound is tight.
+
+    Column j of ``phased`` has twice the norm of any other, and the columns
+    i and ``perm[j]`` of y are plus and minus its conjugate, so column j of
+    the switch gradient spans exactly :func:`bdris.rates.selection_bound`
+    (less its margin), ``2 |p_j|^2``, between those two rows; y's other
+    columns are a hundredth the size.
+    """
+    shape = (users, subcarriers, elements)
+    phased, y = complex_normal(rng, *shape), 0.01 * complex_normal(rng, *shape)
+    perm, j = rng.permutation(elements), rng.integers(elements)
+    norms = np.linalg.norm(phased, axis=(0, 1))
+    phased[..., j] *= 2.0 * np.delete(norms, j).max() / norms[j]
+    i = rng.choice(np.delete(np.arange(elements), perm[j]))
+    y[..., i], y[..., perm[j]] = np.conj(phased[..., j]), -np.conj(phased[..., j])
+    return y, phased, perm
+
+
 def check_assignment():
     """Random rewards, rewards the certificate of ``solve_selection`` accepts
     (a small gradient plus ``TAU`` at a random permutation, the solver's
-    usual case) and rewards it must reject (one column's maximum tied)."""
+    usual case), rewards it must reject (one column's maximum tied), and the
+    rewards of tight switch-bound draws (:func:`tight_selection_draw`) at a
+    weight just above the bound, which the screen certifies, and just below
+    the bound less its margin.  Above, the column maxima must certify the
+    current permutation; below, where the draw's gradient reaches the bound,
+    they must not."""
     rng = np.random.default_rng(9)
     size, draws = 4, 50
     cols = np.arange(size)
-    bad = wrong_certificate = 0
+    bad = wrong_certificate = wrong_screen = 0
     for _ in range(draws):
         dominant = switches.selection_reward(0.05 * rng.standard_normal((size, size)),
                                              rng.permutation(size), TAU)
         tied = rng.standard_normal((size, size))
         best = tied.argmax(axis=0)
         tied[(best[0] + 1) % size, 0] = tied[best[0], 0]
-        for reward in (rng.standard_normal((size, size)), dominant, tied):
-            perm = switches.solve_selection(reward)
-            if abs(reward[perm, cols].sum() - best_assignment(reward)) > 1e-12:
+        y, phased, perm = tight_selection_draw(rng, elements=size)
+        grad = np.real(np.einsum("tki,tkj->ij", y, phased))
+        bound = rates.selection_bound(y, phased, perm)
+        above = switches.selection_reward(grad, perm, np.nextafter(bound, np.inf))
+        below = switches.selection_reward(
+            grad, perm, bound / (1.0 + rates.SCREEN_MARGIN) * (1.0 - 1e-6))
+        for reward in (rng.standard_normal((size, size)), dominant, tied, above, below):
+            perm_best = switches.solve_selection(reward)
+            if abs(reward[perm_best, cols].sum() - best_assignment(reward)) > 1e-12:
                 bad += 1
         wrong_certificate += (switches.certified_selection(dominant) is None
                               or switches.certified_selection(tied) is not None)
-    ok = bad == 0 and wrong_certificate == 0
+        certified = switches.certified_selection(above)
+        wrong_screen += (certified is None or not np.array_equal(certified, perm)
+                         or switches.certified_selection(below) is not None)
+    ok = bad == wrong_certificate == wrong_screen == 0
     return "assignment vs exhaustive enumeration", ok, \
-        f"{bad} mismatches over {3 * draws} rewards, {wrong_certificate} wrong certificates"
+        (f"{bad} mismatches over {5 * draws} rewards, {wrong_certificate} wrong "
+         f"certificates, {wrong_screen} wrong screens over {draws} tight bounds")
 
 
 ALL_CHECKS = (

@@ -15,9 +15,14 @@ multipliers, each started at the multiplier its BS found in the previous
 sweep (at 0 in the first); both surface gradients of every BS from one
 pass over the surfaces (:func:`bdris.rates.surface_gradients`, which skips
 the switch products in ``diagonal`` mode); and the switch rewards and gains
-as (Q, M, M) and (Q,) arrays around one assignment per BS.  It returns one
-:class:`Candidate` of per-BS arrays, which :func:`blend_step` merges with
-array expressions; :func:`local_subproblem` is its one-BS slice.
+around one assignment per BS.  In ``bd`` mode the surfaces are screened at
+the proximal weight ``tau`` first: a BS whose norm bound certifies its
+current permutation (:func:`bdris.rates.selection_bound`) forms no switch
+product, reward or assignment, and keeps that permutation at a switch gain
+of exactly 0.0, as its full reward would give; the others run as stacked
+(n, M, M) rewards and (n,) gains.  It returns one :class:`Candidate` of
+per-BS arrays, which :func:`blend_step` merges with array expressions;
+:func:`local_subproblem` is its one-BS slice.
 
 A merged point is kept only if the true sum rate does not drop.  The
 linearized pricing guarantees ascent only for small enough steps of the
@@ -263,18 +268,22 @@ def local_subproblems(iterate, channels, noise_power, power_budgets, config, sna
     c_prev, s_prev = iterate.capacitances, iterate.selections
     c_hat, s_hat, gains = c_prev, s_prev, np.zeros(q_n)
     if config.ris_enabled:
-        grad_c, grad_s = rates.surface_gradients(iterate, channels, snap,
-                                                 pricing=float(config.cooperative),
-                                                 selection=config.ris_mode == "bd")
+        grad_c, grad_s, uncertified = rates.surface_gradients(
+            iterate, channels, snap, pricing=float(config.cooperative),
+            selection=config.ris_mode == "bd", tau=config.tau)
         tau_c = capacitance_tau(config.tau, channels.circuit)
         c_hat = capacitance.update_capacitances(c_prev, grad_c, tau_c, channels.circuit)
         dc = c_hat - c_prev
         values += np.sum(grad_c * dc, axis=1) - 0.5 * tau_c * np.sum(dc * dc, axis=1)
 
         if grad_s is not None:
-            rewards = switches.selection_reward(grad_s, s_prev, config.tau)
-            s_hat = np.array([switches.solve_selection(r) for r in rewards])
-            gains = switches.reward_gain(rewards, s_hat, s_prev)
+            # a surface the norm bound certifies keeps its permutation, at gain 0.0
+            if uncertified.any():
+                prev = s_prev[uncertified]
+                rewards = switches.selection_reward(grad_s, prev, config.tau)
+                s_hat = s_prev.copy()
+                s_hat[uncertified] = [switches.solve_selection(r) for r in rewards]
+                gains[uncertified] = switches.reward_gain(rewards, s_hat[uncertified], prev)
             values += gains
     return Candidate(Iterate(w_hat, c_hat, s_hat), gains, values, lams, steps)
 

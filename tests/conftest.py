@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from bdris import rates
 from bdris.circuit import ElementCircuit, SubcarrierGrid
 from bdris.scenario import ScenarioConfig, channels_for_trial, dbm_to_watt
 from bdris.selfcheck import complex_normal, random_network as make_network  # noqa: F401
@@ -14,6 +15,17 @@ def assert_same_snapshot(got, want):
     for f in dataclasses.fields(want):
         np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name),
                                       err_msg=f.name, strict=True)
+
+
+def recorded_bounds(monkeypatch):
+    """List that records every bound ``rates.selection_bound`` returns, in call order."""
+    bounds, bound = [], rates.selection_bound
+
+    def recorded(*args):
+        bounds.append(bound(*args))
+        return bounds[-1]
+    monkeypatch.setattr(rates, "selection_bound", recorded)
+    return bounds
 
 
 @pytest.fixture

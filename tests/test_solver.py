@@ -15,12 +15,13 @@ from bdris import channels as channels_mod, circuit as circuit_mod, rates as rat
 from bdris import solver as solver_mod
 from bdris.errors import NumericalFailureError
 from bdris.rates import Iterate, bs_power, snapshot, sum_rate
+from bdris.scenario import dbm_to_watt
 from bdris.solver import (MAX_HALVINGS, Candidate, SolverConfig, blend_step,
                           capacitance_tau, initial_iterate, local_subproblem,
                           local_subproblems, run, solver_config_for,
                           step_size_schedule)
 
-from conftest import assert_same_snapshot, make_network
+from conftest import assert_same_snapshot, make_network, recorded_bounds
 
 
 def swap_first_elements(iterate, candidate):
@@ -152,6 +153,24 @@ class TestLocalSubproblem:
             for ris_mode in ("bd", "diagonal", "none"):
                 cfg = SolverConfig(ris_mode=ris_mode, cooperative=cooperative)
                 self.assert_sweep_matches_blocks(*network, cfg)
+
+    def test_matches_per_block_functions_where_switches_move(self, multiuser_network,
+                                                             monkeypatch):
+        # below both BSs' switch bounds, where both switches move, and between
+        # the two bounds, the screen falls through for the uncertified BSs
+        channels, iterate, noise = multiuser_network
+        bounds = recorded_bounds(monkeypatch)
+        local_subproblems(iterate, channels, noise, 1.0, SolverConfig())
+        low, high = sorted(bounds)
+        for tau in (1e-3 * low, np.sqrt(low * high)):
+            cfg = SolverConfig(tau=tau)
+            cand = local_subproblems(iterate, channels, noise, 1.0, cfg)
+            snap = snapshot(iterate, channels, noise)
+            uncertified = rates_mod.surface_gradients(iterate, channels, snap, tau=tau)[2]
+            assert uncertified.sum() == (2 if tau < low else 1)
+            moved = np.any(cand.target.selections != iterate.selections, axis=1)
+            assert not np.any(moved & ~uncertified) and (tau > low or moved.all())
+            self.assert_sweep_matches_blocks(channels, iterate, noise, cfg)
 
     @staticmethod
     def assert_sweep_matches_blocks(channels, iterate, noise, cfg):
@@ -472,6 +491,26 @@ class TestRun:
         assert made[0][1] is None and len(made) > trace.num_iterations
         assert reused > 0 and rebuilt > 0
         assert np.sum(trace.switch_moves) > 0
+
+    def test_screen_certifies_every_default_scale_sweep(self, default_scale_network,
+                                                        monkeypatch):
+        # bd at 30 dBm on trial 0 for 20 iterations: the norm bound certifies
+        # every BS in every sweep, and the run equals one with the screen off
+        channels, _, noise = default_scale_network
+        budget, cfg = dbm_to_watt(30.0), SolverConfig(max_iters=20, tol=0.0)
+        bounds = recorded_bounds(monkeypatch)
+        screened, trace = run(channels, budget, noise, cfg)
+        assert trace.num_iterations == 20
+        assert len(bounds) == 20 * channels.num_bs and max(bounds) < cfg.tau
+        monkeypatch.setattr(rates_mod, "selection_bound", lambda *args: np.inf)
+        full, full_trace = run(channels, budget, noise, cfg)
+        for f in dataclasses.fields(screened):
+            np.testing.assert_array_equal(getattr(screened, f.name), getattr(full, f.name),
+                                          strict=True)
+        for f in dataclasses.fields(trace):
+            if f.name != "wall_times":
+                np.testing.assert_array_equal(getattr(trace, f.name),
+                                              getattr(full_trace, f.name), strict=True)
 
     def test_runs_share_no_state(self, rng):
         # run(A), run(B), run(A) and a run after changing A in place must

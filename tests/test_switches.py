@@ -8,13 +8,13 @@ from scipy.optimize import linear_sum_assignment
 
 import oracles
 from oracles import selection_coupling, selection_gain
-from bdris import solver, switches
+from bdris import rates, selfcheck, solver, switches
 from bdris.rates import Iterate, snapshot
-from bdris.switches import (reward_gain, selection_gradient,
+from bdris.switches import (certified_selection, reward_gain, selection_gradient,
                             selection_pricing, selection_reward,
                             solve_selection)
 
-from conftest import complex_normal, make_network
+from conftest import complex_normal, make_network, recorded_bounds
 
 TAU = 0.8
 
@@ -211,22 +211,84 @@ class TestSolveSelection:
         np.testing.assert_array_equal(got, scipy_selection(reward))
 
     def test_sweep_matches_scipy_per_bs(self, monkeypatch, default_scale_network):
-        # one bd sweep at default scale: every BS's certified permutation is
-        # what the assignment solver returns on that BS's reward
+        # one bd sweep at default scale: the norm bound certifies every BS, so
+        # the sweep forms no reward, and every BS keeps the permutation the
+        # assignment solver returns on that BS's full, unscreened reward
         channels, iterate, noise = default_scale_network
-        rewards = []
-        solve = switches.solve_selection
-
-        def recorded(reward):
-            rewards.append(reward)
-            return solve(reward)
-        monkeypatch.setattr(switches, "solve_selection", recorded)
+        snap = snapshot(iterate, channels, noise)
+        full = selection_reward(rates.surface_gradients(iterate, channels, snap)[1],
+                                iterate.selections, TAU)
+        formed = []
+        for name in ("selection_reward", "solve_selection", "reward_gain"):
+            monkeypatch.setattr(switches, name, lambda *args, name=name: formed.append(name))
         calls = spy_on_assignment(monkeypatch)
         candidate = solver.local_subproblems(iterate, channels, noise, 1.0,
-                                             solver.SolverConfig())
-        assert len(rewards) == channels.num_bs and calls == []
+                                             solver.SolverConfig(), snap)
+        assert formed == [] and calls == []
+        np.testing.assert_array_equal(candidate.switch_gains, 0.0)
         np.testing.assert_array_equal(candidate.target.selections,
-                                      [scipy_selection(r) for r in rewards])
+                                      [scipy_selection(r) for r in full])
+
+
+class TestSelectionScreen:
+    @staticmethod
+    def taus_across(bound):
+        """Switch weights on both sides of ``bound``, down to one ulp from it."""
+        return [0.5 * bound, bound * (1 - 1e-12), bound, np.nextafter(bound, np.inf),
+                bound * (1 + 1e-12), 2.0 * bound, 10.0 * bound]
+
+    @pytest.mark.parametrize("users_per_bs", [(1, 1), (2, 1), (1, 2, 1)])
+    def test_certifies_only_what_the_full_reward_certifies(self, monkeypatch, users_per_bs):
+        # on random networks, wherever the screen skips a BS's switch product,
+        # the full reward's column maxima certify the current permutation at a
+        # gain of exactly 0.0; every other BS's slice is the full one
+        bounds = recorded_bounds(monkeypatch)
+        for seed in range(6):
+            channels, iterate, noise = make_network(np.random.default_rng(seed),
+                                                    num_bs=len(users_per_bs),
+                                                    users_per_bs=users_per_bs)
+            snap = snapshot(iterate, channels, noise)
+            full = rates.surface_gradients(iterate, channels, snap)[1]
+            bounds.clear()
+            rates.surface_gradients(iterate, channels, snap, tau=1.0)
+            assert len(bounds) == channels.num_bs
+            per_bs = list(bounds)
+            for tau in [t for b in per_bs for t in self.taus_across(b)]:
+                _, grad_s, uncertified = rates.surface_gradients(iterate, channels, snap,
+                                                                 tau=tau)
+                np.testing.assert_array_equal(uncertified, [not tau > b for b in per_bs])
+                np.testing.assert_array_equal(grad_s, full[uncertified], strict=True)
+                for q in np.flatnonzero(~uncertified):
+                    perm = iterate.selections[q]
+                    reward = selection_reward(full[q], perm, tau)
+                    np.testing.assert_array_equal(certified_selection(reward), perm)
+                    assert reward_gain(reward, certified_selection(reward), perm) == 0.0
+
+    def test_tight_bounds_certify_above_and_only_above(self):
+        # the gradient of a tight draw reaches the bound: one ulp above it the
+        # column maxima certify the current permutation, and just below the
+        # bound less its margin they do not
+        rng = np.random.default_rng(21)
+        for _ in range(100):
+            y, phased, perm = selfcheck.tight_selection_draw(rng, users=2, subcarriers=3,
+                                                             elements=5)
+            grad = np.real(np.einsum("tki,tkj->ij", y, phased))
+            bound = rates.selection_bound(y, phased, perm)
+            exact = bound / (1.0 + rates.SCREEN_MARGIN)
+            for tau in (np.nextafter(bound, np.inf), bound * (1 + 1e-12), 2.0 * bound):
+                np.testing.assert_array_equal(
+                    certified_selection(selection_reward(grad, perm, tau)), perm)
+            for tau in (exact * (1 - 1e-6), 0.75 * exact, 0.5 * exact):
+                assert certified_selection(selection_reward(grad, perm, tau)) is None
+
+    def test_non_finite_gradients_are_never_certified(self):
+        rng = np.random.default_rng(3)
+        y, phased, perm = selfcheck.tight_selection_draw(rng)
+        for bad in (np.nan, np.inf):
+            y_bad = y.copy()
+            y_bad[0, 0, 0] = bad
+            assert not 1e300 > rates.selection_bound(y_bad, phased, perm)
+            assert not 1e300 > rates.selection_bound(y, bad * phased, perm)
 
 
 class TestSelectionGain:
