@@ -8,7 +8,9 @@ model plus proximal term over a box) then has a closed-form clamped solution.
 
 Weighted and summed over all links, the diagonals are never formed: the
 Jacobi sweep reads the gradients of all surfaces off the victim-combined
-channels of :func:`bdris.rates.surface_gradients`; :func:`rate_gradient`
+channels of :func:`bdris.rates.surface_gradients`, formed in the snapshot's
+routed coordinates with every user in one buffer, so one product and one
+sum over subcarriers give every surface's gradient; :func:`rate_gradient`
 and :func:`pricing_gradient` are its own-cell and pricing parts for one BS.
 The literal per-link coupling matrices and their diagonals are test oracles
 (``tests/oracles.py``).

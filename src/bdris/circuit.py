@@ -163,13 +163,22 @@ def reflection(cap, coefficients, circuit):
     (..., K, M) profiles.  ``phi = (den - num) / (den + num)``, and with
     ``num = (den + num)(1 - phi) / 2`` and ``den = (den + num)(1 + phi) / 2``
     the slope ``2 (D B num - A den) / (den + num)**2`` is
-    ``(D B (1 - phi) - A (1 + phi)) / (den + num)``; it is evaluated in place.
-    Raises :class:`DegenerateInputError` if either is not finite.
+    ``(D B (1 - phi) - A (1 + phi)) / (den + num)``.  Both are evaluated in
+    place, in two buffers that first hold ``num`` and ``den``.  Raises
+    :class:`DegenerateInputError` if either is not finite: the slope is formed
+    from phi by multiplication, addition and division, so a non-finite phi
+    gives a non-finite slope, and the slope alone is tested.
     """
     cap = np.asarray(cap, dtype=float)
     _check_in_range(cap, circuit)
     a, b, d = coefficients
-    total, phi = 1.0 + cap * a, d * (1.0 + cap * b)  # num and den, overwritten below
+    shape = np.broadcast_shapes(cap.shape, np.shape(a))
+    total, phi = np.empty(shape, complex), np.empty(shape, complex)
+    np.multiply(cap, a, out=total)
+    total += 1.0              # num
+    np.multiply(cap, b, out=phi)
+    phi += 1.0
+    np.multiply(d, phi, out=phi)  # den
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         total += phi              # num + den
         phi *= 2.0
@@ -178,6 +187,6 @@ def reflection(cap, coefficients, circuit):
         slope = phi * -(d * b + a)
         slope += d * b - a
         slope /= total
-    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(slope))):
+    if not np.isfinite(slope).all():
         raise DegenerateInputError("reflection coefficient or its slope is not finite")
-    return phi, slope
+    return phi[()], slope  # phi[()] is a scalar for scalar inputs, as slope is

@@ -100,21 +100,24 @@ def pricing_vector(user, iterate, channels, noise_power, snap=None, ris_enabled=
     return stacked_surrogates(iterate, channels, snap).pricing[user]
 
 
-def stacked_surrogates(iterate, channels, snap, cooperative=True):
+def stacked_surrogates(iterate, channels, snap, cooperative=True, weighted=None):
     """Surrogates of every user, stacked along a leading user axis.
 
     User u's ``pricing`` is the conjugate-coordinate gradient (d/dw*), times
     K (the subcarrier average rescales every term equally), of u's cell's
     rates plus ``cooperative`` times the other cells', as the surface
     gradients weigh them, less u's own log term, which the quadratic models.
-    The own channels and the rows come from the snapshot as they are.
+    ``weighted`` is the :func:`~bdris.rates.weighted_amplitudes` at
+    ``pricing=cooperative`` if the caller has formed it; it is read, not
+    changed.  The own channels and the rows come from the snapshot as they are.
     """
     users = np.arange(channels.num_users)
     sig, mui, own = snap.signal, snap.mui, snap.own_channel
     ln2_mui = LN2 * mui
     linear = own * (snap.amplitudes[users, users] / ln2_mui)[..., None]
     if cooperative or channels.num_users > channels.num_bs:  # some BS serves two users
-        weighted = weighted_amplitudes(channels, snap, pricing=float(cooperative))
+        weighted = (weighted_amplitudes(channels, snap, pricing=float(cooperative))
+                    if weighted is None else weighted.copy())
         weighted[users, users] = 0.0  # the quadratic models the own stream
         pricing = 0.5 * np.einsum("unk,unki->uki", weighted, np.conj(snap.stream_rows))
     else:

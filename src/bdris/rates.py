@@ -11,8 +11,11 @@ once: the composite rows, their per-stream gather, each user's own channel
 and its squared norm, the reflection profiles and their capacitance slopes,
 and the sum rate, summed once per snapshot.  Every block reads these from
 the snapshot instead of forming them again, and every block's gradient is
-read off :func:`weighted_amplitudes`: both surface gradients
-(:func:`surface_gradients`) and the precoder pricing.  A snapshot given a
+read off :func:`weighted_amplitudes`, which a Jacobi sweep assembles once:
+both surface gradients (:func:`surface_gradients`) and the precoder
+pricing.  The surface gradients read the snapshot's routed channels as they
+are, batched over all users, and screen every surface's switch block with
+one norm bound (:func:`selection_bounds`).  A snapshot given a
 ``previous`` one of the same channels carries over what did not change
 between them.  The routed surface-to-user channels, ``conj(g)[..., perm]``,
 depend on the switch permutations alone, which rarely change between Jacobi
@@ -24,6 +27,7 @@ whenever ``previous`` was also formed without surfaces.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,7 +37,7 @@ from .circuit import reflection
 
 LN2 = np.log(2.0)
 POWER_SLACK = 1e-9  # absolute slack on the per-BS power constraint
-SCREEN_MARGIN = 1e-9  # relative rounding margin of :func:`selection_bound`
+SCREEN_MARGIN = 1e-9  # relative rounding margin of :func:`selection_bounds`
 
 
 @dataclass
@@ -193,83 +197,112 @@ def weighted_amplitudes(channels, snap, cell=1.0, pricing=1.0):
 
 
 def surface_gradients(iterate, channels, snap, cell=1.0, pricing=1.0, selection=True,
-                      tau=None):
+                      tau=None, weighted=None):
     """Capacitance and real switch-selection gradients of every surface.
 
     Returns ``grad_c`` (Q, M) and ``grad_s`` (Q, M, M), or None for
     ``grad_s`` when ``selection`` is false.  Both are read off one
-    victim-combined channel per BS, ``y[t, k] = sum_v conj(ca[t, v, k]
-    g_{q(t), v}[k])`` for each own user t, ``ca`` being the
-    :func:`weighted_amplitudes` at ``cell`` and ``pricing``.  With the beams
-    ``b[t, k] = H_q[k] w_t[k]``,
-    ``grad_c[q, m] = sum_k Re(slope[q, k, m] sum_t y[t, k, perm_q[m]] b[t, k, m])``
-    and ``grad_s[q, i, j] = Re sum_{t, k} y[t, k, i] phi_q[k, j] b[t, k, j]``,
-    one real (M x 2TK) by (2TK x M) product of the stacked real and
-    imaginary parts.  Scaling both weights by a complex s scales y by
-    conj(s), so weights times 1j give the imaginary part of the complex sums.
+    victim-combined channel per own user t of BS q, formed in routed
+    coordinates, ``z[t, k] = sum_v conj(ca[t, v, k]) routed[q, v, k]``,
+    ``ca`` being the :func:`weighted_amplitudes` at ``cell`` and ``pricing``
+    (``weighted``, if the caller has formed it) and ``routed`` the
+    snapshot's ``conj(g)[..., perm_q]``, so column m of z is column
+    ``perm_q[m]`` of the unrouted ``y[t, k] = sum_v conj(ca[t, v, k]
+    g_{q, v}[k])``.  With the beams ``b[t, k] = H_q[k] w_t[k]``,
+    ``grad_c[q, m] = sum_k Re(slope[q, k, m] sum_t z[t, k, m] b[t, k, m])``
+    and ``grad_s[q, perm_q[m], j] = Re sum_{t, k} z[t, k, m] phi_q[k, j]
+    b[t, k, j]``, one real (M x 2TK) by (2TK x M) product of the stacked
+    real and imaginary parts of z, its columns put back in element order,
+    and of the phased beams.  z and b are formed into two (U, K, M) buffers
+    with the users ordered by BS, so everything after them runs once over
+    all surfaces.  Scaling both weights by a complex s scales z by conj(s),
+    so weights times 1j give the imaginary part of the complex sums.
 
-    Given the switch weight ``tau``, each surface is screened first: one
-    whose :func:`selection_bound` ``tau`` exceeds skips its switch product,
-    since its reward, ``grad_s[q]`` plus ``tau`` on the current permutation,
-    is then known to certify that permutation (the bound's relative margin
-    ``SCREEN_MARGIN`` covers the rounding).  The call then returns a third
-    value, the (Q,) mask ``uncertified`` of the surfaces whose product was
-    formed, and ``grad_s`` holds only their slices, in BS order.  A
-    certified surface has no slice: its assignment keeps the current
-    permutation at a reward gain of 0.0, as its full reward would.
+    Given the switch weight ``tau``, every surface is screened first: one
+    whose bound in :func:`selection_bounds` ``tau`` exceeds skips its switch
+    product, since its reward, ``grad_s[q]`` plus ``tau`` on the current
+    permutation, is then known to certify that permutation (the bound's
+    relative margin ``SCREEN_MARGIN`` covers the rounding).  The call then
+    returns a third value, the (Q,) mask ``uncertified`` of the surfaces
+    whose product was formed, and ``grad_s`` holds only their slices, in BS
+    order.  A certified surface has no slice: its assignment keeps the
+    current permutation at a reward gain of 0.0, as its full reward would.
     """
-    # conj(y) = (weights a) @ g: (T, K, 1, U) @ (K, U, M) per BS
-    conj_y = weighted_amplitudes(channels, snap, cell, pricing).swapaxes(1, 2)[:, :, None]
     q_n, m_n = iterate.capacitances.shape
-    per_bs = np.empty(snap.slope.shape, complex)
-    grad_s = np.empty((q_n, m_n, m_n)) if selection else None
-    uncertified = np.zeros(q_n, bool)
-    for q, (g, h) in enumerate(zip(channels.ris_ue, channels.bs_ris)):
-        own, perm = channels.users_of_bs(q), iterate.selections[q]
-        y = np.conjugate(conj_y[own] @ g.swapaxes(0, 1))[:, :, 0]
-        beams = (h @ iterate.precoders[own, ..., None])[..., 0]  # (K, M, N) @ (T, K, N, 1)
-        per_bs[q] = np.sum(np.take(y, perm, axis=-1) * beams, axis=0)
-        if selection:
-            phased = snap.phi[q] * beams
-            if tau is None or not tau > selection_bound(y, phased, perm):
-                lhs = np.concatenate([y.real, y.imag]).reshape(-1, m_n)
-                rhs = np.concatenate([phased.real, -phased.imag]).reshape(-1, m_n)
-                grad_s[np.count_nonzero(uncertified)] = lhs.T @ rhs
-                uncertified[q] = True
-    grad_c = np.real(snap.slope * per_bs).sum(axis=1)
+    bs = channels.bs_of_user
+    order = np.argsort(bs, kind="stable")  # users by BS: BS q's own rows are spans[q]
+    ends = list(itertools.accumulate(np.bincount(bs, minlength=q_n).tolist()))
+    starts = [0] + ends[:-1]
+    spans = list(zip(starts, ends))
+    if weighted is None:
+        weighted = weighted_amplitudes(channels, snap, cell, pricing)
+    # (1, U) rows conj(ca[t, :, k]) and (N, 1) columns w_t[k], each own user's by BS;
+    # every operand and output keeps the strides of a per-BS product of its own
+    rows = np.conjugate(weighted).swapaxes(1, 2)[:, :, None][order]
+    precoders = iterate.precoders[order, ..., None]
+    u_n, k_n = len(order), snap.slope.shape[1]
+    z, beams = np.empty((u_n, k_n, 1, m_n), complex), np.empty((u_n, k_n, m_n, 1), complex)
+    for q, (lo, hi) in enumerate(spans):
+        np.matmul(rows[lo:hi], snap.routed[q].swapaxes(0, 1), out=z[lo:hi])
+        np.matmul(channels.bs_ris[q], precoders[lo:hi], out=beams[lo:hi])
+    z, beams = z[:, :, 0], beams[..., 0]
+    per_bs = z * beams
+    if u_n > q_n:  # some BS serves two users: sum each BS's rows, in row order
+        per_bs = np.stack([np.sum(per_bs[lo:hi], axis=0) for lo, hi in spans])
+    grad_c = np.multiply(snap.slope, per_bs, out=per_bs).real.sum(axis=1)
+    if not selection:
+        return (grad_c, None) if tau is None else (grad_c, None, np.zeros(q_n, bool))
+
+    phased = beams  # phi_q b, formed in place
+    for q, (lo, hi) in enumerate(spans):
+        np.multiply(snap.phi[q], phased[lo:hi], out=phased[lo:hi])
+    uncertified = (np.ones(q_n, bool) if tau is None
+                   else ~(tau > selection_bounds(z, phased, starts)))
+    grad_s = np.empty((np.count_nonzero(uncertified), m_n, m_n))
+    for out, q in zip(grad_s, np.flatnonzero(uncertified)):
+        lo, hi = spans[q]
+        y = np.take(z[lo:hi], np.argsort(iterate.selections[q]), axis=-1)
+        lhs = np.concatenate([y.real, y.imag]).reshape(-1, m_n)
+        rhs = np.concatenate([phased[lo:hi].real, -phased[lo:hi].imag]).reshape(-1, m_n)
+        out[...] = lhs.T @ rhs
     if tau is None:
         return grad_c, grad_s
-    if selection:
-        grad_s = grad_s[:np.count_nonzero(uncertified)]
     return grad_c, grad_s, uncertified
 
 
-def selection_bound(y, phased, perm):
-    """Switch weight above which one surface's assignment cannot move, a float.
+def selection_bounds(z, phased, starts):
+    """Switch weight above which each surface's assignment cannot move, (Q,).
 
-    Entry ``[i, j]`` of the switch gradient of :func:`surface_gradients` is
-    ``Re sum_{t, k} y[t, k, i] phased[t, k, j]``, so by Cauchy-Schwarz over
-    own users and subcarriers it is at most ``|y_i| |p_j|`` in size, |.|
-    being the Euclidean norm of column i of ``y`` or j of ``phased``.
-    Column j of the reward, the gradient plus ``tau`` at row ``perm[j]``,
-    then keeps its strict maximum at that row when ``tau`` exceeds
+    ``z`` and ``phased`` are the (U, K, M) victim-combined channels and
+    phased beams of :func:`surface_gradients`, in routed coordinates with
+    the users ordered by BS, and BS q's rows start at ``starts[q]``.  Entry
+    ``[i, j]`` of surface q's switch gradient is ``Re sum_{t, k} y[t, k, i]
+    phased[t, k, j]`` over its own users, so by Cauchy-Schwarz over own users
+    and subcarriers it is at most ``|y_i| |p_j|`` in size, |.| being the
+    Euclidean norm of column i of ``y`` or j of ``phased``.  Column j of the
+    reward, the gradient plus ``tau`` at row ``perm[j]``, then keeps its
+    strict maximum at that row when ``tau`` exceeds
     ``|p_j| (|y_{perm[j]}| + max_i |y_i|)``; if every column does, the
     column maxima certify ``perm`` (see
-    :func:`bdris.switches.certified_selection`).  The bound is the largest
-    of these over j, times ``1 + SCREEN_MARGIN`` so that the rounding of the
-    norms and of the product cannot reverse a comparison.  A NaN in either
-    array gives a NaN bound, which no ``tau`` exceeds.  The bound assumes
-    that no squared entry underflows, i.e. magnitudes above about 1e-154.
+    :func:`bdris.switches.certified_selection`).  Column j of z is column
+    ``perm[j]`` of y, so that is ``|p_j| (|z_j| + max_m |z_m|)`` and needs no
+    permutation.  Each bound is the largest of these over j, times
+    ``1 + SCREEN_MARGIN`` so that the rounding of the norms and of the
+    product cannot reverse a comparison.  A NaN in either array gives a NaN
+    bound, which no ``tau`` exceeds.  The bound assumes that no squared entry
+    underflows, i.e. magnitudes above about 1e-154.
     """
-    y_norm, p_norm = _column_norms(y), _column_norms(phased)
-    return (1.0 + SCREEN_MARGIN) * float(np.max(p_norm * (y_norm[perm] + y_norm.max())))
+    z_norm, p_norm = _column_norms(z, starts), _column_norms(phased, starts)
+    return (1.0 + SCREEN_MARGIN) * np.max(
+        p_norm * (z_norm + z_norm.max(axis=1, keepdims=True)), axis=1)
 
 
-def _column_norms(a):
-    """Euclidean norm of each last-axis column of a complex array, over all other axes."""
-    parts = np.ascontiguousarray(a).view(float).reshape(-1, 2 * a.shape[-1])
-    squares = np.einsum("rc,rc->c", parts, parts)
-    return np.sqrt(squares[::2] + squares[1::2])
+def _column_norms(a, starts):
+    """Norm of each last-axis column of a complex (U, K, M) array over the rows of
+    each BS, whose first row is ``starts[q]``, and all subcarriers, (Q, M)."""
+    parts = np.ascontiguousarray(a).view(float)
+    squares = np.add.reduceat(np.einsum("ukc,ukc->uc", parts, parts), starts)
+    return np.sqrt(squares[:, ::2] + squares[:, 1::2])
 
 
 def sum_rate(iterate, channels, noise_power, ris_enabled=True):

@@ -300,22 +300,25 @@ def check_capacitance_clamp():
 
 
 def tight_selection_draw(rng, users=2, subcarriers=3, elements=4):
-    """``(y, phased, perm)`` of one surface on which the switch bound is tight.
+    """``(z, phased, perm)`` of one surface on which the switch bound is tight.
 
-    Column j of ``phased`` has twice the norm of any other, and the columns
-    i and ``perm[j]`` of y are plus and minus its conjugate, so column j of
-    the switch gradient spans exactly :func:`bdris.rates.selection_bound`
-    (less its margin), ``2 |p_j|^2``, between those two rows; y's other
+    ``z`` is in routed coordinates, as :func:`bdris.rates.surface_gradients`
+    forms it: its column m is row ``perm[m]`` of the switch gradient
+    ``Re sum_{t, k} z[t, k, m] phased[t, k, j]``.  Column j of ``phased``
+    has twice the norm of any other, and the columns i and j of z are plus
+    and minus its conjugate, so column j of the gradient spans exactly the
+    :func:`bdris.rates.selection_bounds` bound (less its margin),
+    ``2 |p_j|^2``, between the rows ``perm[i]`` and ``perm[j]``; z's other
     columns are a hundredth the size.
     """
     shape = (users, subcarriers, elements)
-    phased, y = complex_normal(rng, *shape), 0.01 * complex_normal(rng, *shape)
+    phased, z = complex_normal(rng, *shape), 0.01 * complex_normal(rng, *shape)
     perm, j = rng.permutation(elements), rng.integers(elements)
     norms = np.linalg.norm(phased, axis=(0, 1))
     phased[..., j] *= 2.0 * np.delete(norms, j).max() / norms[j]
-    i = rng.choice(np.delete(np.arange(elements), perm[j]))
-    y[..., i], y[..., perm[j]] = np.conj(phased[..., j]), -np.conj(phased[..., j])
-    return y, phased, perm
+    i = rng.choice(np.delete(np.arange(elements), j))
+    z[..., i], z[..., j] = np.conj(phased[..., j]), -np.conj(phased[..., j])
+    return z, phased, perm
 
 
 def check_assignment():
@@ -337,9 +340,9 @@ def check_assignment():
         tied = rng.standard_normal((size, size))
         best = tied.argmax(axis=0)
         tied[(best[0] + 1) % size, 0] = tied[best[0], 0]
-        y, phased, perm = tight_selection_draw(rng, elements=size)
-        grad = np.real(np.einsum("tki,tkj->ij", y, phased))
-        bound = rates.selection_bound(y, phased, perm)
+        z, phased, perm = tight_selection_draw(rng, elements=size)
+        grad = np.real(np.einsum("tki,tkj->ij", z[..., np.argsort(perm)], phased))
+        bound = rates.selection_bounds(z, phased, [0])[0]
         above = switches.selection_reward(grad, perm, np.nextafter(bound, np.inf))
         below = switches.selection_reward(
             grad, perm, bound / (1.0 + rates.SCREEN_MARGIN) * (1.0 - 1e-6))

@@ -9,15 +9,17 @@ discrete selection block is accepted outright only when it improves the
 local surrogate and kept otherwise.
 
 The per-BS updates are independent given the snapshot, so one batched
-call, :func:`local_subproblems`, computes all of them: the precoder blocks
-in one contraction and one lock-step Newton search of the power
-multipliers, each started at the multiplier its BS found in the previous
-sweep (at 0 in the first); both surface gradients of every BS from one
-pass over the surfaces (:func:`bdris.rates.surface_gradients`, which skips
-the switch products in ``diagonal`` mode); and the switch rewards and gains
-around one assignment per BS.  In ``bd`` mode the surfaces are screened at
-the proximal weight ``tau`` first: a BS whose norm bound certifies its
-current permutation (:func:`bdris.rates.selection_bound`) forms no switch
+call, :func:`local_subproblems`, computes all of them from one assembly of
+the :func:`bdris.rates.weighted_amplitudes` that every block reads: the
+precoder blocks in one contraction and one lock-step Newton search of the
+power multipliers, each started at the multiplier its BS found in the
+previous sweep (at 0 in the first); both surface gradients of every BS from
+the snapshot's routed channels, batched over all users
+(:func:`bdris.rates.surface_gradients`, which skips the switch products in
+``diagonal`` mode); and the switch rewards and gains around one assignment
+per BS.  In ``bd`` mode the surfaces are screened at the proximal weight
+``tau`` first, all in one pass: a BS whose norm bound certifies its current
+permutation (:func:`bdris.rates.selection_bounds`) forms no switch
 product, reward or assignment, and keeps that permutation at a switch gain
 of exactly 0.0, as its full reward would give; the others run as stacked
 (n, M, M) rewards and (n,) gains.  It returns one :class:`Candidate` of
@@ -259,7 +261,11 @@ def local_subproblems(iterate, channels, noise_power, power_budgets, config, sna
     q_n = channels.num_bs
     bs = channels.bs_of_user
     budgets = np.full(q_n, power_budgets, float)
-    surrogate = precoding.stacked_surrogates(iterate, channels, snap, config.cooperative)
+    # the surfaces read the weighted amplitudes too: then one assembly serves all blocks
+    weighted = (rates.weighted_amplitudes(channels, snap, pricing=float(config.cooperative))
+                if config.ris_enabled else None)
+    surrogate = precoding.stacked_surrogates(iterate, channels, snap, config.cooperative,
+                                             weighted)
     lams, w_hat, steps = precoding.solve_precoders(surrogate, bs, config.tau, budgets,
                                                    start_multipliers)
     values = np.bincount(bs, precoding.objective_values(surrogate, w_hat, config.tau),
@@ -269,8 +275,8 @@ def local_subproblems(iterate, channels, noise_power, power_budgets, config, sna
     c_hat, s_hat, gains = c_prev, s_prev, np.zeros(q_n)
     if config.ris_enabled:
         grad_c, grad_s, uncertified = rates.surface_gradients(
-            iterate, channels, snap, pricing=float(config.cooperative),
-            selection=config.ris_mode == "bd", tau=config.tau)
+            iterate, channels, snap, selection=config.ris_mode == "bd", tau=config.tau,
+            weighted=weighted)
         tau_c = capacitance_tau(config.tau, channels.circuit)
         c_hat = capacitance.update_capacitances(c_prev, grad_c, tau_c, channels.circuit)
         dc = c_hat - c_prev

@@ -8,8 +8,9 @@ with the current matrix), so the update is a linear assignment problem over
 a real (M, M) reward built from the rate gradient, own-cell plus pricing.
 The Jacobi sweep reads the real part of that gradient off the
 victim-combined channels of :func:`bdris.rates.surface_gradients`, one real
-matrix product per BS that the norm bound below leaves open, and builds
-their rewards as one stack; only :func:`solve_selection` runs per BS.
+matrix product per BS that the norm bound below leaves open, its channel
+put back from routed into element order, and builds their rewards as one
+stack; only :func:`solve_selection` runs per BS.
 :func:`selection_gradient` and :func:`selection_pricing` are its complex
 own-cell and pricing parts for one BS, always formed in full.  The literal
 per-link form is a test oracle (``tests/oracles.py``).
@@ -18,10 +19,11 @@ The proximal weight puts ``tau`` on the current permutation's entries of the
 reward, so while the gradient is small beside ``tau`` every column's maximum
 sits on a distinct row and the current permutation is the optimum.  The
 sweep certifies that case in two stages.  First, a norm bound: every
-gradient entry is at most the product of two column norms in size, so
-when ``tau`` exceeds :func:`bdris.rates.selection_bound` the surface keeps
-its permutation at gain 0.0 and forms neither its (M, M) gradient nor its
-reward.  Second, for the surfaces the bound leaves open,
+gradient entry is at most the product of two column norms in size, and
+:func:`bdris.rates.selection_bounds` bounds every surface at once from the
+norms of the routed channels, which are the element-order norms permuted,
+so each surface whose bound ``tau`` exceeds keeps its permutation at gain
+0.0 and forms neither its (M, M) gradient nor its reward.  Second, for the surfaces the bound leaves open,
 :func:`solve_selection` certifies the current or any other permutation
 exactly from the column maxima of the reward (:func:`certified_selection`)
 and calls the assignment solver only when that certificate fails.  That

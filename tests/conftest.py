@@ -18,13 +18,15 @@ def assert_same_snapshot(got, want):
 
 
 def recorded_bounds(monkeypatch):
-    """List that records every bound ``rates.selection_bound`` returns, in call order."""
-    bounds, bound = [], rates.selection_bound
+    """List that records every surface's bound ``rates.selection_bounds`` returns,
+    in call order and BS order within a call."""
+    bounds, bound = [], rates.selection_bounds
 
     def recorded(*args):
-        bounds.append(bound(*args))
-        return bounds[-1]
-    monkeypatch.setattr(rates, "selection_bound", recorded)
+        out = bound(*args)
+        bounds.extend(out.tolist())
+        return out
+    monkeypatch.setattr(rates, "selection_bounds", recorded)
     return bounds
 
 

@@ -24,6 +24,7 @@ from bdris.circuit import rational_coefficients, reflection
 from bdris.errors import NumericalFailureError
 from bdris.precoding import (MAX_MULTIPLIER, POWER_REL_TOL, _stack, power_curves,
                              solve_precoder, split_rhs)
+from bdris.rates import SCREEN_MARGIN, weighted_amplitudes
 from bdris.selfcheck import (best_assignment, dense_precoder,  # noqa: F401
                              fd_capacitance_gradient, fd_precoder_gradient,
                              fd_reflection_derivative, fd_selection_gradient)
@@ -192,6 +193,49 @@ def coupling_diagonals(q, iterate, channels, snap):
     routed = np.conj(channels.ris_ue[q][..., iterate.selections[q]])
     return np.einsum("tkm,vkm,tvk->tvkm", hw, routed,
                      np.conj(snap.amplitudes[own]))
+
+
+def per_bs_surface_gradients(iterate, channels, snap, cell=1.0, pricing=1.0, tau=None):
+    """``(grad_c, grad_s, uncertified, bounds)`` of every surface, one BS at a time.
+
+    The per-BS form of :func:`bdris.rates.surface_gradients`: each BS forms
+    its unrouted ``y = conj(ca @ g)``, gathers it through its permutation for
+    the capacitance product and bounds its switch gradient on its own
+    (:func:`selection_bound`).  ``grad_s`` holds the slices of the surfaces
+    whose bound ``tau`` does not exceed (all of them if ``tau`` is None), in
+    BS order, and ``bounds`` is (Q,).
+    """
+    weighted = weighted_amplitudes(channels, snap, cell, pricing)
+    conj_y = weighted.swapaxes(1, 2)[:, :, None]
+    q_n, m_n = iterate.capacitances.shape
+    per_bs = np.empty(snap.slope.shape, complex)
+    grad_s, bounds = [], np.empty(q_n)
+    for q, (g, h) in enumerate(zip(channels.ris_ue, channels.bs_ris)):
+        own, perm = channels.users_of_bs(q), iterate.selections[q]
+        y = np.conjugate(conj_y[own] @ g.swapaxes(0, 1))[:, :, 0]
+        beams = (h @ iterate.precoders[own, ..., None])[..., 0]
+        per_bs[q] = np.sum(np.take(y, perm, axis=-1) * beams, axis=0)
+        phased = snap.phi[q] * beams
+        bounds[q] = selection_bound(y, phased, perm)
+        if tau is None or not tau > bounds[q]:
+            lhs = np.concatenate([y.real, y.imag]).reshape(-1, m_n)
+            rhs = np.concatenate([phased.real, -phased.imag]).reshape(-1, m_n)
+            grad_s.append(lhs.T @ rhs)
+    grad_c = np.real(snap.slope * per_bs).sum(axis=1)
+    uncertified = np.ones(q_n, bool) if tau is None else ~(tau > bounds)
+    return grad_c, np.array(grad_s).reshape(-1, m_n, m_n), uncertified, bounds
+
+
+def selection_bound(y, phased, perm):
+    """One surface's switch bound from its unrouted ``y``, a float: the largest
+    ``|p_j| (|y_{perm[j]}| + max_i |y_i|)`` over j, times ``1 + SCREEN_MARGIN``,
+    the column norms taken over all own users and subcarriers at once."""
+    def column_norms(a):
+        parts = np.ascontiguousarray(a).view(float).reshape(-1, 2 * a.shape[-1])
+        squares = np.einsum("rc,rc->c", parts, parts)
+        return np.sqrt(squares[::2] + squares[1::2])
+    y_norm, p_norm = column_norms(y), column_norms(phased)
+    return (1.0 + SCREEN_MARGIN) * float(np.max(p_norm * (y_norm[perm] + y_norm.max())))
 
 
 def selection_coupling(q, tx_user, victim, k, iterate, channels, phi=None):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from bdris import precoding, solver, switches
+from bdris import precoding, rates, solver, switches
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
@@ -46,8 +46,12 @@ def test_counted_solve_precoder_runs_once_per_bisection(monkeypatch, multiuser_n
 def test_sweep_solves_one_assignment_per_bs(monkeypatch, multiuser_network, ris_mode,
                                             per_bs):
     # the benchmark's switches.move_ratio divides accepted moves by the
-    # number of switches.solve_selection calls
+    # number of switches.solve_selection calls; one call per BS in bd holds
+    # only while the norm screen certifies no surface of this network at the
+    # default weight, so that is asserted first
     channels, iterate, noise = multiuser_network
+    snap = rates.snapshot(iterate, channels, noise)
+    assert rates.surface_gradients(iterate, channels, snap, tau=0.8)[2].all()
     calls = []
     solve = switches.solve_selection
 

@@ -224,6 +224,25 @@ class TestReflectionAndSlope:
             with pytest.raises(ValueError):
                 reflection(np.array([[1e-12, bad]]), coefficients, circuit)
 
+    def test_zero_total_raises(self, circuit):
+        # (A, B, D) = (0, 0, -1) make num = 1 and den = -1, so num + den is
+        # exactly 0: phi and its slope both divide by zero
+        coefficients = (np.zeros((2, 1), complex), np.zeros((2, 1), complex),
+                        np.full((2, 1), -1.0 + 0j))
+        with pytest.raises(DegenerateInputError):
+            reflection(np.array([1e-12, 2e-12]), coefficients, circuit)
+
+    def test_scalar_inputs_give_the_array_values(self, circuit, rng):
+        # a scalar capacitance and frequency run the array arithmetic: phi and
+        # its slope equal the entries of a one-element array call, bit for bit
+        for f, cap in zip(rng.uniform(3.45e9, 3.55e9, 50),
+                          rng.uniform(circuit.c_min, circuit.c_max, 50)):
+            phi, slope = reflection(cap, rational_coefficients(f, circuit), circuit)
+            arrays = reflection(np.array([cap]), rational_coefficients(np.array([f]), circuit),
+                                circuit)
+            assert np.isscalar(phi) and np.isscalar(slope)
+            assert (phi, slope) == (arrays[0][0], arrays[1][0])
+
     def test_non_finite_raises(self, circuit):
         with np.errstate(invalid="ignore"):
             coefficients = rational_coefficients(np.array([[3.5e9], [np.inf]]), circuit)

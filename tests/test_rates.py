@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import oracles
-from bdris.rates import Iterate, bs_power, snapshot, sum_rate, surface_gradients
+from bdris.rates import (Iterate, bs_power, snapshot, sum_rate, surface_gradients,
+                         weighted_amplitudes)
 from bdris.scenario import ScenarioConfig, channels_for_trial
 
-from conftest import assert_same_snapshot, make_network
+from conftest import assert_same_snapshot, make_network, recorded_bounds
 
 
 class TestIterate:
@@ -399,3 +400,61 @@ class TestSurfaceGradients:
             only_c, none = surface_gradients(iterate, channels, snap, selection=False)
             assert none is None
             np.testing.assert_array_equal(only_c, grad_c)
+
+
+def interleaved(network):
+    """The network with its users relabeled so that no BS's users are adjacent."""
+    channels, iterate, noise = network
+    perm = np.argsort(np.arange(channels.num_users) % 2, kind="stable")[::-1]
+    return (type(channels)(channels.direct[:, perm], channels.bs_ris,
+                           channels.ris_ue[:, perm], channels.bs_of_user[perm],
+                           channels.grid, channels.circuit),
+            Iterate(iterate.precoders[perm], iterate.capacitances, iterate.selections), noise)
+
+
+class TestBatchedSurfaceGradients:
+    """The batched gradients, read off the routed channels, against the per-BS
+    reference (``oracles.per_bs_surface_gradients``), bit for bit."""
+
+    @pytest.fixture(params=["default_scale", (2, 1), (1, 2, 2), (3, 1), "interleaved"])
+    def network(self, request, default_scale_network):
+        if request.param == "default_scale":
+            return default_scale_network
+        if request.param == "interleaved":
+            return interleaved(make_network(np.random.default_rng(8), num_bs=2,
+                                            users_per_bs=(2, 3)))
+        upb = request.param
+        return make_network(np.random.default_rng(7), num_bs=len(upb), users_per_bs=upb)
+
+    @pytest.mark.parametrize("tau", [None, 1e-9, 0.8, 1e9])
+    @pytest.mark.parametrize("cell, pricing", [(1, 1), (1, 0), (0, 1), (1j, 1j)])
+    def test_equal_the_per_bs_reference(self, network, tau, cell, pricing, monkeypatch):
+        channels, iterate, noise = network
+        snap = snapshot(iterate, channels, noise)
+        bounds = recorded_bounds(monkeypatch)
+        got = surface_gradients(iterate, channels, snap, cell, pricing, tau=tau)
+        grad_c, grad_s, uncertified, want_bounds = oracles.per_bs_surface_gradients(
+            iterate, channels, snap, cell, pricing, tau)
+        np.testing.assert_array_equal(got[0], grad_c, strict=True)
+        np.testing.assert_array_equal(got[1], grad_s, strict=True)
+        if tau is None:
+            assert len(got) == 2 and bounds == []
+            return
+        np.testing.assert_array_equal(got[2], uncertified, strict=True)
+        # a BS's bound sums its squared column entries user by user, then over its
+        # users, where the reference sums all of its rows at once: one-user bounds
+        # are the reference's, bit for bit, and multi-user ones may round apart
+        one_user = np.bincount(channels.bs_of_user) == 1
+        np.testing.assert_array_equal(np.array(bounds)[one_user], want_bounds[one_user])
+        np.testing.assert_allclose(bounds, want_bounds, rtol=1e-13)
+
+    def test_shared_weighted_amplitudes_give_the_same_gradients(self, network):
+        channels, iterate, noise = network
+        snap = snapshot(iterate, channels, noise)
+        weighted = weighted_amplitudes(channels, snap, pricing=0.0)
+        kept = weighted.copy()
+        given = surface_gradients(iterate, channels, snap, tau=0.8, weighted=weighted)
+        formed = surface_gradients(iterate, channels, snap, pricing=0.0, tau=0.8)
+        for a, b in zip(given, formed):
+            np.testing.assert_array_equal(a, b, strict=True)
+        np.testing.assert_array_equal(weighted, kept)

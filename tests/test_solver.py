@@ -116,6 +116,26 @@ class TestLocalSubproblem:
         np.testing.assert_allclose(cand.target.capacitances[0], iterate.capacitances[0])
         np.testing.assert_array_equal(cand.target.selections[0], iterate.selections[0])
 
+    @pytest.mark.parametrize("variant", ["bd", "diag", "bd-pi0", "none", "none-pi0"])
+    @pytest.mark.parametrize("network", ["small_network", "multiuser_network"])
+    def test_forms_the_weighted_amplitudes_once(self, monkeypatch, request, network,
+                                                variant):
+        # all three blocks read one weighting, assembled once a sweep; only a
+        # sweep that prices nothing, one-user cells without surfaces or
+        # cooperation, assembles none
+        channels, iterate, noise = request.getfixturevalue(network)
+        cfg = solver_config_for(SolverConfig(), variant)
+        calls, form = [], rates_mod.weighted_amplitudes
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return form(*args, **kwargs)
+        for owner in (rates_mod, precoding):
+            monkeypatch.setattr(owner, "weighted_amplitudes", counted)
+        local_subproblems(iterate, channels, noise, 1.0, cfg)
+        priced = cfg.ris_enabled or cfg.cooperative or channels.num_users > channels.num_bs
+        assert len(calls) == priced
+
     def test_non_cooperative_ignores_other_cells(self, small_network):
         channels, iterate, noise = small_network
         cfg = SolverConfig(cooperative=False)
@@ -502,7 +522,8 @@ class TestRun:
         screened, trace = run(channels, budget, noise, cfg)
         assert trace.num_iterations == 20
         assert len(bounds) == 20 * channels.num_bs and max(bounds) < cfg.tau
-        monkeypatch.setattr(rates_mod, "selection_bound", lambda *args: np.inf)
+        monkeypatch.setattr(rates_mod, "selection_bounds",
+                            lambda z, phased, starts: np.full(len(starts), np.inf))
         full, full_trace = run(channels, budget, noise, cfg)
         for f in dataclasses.fields(screened):
             np.testing.assert_array_equal(getattr(screened, f.name), getattr(full, f.name),

@@ -270,10 +270,10 @@ class TestSelectionScreen:
         # bound less its margin they do not
         rng = np.random.default_rng(21)
         for _ in range(100):
-            y, phased, perm = selfcheck.tight_selection_draw(rng, users=2, subcarriers=3,
+            z, phased, perm = selfcheck.tight_selection_draw(rng, users=2, subcarriers=3,
                                                              elements=5)
-            grad = np.real(np.einsum("tki,tkj->ij", y, phased))
-            bound = rates.selection_bound(y, phased, perm)
+            grad = np.real(np.einsum("tki,tkj->ij", z[..., np.argsort(perm)], phased))
+            bound = rates.selection_bounds(z, phased, [0])[0]
             exact = bound / (1.0 + rates.SCREEN_MARGIN)
             for tau in (np.nextafter(bound, np.inf), bound * (1 + 1e-12), 2.0 * bound):
                 np.testing.assert_array_equal(
@@ -283,12 +283,17 @@ class TestSelectionScreen:
 
     def test_non_finite_gradients_are_never_certified(self):
         rng = np.random.default_rng(3)
-        y, phased, perm = selfcheck.tight_selection_draw(rng)
+        z, phased, _ = selfcheck.tight_selection_draw(rng)
         for bad in (np.nan, np.inf):
-            y_bad = y.copy()
-            y_bad[0, 0, 0] = bad
-            assert not 1e300 > rates.selection_bound(y_bad, phased, perm)
-            assert not 1e300 > rates.selection_bound(y, bad * phased, perm)
+            z_bad = z.copy()
+            z_bad[0, 0, 0] = bad
+            assert not 1e300 > rates.selection_bounds(z_bad, phased, [0])[0]
+            assert not 1e300 > rates.selection_bounds(z, bad * phased, [0])[0]
+            # stacked beside a finite surface, only the non-finite one is open
+            both = rates.selection_bounds(np.concatenate([z_bad, z]),
+                                          np.concatenate([phased, phased]), [0, len(z)])
+            assert not 1e300 > both[0]
+            assert both[1] == rates.selection_bounds(z, phased, [0])[0]
 
 
 class TestSelectionGain:
