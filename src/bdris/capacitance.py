@@ -11,36 +11,32 @@ Jacobi sweep reads the gradients of all surfaces off the victim-combined
 channels of :func:`bdris.rates.surface_gradients`, formed in the snapshot's
 routed coordinates with every user in one buffer, so one product and one
 sum over subcarriers give every surface's gradient; :func:`rate_gradient`
-and :func:`pricing_gradient` are its own-cell and pricing parts for one BS.
-The literal per-link coupling matrices and their diagonals are test oracles
-(``tests/oracles.py``).
+and :func:`pricing_gradient`, ``(q, iterate, channels, snap)``, are its
+own-cell and pricing parts for one BS.  The literal per-link coupling
+matrices and their diagonals are test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .rates import snapshot, surface_gradients
+from .rates import surface_gradients, weighted_amplitudes
 
 
-def rate_gradient(q, iterate, channels, noise_power, snap=None):
+def rate_gradient(q, iterate, channels, snap):
     """Gradient of BS q's own-cell rate sum w.r.t. its capacitances, (M,).
 
     Scaled by the subcarrier count like the precoder pricing (the common
     1/K average is dropped from all subproblems).
     """
-    return _slice(q, iterate, channels, noise_power, snap, pricing=0.0)
+    weighted = weighted_amplitudes(channels, snap, 1.0, 0.0)
+    return surface_gradients(iterate, channels, snap, weighted)[0][q]
 
 
-def pricing_gradient(q, iterate, channels, noise_power, snap=None):
+def pricing_gradient(q, iterate, channels, snap):
     """Gradient of all other cells' rate sums w.r.t. BS q's capacitances, (M,)."""
-    return _slice(q, iterate, channels, noise_power, snap, cell=0.0)
-
-
-def _slice(q, iterate, channels, noise_power, snap, **weights):
-    if snap is None:
-        snap = snapshot(iterate, channels, noise_power)
-    return surface_gradients(iterate, channels, snap, selection=False, **weights)[0][q]
+    weighted = weighted_amplitudes(channels, snap, 0.0, 1.0)
+    return surface_gradients(iterate, channels, snap, weighted)[0][q]
 
 
 def update_capacitances(cap_prev, gradient, tau, circuit):

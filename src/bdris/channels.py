@@ -240,11 +240,13 @@ class NetworkChannels:
                 raise ValueError("bs_ris shape inconsistent with direct channels")
             if self.ris_ue.shape != (q, u, k, m):
                 raise ValueError("ris_ue shape inconsistent with the other links")
+        if min(q, u, n, self.num_elements) < 1:
+            raise ValueError("need at least one BS, user, antenna and element")
         if len(self.bs_of_user) != u:
             raise ValueError("bs_of_user must cover every user")
         bs = np.asarray(self.bs_of_user)
-        if np.any(bs < 0) or np.any(bs >= q):
-            raise ValueError("bs_of_user entries must lie in [0, Q)")
+        if bs.dtype.kind not in "iu" or np.any(bs < 0) or np.any(bs >= q):
+            raise ValueError("bs_of_user entries must be integers in [0, Q)")
         if np.any(np.bincount(bs, minlength=q) == 0):
             raise ValueError("every BS must serve at least one user")
         if k != self.grid.num_subcarriers:

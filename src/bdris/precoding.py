@@ -19,11 +19,12 @@ multiplier is kept only once the power at ``lam = 0`` is known to exceed the
 budget, so a start above the root never hides a free solution that fits; the
 stopping band ``[P (1 - POWER_REL_TOL), P]`` is the same from any start.
 
-The Jacobi sweep builds all users' surrogates in one contraction
-(:func:`stacked_surrogates`) and runs all BSs' multiplier searches in lock
-step, one batched power curve call per Newton pass and every precoder in
-one broadcast solve (:func:`solve_precoders`); :func:`build_surrogates`,
-:func:`pricing_vector` and :func:`bisect_power_multiplier` are its slices.
+The Jacobi sweep builds all users' surrogates in one contraction from its
+snapshot and weighting (:func:`stacked_surrogates`) and runs all BSs'
+multiplier searches in lock step, one batched power curve call per Newton
+pass and every precoder in one broadcast solve (:func:`solve_precoders`);
+:func:`build_surrogates`, :func:`pricing_vector` and
+:func:`bisect_power_multiplier` are its slices, each read off a snapshot.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalFailureError
-from .rates import LN2, bs_power, snapshot, weighted_amplitudes
+from .rates import LN2, bs_power, weighted_amplitudes
 
 POWER_REL_TOL = 1e-8     # a binding multiplier leaves the power in [B (1 - tol), B]
 MAX_MULTIPLIER = 2.0**200  # a larger power multiplier raises NumericalFailureError
@@ -93,47 +94,41 @@ def _stack(surrogates):
                                for f in fields(PrecoderSurrogate)))
 
 
-def pricing_vector(user, iterate, channels, noise_power, snap=None, ris_enabled=True):
-    """One user's ``pricing`` of :func:`stacked_surrogates`, (K, N)."""
-    if snap is None:
-        snap = snapshot(iterate, channels, noise_power, ris_enabled)
-    return stacked_surrogates(iterate, channels, snap).pricing[user]
+def pricing_vector(user, iterate, channels, snap):
+    """One user's cooperative ``pricing`` of :func:`stacked_surrogates`, (K, N)."""
+    weighted = weighted_amplitudes(channels, snap)
+    return stacked_surrogates(iterate, channels, snap, weighted).pricing[user]
 
 
-def stacked_surrogates(iterate, channels, snap, cooperative=True, weighted=None):
+def stacked_surrogates(iterate, channels, snap, weighted=None):
     """Surrogates of every user, stacked along a leading user axis.
 
     User u's ``pricing`` is the conjugate-coordinate gradient (d/dw*), times
-    K (the subcarrier average rescales every term equally), of u's cell's
-    rates plus ``cooperative`` times the other cells', as the surface
-    gradients weigh them, less u's own log term, which the quadratic models.
-    ``weighted`` is the :func:`~bdris.rates.weighted_amplitudes` at
-    ``pricing=cooperative`` if the caller has formed it; it is read, not
-    changed.  The own channels and the rows come from the snapshot as they are.
+    K (the subcarrier average rescales every term equally), of the rates the
+    :func:`~bdris.rates.weighted_amplitudes` ``weighted`` weighs, less u's
+    own log term, which the quadratic models; 0 without ``weighted``, which
+    is read, not changed.  The own channels and rows are the snapshot's.
     """
     users = np.arange(channels.num_users)
     sig, mui, own = snap.signal, snap.mui, snap.own_channel
     ln2_mui = LN2 * mui
     linear = own * (snap.amplitudes[users, users] / ln2_mui)[..., None]
-    if cooperative or channels.num_users > channels.num_bs:  # some BS serves two users
-        weighted = (weighted_amplitudes(channels, snap, pricing=float(cooperative))
-                    if weighted is None else weighted.copy())
+    if weighted is None:
+        pricing = np.zeros_like(linear)
+    else:
+        weighted = weighted.copy()
         weighted[users, users] = 0.0  # the quadratic models the own stream
         pricing = 0.5 * np.einsum("unk,unki->uki", weighted, np.conj(snap.stream_rows))
-    else:
-        pricing = np.zeros_like(linear)
     quad = sig / (LN2 * (mui + sig) * mui)
     offset = np.log1p(snap.snr) / LN2 + quad * sig - 2.0 * sig / ln2_mui
     return PrecoderSurrogate(quad, own, snap.own_norm2, linear, pricing,
                              iterate.precoders.copy(), offset)
 
 
-def build_surrogates(q, iterate, channels, noise_power, snap=None,
-                     cooperative=True, ris_enabled=True):
-    """Assemble the surrogate of every user served by BS q."""
-    if snap is None:
-        snap = snapshot(iterate, channels, noise_power, ris_enabled)
-    stacked = stacked_surrogates(iterate, channels, snap, cooperative)
+def build_surrogates(q, iterate, channels, snap, cooperative=True):
+    """The surrogates of BS q's users, priced at ``pricing=cooperative``."""
+    weighted = weighted_amplitudes(channels, snap, pricing=float(cooperative))
+    stacked = stacked_surrogates(iterate, channels, snap, weighted)
     return [stacked.select(u) for u in channels.users_of_bs(q)]
 
 

@@ -10,14 +10,14 @@ every other stream at that user.
 once: the composite rows, their per-stream gather, each user's own channel
 and its squared norm, the reflection profiles and their capacitance slopes,
 and the sum rate, summed once per snapshot.  Every block reads these from
-the snapshot instead of forming them again, and every block's gradient is
-read off :func:`weighted_amplitudes`, which a Jacobi sweep assembles once:
-both surface gradients (:func:`surface_gradients`) and the precoder
-pricing.  The surface gradients read the snapshot's routed channels as they
-are, batched over all users, and screen every surface's switch block with
-one norm bound (:func:`selection_bounds`).  A snapshot given a
-``previous`` one of the same channels carries over what did not change
-between them.  The routed surface-to-user channels, ``conj(g)[..., perm]``,
+the snapshot the solver hands it, and every block's gradient is read off
+:func:`weighted_amplitudes`, the one function with ``cell`` and ``pricing``
+weights, which a Jacobi sweep assembles once for both surface gradients
+and the precoder pricing.  :func:`surface_gradients` reads the snapshot's
+routed channels as they are, batched over all users, and screens every
+surface's switch block with one norm bound (:func:`selection_bounds`).  A
+snapshot given a ``previous`` one of the same channels carries over what
+did not change.  The routed surface-to-user channels, ``conj(g)[..., perm]``,
 depend on the switch permutations alone, which rarely change between Jacobi
 sweeps, so they are reused when ``previous`` has the iterate's permutations
 and rebuilt otherwise.  Without surfaces the rows, their per-stream gather
@@ -196,16 +196,15 @@ def weighted_amplitudes(channels, snap, cell=1.0, pricing=1.0):
     return weights * snap.amplitudes
 
 
-def surface_gradients(iterate, channels, snap, cell=1.0, pricing=1.0, selection=True,
-                      tau=None, weighted=None):
+def surface_gradients(iterate, channels, snap, weighted, tau=None):
     """Capacitance and real switch-selection gradients of every surface.
 
-    Returns ``grad_c`` (Q, M) and ``grad_s`` (Q, M, M), or None for
-    ``grad_s`` when ``selection`` is false.  Both are read off one
-    victim-combined channel per own user t of BS q, formed in routed
-    coordinates, ``z[t, k] = sum_v conj(ca[t, v, k]) routed[q, v, k]``,
-    ``ca`` being the :func:`weighted_amplitudes` at ``cell`` and ``pricing``
-    (``weighted``, if the caller has formed it) and ``routed`` the
+    Returns ``(grad_c, grad_s, uncertified)``: ``grad_c`` (Q, M), and,
+    given the switch weight ``tau``, ``grad_s`` (n, M, M) and the (Q,) mask
+    below (both None without it).  All are read off one victim-combined
+    channel per own user t of BS q, formed in routed coordinates,
+    ``z[t, k] = sum_v conj(ca[t, v, k]) routed[q, v, k]``, ``ca`` being
+    ``weighted`` (:func:`weighted_amplitudes`) and ``routed`` the
     snapshot's ``conj(g)[..., perm_q]``, so column m of z is column
     ``perm_q[m]`` of the unrouted ``y[t, k] = sum_v conj(ca[t, v, k]
     g_{q, v}[k])``.  With the beams ``b[t, k] = H_q[k] w_t[k]``,
@@ -218,15 +217,15 @@ def surface_gradients(iterate, channels, snap, cell=1.0, pricing=1.0, selection=
     all surfaces.  Scaling both weights by a complex s scales z by conj(s),
     so weights times 1j give the imaginary part of the complex sums.
 
-    Given the switch weight ``tau``, every surface is screened first: one
-    whose bound in :func:`selection_bounds` ``tau`` exceeds skips its switch
-    product, since its reward, ``grad_s[q]`` plus ``tau`` on the current
+    Given ``tau``, every surface is screened first: one whose bound in
+    :func:`selection_bounds` ``tau`` exceeds skips its switch product,
+    since its reward, ``grad_s[q]`` plus ``tau`` on the current
     permutation, is then known to certify that permutation (the bound's
-    relative margin ``SCREEN_MARGIN`` covers the rounding).  The call then
-    returns a third value, the (Q,) mask ``uncertified`` of the surfaces
-    whose product was formed, and ``grad_s`` holds only their slices, in BS
-    order.  A certified surface has no slice: its assignment keeps the
-    current permutation at a reward gain of 0.0, as its full reward would.
+    relative margin ``SCREEN_MARGIN`` covers the rounding).  ``uncertified``
+    masks the surfaces whose product was formed, and ``grad_s`` holds their
+    slices in BS order, every surface's at ``tau = 0.0``.  A certified
+    surface has no slice: its assignment keeps the current permutation at a
+    reward gain of 0.0, as its full reward would.
     """
     q_n, m_n = iterate.capacitances.shape
     bs = channels.bs_of_user
@@ -234,8 +233,6 @@ def surface_gradients(iterate, channels, snap, cell=1.0, pricing=1.0, selection=
     ends = list(itertools.accumulate(np.bincount(bs, minlength=q_n).tolist()))
     starts = [0] + ends[:-1]
     spans = list(zip(starts, ends))
-    if weighted is None:
-        weighted = weighted_amplitudes(channels, snap, cell, pricing)
     # (1, U) rows conj(ca[t, :, k]) and (N, 1) columns w_t[k], each own user's by BS;
     # every operand and output keeps the strides of a per-BS product of its own
     rows = np.conjugate(weighted).swapaxes(1, 2)[:, :, None][order]
@@ -250,14 +247,13 @@ def surface_gradients(iterate, channels, snap, cell=1.0, pricing=1.0, selection=
     if u_n > q_n:  # some BS serves two users: sum each BS's rows, in row order
         per_bs = np.stack([np.sum(per_bs[lo:hi], axis=0) for lo, hi in spans])
     grad_c = np.multiply(snap.slope, per_bs, out=per_bs).real.sum(axis=1)
-    if not selection:
-        return (grad_c, None) if tau is None else (grad_c, None, np.zeros(q_n, bool))
+    if tau is None:
+        return grad_c, None, None
 
     phased = beams  # phi_q b, formed in place
     for q, (lo, hi) in enumerate(spans):
         np.multiply(snap.phi[q], phased[lo:hi], out=phased[lo:hi])
-    uncertified = (np.ones(q_n, bool) if tau is None
-                   else ~(tau > selection_bounds(z, phased, starts)))
+    uncertified = ~(tau > selection_bounds(z, phased, starts))
     grad_s = np.empty((np.count_nonzero(uncertified), m_n, m_n))
     for out, q in zip(grad_s, np.flatnonzero(uncertified)):
         lo, hi = spans[q]
@@ -265,8 +261,6 @@ def surface_gradients(iterate, channels, snap, cell=1.0, pricing=1.0, selection=
         lhs = np.concatenate([y.real, y.imag]).reshape(-1, m_n)
         rhs = np.concatenate([phased[lo:hi].real, -phased[lo:hi].imag]).reshape(-1, m_n)
         out[...] = lhs.T @ rhs
-    if tau is None:
-        return grad_c, grad_s
     return grad_c, grad_s, uncertified
 
 

@@ -246,9 +246,10 @@ def load_config(path):
     """Read a scenario from an INI file; unset keys keep their defaults.
 
     Without ``L_q``, a configured ``Q`` gets one user per BS.  A section or
-    key outside ``_INI_KEYS`` raises :class:`ConfigError`.
+    key outside ``_INI_KEYS`` raises :class:`ConfigError`.  Only ``#`` starts
+    a comment, since ``;`` separates list entries, also on a continuation line.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(comment_prefixes=("#",), inline_comment_prefixes=("#",))
     try:
         if not parser.read(path):
             raise ConfigError(f"config file not found: {path}")

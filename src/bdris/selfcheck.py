@@ -175,7 +175,9 @@ def _surface_gradient_error(seed, block):
     against central differences of its own-cell and other-cell rate sums."""
     channels, iterate, noise = random_network(np.random.default_rng(seed), users_per_bs=(2, 1))
     snap = snapshot(iterate, channels, noise)
-    parts = [rates.surface_gradients(iterate, channels, snap, cell=c, pricing=1.0 - c)[block]
+    parts = [rates.surface_gradients(iterate, channels, snap,
+                                     rates.weighted_amplitudes(channels, snap, c, 1.0 - c),
+                                     tau=0.0)[block]
              for c in (1.0, 0.0)]
     worst = 0.0
     for q in range(channels.num_bs):
@@ -200,11 +202,17 @@ def check_selection_gradients():
     return "selection gradient vs finite differences", worst <= 1e-4, f"max rel err {worst:.2e}"
 
 
+def _surrogates(iterate, channels, noise):
+    """The iterate's snapshot and every user's cooperative surrogate."""
+    snap = snapshot(iterate, channels, noise)
+    weighted = rates.weighted_amplitudes(channels, snap)
+    return snap, precoding.stacked_surrogates(iterate, channels, snap, weighted)
+
+
 def check_precoder_pricing():
     """Pricing vs the gradient of every rate but the user's own; BS 0 serves two users."""
     channels, iterate, noise = random_network(np.random.default_rng(5), users_per_bs=(2, 1))
-    pricing = precoding.stacked_surrogates(iterate, channels,
-                                           snapshot(iterate, channels, noise)).pricing
+    pricing = _surrogates(iterate, channels, noise)[1].pricing
     k_n, worst = channels.num_subcarriers, 0.0
     for user, got in enumerate(pricing):
         fd = fd_precoder_gradient(
@@ -217,8 +225,7 @@ def check_precoder_pricing():
 def check_surrogate_bound():
     rng = np.random.default_rng(6)
     channels, iterate, noise = random_network(rng)
-    snap = snapshot(iterate, channels, noise)
-    s = precoding.stacked_surrogates(iterate, channels, snap)
+    snap, s = _surrogates(iterate, channels, noise)
     anchor_rate = np.log1p(snap.snr) / np.log(2.0)
     worst_gap = np.max(np.abs(s.log_term_value(s.anchor) - anchor_rate))
     violations = 0
@@ -235,7 +242,7 @@ def check_surrogate_bound():
 
 def check_precoder_solve():
     channels, iterate, noise = random_network(np.random.default_rng(7))
-    stacked = precoding.stacked_surrogates(iterate, channels, snapshot(iterate, channels, noise))
+    stacked = _surrogates(iterate, channels, noise)[1]
     split = precoding.split_rhs(stacked, TAU)
     worst = 0.0  # each user's split alone at three multipliers, then the stack at one each
     for lam in (0.0, 0.3, 2.0):
@@ -256,7 +263,7 @@ def check_power_multiplier():
     a last call starts every BS at 1e-9 where only 0 fits, its budget the
     free power times 1 + 1e-12."""
     channels, iterate, noise = random_network(np.random.default_rng(10), users_per_bs=(2, 1))
-    stacked = precoding.stacked_surrogates(iterate, channels, snapshot(iterate, channels, noise))
+    stacked = _surrogates(iterate, channels, noise)[1]
     owner, q_n = channels.bs_of_user, channels.num_bs
     free = rates.bs_power(dense_precoder(stacked, TAU, 0.0), owner, q_n)
 

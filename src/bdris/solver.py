@@ -8,9 +8,10 @@ continuous blocks are blended convexly, which preserves feasibility; the
 discrete selection block is accepted outright only when it improves the
 local surrogate and kept otherwise.
 
-The per-BS updates are independent given the snapshot, so one batched
-call, :func:`local_subproblems`, computes all of them from one assembly of
-the :func:`bdris.rates.weighted_amplitudes` that every block reads: the
+The per-BS updates are independent given the snapshot that :func:`run`
+forms, so one batched call, :func:`local_subproblems`, computes all of them
+from one assembly of the :func:`bdris.rates.weighted_amplitudes` that every
+block reads, and decides whether the precoders price at all: the
 precoder blocks in one contraction and one lock-step Newton search of the
 power multipliers, each started at the multiplier its BS found in the
 previous sweep (at 0 in the first); both surface gradients of every BS from
@@ -24,7 +25,7 @@ product, reward or assignment, and keeps that permutation at a switch gain
 of exactly 0.0, as its full reward would give; the others run as stacked
 (n, M, M) rewards and (n,) gains.  It returns one :class:`Candidate` of
 per-BS arrays, which :func:`blend_step` merges with array expressions;
-:func:`local_subproblem` is its one-BS slice.
+:func:`local_subproblem` is its one-BS slice.  No block forms a snapshot.
 
 A merged point is kept only if the true sum rate does not drop.  The
 linearized pricing guarantees ascent only for small enough steps of the
@@ -51,6 +52,7 @@ import csv
 import time
 from array import array
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -249,23 +251,21 @@ def initial_iterate(channels, power_budgets):
     return Iterate(w, caps, sels)
 
 
-def local_subproblems(iterate, channels, noise_power, power_budgets, config, snap=None,
-                      start_multipliers=None):
+def local_subproblems(iterate, channels, snap, budgets, config, start_multipliers=None):
     """One Jacobi sweep: every BS's three block subproblems against the shared snapshot.
 
-    ``start_multipliers`` (Q,) starts the power multiplier searches; they
-    start at 0 if it is omitted.  Returns one :class:`Candidate` for all BSs.
+    ``snap`` is the iterate's snapshot and ``budgets`` (Q,) the checked power
+    budgets; ``start_multipliers`` (Q,) starts the power multiplier searches
+    (at 0 if omitted).  Returns one :class:`Candidate` for all BSs.
     """
-    if snap is None:
-        snap = snapshot(iterate, channels, noise_power, config.ris_enabled)
     q_n = channels.num_bs
     bs = channels.bs_of_user
-    budgets = np.full(q_n, power_budgets, float)
-    # the surfaces read the weighted amplitudes too: then one assembly serves all blocks
+    # one weighting for all blocks; the precoders read it unless it is 0 off the own streams
+    priced = config.cooperative or channels.num_users > q_n
     weighted = (rates.weighted_amplitudes(channels, snap, pricing=float(config.cooperative))
-                if config.ris_enabled else None)
-    surrogate = precoding.stacked_surrogates(iterate, channels, snap, config.cooperative,
-                                             weighted)
+                if priced or config.ris_enabled else None)
+    surrogate = precoding.stacked_surrogates(iterate, channels, snap,
+                                             weighted if priced else None)
     lams, w_hat, steps = precoding.solve_precoders(surrogate, bs, config.tau, budgets,
                                                    start_multipliers)
     values = np.bincount(bs, precoding.objective_values(surrogate, w_hat, config.tau),
@@ -275,8 +275,7 @@ def local_subproblems(iterate, channels, noise_power, power_budgets, config, sna
     c_hat, s_hat, gains = c_prev, s_prev, np.zeros(q_n)
     if config.ris_enabled:
         grad_c, grad_s, uncertified = rates.surface_gradients(
-            iterate, channels, snap, selection=config.ris_mode == "bd", tau=config.tau,
-            weighted=weighted)
+            iterate, channels, snap, weighted, config.tau if config.ris_mode == "bd" else None)
         tau_c = capacitance_tau(config.tau, channels.circuit)
         c_hat = capacitance.update_capacitances(c_prev, grad_c, tau_c, channels.circuit)
         dc = c_hat - c_prev
@@ -294,9 +293,9 @@ def local_subproblems(iterate, channels, noise_power, power_budgets, config, sna
     return Candidate(Iterate(w_hat, c_hat, s_hat), gains, values, lams, steps)
 
 
-def local_subproblem(q, iterate, channels, noise_power, power_budget, config, snap=None):
+def local_subproblem(q, iterate, channels, snap, power_budget, config):
     """BS q's one-BS slice of :func:`local_subproblems`, every BS at ``power_budget``."""
-    c = local_subproblems(iterate, channels, noise_power, power_budget, config, snap)
+    c = local_subproblems(iterate, channels, snap, np.full(channels.num_bs, power_budget), config)
     t = c.target
     return Candidate(Iterate(t.precoders[channels.users_of_bs(q)], t.capacitances[[q]],
                              t.selections[[q]]),
@@ -355,7 +354,9 @@ def run(channels, power_budgets, noise_power, config):
     if not np.all((budgets > 0) & (budgets < np.inf)):  # a NaN budget fails too
         raise ValueError("power budget must be finite and > 0")
     iterate = initial_iterate(channels, budgets)
-    snap = snapshot(iterate, channels, noise_power, config.ris_enabled)
+    evaluate = partial(snapshot, channels=channels, noise_power=noise_power,
+                       ris_enabled=config.ris_enabled)  # the run's one source of snapshots
+    snap = evaluate(iterate)
     power = rates.bs_power(iterate.precoders, channels.bs_of_user, q_n)
     records = Trace.records(TRACE_ROWS, q_n)
     records[0] = (snap.sum_rate, 0.0, 0.0, 0, 0.0, budgets - power, 0.0, 0, 0)
@@ -364,12 +365,12 @@ def run(channels, power_budgets, noise_power, config):
     for t in range(config.max_iters):
         start = time.perf_counter()
         alpha = step_size_schedule(t, alpha, config)
-        candidate = local_subproblems(iterate, channels, noise_power, budgets, config,
-                                      snap, start_multipliers=lams)
+        candidate = local_subproblems(iterate, channels, snap, budgets, config,
+                                      start_multipliers=lams)
         lams = candidate.power_multipliers
         prev_rate, prev_sel = snap.sum_rate, iterate.selections
         step, trials, iterate, snap, power = _ascent_step(
-            iterate, snap, power, candidate, alpha, channels, budgets, noise_power, config)
+            iterate, snap, power, candidate, alpha, channels, budgets, evaluate)
         elapsed = time.perf_counter() - start
         if step > 0.0:
             alpha = step
@@ -385,12 +386,12 @@ def run(channels, power_budgets, noise_power, config):
     return iterate, Trace.from_records(records[:t + 2])
 
 
-def _ascent_step(iterate, snap, power, candidate, alpha, channels, budgets, noise_power,
-                 config):
+def _ascent_step(iterate, snap, power, candidate, alpha, channels, budgets, evaluate):
     """First trial merge whose sum rate does not drop below ``snap``'s.
 
-    Returns (step, trials, iterate, snapshot, per-BS power) of the accepted
-    point, or the given point with step 0.0 if every trial drops; ``trials``
+    ``evaluate(trial, previous=snap)`` is a trial's snapshot.  Returns
+    (step, trials, iterate, snapshot, per-BS power) of the accepted point,
+    or the given point with step 0.0 if every trial drops; ``trials``
     counts the merges tried.  A trial's permutations are validated only in
     the rows whose switch gain is positive: the others are the given point's.
     """
@@ -402,7 +403,7 @@ def _ascent_step(iterate, snap, power, candidate, alpha, channels, budgets, nois
         except ValueError as exc:
             raise NumericalFailureError(
                 f"iterate infeasible after update: {exc}") from exc
-        trial_snap = snapshot(trial, channels, noise_power, config.ris_enabled, previous=snap)
+        trial_snap = evaluate(trial, previous=snap)
         trials += 1
         if trial_snap.sum_rate >= snap.sum_rate:
             return step, trials, trial, trial_snap, trial_power

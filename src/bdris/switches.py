@@ -11,32 +11,33 @@ victim-combined channels of :func:`bdris.rates.surface_gradients`, one real
 matrix product per BS that the norm bound below leaves open, its channel
 put back from routed into element order, and builds their rewards as one
 stack; only :func:`solve_selection` runs per BS.
-:func:`selection_gradient` and :func:`selection_pricing` are its complex
-own-cell and pricing parts for one BS, always formed in full.  The literal
-per-link form is a test oracle (``tests/oracles.py``).
+:func:`selection_gradient` and :func:`selection_pricing`, ``(q, iterate,
+channels, snap)``, are its complex own-cell and pricing parts for one BS,
+always formed in full.  The literal per-link form is a test oracle
+(``tests/oracles.py``).
 
 The proximal weight puts ``tau`` on the current permutation's entries of the
 reward, so while the gradient is small beside ``tau`` every column's maximum
-sits on a distinct row and the current permutation is the optimum.  The
-sweep certifies that case in two stages.  First, a norm bound: every
-gradient entry is at most the product of two column norms in size, and
+sits on a distinct row and the current permutation is the optimum.  The sweep
+certifies that case in two stages.  First, a norm bound: every gradient entry
+is at most the product of two column norms in size, and
 :func:`bdris.rates.selection_bounds` bounds every surface at once from the
-norms of the routed channels, which are the element-order norms permuted,
-so each surface whose bound ``tau`` exceeds keeps its permutation at gain
-0.0 and forms neither its (M, M) gradient nor its reward.  Second, for the surfaces the bound leaves open,
-:func:`solve_selection` certifies the current or any other permutation
-exactly from the column maxima of the reward (:func:`certified_selection`)
-and calls the assignment solver only when that certificate fails.  That
-solver is scipy's, imported by the first uncertified assignment in a
-process (about 0.6 s, once per process), so a run whose rewards are all
-certified never loads scipy.
+norms of the routed channels, which are the element-order norms permuted, so
+each surface whose bound ``tau`` exceeds keeps its permutation at gain 0.0
+and forms neither its (M, M) gradient nor its reward.  Second, for the
+surfaces the bound leaves open, :func:`solve_selection` certifies the current
+or any other permutation exactly from the column maxima of the reward
+(:func:`certified_selection`) and calls the assignment solver only when that
+certificate fails.  That solver is scipy's, imported by the first uncertified
+assignment in a process (about 0.6 s, once per process), so a run whose
+rewards are all certified never loads scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .rates import snapshot, surface_gradients
+from .rates import surface_gradients, weighted_amplitudes
 
 
 def linear_sum_assignment(reward, maximize=False):
@@ -45,26 +46,28 @@ def linear_sum_assignment(reward, maximize=False):
     return solve(reward, maximize=maximize)
 
 
-def selection_gradient(q, iterate, channels, noise_power, snap=None):
+def selection_gradient(q, iterate, channels, snap):
     """Own-cell rate gradient w.r.t. BS q's selection matrix, (M, M) complex.
 
     The real part is the gradient of the own-cell rate sum (times K) when
     the selection matrix is relaxed to a real matrix variable.
     """
-    return _complex_gradient(q, iterate, channels, noise_power, snap, 1.0, 0.0)
+    weighted = weighted_amplitudes(channels, snap, 1.0, 0.0)
+    return _complex_gradient(q, iterate, channels, snap, weighted)
 
 
-def selection_pricing(q, iterate, channels, noise_power, snap=None):
+def selection_pricing(q, iterate, channels, snap):
     """Other-cell pricing gradient w.r.t. BS q's relaxed selection matrix, (M, M)."""
-    return _complex_gradient(q, iterate, channels, noise_power, snap, 0.0, 1.0)
+    weighted = weighted_amplitudes(channels, snap, 0.0, 1.0)
+    return _complex_gradient(q, iterate, channels, snap, weighted)
 
 
-def _complex_gradient(q, iterate, channels, noise_power, snap, cell, pricing):
-    if snap is None:
-        snap = snapshot(iterate, channels, noise_power)
-    # both weights times 1j scale y by -1j: the real gradient becomes the imaginary part
-    return (surface_gradients(iterate, channels, snap, cell, pricing)[1][q]
-            + 1j * surface_gradients(iterate, channels, snap, 1j * cell, 1j * pricing)[1][q])
+def _complex_gradient(q, iterate, channels, snap, weighted):
+    # weights times 1j scale z by -1j: the real gradient becomes the imaginary part;
+    # at tau = 0.0 the screen certifies no surface, so every slice is formed
+    def real_part(w):
+        return surface_gradients(iterate, channels, snap, w, tau=0.0)[1][q]
+    return real_part(weighted) + 1j * real_part(1j * weighted)
 
 
 def selection_reward(gradient, perm_prev, tau):

@@ -24,7 +24,7 @@ from bdris.circuit import rational_coefficients, reflection
 from bdris.errors import NumericalFailureError
 from bdris.precoding import (MAX_MULTIPLIER, POWER_REL_TOL, _stack, power_curves,
                              solve_precoder, split_rhs)
-from bdris.rates import SCREEN_MARGIN, weighted_amplitudes
+from bdris.rates import SCREEN_MARGIN, snapshot, weighted_amplitudes
 from bdris.selfcheck import (best_assignment, dense_precoder,  # noqa: F401
                              fd_capacitance_gradient, fd_precoder_gradient,
                              fd_reflection_derivative, fd_selection_gradient)
@@ -270,9 +270,11 @@ def selection_gain(q, sel_new, sel_old, iterate, channels, noise_power, tau,
     permutation only where that gain is positive, and then only if the
     merged point's true sum rate does not drop.
     """
-    grad = selection_gradient(q, iterate, channels, noise_power, snap)
+    if snap is None:
+        snap = snapshot(iterate, channels, noise_power)
+    grad = selection_gradient(q, iterate, channels, snap)
     if cooperative:
-        grad = grad + selection_pricing(q, iterate, channels, noise_power, snap)
+        grad = grad + selection_pricing(q, iterate, channels, snap)
     dense = np.eye(channels.num_elements)
 
     def value(sel):

@@ -3,6 +3,7 @@
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bdris import precoding, rates, solver, switches
@@ -34,8 +35,9 @@ def test_counted_solve_precoder_runs_once_per_bisection(monkeypatch, multiuser_n
         calls.append(args)
         return solve(*args)
     monkeypatch.setattr(precoding, "solve_precoder", counted)
+    snap = rates.snapshot(iterate, channels, noise)
     for q in range(channels.num_bs):
-        surrogates = precoding.build_surrogates(q, iterate, channels, noise)
+        surrogates = precoding.build_surrogates(q, iterate, channels, snap)
         for budget in (1e-3, 1e9):
             calls.clear()
             precoding.bisect_power_multiplier(surrogates, 0.8, budget)
@@ -51,7 +53,8 @@ def test_sweep_solves_one_assignment_per_bs(monkeypatch, multiuser_network, ris_
     # default weight, so that is asserted first
     channels, iterate, noise = multiuser_network
     snap = rates.snapshot(iterate, channels, noise)
-    assert rates.surface_gradients(iterate, channels, snap, tau=0.8)[2].all()
+    weighted = rates.weighted_amplitudes(channels, snap)
+    assert rates.surface_gradients(iterate, channels, snap, weighted, tau=0.8)[2].all()
     calls = []
     solve = switches.solve_selection
 
@@ -59,7 +62,7 @@ def test_sweep_solves_one_assignment_per_bs(monkeypatch, multiuser_network, ris_
         calls.append(reward)
         return solve(reward)
     monkeypatch.setattr(switches, "solve_selection", counted)
-    solver.local_subproblems(iterate, channels, noise, 1.0,
+    solver.local_subproblems(iterate, channels, snap, np.ones(channels.num_bs),
                              solver.SolverConfig(ris_mode=ris_mode))
     assert len(calls) == per_bs * channels.num_bs
 

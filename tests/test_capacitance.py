@@ -46,7 +46,7 @@ class TestRateGradient:
     def test_matches_finite_differences(self, multiuser_network):
         channels, iterate, noise = multiuser_network
         for q in range(channels.num_bs):
-            got = rate_gradient(q, iterate, channels, noise)
+            got = rate_gradient(q, iterate, channels, snapshot(iterate, channels, noise))
             fd = oracles.fd_capacitance_gradient(
                 lambda it: oracles.cell_rates(it, channels, noise, q)[0],
                 iterate, q)
@@ -55,7 +55,8 @@ class TestRateGradient:
     def test_zero_precoders_give_zero_gradient(self, small_network):
         channels, iterate, noise = small_network
         iterate.precoders[:] = 0
-        np.testing.assert_allclose(rate_gradient(0, iterate, channels, noise), 0)
+        np.testing.assert_allclose(
+            rate_gradient(0, iterate, channels, snapshot(iterate, channels, noise)), 0)
 
     def test_single_user_cell_has_no_intracell_term(self, small_network):
         # with one user per BS the intracell correction sum is empty, so the
@@ -70,7 +71,7 @@ class TestRateGradient:
         sens = np.real(slopes * diag[0, own[0]])
         c1 = (2.0 / np.log(2.0)) / ((1.0 + snap.snr[own[0]]) * snap.mui[own[0]] ** 2)
         expected = np.einsum("k,km->m", c1 * snap.mui[own[0]], sens)
-        np.testing.assert_allclose(rate_gradient(q, iterate, channels, noise),
+        np.testing.assert_allclose(rate_gradient(q, iterate, channels, snap),
                                    expected, rtol=1e-12)
 
 
@@ -78,18 +79,19 @@ class TestPricingGradient:
     def test_single_cell_is_zero(self, rng):
         channels, iterate, noise = make_network(rng, num_bs=1, users_per_bs=(1,))
         np.testing.assert_array_equal(
-            pricing_gradient(0, iterate, channels, noise), 0)
+            pricing_gradient(0, iterate, channels, snapshot(iterate, channels, noise)), 0)
 
     def test_zero_cross_channels_give_zero(self, small_network):
         channels, iterate, noise = small_network
         channels.ris_ue[0, 1] = 0  # surface 0 invisible to the other cell's user
         np.testing.assert_allclose(
-            pricing_gradient(0, iterate, channels, noise), 0, atol=1e-25)
+            pricing_gradient(0, iterate, channels, snapshot(iterate, channels, noise)), 0,
+            atol=1e-25)
 
     def test_matches_finite_differences(self, multiuser_network):
         channels, iterate, noise = multiuser_network
         for q in range(channels.num_bs):
-            got = pricing_gradient(q, iterate, channels, noise)
+            got = pricing_gradient(q, iterate, channels, snapshot(iterate, channels, noise))
             fd = oracles.fd_capacitance_gradient(
                 lambda it: oracles.cell_rates(it, channels, noise, q)[1],
                 iterate, q)
@@ -101,8 +103,8 @@ class TestFullGradient:
         channels, iterate, noise = multiuser_network
         k_n = channels.num_subcarriers
         for q in range(channels.num_bs):
-            total = rate_gradient(q, iterate, channels, noise) \
-                + pricing_gradient(q, iterate, channels, noise)
+            total = rate_gradient(q, iterate, channels, snapshot(iterate, channels, noise)) \
+                + pricing_gradient(q, iterate, channels, snapshot(iterate, channels, noise))
             fd = oracles.fd_capacitance_gradient(
                 lambda it: k_n * oracles.sum_rate(it, channels, noise),
                 iterate, q)
@@ -134,9 +136,9 @@ class TestDefaultScale:
             price = np.einsum("vk,vkm->m", c2,
                               np.real(slopes[None, None] * diag[:, others]).sum(axis=0))
             np.testing.assert_allclose(
-                rate_gradient(q, iterate, channels, noise, snap), own_grad, rtol=1e-10)
+                rate_gradient(q, iterate, channels, snap), own_grad, rtol=1e-10)
             np.testing.assert_allclose(
-                pricing_gradient(q, iterate, channels, noise, snap), price, rtol=1e-10)
+                pricing_gradient(q, iterate, channels, snap), price, rtol=1e-10)
 
 
 class TestUpdate:

@@ -392,6 +392,24 @@ class TestDumpLoad:
         with pytest.raises(ValueError, match=named):
             load_channels(path)
 
+    @pytest.mark.parametrize("dims", ["0,0,4,2,3", "2,2,4,0,0"],
+                             ids=["no_users", "no_antennas_or_elements"])
+    def test_rejects_empty_dimensions(self, dump_lines, dims):
+        # the header rows, then every link row with no values (no row at Q = 0)
+        path, lines = dump_lines
+        empty = dims.startswith("0")
+        header = [f"dims,{dims}", lines[1], lines[2], "users" if empty else lines[3]]
+        rows = [] if empty else [",".join(line.split(",")[:4]) for line in lines[4:]]
+        path.write_text("\n".join(header + rows) + "\n")
+        with pytest.raises(ValueError, match="at least one BS"):
+            load_channels(path)
+
+    def test_rejects_non_integer_serving_bs(self, rng):
+        channels, _, _ = make_network(rng)
+        with pytest.raises(ValueError, match="integer"):
+            NetworkChannels(channels.direct, channels.bs_ris, channels.ris_ue,
+                            channels.bs_of_user.astype(float), channels.grid)
+
     def test_rejects_row_outside_the_dimensions(self, dump_lines):
         path, lines = dump_lines
         link, j, u, k, *cells = lines[-1].split(",")

@@ -271,6 +271,23 @@ def test_load_channels_rejects_unknown_serving_bs(tiny_ini, tmp_path, capsys):
     assert "[0, Q)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dims", ["0,0,8,4,8", "4,4,8,0,0"], ids=["no_users", "no_elements"])
+def test_load_channels_rejects_empty_dimensions(tiny_ini, tmp_path, capsys, dims):
+    # no BS and user (the header rows alone), or no antenna and element (every
+    # link row without values): an error line and exit 1, not a traceback or NaN
+    path = tmp_path / "channels.csv"
+    assert main(["dump-channels", "--config", str(tiny_ini), "--out", str(path)]) == 0
+    lines, empty = path.read_text().splitlines(), dims.startswith("0")
+    header = [f"dims,{dims}", lines[1], lines[2], "users" if empty else lines[3]]
+    rows = [] if empty else [",".join(line.split(",")[:4]) for line in lines[4:]]
+    path.write_text("\n".join(header + rows) + "\n")
+    capsys.readouterr()
+    assert main(["load-channels", "--file", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "at least one BS" in captured.err
+
+
 @pytest.mark.parametrize("origin", ["5", "1, 2, 3"])
 def test_dump_channels_rejects_bad_ue_square_origin(tiny_ini, tmp_path, capsys, origin):
     path = tmp_path / "bad.ini"

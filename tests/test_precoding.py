@@ -7,7 +7,7 @@ from bdris.errors import NumericalFailureError
 from bdris.precoding import (bisect_power_multiplier, build_surrogates,
                              objective_values, pricing_vector, solve_precoder,
                              split_rhs)
-from bdris.rates import LN2, snapshot
+from bdris.rates import LN2, snapshot, weighted_amplitudes
 
 from conftest import complex_normal, make_network
 
@@ -26,7 +26,7 @@ def rounding_draw():
     rng = np.random.default_rng(7)
     for _ in range(40):
         channels, iterate, noise = make_network(rng)
-        surr = build_surrogates(0, iterate, channels, noise)
+        surr = build_surrogates(0, iterate, channels, snapshot(iterate, channels, noise))
         budget = oracles.power_curve(surr, TAU)(0.0)
         if measured_power(surr, 0.0) > budget:
             return channels, iterate, noise, surr, budget
@@ -43,8 +43,7 @@ def default_scale_surrogates(network, case):
     channels, iterate, noise = network
     ris = case == "bd"
     snap = snapshot(iterate, channels, noise, ris)
-    return [build_surrogates(q, iterate, channels, noise, snap,
-                             cooperative=case != "mf", ris_enabled=ris)
+    return [build_surrogates(q, iterate, channels, snap, cooperative=case != "mf")
             for q in range(channels.num_bs)]
 
 
@@ -52,15 +51,16 @@ class TestPricingVector:
     def test_single_cell_has_no_pricing(self, rng):
         channels, iterate, noise = make_network(rng, num_bs=1, users_per_bs=(1,))
         np.testing.assert_array_equal(
-            pricing_vector(0, iterate, channels, noise), 0)
+            pricing_vector(0, iterate, channels, snapshot(iterate, channels, noise)), 0)
 
     def test_zero_cross_channels_give_zero(self, small_network):
         channels, iterate, noise = small_network
         # kill every channel from BS 0 toward the other cell's user
         channels.direct[0, 1] = 0
         channels.ris_ue[0, 1] = 0
-        np.testing.assert_allclose(pricing_vector(0, iterate, channels, noise),
-                                   0, atol=1e-30)
+        np.testing.assert_allclose(
+            pricing_vector(0, iterate, channels, snapshot(iterate, channels, noise)), 0,
+            atol=1e-30)
 
     def test_two_cell_scalar_hand_expansion(self, rng):
         channels, iterate, noise = make_network(
@@ -73,7 +73,7 @@ class TestPricingVector:
         snr = sig / interf
         expected = (-snr / LN2) / ((1 + snr) * interf) \
             * f * np.conj(f) * iterate.precoders[0, 0, 0]
-        got = pricing_vector(0, iterate, channels, noise)
+        got = pricing_vector(0, iterate, channels, snapshot(iterate, channels, noise))
         np.testing.assert_allclose(got[0, 0], expected, rtol=1e-12)
 
     @pytest.mark.parametrize("network", ["multiuser_network", "default_scale_network"])
@@ -87,7 +87,7 @@ class TestPricingVector:
         channels, iterate, noise = request.getfixturevalue(network)
         k_n = channels.num_subcarriers
         for user in range(channels.num_users):
-            got = pricing_vector(user, iterate, channels, noise)
+            got = pricing_vector(user, iterate, channels, snapshot(iterate, channels, noise))
             if network == "multiuser_network":
                 # every rate but u's own, whose log term the quadratic models
                 fd = oracles.fd_precoder_gradient(
@@ -111,20 +111,21 @@ class TestSurrogate:
     def test_zero_anchor_gives_zero_coefficients(self, small_network):
         channels, iterate, noise = small_network
         iterate.precoders[0] = 0
-        s = build_surrogates(0, iterate, channels, noise)[0]
+        s = build_surrogates(0, iterate, channels, snapshot(iterate, channels, noise))[0]
         assert s.quad_weight[0] == 0
         np.testing.assert_array_equal(s.linear[0], 0)
 
     def test_positive_weight_when_signal_present(self, small_network):
         channels, iterate, noise = small_network
-        assert build_surrogates(0, iterate, channels, noise)[0].quad_weight[0] > 0
+        snap = snapshot(iterate, channels, noise)
+        assert build_surrogates(0, iterate, channels, snap)[0].quad_weight[0] > 0
 
     def test_lower_bound_tight_with_first_order_match(self, rng):
         channels, iterate, noise = make_network(rng)
         snap = snapshot(iterate, channels, noise)
         for q in range(channels.num_bs):
             for u, s in zip(channels.users_of_bs(q),
-                            build_surrogates(q, iterate, channels, noise, snap)):
+                            build_surrogates(q, iterate, channels, snap)):
                 exact_anchor = np.log1p(snap.snr[u]) / LN2
                 np.testing.assert_allclose(s.log_term_value(s.anchor),
                                            exact_anchor, atol=1e-9)
@@ -156,8 +157,9 @@ class TestSurrogate:
         # cell's rates plus ``cooperative`` times the other cells' rates, the
         # intra-cell interference terms of multi-user cells included
         channels, iterate, noise = make_network(rng, users_per_bs=users_per_bs)
-        s = precoding.stacked_surrogates(iterate, channels, snapshot(iterate, channels, noise),
-                                         cooperative)
+        snap = snapshot(iterate, channels, noise)
+        weighted = weighted_amplitudes(channels, snap, pricing=float(cooperative))
+        s = precoding.stacked_surrogates(iterate, channels, snap, weighted)
         f = s.own_channel
         along = np.einsum("uki,uki->uk", np.conj(f), s.anchor)
         grad = s.linear - (s.quad_weight * along)[..., None] * f + s.pricing
@@ -173,7 +175,7 @@ class TestSurrogate:
 class TestSolvePrecoder:
     def test_zero_quadratic_reduces_to_identity_solve(self, small_network):
         channels, iterate, noise = small_network
-        s = build_surrogates(0, iterate, channels, noise)[0]
+        s = build_surrogates(0, iterate, channels, snapshot(iterate, channels, noise))[0]
         s.quad_weight[:] = 0
         lam = 0.7
         got = solve_precoder(split_rhs(s, TAU), lam)
@@ -184,7 +186,7 @@ class TestSolvePrecoder:
         # default scale, trial 0: within 9.9e-14 of the dense solve
         channels, iterate, noise = request.getfixturevalue(network)
         for q in range(channels.num_bs):
-            for s in build_surrogates(q, iterate, channels, noise):
+            for s in build_surrogates(q, iterate, channels, snapshot(iterate, channels, noise)):
                 for lam in (0.0, 0.5, 3.0):
                     fast = solve_precoder(split_rhs(s, TAU), lam)
                     dense = oracles.dense_precoder(s, TAU, lam)
@@ -198,7 +200,7 @@ class TestSolvePrecoder:
         # changes, the solver's results change with it
         channels, iterate, noise = request.getfixturevalue(network)
         for q in range(channels.num_bs):
-            for s in build_surrogates(q, iterate, channels, noise):
+            for s in build_surrogates(q, iterate, channels, snapshot(iterate, channels, noise)):
                 split = split_rhs(s, TAU)
                 for lam in MULTIPLIERS:
                     beta = split.half_tau + lam
@@ -208,7 +210,7 @@ class TestSolvePrecoder:
 
     def test_norm_decreases_with_multiplier(self, small_network):
         channels, iterate, noise = small_network
-        s = build_surrogates(0, iterate, channels, noise)[0]
+        s = build_surrogates(0, iterate, channels, snapshot(iterate, channels, noise))[0]
         lams = np.linspace(0.0, 5.0, 30)
         split = split_rhs(s, TAU)
         norms = [np.linalg.norm(solve_precoder(split, lam)) for lam in lams]
@@ -219,8 +221,9 @@ class TestSolvePrecoder:
         # one broadcast call with a distinct multiplier per user equals the
         # per-user calls bit for bit
         channels, iterate, noise = request.getfixturevalue(network)
-        stacked = precoding.stacked_surrogates(iterate, channels,
-                                               snapshot(iterate, channels, noise))
+        snap = snapshot(iterate, channels, noise)
+        stacked = precoding.stacked_surrogates(iterate, channels, snap,
+                                               weighted_amplitudes(channels, snap))
         lams = np.concatenate([[0.0], np.geomspace(1e-6, 10.0, channels.num_users - 1)])
         ws = solve_precoder(split_rhs(stacked, TAU), lams)
         assert ws.shape == iterate.precoders.shape
@@ -249,7 +252,7 @@ class TestPowerCurve:
         channels, iterate, noise = multiuser_network
         channels.direct[0, 0] = 0
         channels.ris_ue[0, 0] = 0
-        surr = build_surrogates(0, iterate, channels, noise)
+        surr = build_surrogates(0, iterate, channels, snapshot(iterate, channels, noise))
         assert len(surr) == 2
         np.testing.assert_array_equal(surr[0].own_channel, 0)
         with np.errstate(all="raise"):
@@ -264,14 +267,14 @@ class TestPowerCurve:
 class TestBisection:
     def test_loose_budget_gives_zero_multiplier(self, small_network):
         channels, iterate, noise = small_network
-        surr = build_surrogates(0, iterate, channels, noise)
+        surr = build_surrogates(0, iterate, channels, snapshot(iterate, channels, noise))
         lam, ws = bisect_power_multiplier(surr, TAU, 1e9)
         assert lam == 0.0
 
     def test_tight_budget_met_exactly(self, multiuser_network):
         channels, iterate, noise = multiuser_network
         for q in range(channels.num_bs):
-            surr = build_surrogates(q, iterate, channels, noise)
+            surr = build_surrogates(q, iterate, channels, snapshot(iterate, channels, noise))
             budget = 1e-3
             lam, ws = bisect_power_multiplier(surr, TAU, budget)
             power = float(np.sum(np.abs(ws) ** 2))
@@ -281,7 +284,7 @@ class TestBisection:
 
     def test_stationarity_residual(self, small_network):
         channels, iterate, noise = small_network
-        surr = build_surrogates(0, iterate, channels, noise)
+        surr = build_surrogates(0, iterate, channels, snapshot(iterate, channels, noise))
         lam, ws = bisect_power_multiplier(surr, TAU, 1e-3)
         for s, w in zip(surr, ws):
             rhs = s.rhs(TAU)
@@ -294,13 +297,13 @@ class TestBisection:
 
     def test_bad_budget_rejected(self, small_network):
         channels, iterate, noise = small_network
-        surr = build_surrogates(0, iterate, channels, noise)
+        surr = build_surrogates(0, iterate, channels, snapshot(iterate, channels, noise))
         with pytest.raises(ValueError):
             bisect_power_multiplier(surr, TAU, 0.0)
 
     def test_unbracketable_budget_raises(self, small_network):
         channels, iterate, noise = small_network
-        surr = build_surrogates(0, iterate, channels, noise)
+        surr = build_surrogates(0, iterate, channels, snapshot(iterate, channels, noise))
         with pytest.raises(NumericalFailureError):
             bisect_power_multiplier(surr, TAU, 1e-300)
 
@@ -312,7 +315,7 @@ class TestBisection:
         # power of the unconstrained solve
         channels, iterate, noise = request.getfixturevalue(network)
         for q in range(channels.num_bs):
-            surr = build_surrogates(q, iterate, channels, noise)
+            surr = build_surrogates(q, iterate, channels, snapshot(iterate, channels, noise))
             budget = budget_scale * measured_power(surr, 0.0)
             lam, ws = bisect_power_multiplier(surr, TAU, budget)
             lam_ref, ws_ref = oracles.bisect_measured_power(surr, TAU, budget)
@@ -347,14 +350,15 @@ class TestBisection:
 class TestLockStepBisection:
     def solve_all(self, channels, iterate, noise, budgets, start=None):
         snap = snapshot(iterate, channels, noise)
-        stacked = precoding.stacked_surrogates(iterate, channels, snap)
+        stacked = precoding.stacked_surrogates(iterate, channels, snap,
+                                               weighted_amplitudes(channels, snap))
         return precoding.solve_precoders(stacked, channels.bs_of_user, TAU,
                                          np.asarray(budgets, float), start)
 
     def assert_matches_scalar(self, channels, iterate, noise, budgets):
         lams, ws, _ = self.solve_all(channels, iterate, noise, budgets)
         for q in range(channels.num_bs):
-            surr = build_surrogates(q, iterate, channels, noise)
+            surr = build_surrogates(q, iterate, channels, snapshot(iterate, channels, noise))
             lam, ws_q = bisect_power_multiplier(surr, TAU, budgets[q])
             assert lams[q] == lam
             np.testing.assert_array_equal(ws[channels.users_of_bs(q)], ws_q)
@@ -371,7 +375,7 @@ class TestLockStepBisection:
                                              budget_scale):
         channels, iterate, noise = default_scale_network
         budgets = [budget_scale * measured_power(
-            build_surrogates(q, iterate, channels, noise), 0.0)
+            build_surrogates(q, iterate, channels, snapshot(iterate, channels, noise)), 0.0)
             for q in range(channels.num_bs)]
         self.assert_matches_scalar(channels, iterate, noise, budgets)
 
@@ -380,7 +384,7 @@ class TestLockStepBisection:
                                                     budget_scale):
         channels, iterate, noise = default_scale_network
         budgets = np.array([budget_scale * measured_power(
-            build_surrogates(q, iterate, channels, noise), 0.0)
+            build_surrogates(q, iterate, channels, snapshot(iterate, channels, noise)), 0.0)
             for q in range(channels.num_bs)])
         evaluations = []
         curves = precoding.power_curves
@@ -443,7 +447,7 @@ class TestLockStepBisection:
     def default_scale_budgets(self, network, budget_scale):
         channels, iterate, noise = network
         return np.array([budget_scale * measured_power(
-            build_surrogates(q, iterate, channels, noise), 0.0)
+            build_surrogates(q, iterate, channels, snapshot(iterate, channels, noise)), 0.0)
             for q in range(channels.num_bs)])
 
     @pytest.mark.parametrize("factor", [0.5, 2.0, 100.0])
@@ -497,7 +501,8 @@ class TestLockStepBisection:
     def test_unbracketable_budget_raises(self, small_network):
         channels, iterate, noise = small_network
         snap = snapshot(iterate, channels, noise)
-        stacked = precoding.stacked_surrogates(iterate, channels, snap)
+        stacked = precoding.stacked_surrogates(iterate, channels, snap,
+                                               weighted_amplitudes(channels, snap))
         with pytest.raises(NumericalFailureError):
             precoding.solve_precoders(stacked, channels.bs_of_user, TAU,
                                       np.array([1.0, 1e-300]))
@@ -512,8 +517,9 @@ class TestNewtonSearch:
     @pytest.fixture(params=["multiuser_network", "default_scale_network"])
     def curve(self, request):
         channels, iterate, noise = request.getfixturevalue(request.param)
-        stacked = precoding.stacked_surrogates(iterate, channels,
-                                               snapshot(iterate, channels, noise))
+        snap = snapshot(iterate, channels, noise)
+        stacked = precoding.stacked_surrogates(iterate, channels, snap,
+                                               weighted_amplitudes(channels, snap))
         curve = precoding.power_curves(split_rhs(stacked, TAU), channels.bs_of_user)
         free = curve(np.zeros(channels.num_bs))[0]  # each BS's power at lam = 0
         return curve, free
@@ -604,7 +610,7 @@ class TestSubproblemImprovement:
             channels, iterate, noise = make_network(
                 rng, users_per_bs=(2, 1), precoder_scale=0.3)
             for q in range(channels.num_bs):
-                surr = build_surrogates(q, iterate, channels, noise)
+                surr = build_surrogates(q, iterate, channels, snapshot(iterate, channels, noise))
                 own = channels.users_of_bs(q)
                 budget = float(np.sum(np.abs(iterate.precoders[own]) ** 2))
                 _, ws = bisect_power_multiplier(surr, TAU, budget)

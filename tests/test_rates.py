@@ -385,7 +385,8 @@ class TestSurfaceGradients:
         parts = [literal_surface_parts(q, iterate, channels, snap)
                  for q in range(channels.num_bs)]
         for pricing in (0.0, 1.0):
-            grad_c, grad_s = surface_gradients(iterate, channels, snap, pricing=pricing)
+            weighted = weighted_amplitudes(channels, snap, pricing=pricing)
+            grad_c, grad_s, _ = surface_gradients(iterate, channels, snap, weighted, tau=0.0)
             assert grad_c.shape == iterate.capacitances.shape
             assert grad_s.shape == grad_c.shape + grad_c.shape[-1:]
             for q, (cap, sel) in enumerate(parts):
@@ -396,9 +397,10 @@ class TestSurfaceGradients:
     def test_without_selection(self, multiuser_network, default_scale_network):
         for channels, iterate, noise in (multiuser_network, default_scale_network):
             snap = snapshot(iterate, channels, noise)
-            grad_c, grad_s = surface_gradients(iterate, channels, snap)
-            only_c, none = surface_gradients(iterate, channels, snap, selection=False)
-            assert none is None
+            weighted = weighted_amplitudes(channels, snap)
+            grad_c, grad_s, _ = surface_gradients(iterate, channels, snap, weighted, tau=0.0)
+            only_c, none, no_mask = surface_gradients(iterate, channels, snap, weighted)
+            assert none is None and no_mask is None
             np.testing.assert_array_equal(only_c, grad_c)
 
 
@@ -426,20 +428,21 @@ class TestBatchedSurfaceGradients:
         upb = request.param
         return make_network(np.random.default_rng(7), num_bs=len(upb), users_per_bs=upb)
 
-    @pytest.mark.parametrize("tau", [None, 1e-9, 0.8, 1e9])
+    @pytest.mark.parametrize("tau", [None, 0.0, 1e-9, 0.8, 1e9])
     @pytest.mark.parametrize("cell, pricing", [(1, 1), (1, 0), (0, 1), (1j, 1j)])
     def test_equal_the_per_bs_reference(self, network, tau, cell, pricing, monkeypatch):
         channels, iterate, noise = network
         snap = snapshot(iterate, channels, noise)
         bounds = recorded_bounds(monkeypatch)
-        got = surface_gradients(iterate, channels, snap, cell, pricing, tau=tau)
+        got = surface_gradients(iterate, channels, snap,
+                                weighted_amplitudes(channels, snap, cell, pricing), tau)
         grad_c, grad_s, uncertified, want_bounds = oracles.per_bs_surface_gradients(
             iterate, channels, snap, cell, pricing, tau)
         np.testing.assert_array_equal(got[0], grad_c, strict=True)
-        np.testing.assert_array_equal(got[1], grad_s, strict=True)
-        if tau is None:
-            assert len(got) == 2 and bounds == []
+        if tau is None:  # no switch weight: no switch product and no screen
+            assert got[1] is None and got[2] is None and bounds == []
             return
+        np.testing.assert_array_equal(got[1], grad_s, strict=True)
         np.testing.assert_array_equal(got[2], uncertified, strict=True)
         # a BS's bound sums its squared column entries user by user, then over its
         # users, where the reference sums all of its rows at once: one-user bounds
@@ -453,8 +456,9 @@ class TestBatchedSurfaceGradients:
         snap = snapshot(iterate, channels, noise)
         weighted = weighted_amplitudes(channels, snap, pricing=0.0)
         kept = weighted.copy()
-        given = surface_gradients(iterate, channels, snap, tau=0.8, weighted=weighted)
-        formed = surface_gradients(iterate, channels, snap, pricing=0.0, tau=0.8)
+        given = surface_gradients(iterate, channels, snap, weighted, tau=0.8)
+        formed = surface_gradients(iterate, channels, snap,
+                                   weighted_amplitudes(channels, snap, pricing=0.0), tau=0.8)
         for a, b in zip(given, formed):
             np.testing.assert_array_equal(a, b, strict=True)
         np.testing.assert_array_equal(weighted, kept)

@@ -124,6 +124,19 @@ def test_empty_list_keys_keep_defaults(tmp_path):
                           "[power]\npower_dbm =\n[simulation]\nvariants =\n") == ScenarioConfig()
 
 
+@pytest.mark.parametrize("text, field, value", [
+    ("[power]\npower_dbm = 10 ; 20\n", "power_dbm", (10.0, 20.0)),
+    ("[geometry]\nris_positions = 0,1 ; 2,3 ; 4,5 ; 6,7\n", "ris_xy",
+     ((0.0, 1.0), (2.0, 3.0), (4.0, 5.0), (6.0, 7.0))),
+    ("[power]\npower_dbm = 10 ; 20  # a comment\n", "power_dbm", (10.0, 20.0)),
+    ("[power]\npower_dbm = 10\n  ; 20\n", "power_dbm", (10.0, 20.0)),
+], ids=["power_dbm", "ris_positions", "comment", "continuation"])
+def test_semicolon_separates_list_entries(tmp_path, text, field, value):
+    # ``;`` separates list entries, spaced or on a continuation line; only ``#``
+    # starts a comment
+    assert getattr(load(tmp_path, text), field) == value
+
+
 @pytest.mark.parametrize("text", [
     "[network]\nM = many\n",
     "[ofdm]\nf_c = 3.5 GHz\n",

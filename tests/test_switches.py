@@ -39,8 +39,8 @@ def spy_on_assignment(monkeypatch):
 def cooperative_reward(q, iterate, channels, noise):
     """Assignment reward of BS q from its own-cell plus pricing gradients."""
     snap = snapshot(iterate, channels, noise)
-    grad = selection_gradient(q, iterate, channels, noise, snap) \
-        + selection_pricing(q, iterate, channels, noise, snap)
+    grad = selection_gradient(q, iterate, channels, snap) \
+        + selection_pricing(q, iterate, channels, snap)
     return selection_reward(grad, iterate.selections[q], TAU)
 
 
@@ -64,7 +64,7 @@ class TestSelectionCoupling:
                             term = term - snap.signal[v, k] * selection_coupling(
                                 q, t, v, k, iterate, channels)
                     expected += c1 * term.T
-            got = selection_gradient(q, iterate, channels, noise, snap)
+            got = selection_gradient(q, iterate, channels, snap)
             np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -73,12 +73,13 @@ class TestSelectionGradient:
         channels, iterate, noise = small_network
         iterate.precoders[:] = 0
         np.testing.assert_allclose(
-            selection_gradient(0, iterate, channels, noise), 0)
+            selection_gradient(0, iterate, channels, snapshot(iterate, channels, noise)), 0)
 
     def test_matches_directional_finite_differences(self, multiuser_network):
         channels, iterate, noise = multiuser_network
+        snap = snapshot(iterate, channels, noise)
         for q in range(channels.num_bs):
-            got = np.real(selection_gradient(q, iterate, channels, noise))
+            got = np.real(selection_gradient(q, iterate, channels, snap))
             fd = oracles.fd_selection_gradient(
                 lambda ch: oracles.cell_rates(iterate, ch, noise, q)[0],
                 channels, iterate.selections[q], q)
@@ -89,12 +90,13 @@ class TestSelectionPricing:
     def test_single_cell_is_zero(self, rng):
         channels, iterate, noise = make_network(rng, num_bs=1, users_per_bs=(1,))
         np.testing.assert_array_equal(
-            selection_pricing(0, iterate, channels, noise), 0)
+            selection_pricing(0, iterate, channels, snapshot(iterate, channels, noise)), 0)
 
     def test_matches_directional_finite_differences(self, multiuser_network):
         channels, iterate, noise = multiuser_network
+        snap = snapshot(iterate, channels, noise)
         for q in range(channels.num_bs):
-            got = np.real(selection_pricing(q, iterate, channels, noise))
+            got = np.real(selection_pricing(q, iterate, channels, snap))
             fd = oracles.fd_selection_gradient(
                 lambda ch: oracles.cell_rates(iterate, ch, noise, q)[1],
                 channels, iterate.selections[q], q)
@@ -104,10 +106,12 @@ class TestSelectionPricing:
         # doubling the surface-to-victim channels must change the pricing;
         # recomputed numerically rather than assumed linear
         channels, iterate, noise = small_network
-        base = np.linalg.norm(selection_pricing(0, iterate, channels, noise))
+        base = np.linalg.norm(
+            selection_pricing(0, iterate, channels, snapshot(iterate, channels, noise)))
         channels.ris_ue[0, 1] *= 2.0
         channels.direct[0, 1] *= 2.0
-        boosted = np.linalg.norm(selection_pricing(0, iterate, channels, noise))
+        boosted = np.linalg.norm(
+            selection_pricing(0, iterate, channels, snapshot(iterate, channels, noise)))
         assert boosted != pytest.approx(base)
 
 
@@ -140,10 +144,10 @@ class TestDefaultScale:
             w3 = c2[None] * scal[:, others]
             price = np.einsum("tvk,tki,vkj->ij", w3, phased, g_conj[others])
             np.testing.assert_allclose(
-                selection_gradient(q, iterate, channels, noise, snap),
+                selection_gradient(q, iterate, channels, snap),
                 (term1 - term2).T, rtol=1e-10)
             np.testing.assert_allclose(
-                selection_pricing(q, iterate, channels, noise, snap),
+                selection_pricing(q, iterate, channels, snap),
                 price.T, rtol=1e-10)
 
 
@@ -216,14 +220,16 @@ class TestSolveSelection:
         # assignment solver returns on that BS's full, unscreened reward
         channels, iterate, noise = default_scale_network
         snap = snapshot(iterate, channels, noise)
-        full = selection_reward(rates.surface_gradients(iterate, channels, snap)[1],
+        weighted = rates.weighted_amplitudes(channels, snap)
+        full = selection_reward(rates.surface_gradients(iterate, channels, snap, weighted,
+                                                        tau=0.0)[1],
                                 iterate.selections, TAU)
         formed = []
         for name in ("selection_reward", "solve_selection", "reward_gain"):
             monkeypatch.setattr(switches, name, lambda *args, name=name: formed.append(name))
         calls = spy_on_assignment(monkeypatch)
-        candidate = solver.local_subproblems(iterate, channels, noise, 1.0,
-                                             solver.SolverConfig(), snap)
+        candidate = solver.local_subproblems(iterate, channels, snap,
+                                             np.ones(channels.num_bs), solver.SolverConfig())
         assert formed == [] and calls == []
         np.testing.assert_array_equal(candidate.switch_gains, 0.0)
         np.testing.assert_array_equal(candidate.target.selections,
@@ -248,14 +254,15 @@ class TestSelectionScreen:
                                                     num_bs=len(users_per_bs),
                                                     users_per_bs=users_per_bs)
             snap = snapshot(iterate, channels, noise)
-            full = rates.surface_gradients(iterate, channels, snap)[1]
+            weighted = rates.weighted_amplitudes(channels, snap)
+            full = rates.surface_gradients(iterate, channels, snap, weighted, tau=0.0)[1]
             bounds.clear()
-            rates.surface_gradients(iterate, channels, snap, tau=1.0)
+            rates.surface_gradients(iterate, channels, snap, weighted, tau=1.0)
             assert len(bounds) == channels.num_bs
             per_bs = list(bounds)
             for tau in [t for b in per_bs for t in self.taus_across(b)]:
                 _, grad_s, uncertified = rates.surface_gradients(iterate, channels, snap,
-                                                                 tau=tau)
+                                                                 weighted, tau=tau)
                 np.testing.assert_array_equal(uncertified, [not tau > b for b in per_bs])
                 np.testing.assert_array_equal(grad_s, full[uncertified], strict=True)
                 for q in np.flatnonzero(~uncertified):
